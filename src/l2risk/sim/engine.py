@@ -20,9 +20,13 @@ The model, in brief:
   (fraud proofs). Withdrawals pay out from the bridge once their root is
   final; escape-hatch exits settle directly against finalized L1 state.
 - The bridge escrow must always equal the sum of L2 balances and in-flight
-  amounts. The identity is re-checked after every event; mismatches are
-  recorded, not raised. A finalized invalid state root breaks the identity
-  by design and flips funds_conserved.
+  amounts. The identity is re-checked after every event by summing both
+  ledgers afresh; mismatches are recorded, not raised. A finalized invalid
+  state root breaks the identity by design and flips funds_conserved.
+- Funds count as frozen while some exit in flight is stalled by an active
+  fault. The stall test after each event returns at once when no fault is
+  active; otherwise it evaluates the root, claim and sequencer predicates at
+  most once, not once per exit in flight.
 
 An invalid state root injected by an attacker finalizes only when state
 validation is not enforced, or on a fraud-proof system whose whitelisted
@@ -38,6 +42,7 @@ import heapq
 import json
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 from l2risk.model import DaMode, HarmMetrics, ProofSystem, UpgradePolicy
@@ -114,7 +119,8 @@ class _Run:
         # arrived on the other (pending credits, withdrawals, hatch exits)
         self.inflight: dict[str, tuple[str, int]] = {}
         self.mempool: list[dict] = []
-        self.forced: list[dict] = []
+        # tx id -> tx, in queueing order
+        self.forced: dict[str, dict] = {}
         self._batch_grid: set[int] = set()
         self._txid = 0
 
@@ -257,18 +263,29 @@ class _Run:
     # -- metric bookkeeping --------------------------------------------------
 
     def _exit_stalled(self) -> bool:
-        zk = self.cfg.proof_system is ProofSystem.ZK
-        for p in self.pending.values():
-            stage = p["stage"]
-            if stage == "queued" and not self._seq_accepting(p["user"]):
-                return True
-            if stage == "awaiting_root" and (
-                self._proposal_block_ends() or (zk and self._proof_block_ends())
-            ):
-                return True
-            if stage == "claimable" and self._claim_block_ends():
-                return True
-        return False
+        """Whether an active fault holds up some exit in flight: a queued
+        withdrawal the sequencer will not take, a withdrawal waiting on a
+        root no one may propose or prove, or a claim the bridge refuses.
+
+        With no fault active nothing can stall, so the answer is immediate.
+        Otherwise one pass collects the stages present, and the root, claim
+        and sequencer predicates are each evaluated at most once, however
+        many exits are in flight; only censorship is checked per queued user."""
+        if not self.active:
+            return False
+        pending = self.pending.values()
+        stages = {p["stage"] for p in pending}
+        if "awaiting_root" in stages and (
+            self._proposal_block_ends()
+            or (self.cfg.proof_system is ProofSystem.ZK and self._proof_block_ends())
+        ):
+            return True
+        if "claimable" in stages and self._claim_block_ends():
+            return True
+        return "queued" in stages and (
+            self._seq_down()
+            or any(self._censored(p["user"]) for p in pending if p["stage"] == "queued")
+        )
 
     def _update_frozen(self) -> None:
         stalled = self._exit_stalled()
@@ -281,7 +298,7 @@ class _Run:
     def _check_conservation(self, event_kind: str) -> None:
         if self.exploit_drained:
             return
-        accounted = sum(self.l2.values()) + sum(a for _, a in self.inflight.values())
+        accounted = sum(self.l2.values()) + sum(map(itemgetter(1), self.inflight.values()))
         if self.bridge_pool != accounted:
             self.violations.append(
                 {
@@ -366,7 +383,7 @@ class _Run:
     def _deny(self, tx: dict) -> None:
         if self.cfg.forced_inclusion.usable:
             tx["entry"] = self.now
-            self.forced.append(tx)
+            self.forced[tx["id"]] = tx
             deadline = next_l1_block(
                 self.now + self.cfg.forced_inclusion.timeout, self.p.l1_block_interval
             )
@@ -423,7 +440,7 @@ class _Run:
             self._grid_batch(self.now)
         elif self.cfg.forced_inclusion.usable:
             tx["entry"] = self.now
-            self.forced.append(tx)
+            self.forced[tx["id"]] = tx
             deadline = next_l1_block(
                 self.now + self.cfg.forced_inclusion.timeout, self.p.l1_block_interval
             )
@@ -444,15 +461,15 @@ class _Run:
             return
         self._make_batch()
 
-    def _on_recovery_batch(self) -> None:
-        if self._seq_down():
-            return
-        self._make_batch()
+    _on_recovery_batch = _on_batch_tick
 
     def _make_batch(self) -> None:
-        taken, kept = [], []
-        for tx in self.forced:
-            (kept if self._censored(tx["user"]) else taken).append(tx)
+        taken, kept = [], {}
+        for txid, tx in self.forced.items():
+            if self._censored(tx["user"]):
+                kept[txid] = tx
+            else:
+                taken.append(tx)
         txs = taken + self.mempool
         self.forced = kept
         self.mempool = []
@@ -472,12 +489,9 @@ class _Run:
         self._schedule_proposal(self.now, wids)
 
     def _on_forced_deadline(self, txid: str) -> None:
-        for i, tx in enumerate(self.forced):
-            if tx["id"] == txid:
-                break
-        else:
+        tx = self.forced.pop(txid, None)
+        if tx is None:
             return  # already included by a batch
-        tx = self.forced.pop(i)
         self._emit("forced_inclusion", id=txid, delay=self.now - tx["entry"])
         wid = self._apply_tx(tx)
         self._schedule_proposal(self.now, [wid] if wid is not None else [])

@@ -164,7 +164,9 @@ class RandomWorkload:
         seen: set[str] = set()
         out: list[WorkloadAction] = []
         for t in times:
-            user = rng.choice(names)
+            # randrange(n) draws exactly what choice() over n items draws
+            i = rng.randrange(len(names))
+            user = names[i]
             if user not in seen:
                 seen.add(user)
                 kind = "deposit"
@@ -172,7 +174,8 @@ class RandomWorkload:
                 kind = rng.choice(("deposit", "withdraw", "withdraw", "transfer"))
             amount = rng.randint(1, self.max_amount)
             if kind == "transfer" and len(names) > 1:
-                to = rng.choice([n for n in names if n != user])
+                j = rng.randrange(len(names) - 1)  # an index into names without user
+                to = names[j + (j >= i)]
                 out.append(WorkloadAction(t, "transfer", user, amount, to))
             elif kind == "transfer":
                 out.append(WorkloadAction(t, "withdraw", user, amount))

@@ -1,11 +1,25 @@
+import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from l2risk.data import fixture_path, scenario_names
-from l2risk.model import IncidentClass, RollupConfig
+from l2risk.model import (
+    DAY,
+    HOUR,
+    DaConfig,
+    DaMode,
+    EscapeHatchConfig,
+    ForcedInclusionConfig,
+    IncidentClass,
+    ProofSystem,
+    ProposerConfig,
+    ProverSetConfig,
+    RollupConfig,
+)
 from l2risk.sim import (
     Injection,
     InjectionKind,
@@ -20,6 +34,7 @@ from l2risk.sim import (
     parse_scenario,
     simulate,
 )
+from l2risk.sim.engine import _Run
 
 ZK_ONCHAIN = {"proof_system": "zk", "da": {"mode": "onchain"}}
 
@@ -375,28 +390,34 @@ class TestConservation:
         assert result.violations == ()
 
 
+def _targeted_censorship() -> Scenario:
+    """Censorship of one user while another withdraws alongside; the target's
+    withdrawal waits in the forced queue until the timeout."""
+    raw = _scenario(
+        workload={
+            "actions": [
+                {"at": 0, "action": "deposit", "user": "mallory-target", "amount": 500},
+                {"at": 0, "action": "deposit", "user": "carol", "amount": 500},
+                {"at": 1200, "action": "withdraw", "user": "mallory-target", "amount": 100},
+                {"at": 1200, "action": "withdraw", "user": "carol", "amount": 100},
+            ]
+        },
+        injections=[
+            {
+                "kind": "censorship-forced-inclusion-failure",
+                "at": 1000,
+                "duration": 4000,
+                "targets": ["mallory-target"],
+            }
+        ],
+    )
+    raw["config"]["forced_inclusion"] = {"enabled": True, "timeout": 600, "usable": True}
+    return parse_scenario(raw)
+
+
 class TestFaultWindows:
     def test_targeted_censorship_holds_only_the_target(self):
-        raw = _scenario(
-            workload={
-                "actions": [
-                    {"at": 0, "action": "deposit", "user": "mallory-target", "amount": 500},
-                    {"at": 0, "action": "deposit", "user": "carol", "amount": 500},
-                    {"at": 1200, "action": "withdraw", "user": "mallory-target", "amount": 100},
-                    {"at": 1200, "action": "withdraw", "user": "carol", "amount": 100},
-                ]
-            },
-            injections=[
-                {
-                    "kind": "censorship-forced-inclusion-failure",
-                    "at": 1000,
-                    "duration": 4000,
-                    "targets": ["mallory-target"],
-                }
-            ],
-        )
-        raw["config"]["forced_inclusion"] = {"enabled": True, "timeout": 600, "usable": True}
-        result = simulate(parse_scenario(raw), seed=0)
+        result = simulate(_targeted_censorship(), seed=0)
         included = {e["user"]: e["t"] for e in _events(result, "withdrawal_included")}
         assert included["carol"] == 1320  # normal grid batch
         assert included["mallory-target"] == 1800  # forced inclusion at timeout
@@ -508,3 +529,231 @@ class TestUpgrades:
         result = simulate(parse_scenario(raw), seed=0)
         assert max(e["t"] for e in result.events) <= 1000
         assert not _events(result, "withdrawal_claimed")
+
+
+# -- trace freeze, stall-state equivalence and scaling -------------------------
+
+_FAULT_KINDS = tuple(k for k in InjectionKind if k is not InjectionKind.EXPLOIT_USER_RISK)
+
+
+def _fault_laden(seed: int) -> Scenario:
+    """Six users, 46 explicit actions with hatch exits, and four overlapping
+    fault windows on a config drawn from the seed: together the seeds reach
+    targeted censorship, proposer and prover outages, deferred claims,
+    forced inclusion, dropped transactions and hatch exits."""
+    rng = random.Random(seed)
+    users = [f"u{i}" for i in range(6)]
+    actions = [
+        WorkloadAction(rng.randrange(600), "deposit", u, rng.randint(500, 2_000)) for u in users
+    ]
+    for _ in range(40):
+        user = rng.choice(users)
+        kind = rng.choice(("withdraw", "withdraw", "transfer", "deposit", "hatch-exit"))
+        at = rng.randrange(600, 6 * HOUR)
+        if kind == "transfer":
+            to = rng.choice([u for u in users if u != user])
+            actions.append(WorkloadAction(at, kind, user, rng.randint(1, 400), to))
+        elif kind == "hatch-exit":
+            actions.append(WorkloadAction(at, kind, user, rng.choice((0, 100))))
+        else:
+            actions.append(WorkloadAction(at, kind, user, rng.randint(1, 400)))
+    injections = []
+    for _ in range(4):
+        kind = rng.choice(_FAULT_KINDS)
+        targets = ()
+        if kind is InjectionKind.CENSORSHIP_FORCED_INCLUSION_FAILURE and rng.random() < 0.7:
+            targets = tuple(rng.sample(users, 2))
+        duration = rng.choice((900, HOUR, 4 * HOUR))
+        injections.append(Injection(kind, rng.randrange(6 * HOUR), duration, targets))
+    zk = seed % 2 == 0
+    fi = rng.random() < 0.5
+    config = RollupConfig(
+        proof_system=ProofSystem.ZK if zk else ProofSystem.OPTIMISTIC,
+        challenge_window=0 if zk else 2 * HOUR,
+        prover_set=ProverSetConfig(permissionless=rng.random() < 0.2) if zk else None,
+        proposer=ProposerConfig(whitelist=rng.random() < 0.8),
+        forced_inclusion=ForcedInclusionConfig(enabled=fi, usable=fi, timeout=1_800),
+        escape_hatch=EscapeHatchConfig(enabled=True),
+        da=DaConfig(mode=DaMode.EXTERNAL) if rng.random() < 0.5 else DaConfig(),
+    )
+    return Scenario(f"faults-{seed}", config, actions=actions, injections=tuple(injections))
+
+
+FAULT_SEEDS = range(12)
+RANDOM_SEEDS = range(50)
+
+
+def _acceptance_random() -> Scenario:
+    return Scenario(
+        name="acceptance-random",
+        config=RollupConfig.centralized_default(),
+        random_workload=RandomWorkload(),
+    )
+
+
+def _digest(result) -> str:
+    blob = "\n".join(result.trace_lines()) + "\n" + json.dumps(result.summary(), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# sha256 of each run's trace plus its summary. A change to any of them is a
+# change in simulated behaviour; a speed-up must leave them all as they are.
+FROZEN_BUNDLED = {
+    "escape-hatch-outage": "09eae9b88343d88cd1b253c574d12e2bf954b46681f83c2b3a9bf2982acc9ae6",
+    "exploit-invalid-root": "bb400a242a80ce367f175ed22faf1160112b1be86ce3e6eecac2f844e704404e",
+    "instant-upgrade": "eced597646ccefab00c56d7421d36d4a84a25c61ff8445c6d2e95a9d3b20c44b",
+    "proposer-freeze": "016a5b825f9cda4405fd97b1512ed9e65cdc54d0f1d98a0584084557fabd84c0",
+    "sequencer-outage-fi-1h": "4b3fc369f900ef157afc987b01374ea659914d365c9c906456c3eaa18e679862",
+    "sequencer-outage-fi-24h": "927413b35d692cb8cec8e0a2a720a823f9bb7d8d082dd86c784b22757ade51e1",
+    "timelocked-upgrade-blocked": "14d5bf0bb202bf520f861726707e6c1f2472002bbae69b4c6db43bbbc99e495c",
+    "timelocked-upgrade-exit": "734c43d6088e1f5c2a38fb97121798e76669cf73458c6ff77d4b4d909989cb73",
+    "zk-withdrawal-baseline": "3a8bb92c1236693ef4d020b249835bbc2ba0c32a321225995778484f0101d894",
+}
+FROZEN_FAULT_LADEN = {
+    0: "92cb21138606f81c81417fbb8ae639a7cd0d50d00ce4f7a07858d8646bc6e5af",
+    1: "0bba6216b77423e3833c212bb54681bd49dd34cd49809f3be648ce8b8283c275",
+    2: "884ab39a08d908d8852524257920fbe14d74da74d20260acf370f32a03781544",
+    3: "655bd7e39a7cf2068412521c946fb541bca09ec46928f1ac7efa70cf589a904b",
+    4: "2f7cec3d9ecd10e724aac4eba549429b903b29d25f60a13d35c4d848edbf35f9",
+    5: "38d17ec168c351be97f410c46d1f9073e01bcbb292e60a920829377aff93f03d",
+    6: "29d2ebc4c4ade693bcfa15ae20ce1ef0c2f5c72903e76fe7396ebf312492fb5d",
+    7: "0b925d0204663f9bfee7b78d42cf7a8dc8f4e7c43bdaecf6f3a271c1387f454e",
+    8: "192231433e4f2f5911dc7eb80d8c8fb917672f3019bd282c1e2acae7a9c0b088",
+    9: "c8f5d7e338db41918e48d9e016f7d7688b7b62b9d607dd6842841f59d5050486",
+    10: "81562d6918104ad649883f29bf6c9f4faba3f7b0b9d6daee0d4762a4ee332c39",
+    11: "b0e9564e1d5a065758fc6f1c80e97e9c3b4307266322a499c98fba5f471ee3f0",
+}
+# sha256 over the 50 per-seed digests of RandomWorkload() on the centralized
+# default config, joined by newlines in seed order.
+FROZEN_RANDOM_SEEDS = "443e975c25f34cbfe29cca6ebf9a206e54c3c7796cd7a03f8b8273d48c3e1dd9"
+
+
+class TestTraceFreeze:
+    @pytest.mark.parametrize("name", sorted(BUNDLED_EXPECTATIONS))
+    def test_bundled(self, name):
+        assert _digest(simulate(load_bundled_scenario(name), seed=0)) == FROZEN_BUNDLED[name]
+
+    @pytest.mark.parametrize("seed", FAULT_SEEDS)
+    def test_fault_laden(self, seed):
+        assert _digest(simulate(_fault_laden(seed), seed=0)) == FROZEN_FAULT_LADEN[seed]
+
+    def test_random_seeds(self):
+        sc = _acceptance_random()
+        digests = "\n".join(_digest(simulate(sc, seed=s)) for s in RANDOM_SEEDS)
+        assert hashlib.sha256(digests.encode()).hexdigest() == FROZEN_RANDOM_SEEDS
+
+    def test_fault_laden_reach_every_stall_path(self):
+        seen = set()
+        targeted = False
+        for seed in FAULT_SEEDS:
+            sc = _fault_laden(seed)
+            seen |= {e["event"] for e in simulate(sc, seed=0).events}
+            targeted |= any(inj.targets for inj in sc.injections)
+        assert targeted
+        assert {
+            "claim_deferred",
+            "hatch_exit_included",
+            "proposal_blocked",
+            "tx_queued_forced",
+            "forced_inclusion",
+            "tx_dropped",
+        } <= seen
+
+
+def _scan_stalled(run: _Run) -> bool:
+    """The stall test as a plain scan of every exit in flight, evaluating the
+    fault predicates per exit: the reference the engine's answer must match
+    after every event."""
+    zk = run.cfg.proof_system is ProofSystem.ZK
+    for p in run.pending.values():
+        stage = p["stage"]
+        if stage == "queued" and not run._seq_accepting(p["user"]):
+            return True
+        if stage == "awaiting_root" and (
+            run._proposal_block_ends() or (zk and run._proof_block_ends())
+        ):
+            return True
+        if stage == "claimable" and run._claim_block_ends():
+            return True
+    return False
+
+
+class _CheckedRun(_Run):
+    """Holds the engine's stall answer to a full scan after every event."""
+
+    def __init__(self, scenario, seed):
+        super().__init__(scenario, seed)
+        self.stalled = 0
+        self.targeted_stalls = 0
+
+    def _update_frozen(self):
+        stalled = self._exit_stalled()
+        assert stalled == _scan_stalled(self), (self.now, self.events[-1:])
+        self.stalled += stalled
+        self.targeted_stalls += stalled and all(inj.targets for inj in self.active.values())
+        super()._update_frozen()
+
+
+def _day_long_fault(kind: InjectionKind, users: int, actions: int) -> Scenario:
+    return Scenario(
+        name=f"{kind.value}-{actions}",
+        config=RollupConfig.centralized_default(),
+        random_workload=RandomWorkload(users=users, actions=actions),
+        injections=(Injection(kind, at=0, duration=DAY),),
+    )
+
+
+class TestStallBookkeeping:
+    def _check(self, scenario, seed=0) -> _CheckedRun:
+        run = _CheckedRun(scenario, seed)
+        run.execute()
+        assert run.result().events == simulate(scenario, seed).events
+        return run
+
+    def test_stall_answer_matches_a_full_scan_after_every_event(self):
+        runs = [self._check(load_bundled_scenario(n)) for n in sorted(BUNDLED_EXPECTATIONS)]
+        runs += [self._check(_fault_laden(seed)) for seed in range(40)]
+        runs += [self._check(_acceptance_random(), seed) for seed in range(5)]
+        runs.append(self._check(_day_long_fault(InjectionKind.PROPOSER_OUTAGE, 20, 200)))
+        runs.append(self._check(_targeted_censorship()))
+        assert sum(r.stalled for r in runs) > 0
+        assert sum(r.targeted_stalls for r in runs) > 0
+
+    def test_predicate_calls_per_event_do_not_grow_with_the_workload(self):
+        class CountingRun(_Run):
+            """Counts root and claim predicate calls made by the stall test."""
+
+            calls = tests = 0
+            inside = False
+
+            def _exit_stalled(self):
+                self.tests += 1
+                self.inside = True
+                try:
+                    return super()._exit_stalled()
+                finally:
+                    self.inside = False
+
+            def _proposal_block_ends(self):
+                self.calls += self.inside
+                return super()._proposal_block_ends()
+
+            def _proof_block_ends(self):
+                self.calls += self.inside
+                return super()._proof_block_ends()
+
+            def _claim_block_ends(self):
+                self.calls += self.inside
+                return super()._claim_block_ends()
+
+        # A proposer outage stalls the exits waiting on a root; a slow
+        # sequencer stalls none of the exits in flight. Either way each of
+        # the three predicates is called at most once per stall test.
+        for kind in (
+            InjectionKind.PROPOSER_OUTAGE,
+            InjectionKind.SEQUENCER_PERFORMANCE_DEGRADATION,
+        ):
+            for users, actions in ((20, 200), (200, 2_000)):
+                run = CountingRun(_day_long_fault(kind, users, actions), 0)
+                run.execute()
+                assert run.calls <= 3 * run.tests, (kind, actions, run.calls, run.tests)
