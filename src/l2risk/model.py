@@ -33,11 +33,10 @@ class _LabeledEnum(enum.Enum):
 
     @classmethod
     def parse(cls, text: str):
-        key = _slug(text)
-        for member in cls:
-            if member.value == key:
-                return member
-        raise ValueError(f"{cls.__name__}: unrecognized label {text!r}")
+        try:
+            return cls(_slug(text))
+        except ValueError:
+            raise ValueError(f"{cls.__name__}: unrecognized label {text!r}") from None
 
 
 class ProjectCategory(_LabeledEnum):

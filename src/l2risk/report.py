@@ -173,10 +173,11 @@ def _sha256(path: Path) -> str:
 
 def content_digest(report: dict) -> str:
     """Digest of the report content, ignoring generation time and itself."""
-    trimmed = json.loads(json.dumps(report))
-    meta = trimmed.get("metadata", {})
-    meta.pop("generated_at", None)
-    meta.pop("content_digest", None)
+    trimmed = dict(report)
+    if "metadata" in trimmed:
+        meta = trimmed["metadata"] = dict(trimmed["metadata"])
+        meta.pop("generated_at", None)
+        meta.pop("content_digest", None)
     canonical = json.dumps(trimmed, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

@@ -75,6 +75,9 @@ _DEPOSIT_BLOCKING = frozenset({InjectionKind.BRIDGE_PAUSE_RISK, InjectionKind.BR
 # bookkeeping runs last so it sees the settled state of that second.
 _P_END, _P_START, _P_L1, _P_ADMIT, _P_BATCH, _P_ACTION, _P_UPGRADE = range(7)
 
+# One encoder for every trace line; json.dumps would build a new one per event.
+_TRACE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 @dataclass(frozen=True)
 class SimResult:
@@ -86,7 +89,7 @@ class SimResult:
 
     def trace_lines(self) -> list[str]:
         """One compact JSON object per event, stable across runs."""
-        return [json.dumps(e, sort_keys=True, separators=(",", ":")) for e in self.events]
+        return list(map(_TRACE_ENCODER.encode, self.events))
 
     def write_trace(self, path: str | Path) -> None:
         Path(path).write_text("\n".join(self.trace_lines()) + "\n", encoding="utf-8")

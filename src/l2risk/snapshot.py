@@ -5,6 +5,9 @@ configurable ruleset, and aggregate flag prevalence across projects.
 The normalized shape is a top-level "projects" array whose items carry id,
 name, category, and a "risks" array of {name, value, sentiment, description}.
 Adapters map other layouts onto it.
+
+One extract flags each distinct risk row once and shares the resulting
+entry among every project that carries that row.
 """
 
 from __future__ import annotations
@@ -217,25 +220,38 @@ class FlagRuleset:
         return any(key in value or key in description for key in self.rules.get(dimension, ()))
 
 
+def _risk_fields(raw: Mapping[str, Any]) -> tuple[str, str, str, str]:
+    """The (name, value, sentiment, description) strings that flag_entry reads."""
+    return (
+        str(raw.get("name", "")),
+        str(raw.get("value", "")),
+        str(raw.get("sentiment", "unknown")),
+        str(raw.get("description", "")),
+    )
+
+
 def flag_entry(raw: Mapping[str, Any], ruleset: FlagRuleset) -> RiskEntry:
     """Build a RiskEntry from one raw risk record and decide its flag.
 
     Records naming a dimension outside the tracked five are preserved with
-    dimension=None and flagged=False (a warning is logged); they never join a
-    profile. Flagging is a pure function of (dimension, value, sentiment,
-    description) given the ruleset.
+    dimension=None and flagged=False; they never join a profile, and
+    extract_projects warns about them once per row. Flagging is a pure
+    function of (dimension, value, sentiment, description) given the ruleset.
     """
-    name = str(raw.get("name", ""))
-    value = str(raw.get("value", ""))
-    description = str(raw.get("description", ""))
+    return _flag_fields(*_risk_fields(raw), ruleset)
+
+
+def _flag_fields(
+    name: str, value: str, sentiment_text: str, description: str, ruleset: FlagRuleset
+) -> RiskEntry:
+    """flag_entry on the strings _risk_fields has already read."""
     try:
-        sentiment = Sentiment.parse(str(raw.get("sentiment", "unknown")))
+        sentiment = Sentiment.parse(sentiment_text)
     except ValueError:
         sentiment = Sentiment.UNKNOWN
     try:
         dimension: RiskDimension | None = RiskDimension.parse(name)
     except ValueError:
-        log.warning("risk entry names untracked dimension %r; kept unflagged", name)
         return RiskEntry(None, value, sentiment, description, flagged=False)
 
     flagged = ruleset.matches(dimension, value, description)
@@ -274,6 +290,7 @@ def extract_projects(
     warnings: list[str] = []
     profiles: list[ProjectRiskProfile] = []
     seen_ids: set[str] = set()
+    flagged_rows: dict[tuple[str, str, str, str], RiskEntry] = {}
 
     for raw in _project_rows(doc, adapter):
         name = str(raw.get("name") or raw.get("id") or "")
@@ -304,7 +321,10 @@ def extract_projects(
             if not isinstance(raw_risk, dict):
                 warnings.append(f"project {project_id}: non-object risk entry dropped")
                 continue
-            entry = flag_entry(raw_risk, ruleset)
+            key = _risk_fields(raw_risk)
+            entry = flagged_rows.get(key)
+            if entry is None:
+                entry = flagged_rows[key] = _flag_fields(*key, ruleset)
             if entry.dimension is None:
                 warnings.append(
                     f"project {project_id}: untracked risk name {raw_risk.get('name')!r} dropped"
@@ -324,15 +344,19 @@ def extract_projects(
     return ExtractResult(tuple(profiles), tuple(warnings))
 
 
-def profiles_to_snapshot(profiles: Iterable[ProjectRiskProfile]) -> dict:
-    """Serialize profiles back to the normalized snapshot layout."""
-    dimension_names = {
+DIMENSION_LABELS: Mapping[RiskDimension, str] = MappingProxyType(
+    {
         RiskDimension.STATE_VALIDATION: "State validation",
         RiskDimension.EXIT_WINDOW: "Exit window",
         RiskDimension.PROPOSER_FAILURE: "Proposer failure",
         RiskDimension.SEQUENCER_FAILURE: "Sequencer failure",
         RiskDimension.DATA_AVAILABILITY: "Data availability",
     }
+)
+
+
+def profiles_to_snapshot(profiles: Iterable[ProjectRiskProfile]) -> dict:
+    """Serialize profiles back to the normalized snapshot layout."""
     category_names = {
         ProjectCategory.ZK_ROLLUP: "ZK Rollup",
         ProjectCategory.OPTIMISTIC_ROLLUP: "Optimistic Rollup",
@@ -346,7 +370,7 @@ def profiles_to_snapshot(profiles: Iterable[ProjectRiskProfile]) -> dict:
                 "category": category_names[p.category],
                 "risks": [
                     {
-                        "name": dimension_names[e.dimension],
+                        "name": DIMENSION_LABELS[e.dimension],
                         "value": e.value,
                         "sentiment": e.sentiment.value,
                         "description": e.description,
@@ -361,16 +385,6 @@ def profiles_to_snapshot(profiles: Iterable[ProjectRiskProfile]) -> dict:
 
 # ---------------------------------------------------------------------------
 # Prevalence
-
-DIMENSION_LABELS: Mapping[RiskDimension, str] = MappingProxyType(
-    {
-        RiskDimension.STATE_VALIDATION: "State validation",
-        RiskDimension.EXIT_WINDOW: "Exit window",
-        RiskDimension.PROPOSER_FAILURE: "Proposer failure",
-        RiskDimension.SEQUENCER_FAILURE: "Sequencer failure",
-        RiskDimension.DATA_AVAILABILITY: "Data availability",
-    }
-)
 
 HAZARD_SUMMARIES: Mapping[RiskDimension, str] = MappingProxyType(
     {

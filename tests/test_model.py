@@ -1,9 +1,11 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import l2risk.engine  # noqa: F401  (defines _LabeledEnum subclasses)
+import l2risk.sim.scenario  # noqa: F401  (defines _LabeledEnum subclasses)
 from l2risk.model import (
     DaConfig,
     DaMode,
@@ -28,6 +30,8 @@ from l2risk.model import (
     Stakeholder,
     UpgradeConfig,
     UpgradePolicy,
+    _LabeledEnum,
+    _slug,
     binarize,
     normalize_label,
     percentage,
@@ -48,6 +52,47 @@ ALL_ENUMS = [
 ]
 
 
+def _all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _all_subclasses(sub)
+
+
+LABELED_ENUMS = sorted(_all_subclasses(_LabeledEnum), key=lambda c: c.__name__)
+
+
+def _scan_parse(enum_cls, text):
+    """Reference: the member scan parse used before it became a value lookup."""
+    if enum_cls is RoleFlag:
+        text = normalize_label(text).split("/")[0].strip()
+    key = _slug(text)
+    for member in enum_cls:
+        if member.value == key:
+            return member
+    raise ValueError(f"{enum_cls.__name__}: unrecognized label {text!r}")
+
+
+@st.composite
+def _loosely_written(draw, value):
+    """A member value in random case, with '-'/'_'/' ' swapped, extra
+    whitespace around words, and sometimes a character too many or too few."""
+    out = []
+    for ch in value:
+        if ch == "-":
+            ch = draw(st.sampled_from(["-", "_", " ", "  ", "\t", " - "]))
+        elif draw(st.booleans()):
+            ch = ch.upper()
+        out.append(ch)
+    pad = st.sampled_from(["", " ", "  ", "\t", "\n "])
+    text = draw(pad) + "".join(out) + draw(pad)
+    edit = draw(st.sampled_from(["none", "none", "append", "drop"]))
+    if edit == "append":
+        text += draw(st.sampled_from(["x", "-", "_", "/no", "s"]))
+    elif edit == "drop":
+        text = text[:-1]
+    return text
+
+
 class TestEnums:
     def test_parse_print_round_trip(self):
         for enum_cls in ALL_ENUMS:
@@ -60,8 +105,27 @@ class TestEnums:
         assert ProjectCategory.parse("Optimistic Rollup") is ProjectCategory.OPTIMISTIC_ROLLUP
 
     def test_parse_rejects_unknown(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^RiskDimension: unrecognized label 'state derivation'$"):
             RiskDimension.parse("state derivation")
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_parse_agrees_with_member_scan(self, data):
+        enum_cls = data.draw(st.sampled_from(LABELED_ENUMS))
+        text = data.draw(
+            st.one_of(
+                st.sampled_from([m.value for m in enum_cls]).flatmap(_loosely_written),
+                st.text(max_size=30),
+            )
+        )
+        try:
+            expected = _scan_parse(enum_cls, text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                enum_cls.parse(text)
+            assert str(got.value) == str(exc)
+        else:
+            assert enum_cls.parse(text) is expected
 
     def test_member_counts(self):
         assert len(RiskDimension) == 5

@@ -142,6 +142,39 @@ def test_recorded_digest_matches_recomputation(bundle):
     assert bundle.report["metadata"]["content_digest"] == content_digest(bundle.report)
 
 
+def _digest_via_json_round_trip(report):
+    """Reference: the digest as first defined, on a JSON round-tripped copy."""
+    trimmed = json.loads(json.dumps(report))
+    meta = trimmed.get("metadata", {})
+    meta.pop("generated_at", None)
+    meta.pop("content_digest", None)
+    canonical = json.dumps(trimmed, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _keys(node):
+    if isinstance(node, dict):
+        yield from node
+        for value in node.values():
+            yield from _keys(value)
+    elif isinstance(node, (list, tuple)):
+        for value in node:
+            yield from _keys(value)
+
+
+def test_digest_matches_json_round_trip_definition():
+    scenarios = sorted(fixture_path("scenarios").glob("*.json"))
+    built = build_report(snapshot_path=SNAPSHOT, incidents_path=INCIDENTS, scenario_paths=scenarios)
+    read_back = json.loads(json.dumps(built.report))
+    # the two definitions agree only while every key is already a string
+    assert all(isinstance(k, str) for k in _keys(built.report))
+    for report in (built.report, read_back):
+        before = json.dumps(report, sort_keys=True)
+        assert content_digest(report) == _digest_via_json_round_trip(report)
+        assert json.dumps(report, sort_keys=True) == before  # the input is not modified
+    assert content_digest(built.report) == built.report["metadata"]["content_digest"]
+
+
 def test_digest_changes_when_inputs_change(bundle, tmp_path):
     # drop one incident row; the distribution, and therefore the digest, must move
     lines = INCIDENTS.read_text(encoding="utf-8").splitlines()

@@ -1,12 +1,14 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import l2risk.snapshot
 from l2risk.data import SNAPSHOT_JSON, fixture_path
-from l2risk.model import ProjectCategory, RiskDimension, Sentiment
+from l2risk.model import ProjectCategory, ProjectRiskProfile, RiskDimension, Sentiment, _slug
 from l2risk.snapshot import (
+    CONFORMING_CATEGORIES,
     DuplicateProjectError,
     FlagRuleset,
     SchemaMismatchError,
@@ -136,7 +138,8 @@ class TestFlagEntry:
             )
         assert entry.dimension is None
         assert not entry.flagged
-        assert any("untracked dimension" in r.message for r in caplog.records)
+        # extract_projects warns about such rows, naming the project
+        assert caplog.records == []
 
     @given(
         st.sampled_from(["Exit window", "EXIT WINDOW", " exit  window "]),
@@ -192,6 +195,22 @@ class TestExtract:
     def test_extraction_is_idempotent(self, fixture_profiles):
         round_tripped = extract_projects(profiles_to_snapshot(fixture_profiles))
         assert round_tripped.profiles == fixture_profiles
+
+    def test_untracked_row_warned_once_per_row(self, caplog):
+        row = {"name": "State derivation", "value": "x", "sentiment": "bad"}
+        doc = {
+            "projects": [
+                {"id": "a", "category": "Other", "risks": [row]},
+                {"id": "b", "category": "Other", "risks": [dict(row)]},
+            ]
+        }
+        with caplog.at_level("WARNING"):
+            result = extract_projects(doc)
+        assert result.warnings == (
+            "project a: untracked risk name 'State derivation' dropped",
+            "project b: untracked risk name 'State derivation' dropped",
+        )
+        assert [r.getMessage() for r in caplog.records] == list(result.warnings)
 
     def test_unrecognized_layout_raises_with_schema_report(self):
         with pytest.raises(SchemaMismatchError) as exc:
@@ -319,3 +338,119 @@ def test_custom_ruleset_file_round_trip(tmp_path):
         ruleset,
     )
     assert entry.flagged
+
+
+# -- flagging each distinct row once -------------------------------------------
+
+
+def extract_per_row(doc, ruleset=None):
+    """Oracle: the extract loop with flag_entry called on every risk row, as
+    it was before rows were shared within a call."""
+    ruleset = ruleset or FlagRuleset.default()
+    warnings, profiles = [], []
+    for raw in doc["projects"]:
+        name = str(raw.get("name") or raw.get("id") or "")
+        project_id = str(raw.get("id") or _slug(name))
+        raw_category = raw.get("category")
+        if not raw_category:
+            warnings.append(f"project {project_id or name or '?'}: no category; skipped")
+            continue
+        try:
+            category = ProjectCategory.parse(str(raw_category))
+        except ValueError:
+            warnings.append(
+                f"project {project_id}: category {raw_category!r} outside the tracked set; excluded"
+            )
+            continue
+        if category not in CONFORMING_CATEGORIES:
+            continue
+        entries, dims = [], set()
+        for raw_risk in raw.get("risks", []) or []:
+            if not isinstance(raw_risk, dict):
+                warnings.append(f"project {project_id}: non-object risk entry dropped")
+                continue
+            entry = flag_entry(raw_risk, ruleset)
+            if entry.dimension is None:
+                warnings.append(
+                    f"project {project_id}: untracked risk name {raw_risk.get('name')!r} dropped"
+                )
+            elif entry.dimension in dims:
+                warnings.append(
+                    f"project {project_id}: duplicate {entry.dimension.value} entry; first kept"
+                )
+            else:
+                dims.add(entry.dimension)
+                entries.append(entry)
+        profiles.append(ProjectRiskProfile(project_id, name or project_id, category, tuple(entries)))
+    return tuple(profiles), tuple(warnings)
+
+
+_BASE_ROWS = [
+    {"name": "Exit window", "value": "None", "sentiment": "bad",
+     "description": "Contracts are instantly upgradable."},
+    {"name": "Exit window", "value": "7d", "sentiment": "warning",
+     "description": "A short delay before upgrades apply."},
+    {"name": "Data availability", "value": "committee", "sentiment": "bad",
+     "description": "a wording the rule keys do not cover"},
+    {"name": "Proposer failure", "value": 1, "sentiment": "good"},
+    {"name": "Sequencer failure", "value": "1", "sentiment": "bad"},
+    {"name": "State validation", "value": "None", "sentiment": None, "description": ""},
+    {"name": "State derivation", "value": "x", "sentiment": "bad"},
+    {"value": "no name at all"},
+]
+
+
+@st.composite
+def _risk_row(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["row", 3, None, ["Exit window"]]))
+    row = dict(draw(st.sampled_from(_BASE_ROWS)))
+    field = draw(st.sampled_from(["name", "value", "sentiment", "description", None]))
+    if field is not None and field in row:
+        text = row[field]
+        row[field] = draw(
+            st.sampled_from(
+                [text, str(text), f" {text} ", str(text).upper(), str(text).lower(),
+                 f"{text}  x", "1" if text == 1 else 1]
+            )
+        )
+    return row
+
+
+@st.composite
+def _snapshot(draw):
+    projects = []
+    for i in range(draw(st.integers(0, 8))):
+        project = {"id": f"p{i}", "name": f"P{i}", "risks": draw(st.lists(_risk_row(), max_size=8))}
+        category = draw(st.sampled_from(["Other", "ZK Rollup", "optimistic_rollup", "Validium", None]))
+        if category is not None:
+            project["category"] = category
+        projects.append(project)
+    return {"projects": projects}
+
+
+def test_fixture_extract_matches_per_row_oracle(fixture_doc):
+    result = extract_projects(fixture_doc)
+    assert (result.profiles, result.warnings) == extract_per_row(fixture_doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_snapshot())
+def test_generated_extract_matches_per_row_oracle(doc):
+    result = extract_projects(doc)
+    assert (result.profiles, result.warnings) == extract_per_row(doc)
+
+
+def test_fixture_extract_flags_each_distinct_row_once(fixture_doc, monkeypatch):
+    calls = []
+    real = l2risk.snapshot._flag_fields
+
+    def counting(*fields):
+        calls.append(fields)
+        return real(*fields)
+
+    monkeypatch.setattr(l2risk.snapshot, "_flag_fields", counting)
+    extract_projects(fixture_doc)
+    assert len(calls) == 22
+    extract_projects(fixture_doc)
+    assert len(calls) == 44  # nothing is kept between calls
