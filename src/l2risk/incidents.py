@@ -18,6 +18,7 @@ from .model import (
     IncidentClass,
     IncidentRecord,
     SourceKind,
+    aligned_table,
     normalize_label,
     percentage,
 )
@@ -288,16 +289,7 @@ def render_distribution_text(dist: IncidentDistribution) -> str:
         share = dist.shares[t]
         rows.append((COMPRESSED_LABELS[t], str(dist.counts[t]), "-" if share is None else f"{share:.1f}"))
     rows.append(("Total", str(dist.total), "" if dist.total == 0 else "100.0"))
-    headers = ("Incident type", "Count", "Share (%)")
-    widths = [max(len(headers[i]), *(len(r[i]) for r in rows)) for i in range(3)]
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip(),
-        "  ".join("-" * widths[i] for i in range(3)),
-    ]
-    for label, count, share in rows:
-        lines.append(
-            "  ".join((label.ljust(widths[0]), count.rjust(widths[1]), share.rjust(widths[2]))).rstrip()
-        )
+    text = aligned_table(("Incident type", "Count", "Share (%)"), rows, left=1)
     if dist.unmapped:
-        lines.append(f"(excluded: {dist.unmapped} record(s) with labels outside the glossary)")
-    return "\n".join(lines)
+        text += f"\n(excluded: {dist.unmapped} record(s) with labels outside the glossary)"
+    return text

@@ -1,5 +1,6 @@
 """Shared domain model: project risk profiles, incident taxonomy, stakeholder
-roles, overlap fields, rollup configuration, and harm metrics."""
+roles, overlap fields, rollup configuration, and harm metrics, plus the
+label, percentage and text-table helpers the ingest modules share."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import enum
 from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_UP
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 
 def normalize_label(text: str) -> str:
@@ -26,6 +27,21 @@ def percentage(count: int, total: int) -> float:
         raise ValueError("total must be positive")
     raw = Decimal(count) * 100 / Decimal(total)
     return float(raw.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+
+
+def aligned_table(headers: Sequence[str], rows: Sequence[Sequence[str]], left: int) -> str:
+    """Text table: a header line, a dashed rule, then one line per row.
+    Columns are two spaces apart; the first ``left`` are left-aligned and
+    the rest right-aligned. Trailing spaces are trimmed except on the rule."""
+    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
+    lines = [
+        "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip(),
+        "  ".join("-" * w for w in widths),
+    ]
+    for row in rows:
+        cells = (c.ljust(w) if i < left else c.rjust(w) for i, (c, w) in enumerate(zip(row, widths)))
+        lines.append("  ".join(cells).rstrip())
+    return "\n".join(lines)
 
 
 class _LabeledEnum(enum.Enum):
@@ -415,88 +431,6 @@ class RollupConfig:
             self.proof_system is ProofSystem.ZK
             and self.prover_set is not None
             and self.prover_set.count > 1
-        )
-
-    def to_dict(self) -> dict:
-        out: dict = {
-            "proof_system": self.proof_system.value,
-            "sequencer": {
-                "topology": self.sequencer.topology.value,
-                "recovery_latency": self.sequencer.recovery_latency,
-            },
-            "proposer": {"whitelist": self.proposer.whitelist, "count": self.proposer.count},
-            "forced_inclusion": {
-                "enabled": self.forced_inclusion.enabled,
-                "timeout": self.forced_inclusion.timeout,
-                "usable": self.forced_inclusion.usable,
-            },
-            "escape_hatch": {
-                "enabled": self.escape_hatch.enabled,
-                "non_disableable": self.escape_hatch.non_disableable,
-            },
-            "da": {
-                "mode": self.da.mode.value,
-                "attestation_quorum": self.da.attestation_quorum,
-                "withholding_possible": self.da.withholding_possible,
-            },
-            "upgrade": {"policy": self.upgrade.policy.value, "window": self.upgrade.window},
-            "state_validation_enforced": self.state_validation_enforced,
-        }
-        if self.proof_system is ProofSystem.OPTIMISTIC:
-            out["challenge_window"] = self.challenge_window
-        if self.prover_set is not None:
-            out["prover_set"] = {
-                "count": self.prover_set.count,
-                "permissionless": self.prover_set.permissionless,
-            }
-        return out
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RollupConfig":
-        seq = raw.get("sequencer", {})
-        prop = raw.get("proposer", {})
-        forced = raw.get("forced_inclusion", {})
-        hatch = raw.get("escape_hatch", {})
-        da = raw.get("da", {})
-        upgrade = raw.get("upgrade", {})
-        provers = raw.get("prover_set")
-        return cls(
-            proof_system=ProofSystem.parse(raw.get("proof_system", "zk")),
-            sequencer=SequencerConfig(
-                topology=SequencerTopology.parse(seq.get("topology", "centralized")),
-                recovery_latency=int(seq.get("recovery_latency", 10 * 60)),
-            ),
-            proposer=ProposerConfig(
-                whitelist=bool(prop.get("whitelist", True)), count=int(prop.get("count", 1))
-            ),
-            forced_inclusion=ForcedInclusionConfig(
-                enabled=bool(forced.get("enabled", False)),
-                timeout=int(forced.get("timeout", 24 * HOUR)),
-                usable=bool(forced.get("usable", False)),
-            ),
-            escape_hatch=EscapeHatchConfig(
-                enabled=bool(hatch.get("enabled", False)),
-                non_disableable=bool(hatch.get("non_disableable", False)),
-            ),
-            da=DaConfig(
-                mode=DaMode.parse(da.get("mode", "onchain")),
-                attestation_quorum=int(da.get("attestation_quorum", 0)),
-                withholding_possible=bool(da.get("withholding_possible", False)),
-            ),
-            upgrade=UpgradeConfig(
-                policy=UpgradePolicy.parse(upgrade.get("policy", "instant")),
-                window=int(upgrade.get("window", 0)),
-            ),
-            challenge_window=int(raw.get("challenge_window", 0)),
-            prover_set=(
-                ProverSetConfig(
-                    count=int(provers.get("count", 1)),
-                    permissionless=bool(provers.get("permissionless", False)),
-                )
-                if provers is not None
-                else None
-            ),
-            state_validation_enforced=bool(raw.get("state_validation_enforced", True)),
         )
 
 

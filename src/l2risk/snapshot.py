@@ -27,6 +27,7 @@ from .model import (
     RiskEntry,
     Sentiment,
     _slug,
+    aligned_table,
     normalize_label,
     percentage,
 )
@@ -465,21 +466,4 @@ def render_prevalence_text(table: PrevalenceTable) -> str:
             )
         )
     rows.append(("Total projects analyzed", "", str(table.total_projects), ""))
-    headers = ("Type", "Potential risk", "Projects", "Share (%)")
-    widths = [max(len(headers[i]), *(len(r[i]) for r in rows)) for i in range(4)]
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip(),
-        "  ".join("-" * w for w in widths),
-    ]
-    for type_label, risk, projects, share in rows:
-        lines.append(
-            "  ".join(
-                (
-                    type_label.ljust(widths[0]),
-                    risk.ljust(widths[1]),
-                    projects.rjust(widths[2]),
-                    share.rjust(widths[3]),
-                )
-            ).rstrip()
-        )
-    return "\n".join(lines)
+    return aligned_table(("Type", "Potential risk", "Projects", "Share (%)"), rows, left=2)

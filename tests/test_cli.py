@@ -7,7 +7,7 @@ import pytest
 
 from l2risk.cli import main
 from l2risk.data import fixture_path
-from l2risk.schemas import load_schema
+from l2risk.schemas import SCHEMA_NAMES, load_schema
 
 SNAPSHOT = str(fixture_path("snapshot-fixture.json"))
 INCIDENTS = str(fixture_path("incident-table.csv"))
@@ -217,6 +217,49 @@ def test_simulate_invalid_scenario_exits_4(tmp_path, capsys):
     bad.write_text('{"name": "x", "bogus": true}')
     assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 4
     assert "unknown scenario keys" in capsys.readouterr().err
+
+
+_ACTIONS = [
+    {"at": 0, "action": "deposit", "user": "alice", "amount": 500},
+    {"at": 60, "action": "deposit", "user": "bob", "amount": 500},
+    {"at": 600, "action": "withdraw", "user": "alice", "amount": 100},
+]
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        ({"config": {"proof_sytem": "optimistic"}}, "unknown config keys: ['proof_sytem']"),
+        ({"config": {"escape_hatch": {"enabled": "false"}}}, "config.escape_hatch.enabled"),
+        (
+            {"config": {}, "injections": [
+                {"kind": "censorship-forced-inclusion-failure", "at": 0, "duration": 60, "targets": "alice"}
+            ]},
+            "injections[0].targets",
+        ),
+        ({"name": 5, "config": {}}, "name must be a string"),
+        (
+            {"config": {}, "workload": {"actions": _ACTIONS + [
+                {"at": 900, "action": "withdraw", "user": 7, "amount": 100}
+            ]}},
+            "workload.actions[3].user",
+        ),
+        ({"config": {"forced_inclusion": {"enabled": True, "timeout": 1.5}}}, "config.forced_inclusion.timeout"),
+        ({"config": {"proposer": {"count": True}}}, "config.proposer.count"),
+        ({"config": {"proof_system": "ZK"}}, "config.proof_system"),
+    ],
+)
+def test_simulate_rejects_malformed_scenario_with_its_path(tmp_path, capsys, doc, path):
+    scenario = tmp_path / "scen.json"
+    scenario.write_text(json.dumps(doc))
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 4
+    assert path in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_bundled_schemas_are_valid_draft_2020_12():
+    for name in SCHEMA_NAMES:
+        jsonschema.Draft202012Validator.check_schema(load_schema(name))
 
 
 def test_bundled_scenarios_validate_against_schema():

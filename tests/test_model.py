@@ -261,10 +261,6 @@ class TestRollupConfigValidation:
         with pytest.raises(ValueError):
             DaConfig(mode=DaMode.ONCHAIN, withholding_possible=True)
 
-    def test_dict_round_trip(self):
-        cfg = RollupConfig.centralized_default()
-        assert RollupConfig.from_dict(cfg.to_dict()) == cfg
-
     def test_default_config_has_independent_provers(self):
         assert RollupConfig.centralized_default().has_independent_provers()
 

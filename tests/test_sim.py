@@ -1,7 +1,11 @@
+import copy
 import hashlib
 import json
+import operator
 import random
+from functools import reduce
 
+import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +24,7 @@ from l2risk.model import (
     ProverSetConfig,
     RollupConfig,
 )
+from l2risk.schemas import load_schema
 from l2risk.sim import (
     Injection,
     InjectionKind,
@@ -125,6 +130,167 @@ class TestScenarioParsing:
         kinds = {k.value for k in InjectionKind}
         assert {c.value for c in IncidentClass} <= kinds
         assert {"da-withholding", "proposer-outage", "prover-outage"} <= kinds
+
+
+_SCHEMA = jsonschema.Draft202012Validator(load_schema("scenario"))
+_INT = st.integers(min_value=-2, max_value=200_000)
+_POS = st.integers(min_value=1, max_value=200_000)
+_USER = st.sampled_from(["u", "v", "w"])
+
+
+def _some(**fields):
+    """Objects holding any subset of ``fields``."""
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+# Well-typed documents. Many break a cross-field rule (an optimistic rollup
+# without a challenge window, a transfer without a recipient) that the
+# schema does not check; the reader must reject those with ScenarioError.
+_DOCUMENTS = st.fixed_dictionaries(
+    {
+        "config": _some(
+            proof_system=st.sampled_from([p.value for p in ProofSystem]),
+            sequencer=_some(
+                topology=st.sampled_from(["centralized", "shared", "permissionless"]),
+                recovery_latency=_INT,
+            ),
+            proposer=_some(whitelist=st.booleans(), count=_POS),
+            forced_inclusion=_some(enabled=st.booleans(), timeout=_INT, usable=st.booleans()),
+            escape_hatch=_some(enabled=st.booleans(), non_disableable=st.booleans()),
+            da=_some(
+                mode=st.sampled_from(["onchain", "external"]),
+                attestation_quorum=_INT,
+                withholding_possible=st.booleans(),
+            ),
+            upgrade=_some(policy=st.sampled_from(["instant", "timelocked"]), window=_INT),
+            challenge_window=_INT,
+            prover_set=st.none() | _some(count=_POS, permissionless=st.booleans()),
+            state_validation_enforced=st.booleans(),
+        )
+    },
+    optional={
+        "name": st.text(max_size=5),
+        "description": st.text(max_size=5),
+        "sim": _some(
+            **{k: _POS for k in SimParams.__dataclass_fields__ if k != "horizon"},
+            horizon=st.none() | _POS,
+        ),
+        "workload": st.one_of(
+            _some(
+                actions=st.lists(
+                    st.fixed_dictionaries(
+                        {
+                            "at": _POS,
+                            "action": st.sampled_from(["deposit", "withdraw", "transfer", "hatch-exit"]),
+                            "user": _USER,
+                        },
+                        optional={"amount": _INT, "to": st.none() | _USER},
+                    ),
+                    max_size=3,
+                )
+            ),
+            _some(random=st.none() | _some(users=_POS, actions=_POS, horizon=_POS, max_amount=_POS)),
+        ),
+        "injections": st.lists(
+            st.fixed_dictionaries(
+                {"kind": st.sampled_from([k.value for k in InjectionKind]), "at": _INT},
+                optional={"duration": _INT, "amount": _INT, "targets": st.lists(_USER, max_size=2)},
+            ),
+            max_size=2,
+        ),
+        "upgrade": st.none() | st.fixed_dictionaries({"announce_at": _INT}),
+    },
+)
+
+
+def _paths(node, path=()):
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield path + (key,)
+            yield from _paths(value, path + (key,))
+
+
+def _misses(value) -> list:
+    """Near misses for one JSON value: the wrong JSON type, null, another
+    case of an enum value, 0 for a positive timing."""
+    if isinstance(value, bool):
+        return ["false" if value else "true", int(value), None]
+    if isinstance(value, int):
+        return [True, False, value + 0.5, float(value), 0, str(value), None]
+    if isinstance(value, str):
+        return [value.upper(), value.title(), 7, None]
+    if isinstance(value, list):
+        return ["alice", {}, None]
+    if isinstance(value, dict):
+        return [None, [], {**value, "extra": 1}]
+    return [0, "null", {}]
+
+
+@st.composite
+def _near_misses(draw):
+    doc = copy.deepcopy(draw(_DOCUMENTS))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    parent = reduce(operator.getitem, path[:-1], doc)
+    key = path[-1]
+    if isinstance(key, str) and draw(st.booleans()):
+        i = draw(st.integers(0, len(key) - 1))
+        parent[key[:i] + key[i + 1 :]] = parent.pop(key)  # a misspelled key
+    else:
+        parent[key] = draw(st.sampled_from(_misses(parent[key])))
+    return doc
+
+
+class TestStrictReader:
+    @settings(max_examples=400, deadline=None)
+    @given(_DOCUMENTS | _near_misses() | st.sampled_from([[], "x", None, 3]))
+    def test_accepted_documents_satisfy_the_schema(self, doc):
+        # Any exception but ScenarioError fails the test, so every document
+        # the schema rejects must be rejected as a ScenarioError.
+        try:
+            parse_scenario(doc)
+        except ScenarioError:
+            return
+        assert _SCHEMA.is_valid(doc), list(_SCHEMA.iter_errors(doc))
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"config": {"proof_sytem": "optimistic"}}, "unknown config keys: ['proof_sytem']"),
+            ({"config": {"escape_hatch": {"enabled": "false"}}}, "config.escape_hatch.enabled must be a boolean"),
+            ({"config": {"proof_system": "ZK"}}, "config.proof_system must be one of ['optimistic', 'zk']"),
+            ({"config": {"prover_set": {"count": 2.0}}}, "config.prover_set.count must be an integer"),
+            ({"config": {}, "sim": {"horizon": True}}, "sim.horizon must be an integer"),
+            ({"config": {}, "injections": {}}, "injections must be a list"),
+            ({"config": {}, "upgrade": {}}, "upgrade.announce_at is required"),
+            ({"config": {}, "workload": {"random": {"users": 0}}}, "workload.random: random workload fields must be positive"),
+            ({"config": {"proof_system": "optimistic"}}, "config: optimistic rollups need a positive challenge window"),
+            ({"config": {"forced_inclusion": {"usable": True}}}, "config.forced_inclusion: forced inclusion cannot be usable while disabled"),
+            ([], "scenario must be an object"),
+        ],
+    )
+    def test_errors_name_the_dotted_path(self, doc, message):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(doc)
+        assert str(exc.value) == message
+
+    def test_omitted_config_keys_take_the_field_defaults(self):
+        assert parse_scenario({"config": {}}).config == RollupConfig()
+        assert RollupConfig() != RollupConfig.centralized_default()
+
+    def test_null_means_absent_only_where_the_field_is_optional(self):
+        sc = parse_scenario(
+            {
+                "config": {"prover_set": None},
+                "sim": {"horizon": None},
+                "workload": {"random": None},
+                "upgrade": None,
+            }
+        )
+        assert sc.config.prover_set == ProverSetConfig()
+        assert sc.params.horizon is None and sc.random_workload is None and sc.upgrade_at is None
+        with pytest.raises(ScenarioError, match="config.da must be an object"):
+            parse_scenario({"config": {"da": None}})
 
 
 class TestRandomWorkload:
@@ -339,7 +505,7 @@ class TestExploitAdjudication:
 
 class TestConservation:
     def test_random_workloads_never_leak(self):
-        cfg = RollupConfig.from_dict(ZK_ONCHAIN)
+        cfg = RollupConfig(proof_system=ProofSystem.ZK, da=DaConfig(mode=DaMode.ONCHAIN))
         sc = Scenario(
             name="rand",
             config=cfg,
@@ -351,12 +517,10 @@ class TestConservation:
             assert result.metrics.funds_conserved
 
     def test_random_workloads_with_faults_never_leak(self):
-        cfg = RollupConfig.from_dict(
-            {
-                "proof_system": "zk",
-                "forced_inclusion": {"enabled": True, "timeout": 3600, "usable": True},
-                "da": {"mode": "onchain"},
-            }
+        cfg = RollupConfig(
+            proof_system=ProofSystem.ZK,
+            forced_inclusion=ForcedInclusionConfig(enabled=True, timeout=3600, usable=True),
+            da=DaConfig(mode=DaMode.ONCHAIN),
         )
         injections = (
             Injection(InjectionKind.SEQUENCER_OUTAGE, at=3600, duration=7200),
