@@ -25,7 +25,6 @@ from typing import Sequence
 from l2risk import __version__
 from l2risk.incidents import (
     IncidentDistribution,
-    IncidentFormatError,
     distribution,
     parse_incidents,
     render_distribution_text,
@@ -34,11 +33,9 @@ from l2risk.report import build_report, cross_validate, render_report_text
 from l2risk.sim import ScenarioError, load_scenario, simulate
 from l2risk.snapshot import (
     ADAPTERS,
-    DuplicateProjectError,
     FlagRuleset,
     PrevalenceTable,
     SchemaMismatchError,
-    SnapshotParseError,
     aggregate_prevalence,
     extract_projects,
     load_snapshot,
@@ -198,13 +195,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (SnapshotParseError, DuplicateProjectError, IncidentFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

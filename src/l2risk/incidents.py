@@ -19,6 +19,9 @@ from .model import (
     IncidentRecord,
     SourceKind,
     aligned_table,
+    enum_table,
+    json_count,
+    json_share,
     normalize_label,
     percentage,
 )
@@ -240,23 +243,20 @@ class IncidentDistribution:
         span = raw.get("date_span")
         try:
             return cls(
-                total=int(raw["total"]),
-                counts={
-                    CompressedIncidentType.parse(k): int(v) for k, v in raw["counts"].items()
-                },
-                shares={
-                    CompressedIncidentType.parse(k): (None if v is None else float(v))
-                    for k, v in raw["shares"].items()
-                },
-                unmapped=int(raw.get("unmapped", 0)),
-                distinct_project_count=int(raw.get("distinct_projects", 0)),
+                total=json_count(raw["total"], "total"),
+                counts=enum_table(raw, "counts", CompressedIncidentType, json_count),
+                shares=enum_table(raw, "shares", CompressedIncidentType, json_share),
+                unmapped=json_count(raw.get("unmapped", 0), "unmapped"),
+                distinct_project_count=json_count(
+                    raw.get("distinct_projects", 0), "distinct_projects"
+                ),
                 date_span=(
                     (dt.date.fromisoformat(span[0]), dt.date.fromisoformat(span[1]))
                     if span
                     else None
                 ),
             )
-        except (KeyError, AttributeError, TypeError, IndexError) as exc:
+        except (KeyError, AttributeError, TypeError, IndexError, ValueError) as exc:
             raise ValueError(f"not a distribution artifact: {exc!r}") from exc
 
 

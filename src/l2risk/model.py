@@ -1,6 +1,7 @@
 """Shared domain model: project risk profiles, incident taxonomy, stakeholder
 roles, overlap fields, rollup configuration, and harm metrics, plus the
-label, percentage and text-table helpers the ingest modules share."""
+label, percentage, text-table and strict JSON-artifact helpers the ingest
+modules share."""
 
 from __future__ import annotations
 
@@ -42,6 +43,36 @@ def aligned_table(headers: Sequence[str], rows: Sequence[Sequence[str]], left: i
         cells = (c.ljust(w) if i < left else c.rjust(w) for i, (c, w) in enumerate(zip(row, widths)))
         lines.append("  ".join(cells).rstrip())
     return "\n".join(lines)
+
+
+def json_count(value, where: str) -> int:
+    """A count exactly as written in JSON: an integer, not a bool, float or string."""
+    if type(value) is not int:
+        raise ValueError(f"{where} must be an integer")
+    return value
+
+
+def json_share(value, where: str) -> float | None:
+    """A share exactly as written in JSON: a number (not a bool) or null."""
+    if value is not None and type(value) not in (int, float):
+        raise ValueError(f"{where} must be a number or null")
+    return None if value is None else float(value)
+
+
+def enum_table(raw: Mapping, key: str, members: type[enum.Enum], read) -> dict:
+    """raw[key] read as one value per enum member, each by read(value, path).
+    Keys are the members' canonical values; every member is required and no
+    other key is allowed."""
+    table = raw[key]
+    if not isinstance(table, dict):
+        raise ValueError(f"{key} must be an object")
+    unknown = sorted(set(table) - {m.value for m in members})
+    if unknown:
+        raise ValueError(f"unknown {key} keys: {unknown}")
+    missing = [m.value for m in members if m.value not in table]
+    if missing:
+        raise ValueError(f"{key} is missing {missing}")
+    return {m: read(table[m.value], f"{key}.{m.value}") for m in members}
 
 
 class _LabeledEnum(enum.Enum):
@@ -153,11 +184,6 @@ class CompressedIncidentType(_LabeledEnum):
     BRIDGE_OR_WITHDRAWAL = "bridge-or-withdrawal"
     EXPLOIT_OR_SECURITY = "exploit-or-security"
     CENSORSHIP_OR_FORCED_INCLUSION = "censorship-or-forced-inclusion"
-
-
-# Rendering label for detail strings no glossary class matches. Records with
-# an unmapped class are kept but excluded from distributions.
-UNMAPPED = "unmapped"
 
 
 class SourceKind(_LabeledEnum):

@@ -23,10 +23,15 @@ The model, in brief:
   amounts. The identity is re-checked after every event by summing both
   ledgers afresh; mismatches are recorded, not raised. A finalized invalid
   state root breaks the identity by design and flips funds_conserved.
+- Each windowed fault holds up one thing while active, per the
+  _FAULT_EFFECTS table: sequencer access, censored users' access, admission
+  speed, root proposals, validity proofs, claims, the whole bridge, or the
+  offchain data hatch exits need. A fault the config routes around
+  (_Run._neutralized) is noted as ineffective and never becomes active.
 - Funds count as frozen while some exit in flight is stalled by an active
   fault. The stall test after each event returns at once when no fault is
-  active; otherwise it evaluates the root, claim and sequencer predicates at
-  most once, not once per exit in flight.
+  active; otherwise it looks up the root, claim and sequencer effects at
+  most once each, not once per exit in flight.
 
 An invalid state root injected by an attacker finalizes only when state
 validation is not enforced, or on a fraud-proof system whose whitelisted
@@ -54,21 +59,24 @@ def next_l1_block(t: int, interval: int = 12) -> int:
     return -(-t // interval) * interval
 
 
-_SEQ_BLOCKING = frozenset(
-    {
-        InjectionKind.SEQUENCER_OUTAGE,
-        InjectionKind.SEQUENCER_HALT,
-        InjectionKind.L2_DOWNTIME,
-    }
-)
-_CLAIM_BLOCKING = frozenset(
-    {
-        InjectionKind.WITHDRAWAL_FAILURE,
-        InjectionKind.BRIDGE_PAUSE_RISK,
-        InjectionKind.BRIDGE_HALT,
-    }
-)
-_DEPOSIT_BLOCKING = frozenset({InjectionKind.BRIDGE_PAUSE_RISK, InjectionKind.BRIDGE_HALT})
+# What each windowed fault holds up while it is active. "bridge" is
+# deposits, claims and hatch exits; "data" is the offchain data hatch exits
+# need; "censorship" applies to the fault's targets only (everyone if none).
+_FAULT_EFFECTS = {
+    InjectionKind.SEQUENCER_OUTAGE: "sequencer",
+    InjectionKind.SEQUENCER_HALT: "sequencer",
+    InjectionKind.L2_DOWNTIME: "sequencer",
+    InjectionKind.CENSORSHIP_FORCED_INCLUSION_FAILURE: "censorship",
+    InjectionKind.SEQUENCER_PERFORMANCE_DEGRADATION: "admission",
+    InjectionKind.WITHDRAWAL_DELAYS: "proposals",
+    InjectionKind.PROPOSER_OUTAGE: "proposals",
+    InjectionKind.PROVER_OUTAGE: "proofs",
+    InjectionKind.WITHDRAWAL_FAILURE: "claims",
+    InjectionKind.BRIDGE_PAUSE_RISK: "bridge",
+    InjectionKind.BRIDGE_HALT: "bridge",
+    InjectionKind.DA_WITHHOLDING: "data",
+}
+_HATCH_BLOCKED = {"bridge": "bridge unavailable", "data": "data unavailable"}
 
 # Same-instant ordering: fault windows close before anything else runs, L1
 # landings precede sequencer work, user actions come late, and upgrade
@@ -128,6 +136,9 @@ class _Run:
         self._txid = 0
 
         self.active: dict[int, Injection] = {}
+        # what a state root waits on before it can be proposed
+        zk = self.cfg.proof_system is ProofSystem.ZK
+        self._root_effects = ("proposals", "proofs") if zk else ("proposals",)
         self.exploit_drained = False
         self.latencies: dict[str, list[int]] = defaultdict(list)
         self.censorship_window = 0
@@ -197,71 +208,31 @@ class _Run:
 
     # -- fault-window predicates --------------------------------------------
 
-    def _seq_down(self) -> bool:
-        return any(inj.kind in _SEQ_BLOCKING for inj in self.active.values())
+    def _ends(self, *effects: str) -> list[int]:
+        """End times of the active faults that hold up any of these effects."""
+        return [inj.end for inj in self.active.values() if _FAULT_EFFECTS[inj.kind] in effects]
 
-    def _censored(self, user: str) -> bool:
-        return any(
-            inj.kind is InjectionKind.CENSORSHIP_FORCED_INCLUSION_FAILURE
-            and (not inj.targets or user in inj.targets)
-            for inj in self.active.values()
-        )
-
-    def _seq_accepting(self, user: str) -> bool:
-        return not self._seq_down() and not self._censored(user)
-
-    def _degraded(self) -> bool:
-        return any(
-            inj.kind is InjectionKind.SEQUENCER_PERFORMANCE_DEGRADATION
-            for inj in self.active.values()
-        )
-
-    def _proposal_block_ends(self) -> list[int]:
-        ends = []
-        for inj in self.active.values():
-            if inj.kind is InjectionKind.WITHDRAWAL_DELAYS:
-                ends.append(inj.end)
-            elif inj.kind is InjectionKind.PROPOSER_OUTAGE and self.cfg.proposer.whitelist:
-                ends.append(inj.end)
-        return ends
-
-    def _provers_permissionless(self) -> bool:
-        return self.cfg.prover_set is not None and self.cfg.prover_set.permissionless
-
-    def _proof_block_ends(self) -> list[int]:
-        if self._provers_permissionless():
-            return []
+    def _censor_ends(self, user: str) -> list[int]:
         return [
             inj.end
             for inj in self.active.values()
-            if inj.kind is InjectionKind.PROVER_OUTAGE
+            if _FAULT_EFFECTS[inj.kind] == "censorship" and (not inj.targets or user in inj.targets)
         ]
 
-    def _claim_block_ends(self) -> list[int]:
-        return [inj.end for inj in self.active.values() if inj.kind in _CLAIM_BLOCKING]
-
-    def _deposits_blocked(self) -> bool:
-        return any(inj.kind in _DEPOSIT_BLOCKING for inj in self.active.values())
+    def _seq_accepting(self, user: str) -> bool:
+        return not self._ends("sequencer") and not self._censor_ends(user)
 
     def _hatch_blocked(self) -> str | None:
+        """Why a hatch exit is refused: the first blocking fault in start order."""
         for inj in self.active.values():
-            if inj.kind in _DEPOSIT_BLOCKING:
-                return "bridge unavailable"
-            if inj.kind is InjectionKind.DA_WITHHOLDING and self.cfg.da.mode is DaMode.EXTERNAL:
-                return "data unavailable"
+            reason = _HATCH_BLOCKED.get(_FAULT_EFFECTS[inj.kind])
+            if reason is not None:
+                return reason
         return None
 
     def _denial_end(self, user: str) -> int:
         """When the user could next reach the sequencer, given active faults."""
-        ends = [self.now]
-        for inj in self.active.values():
-            if inj.kind in _SEQ_BLOCKING:
-                ends.append(inj.end)
-            elif inj.kind is InjectionKind.CENSORSHIP_FORCED_INCLUSION_FAILURE and (
-                not inj.targets or user in inj.targets
-            ):
-                ends.append(inj.end)
-        return max(ends)
+        return max(self.now, *self._ends("sequencer"), *self._censor_ends(user))
 
     # -- metric bookkeeping --------------------------------------------------
 
@@ -272,22 +243,19 @@ class _Run:
 
         With no fault active nothing can stall, so the answer is immediate.
         Otherwise one pass collects the stages present, and the root, claim
-        and sequencer predicates are each evaluated at most once, however
-        many exits are in flight; only censorship is checked per queued user."""
+        and sequencer effects are each looked up at most once, however many
+        exits are in flight; only censorship is checked per queued user."""
         if not self.active:
             return False
         pending = self.pending.values()
         stages = {p["stage"] for p in pending}
-        if "awaiting_root" in stages and (
-            self._proposal_block_ends()
-            or (self.cfg.proof_system is ProofSystem.ZK and self._proof_block_ends())
-        ):
+        if "awaiting_root" in stages and self._ends(*self._root_effects):
             return True
-        if "claimable" in stages and self._claim_block_ends():
+        if "claimable" in stages and self._ends("claims", "bridge"):
             return True
         return "queued" in stages and (
-            self._seq_down()
-            or any(self._censored(p["user"]) for p in pending if p["stage"] == "queued")
+            bool(self._ends("sequencer"))
+            or any(self._censor_ends(p["user"]) for p in pending if p["stage"] == "queued")
         )
 
     def _update_frozen(self) -> None:
@@ -323,7 +291,7 @@ class _Run:
             self._do_submit(action)
 
     def _do_deposit(self, a: WorkloadAction) -> None:
-        if self._deposits_blocked():
+        if self._ends("bridge"):
             self._emit("action_rejected", action="deposit", user=a.user, reason="bridge unavailable")
             return
         pid = self._new_id("dep")
@@ -365,7 +333,7 @@ class _Run:
                 "stage": "queued",
             }
         if self._seq_accepting(a.user):
-            factor = self.p.degradation_factor if self._degraded() else 1
+            factor = self.p.degradation_factor if self._ends("admission") else 1
             self._push(
                 self.now + self.p.admission_latency * factor, _P_ADMIT, "tx_admitted", tx=tx
             )
@@ -385,13 +353,8 @@ class _Run:
 
     def _deny(self, tx: dict) -> None:
         if self.cfg.forced_inclusion.usable:
-            tx["entry"] = self.now
-            self.forced[tx["id"]] = tx
-            deadline = next_l1_block(
-                self.now + self.cfg.forced_inclusion.timeout, self.p.l1_block_interval
-            )
+            deadline = self._queue_forced(tx)
             self._emit("tx_queued_forced", id=tx["id"], deadline=deadline)
-            self._push(deadline, _P_L1, "forced_deadline", txid=tx["id"])
         else:
             self._emit("tx_dropped", id=tx["id"], reason="sequencer unavailable")
             self.pending.pop(tx["id"], None)
@@ -442,15 +405,20 @@ class _Run:
             self.mempool.append(tx)
             self._grid_batch(self.now)
         elif self.cfg.forced_inclusion.usable:
-            tx["entry"] = self.now
-            self.forced[tx["id"]] = tx
-            deadline = next_l1_block(
-                self.now + self.cfg.forced_inclusion.timeout, self.p.l1_block_interval
-            )
-            self._push(deadline, _P_L1, "forced_deadline", txid=tx["id"])
+            self._queue_forced(tx)
         else:
             # parked until the sequencer recovers; drained by the recovery batch
             self.mempool.append(tx)
+
+    def _queue_forced(self, tx: dict) -> int:
+        """Put a transaction on the forced queue; returns its L1 deadline."""
+        tx["entry"] = self.now
+        self.forced[tx["id"]] = tx
+        deadline = next_l1_block(
+            self.now + self.cfg.forced_inclusion.timeout, self.p.l1_block_interval
+        )
+        self._push(deadline, _P_L1, "forced_deadline", txid=tx["id"])
+        return deadline
 
     def _grid_batch(self, t: int) -> None:
         bi = self.p.batch_interval
@@ -460,7 +428,7 @@ class _Run:
             self._push(bt, _P_BATCH, "batch_tick")
 
     def _on_batch_tick(self) -> None:
-        if self._seq_down():
+        if self._ends("sequencer"):
             return
         self._make_batch()
 
@@ -469,7 +437,7 @@ class _Run:
     def _make_batch(self) -> None:
         taken, kept = [], {}
         for txid, tx in self.forced.items():
-            if self._censored(tx["user"]):
+            if self._censor_ends(tx["user"]):
                 kept[txid] = tx
             else:
                 taken.append(tx)
@@ -538,9 +506,7 @@ class _Run:
         self._push(at, _P_L1, "proposal_attempt", batch_time=batch_time, wids=wids)
 
     def _on_proposal_attempt(self, batch_time: int, wids: list[str]) -> None:
-        blocked_until = self._proposal_block_ends()
-        if self.cfg.proof_system is ProofSystem.ZK:
-            blocked_until += self._proof_block_ends()
+        blocked_until = self._ends(*self._root_effects)
         if blocked_until:
             retry = next_l1_block(max(blocked_until), self.p.l1_block_interval)
             self._emit("proposal_blocked", batch_time=batch_time, retry_at=retry)
@@ -563,7 +529,7 @@ class _Run:
     def _on_claim(self, wid: str) -> None:
         if wid not in self.pending:
             return
-        ends = self._claim_block_ends()
+        ends = self._ends("claims", "bridge")
         if ends:
             self.pending[wid]["stage"] = "claimable"
             retry = max(ends)
@@ -579,23 +545,34 @@ class _Run:
 
     # -- fault windows, exploits, upgrades ----------------------------------------
 
+    def _neutralized(self, kind: InjectionKind) -> str | None:
+        """Why this config makes a fault of this kind hold up nothing, or None."""
+        cfg = self.cfg
+        if kind is InjectionKind.DA_WITHHOLDING and cfg.da.mode is DaMode.ONCHAIN:
+            return "onchain data cannot be withheld"
+        if kind is InjectionKind.PROPOSER_OUTAGE and not cfg.proposer.whitelist:
+            return "permissionless proposers route around a stalled operator"
+        provers = cfg.prover_set
+        if kind is InjectionKind.PROVER_OUTAGE and provers is not None and provers.permissionless:
+            return "permissionless provers route around a stalled operator"
+        return None
+
     def _on_injection_start(self, idx: int) -> None:
         inj = self.sc.injections[idx]
-        self.active[idx] = inj
         fields = {"kind": inj.kind.value, "until": inj.end}
-        if inj.kind is InjectionKind.DA_WITHHOLDING and self.cfg.da.mode is DaMode.ONCHAIN:
-            fields["ineffective"] = "onchain data cannot be withheld"
-        if inj.kind is InjectionKind.PROPOSER_OUTAGE and not self.cfg.proposer.whitelist:
-            fields["ineffective"] = "permissionless proposers route around a stalled operator"
-        if inj.kind is InjectionKind.PROVER_OUTAGE and self._provers_permissionless():
-            fields["ineffective"] = "permissionless provers route around a stalled operator"
+        reason = self._neutralized(inj.kind)
+        if reason is None:
+            self.active[idx] = inj
+        else:
+            fields["ineffective"] = reason
         self._emit("injection_start", **fields)
 
     def _on_injection_end(self, idx: int) -> None:
-        inj = self.active.pop(idx)
-        self._emit("injection_end", kind=inj.kind.value)
-        if inj.kind in _SEQ_BLOCKING or inj.kind is InjectionKind.CENSORSHIP_FORCED_INCLUSION_FAILURE:
-            if (self.mempool or self.forced) and not self._seq_down():
+        self.active.pop(idx, None)  # a neutralized fault never became active
+        kind = self.sc.injections[idx].kind
+        self._emit("injection_end", kind=kind.value)
+        if _FAULT_EFFECTS[kind] in ("sequencer", "censorship"):
+            if (self.mempool or self.forced) and not self._ends("sequencer"):
                 self._push(self.now, _P_BATCH, "recovery_batch")
 
     def _on_exploit(self, idx: int) -> None:
@@ -632,13 +609,10 @@ class _Run:
         for the whole window."""
         interval = self.p.l1_block_interval
         candidate = landed + interval
-        if self._provers_permissionless():
-            candidate = next_l1_block(candidate, interval)
-            return candidate if candidate < deadline else None
         windows = sorted(
             (inj.at, inj.end)
             for inj in self.sc.injections
-            if inj.kind is InjectionKind.PROVER_OUTAGE
+            if _FAULT_EFFECTS.get(inj.kind) == "proofs" and self._neutralized(inj.kind) is None
         )
         while True:
             moved = candidate

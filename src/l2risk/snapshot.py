@@ -28,6 +28,9 @@ from .model import (
     Sentiment,
     _slug,
     aligned_table,
+    enum_table,
+    json_count,
+    json_share,
     normalize_label,
     percentage,
 )
@@ -205,11 +208,26 @@ class FlagRuleset:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "FlagRuleset":
+        """Read a ruleset file: an object with "rules" (dimension -> list of
+        strings), an optional boolean "sentiment_fallback" and an optional
+        "version"; anything else is a ValueError."""
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        rules = {
-            RiskDimension.parse(dim): tuple(keys) for dim, keys in raw.get("rules", {}).items()
-        }
-        return cls(rules=rules, sentiment_fallback=bool(raw.get("sentiment_fallback", True)))
+        if not isinstance(raw, dict):
+            raise ValueError("ruleset must be an object")
+        unknown = sorted(set(raw) - {"version", "sentiment_fallback", "rules"})
+        if unknown:
+            raise ValueError(f"unknown ruleset keys: {unknown}")
+        fallback = raw.get("sentiment_fallback", True)
+        if type(fallback) is not bool:
+            raise ValueError("sentiment_fallback must be a boolean")
+        if not isinstance(raw.get("rules"), dict):
+            raise ValueError("ruleset needs a rules object")
+        rules = {}
+        for dim, keys in raw["rules"].items():
+            if not isinstance(keys, list) or not all(isinstance(k, str) for k in keys):
+                raise ValueError(f"rules.{dim} must be a list of strings")
+            rules[RiskDimension.parse(dim)] = tuple(keys)
+        return cls(rules=rules, sentiment_fallback=fallback)
 
     @classmethod
     def default(cls) -> "FlagRuleset":
@@ -428,14 +446,11 @@ class PrevalenceTable:
     def from_dict(cls, raw: dict) -> "PrevalenceTable":
         try:
             return cls(
-                total_projects=int(raw["total_projects"]),
-                flagged={RiskDimension.parse(k): int(v) for k, v in raw["flagged"].items()},
-                shares={
-                    RiskDimension.parse(k): (None if v is None else float(v))
-                    for k, v in raw["shares"].items()
-                },
+                total_projects=json_count(raw["total_projects"], "total_projects"),
+                flagged=enum_table(raw, "flagged", RiskDimension, json_count),
+                shares=enum_table(raw, "shares", RiskDimension, json_share),
             )
-        except (KeyError, AttributeError, TypeError) as exc:
+        except (KeyError, AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"not a prevalence artifact: {exc!r}") from exc
 
 

@@ -187,6 +187,48 @@ def test_cross_validate_rejects_malformed_artifact(tmp_path, artifacts, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+_DROP = object()
+
+
+@pytest.mark.parametrize(
+    "artifact, keys, value, message",
+    [
+        ("prev", ("shares", "exit-window"), _DROP, "shares is missing ['exit-window']"),
+        ("prev", ("flagged", "exit-window"), "129", "flagged.exit-window must be an integer"),
+        ("prev", ("flagged", "exit-window"), 129.9, "flagged.exit-window must be an integer"),
+        ("prev", ("flagged", "exit-window"), True, "flagged.exit-window must be an integer"),
+        ("prev", ("total_projects",), "129", "total_projects must be an integer"),
+        ("prev", ("shares", "exit-window"), "86", "shares.exit-window must be a number or null"),
+        ("prev", ("flagged", "Exit Window"), 3, "unknown flagged keys: ['Exit Window']"),
+        ("dist", ("shares", "bridge-or-withdrawal"), _DROP, "shares is missing"),
+        ("dist", ("counts", "exploit-or-security"), 3.0, "counts.exploit-or-security must be"),
+        ("dist", ("shares", "sequencer-disruption"), "86", "shares.sequencer-disruption must be"),
+        ("dist", ("shares", "sequencer-disruption"), False, "shares.sequencer-disruption must"),
+        ("dist", ("counts",), [], "counts must be an object"),
+    ],
+)
+def test_cross_validate_rejects_loose_artifacts(
+    tmp_path, artifacts, capsys, artifact, keys, value, message
+):
+    prev, dist = artifacts
+    path = prev if artifact == "prev" else dist
+    doc = json.loads(path.read_text())
+    *parents, last = keys
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is _DROP:
+        del target[last]
+    else:
+        target[last] = value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(
+        ["cross-validate", "--prevalence", str(prev), "--distribution", str(dist)]
+    ) == 2
+    assert message in capsys.readouterr().err
+
+
 # -- simulate ------------------------------------------------------------------
 
 

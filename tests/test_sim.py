@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import operator
@@ -39,7 +40,7 @@ from l2risk.sim import (
     parse_scenario,
     simulate,
 )
-from l2risk.sim.engine import _Run
+from l2risk.sim.engine import _FAULT_EFFECTS, _Run
 
 ZK_ONCHAIN = {"proof_system": "zk", "da": {"mode": "onchain"}}
 
@@ -486,6 +487,14 @@ class TestExploitAdjudication:
         assert _events(result, "invalid_root_finalized")
         assert not result.metrics.funds_conserved
 
+    def test_permissionless_challengers_outlast_a_prover_outage(self):
+        raw = self._variant(prover_set={"count": 1, "permissionless": True})
+        raw["injections"].append({"kind": "prover-outage", "at": 7200, "duration": 86424})
+        result = simulate(parse_scenario(raw, name="v"), seed=0)
+        assert "ineffective" in _events(result, "injection_start")[-1]
+        assert _events(result, "root_challenged")[0]["t"] == 7212
+        assert result.metrics.funds_conserved
+
     def test_whitelisted_challengers_return_mid_window(self):
         raw = self._variant(prover_set={"count": 1, "permissionless": False})
         raw["injections"].append({"kind": "prover-outage", "at": 7200, "duration": 3600})
@@ -657,6 +666,28 @@ class TestEscapeHatch:
         }
         result = simulate(parse_scenario(raw, name="withheld"), seed=0)
         assert _events(result, "action_rejected")[0]["reason"] == "data unavailable"
+
+    @pytest.mark.parametrize(
+        "first, reason",
+        [("bridge-halt", "bridge unavailable"), ("da-withholding", "data unavailable")],
+    )
+    def test_the_earliest_blocking_fault_names_the_refusal(self, first, reason):
+        second = "da-withholding" if first == "bridge-halt" else "bridge-halt"
+        raw = {
+            "config": {
+                "proof_system": "zk",
+                "escape_hatch": {"enabled": True},
+                "da": {"mode": "external"},
+            },
+            "workload": {"actions": [{"at": 1000, "action": "hatch-exit", "user": "u", "amount": 0}]},
+            # listed out of start order: start order decides
+            "injections": [
+                {"kind": second, "at": 200, "duration": 5000},
+                {"kind": first, "at": 100, "duration": 5000},
+            ],
+        }
+        result = simulate(parse_scenario(raw, name="both"), seed=0)
+        assert _events(result, "action_rejected")[0]["reason"] == reason
 
     def test_withholding_is_inert_for_onchain_data(self):
         raw = _scenario(
@@ -833,11 +864,9 @@ def _scan_stalled(run: _Run) -> bool:
         stage = p["stage"]
         if stage == "queued" and not run._seq_accepting(p["user"]):
             return True
-        if stage == "awaiting_root" and (
-            run._proposal_block_ends() or (zk and run._proof_block_ends())
-        ):
+        if stage == "awaiting_root" and (run._ends("proposals") or (zk and run._ends("proofs"))):
             return True
-        if stage == "claimable" and run._claim_block_ends():
+        if stage == "claimable" and run._ends("claims", "bridge"):
             return True
     return False
 
@@ -885,7 +914,7 @@ class TestStallBookkeeping:
 
     def test_predicate_calls_per_event_do_not_grow_with_the_workload(self):
         class CountingRun(_Run):
-            """Counts root and claim predicate calls made by the stall test."""
+            """Counts the fault-effect lookups made by the stall test."""
 
             calls = tests = 0
             inside = False
@@ -898,21 +927,14 @@ class TestStallBookkeeping:
                 finally:
                     self.inside = False
 
-            def _proposal_block_ends(self):
+            def _ends(self, *effects):
                 self.calls += self.inside
-                return super()._proposal_block_ends()
-
-            def _proof_block_ends(self):
-                self.calls += self.inside
-                return super()._proof_block_ends()
-
-            def _claim_block_ends(self):
-                self.calls += self.inside
-                return super()._claim_block_ends()
+                return super()._ends(*effects)
 
         # A proposer outage stalls the exits waiting on a root; a slow
-        # sequencer stalls none of the exits in flight. Either way each of
-        # the three predicates is called at most once per stall test.
+        # sequencer stalls none of the exits in flight. Either way the root,
+        # claim and sequencer effects are each looked up at most once per
+        # stall test.
         for kind in (
             InjectionKind.PROPOSER_OUTAGE,
             InjectionKind.SEQUENCER_PERFORMANCE_DEGRADATION,
@@ -921,3 +943,54 @@ class TestStallBookkeeping:
                 run = CountingRun(_day_long_fault(kind, users, actions), 0)
                 run.execute()
                 assert run.calls <= 3 * run.tests, (kind, actions, run.calls, run.tests)
+
+
+# Each fault kind a config can neutralize, with the config change that does it.
+_NEUTRALIZING = (
+    (InjectionKind.DA_WITHHOLDING, {"da": DaConfig(mode=DaMode.ONCHAIN)}),
+    (InjectionKind.PROPOSER_OUTAGE, {"proposer": ProposerConfig(whitelist=False)}),
+    (InjectionKind.PROVER_OUTAGE, {"prover_set": ProverSetConfig(permissionless=True)}),
+)
+
+
+def _without(events, *drop):
+    """The events with "i" removed, and the first event matching each of the
+    (t, event, kind) triples in drop left out."""
+    drop = list(drop)
+    kept = []
+    for e in events:
+        key = (e["t"], e["event"], e.get("kind"))
+        if key in drop:
+            drop.remove(key)
+            continue
+        kept.append({k: v for k, v in e.items() if k != "i"})
+    assert not drop, drop
+    return kept
+
+
+class TestFaultEffects:
+    def test_every_windowed_kind_has_an_effect(self):
+        assert set(_FAULT_EFFECTS) == set(InjectionKind) - {InjectionKind.EXPLOIT_USER_RISK}
+
+    def test_a_neutralized_fault_changes_nothing(self):
+        pairs = 0
+        for seed in range(40):
+            base = _fault_laden(seed)
+            rng = random.Random(seed)
+            for kind, change in _NEUTRALIZING:
+                if "prover_set" in change and base.config.proof_system is not ProofSystem.ZK:
+                    continue
+                sc = dataclasses.replace(base, config=dataclasses.replace(base.config, **change))
+                fault = Injection(kind, at=rng.randrange(6 * HOUR), duration=4 * HOUR)
+                faulted = dataclasses.replace(sc, injections=sc.injections + (fault,))
+                clean, hit = simulate(sc, seed=0), simulate(faulted, seed=0)
+                start = (fault.at, "injection_start", kind.value)
+                end = (fault.end, "injection_end", kind.value)
+                assert "ineffective" in next(
+                    e for e in hit.events if (e["t"], e["event"], e.get("kind")) == start
+                )
+                assert _without(hit.events, start, end) == _without(clean.events)
+                assert hit.metrics == clean.metrics
+                assert hit.violations == clean.violations
+                pairs += 1
+        assert pairs == 100

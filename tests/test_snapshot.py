@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -318,6 +319,27 @@ class TestPrevalence:
         without = aggregate_prevalence(extract_projects(doc, ruleset=strict).profiles)
         assert with_fallback.flagged[RiskDimension.DATA_AVAILABILITY] == 1
         assert without.flagged[RiskDimension.DATA_AVAILABILITY] == 0
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"sentiment_fallback": "false", "rules": {}}, "sentiment_fallback must be a boolean"),
+        ({"sentiment_fallback": 0, "rules": {}}, "sentiment_fallback must be a boolean"),
+        ({"rules": {"exit-window": "no window"}}, "rules.exit-window must be a list of strings"),
+        ({"rules": {"exit-window": ["no window", 7]}}, "rules.exit-window must be a list"),
+        ({"rules": []}, "ruleset needs a rules object"),
+        ({"rulez": {"exit-window": ["no window"]}}, "unknown ruleset keys: ['rulez']"),
+        ({"version": 1}, "ruleset needs a rules object"),
+        ([], "ruleset must be an object"),
+        ({"rules": {"exit-windows": ["x"]}}, "unrecognized label 'exit-windows'"),
+    ],
+)
+def test_ruleset_file_is_read_strictly(tmp_path, doc, message):
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FlagRuleset.from_file(path)
 
 
 def test_custom_ruleset_file_round_trip(tmp_path):
