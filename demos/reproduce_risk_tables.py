@@ -8,6 +8,8 @@ repository root:
     python demos/reproduce_risk_tables.py
 """
 
+import sys
+
 from l2risk.data import fixture_path
 from l2risk.incidents import distribution, parse_incidents, render_distribution_text
 from l2risk.report import cross_validate
@@ -24,8 +26,10 @@ def main() -> None:
     extract = extract_projects(doc)
     table = aggregate_prevalence(extract.profiles)
     print(render_prevalence_text(table))
+    for warning in extract.warnings:
+        print(warning, file=sys.stderr)
     if extract.warnings:
-        print(f"\n({len(extract.warnings)} ingestion warning(s); see log output above)")
+        print(f"\n({len(extract.warnings)} ingestion warning(s); printed to stderr)")
 
     print()
     parsed = parse_incidents(fixture_path("incident-table.csv"))

@@ -57,10 +57,16 @@ def _write(text: str, out: str | None) -> None:
         print(text)
 
 
+def _print_warnings(warnings) -> None:
+    for warning in warnings:
+        print(warning, file=sys.stderr)
+
+
 def _cmd_ingest_snapshot(args: argparse.Namespace) -> int:
     doc = load_snapshot(args.snapshot)
     ruleset = FlagRuleset.from_file(args.ruleset) if args.ruleset else None
     result = extract_projects(doc, ruleset=ruleset, adapter=args.adapter)
+    _print_warnings(result.warnings)
     table = aggregate_prevalence(result.profiles)
     if args.format == "json":
         payload = table.to_dict()
@@ -73,8 +79,7 @@ def _cmd_ingest_snapshot(args: argparse.Namespace) -> int:
 
 def _cmd_ingest_incidents(args: argparse.Namespace) -> int:
     parsed = parse_incidents(args.incidents)
-    for warning in parsed.warnings:
-        print(warning, file=sys.stderr)
+    _print_warnings(parsed.warnings)
     dist = distribution(parsed.records)
     if args.format == "json":
         payload = dist.to_dict()
@@ -124,6 +129,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         adapter=args.adapter,
         seed=args.seed,
     )
+    _print_warnings(bundle.report["prevalence"]["warnings"])
     if args.format == "json":
         _write(_json_text(bundle.report), args.out)
     else:

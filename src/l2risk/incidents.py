@@ -240,23 +240,23 @@ class IncidentDistribution:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "IncidentDistribution":
-        span = raw.get("date_span")
         try:
+            span = raw["date_span"]
+            if span is not None and (type(span) is not list or len(span) != 2):
+                raise ValueError("date_span must be null or a pair of dates")
             return cls(
                 total=json_count(raw["total"], "total"),
                 counts=enum_table(raw, "counts", CompressedIncidentType, json_count),
                 shares=enum_table(raw, "shares", CompressedIncidentType, json_share),
-                unmapped=json_count(raw.get("unmapped", 0), "unmapped"),
-                distinct_project_count=json_count(
-                    raw.get("distinct_projects", 0), "distinct_projects"
-                ),
+                unmapped=json_count(raw["unmapped"], "unmapped"),
+                distinct_project_count=json_count(raw["distinct_projects"], "distinct_projects"),
                 date_span=(
-                    (dt.date.fromisoformat(span[0]), dt.date.fromisoformat(span[1]))
-                    if span
-                    else None
+                    None
+                    if span is None
+                    else (dt.date.fromisoformat(span[0]), dt.date.fromisoformat(span[1]))
                 ),
             )
-        except (KeyError, AttributeError, TypeError, IndexError, ValueError) as exc:
+        except (KeyError, AttributeError, TypeError, ValueError) as exc:
             raise ValueError(f"not a distribution artifact: {exc!r}") from exc
 
 

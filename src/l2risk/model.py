@@ -46,17 +46,25 @@ def aligned_table(headers: Sequence[str], rows: Sequence[Sequence[str]], left: i
 
 
 def json_count(value, where: str) -> int:
-    """A count exactly as written in JSON: an integer, not a bool, float or string."""
+    """A count exactly as written in JSON: a non-negative integer, not a bool,
+    float or string."""
     if type(value) is not int:
         raise ValueError(f"{where} must be an integer")
+    if value < 0:
+        raise ValueError(f"{where} must not be negative")
     return value
 
 
 def json_share(value, where: str) -> float | None:
-    """A share exactly as written in JSON: a number (not a bool) or null."""
-    if value is not None and type(value) not in (int, float):
+    """A share exactly as written in JSON: a percentage from 0 to 100 (a
+    number, not a bool) or null."""
+    if value is None:
+        return None
+    if type(value) not in (int, float):
         raise ValueError(f"{where} must be a number or null")
-    return None if value is None else float(value)
+    if not 0 <= value <= 100:
+        raise ValueError(f"{where} must be between 0 and 100")
+    return float(value)
 
 
 def enum_table(raw: Mapping, key: str, members: type[enum.Enum], read) -> dict:

@@ -20,9 +20,15 @@ The model, in brief:
   (fraud proofs). Withdrawals pay out from the bridge once their root is
   final; escape-hatch exits settle directly against finalized L1 state.
 - The bridge escrow must always equal the sum of L2 balances and in-flight
-  amounts. The identity is re-checked after every event by summing both
-  ledgers afresh; mismatches are recorded, not raised. A finalized invalid
-  state root breaks the identity by design and flips funds_conserved.
+  amounts. _move, _hold and _release are the only writers of those two
+  ledgers and keep their running total, so the identity is checked after
+  every event in constant time; mismatches are recorded, not raised.
+  Handlers still choose every amount and move the escrow themselves, so a
+  debit without its credit, or a payout that leaves the escrow untouched,
+  shows at that very event. A finalized invalid state root breaks the
+  identity by design and flips funds_conserved. Each run ends by summing
+  both ledgers afresh; a running total that disagrees is an engine bug and
+  raises.
 - Each windowed fault holds up one thing while active, per the
   _FAULT_EFFECTS table: sequencer access, censored users' access, admission
   speed, root proposals, validity proofs, claims, the whole bridge, or the
@@ -47,7 +53,6 @@ import heapq
 import json
 from collections import defaultdict
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 
 from l2risk.model import DaMode, HarmMetrics, ProofSystem, UpgradePolicy
@@ -129,6 +134,8 @@ class _Run:
         # pid -> (user, amount): money that left one ledger but not yet
         # arrived on the other (pending credits, withdrawals, hatch exits)
         self.inflight: dict[str, tuple[str, int]] = {}
+        # sum of l2 and inflight amounts, kept by their only writers
+        self.accounted = 0
         self.mempool: list[dict] = []
         # tx id -> tx, in queueing order
         self.forced: dict[str, dict] = {}
@@ -189,6 +196,11 @@ class _Run:
         if self._frozen_since is not None:
             self._frozen_accum += self.now - self._frozen_since
             self._frozen_since = None
+        resummed = sum(self.l2.values()) + sum(a for _u, a in self.inflight.values())
+        if resummed != self.accounted:
+            raise RuntimeError(
+                f"ledger total {self.accounted} != {resummed} summed afresh in {self.sc.name}"
+            )
 
     def result(self) -> SimResult:
         metrics = HarmMetrics(
@@ -267,18 +279,34 @@ class _Run:
             self._frozen_since = None
 
     def _check_conservation(self, event_kind: str) -> None:
-        if self.exploit_drained:
+        if self.exploit_drained or self.bridge_pool == self.accounted:
             return
-        accounted = sum(self.l2.values()) + sum(map(itemgetter(1), self.inflight.values()))
-        if self.bridge_pool != accounted:
-            self.violations.append(
-                {
-                    "t": self.now,
-                    "event": event_kind,
-                    "bridge": self.bridge_pool,
-                    "accounted": accounted,
-                }
-            )
+        self.violations.append(
+            {
+                "t": self.now,
+                "event": event_kind,
+                "bridge": self.bridge_pool,
+                "accounted": self.accounted,
+            }
+        )
+
+    # -- the ledgers' only writers ---------------------------------------------
+
+    def _move(self, user: str, delta: int) -> None:
+        """Change a user's L2 balance by delta."""
+        self.l2[user] += delta
+        self.accounted += delta
+
+    def _hold(self, pid: str, user: str, amount: int) -> None:
+        """Put an amount in flight: it has left one ledger, not reached the other."""
+        self.inflight[pid] = (user, amount)
+        self.accounted += amount
+
+    def _release(self, pid: str) -> tuple[str, int]:
+        """Take an amount out of flight; returns (user, amount)."""
+        user, amount = self.inflight.pop(pid)
+        self.accounted -= amount
+        return user, amount
 
     # -- user actions ---------------------------------------------------------
 
@@ -301,7 +329,7 @@ class _Run:
 
     def _on_deposit_landed(self, pid: str, user: str, amount: int) -> None:
         self.bridge_pool += amount
-        self.inflight[pid] = (user, amount)
+        self._hold(pid, user, amount)
         self._emit("deposit_landed", id=pid, user=user, amount=amount)
         credit = {
             "id": pid,
@@ -385,8 +413,8 @@ class _Run:
         if amount <= 0:
             self._emit("tx_failed", id=hid, user=user, reason="nothing to exit")
             return
-        self.l2[user] -= amount
-        self.inflight[hid] = (user, amount)
+        self._move(user, -amount)
+        self._hold(hid, user, amount)
         self.pending[hid] = {
             "user": user,
             "amount": amount,
@@ -474,24 +502,24 @@ class _Run:
             self.censorship_window = max(self.censorship_window, self.now - tx["submitted"])
         user, amount = tx["user"], tx["amount"]
         if tx["type"] == "credit":
-            self.inflight.pop(tx["id"])
-            self.l2[user] += amount
+            self._release(tx["id"])
+            self._move(user, amount)
             self._emit("credit_applied", id=tx["id"], user=user, amount=amount)
             return None
         if tx["type"] == "transfer":
             if self.l2[user] < amount:
                 self._emit("tx_failed", id=tx["id"], user=user, reason="insufficient funds")
                 return None
-            self.l2[user] -= amount
-            self.l2[tx["to"]] += amount
+            self._move(user, -amount)
+            self._move(tx["to"], amount)
             self._emit("transfer_applied", id=tx["id"], user=user, to=tx["to"], amount=amount)
             return None
         if self.l2[user] < amount:
             self._emit("tx_failed", id=tx["id"], user=user, reason="insufficient funds")
             self.pending.pop(tx["id"], None)
             return None
-        self.l2[user] -= amount
-        self.inflight[tx["id"]] = (user, amount)
+        self._move(user, -amount)
+        self._hold(tx["id"], user, amount)
         self.pending[tx["id"]]["stage"] = "awaiting_root"
         self._emit("withdrawal_included", id=tx["id"], user=user, amount=amount)
         return tx["id"]
@@ -536,7 +564,7 @@ class _Run:
             self._emit("claim_deferred", id=wid, retry_at=retry)
             self._push(retry, _P_L1, "claim", wid=wid)
             return
-        user, amount = self.inflight.pop(wid)
+        user, amount = self._release(wid)
         self.bridge_pool -= amount
         p = self.pending.pop(wid)
         latency = self.now - p["submitted"]

@@ -13,7 +13,6 @@ entry among every project that carries that row.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -34,8 +33,6 @@ from .model import (
     normalize_label,
     percentage,
 )
-
-log = logging.getLogger(__name__)
 
 
 class SnapshotParseError(ValueError):
@@ -300,7 +297,8 @@ def extract_projects(
     """Turn a snapshot document into flagged project risk profiles.
 
     Projects without a category are skipped with a warning; categories
-    outside the tracked three are excluded with a warning. Duplicate project
+    outside the tracked three are excluded with a warning. Warnings are
+    returned in ExtractResult.warnings, never logged. Duplicate project
     ids are a hard error. An explicit ``categories`` filter narrows the
     result further.
     """
@@ -358,8 +356,6 @@ def extract_projects(
             entries.append(entry)
         profiles.append(ProjectRiskProfile(project_id, name or project_id, category, tuple(entries)))
 
-    for message in warnings:
-        log.warning(message)
     return ExtractResult(tuple(profiles), tuple(warnings))
 
 

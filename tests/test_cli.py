@@ -56,6 +56,20 @@ def test_ingest_snapshot_json_validates(tmp_path):
     assert payload["warnings"]  # fixture carries off-spec rows on purpose
 
 
+@pytest.mark.parametrize("command", ["ingest-snapshot", "report"])
+def test_snapshot_warnings_printed_to_stderr_once_each(tmp_path, capsys, command):
+    out = tmp_path / "out.json"
+    argv = [command, "--snapshot", SNAPSHOT, "--format", "json", "--out", str(out)]
+    if command == "report":
+        argv += ["--incidents", INCIDENTS]
+    assert main(argv) == 0
+    payload = json.loads(out.read_text())
+    if command == "report":
+        payload = payload["prevalence"]
+    assert payload["warnings"]
+    assert capsys.readouterr().err.splitlines() == payload["warnings"]
+
+
 def test_ingest_snapshot_explicit_adapter(capsys):
     assert main(["ingest-snapshot", "--snapshot", SNAPSHOT, "--adapter", "normalized"]) == 0
     assert "129" in capsys.readouterr().out
@@ -205,6 +219,15 @@ _DROP = object()
         ("dist", ("shares", "sequencer-disruption"), "86", "shares.sequencer-disruption must be"),
         ("dist", ("shares", "sequencer-disruption"), False, "shares.sequencer-disruption must"),
         ("dist", ("counts",), [], "counts must be an object"),
+        ("dist", ("unmapped",), _DROP, "KeyError('unmapped')"),
+        ("dist", ("distinct_projects",), _DROP, "KeyError('distinct_projects')"),
+        ("dist", ("date_span",), _DROP, "KeyError('date_span')"),
+        ("dist", ("date_span",), [], "date_span must be null or a pair of dates"),
+        ("dist", ("unmapped",), -1, "unmapped must not be negative"),
+        ("dist", ("counts", "exploit-or-security"), -1, "counts.exploit-or-security must not"),
+        ("prev", ("shares", "exit-window"), 250.0, "shares.exit-window must be between 0 and 100"),
+        ("dist", ("shares", "sequencer-disruption"), 250.0, "shares.sequencer-disruption must be"),
+        ("dist", ("shares", "sequencer-disruption"), -0.5, "shares.sequencer-disruption must be"),
     ],
 )
 def test_cross_validate_rejects_loose_artifacts(
@@ -227,6 +250,20 @@ def test_cross_validate_rejects_loose_artifacts(
         ["cross-validate", "--prevalence", str(prev), "--distribution", str(dist)]
     ) == 2
     assert message in capsys.readouterr().err
+
+
+def test_cross_validate_accepts_the_schemas_edge_values(artifacts):
+    prev, dist = artifacts
+    doc = json.loads(prev.read_text())
+    doc["shares"].update({"exit-window": 100, "state-validation": 0.0})
+    prev.write_text(json.dumps(doc))
+    doc = json.loads(dist.read_text())
+    doc["shares"]["sequencer-disruption"] = 100.0
+    doc["date_span"] = None
+    dist.write_text(json.dumps(doc))
+    assert main(
+        ["cross-validate", "--prevalence", str(prev), "--distribution", str(dist)]
+    ) == 0
 
 
 # -- simulate ------------------------------------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import json
 import operator
 import random
+from collections import defaultdict
 from functools import reduce
 
 import jsonschema
@@ -943,6 +944,188 @@ class TestStallBookkeeping:
                 run = CountingRun(_day_long_fault(kind, users, actions), 0)
                 run.execute()
                 assert run.calls <= 3 * run.tests, (kind, actions, run.calls, run.tests)
+
+
+def _resum(run: _Run) -> int:
+    """Every L2 balance and in-flight amount, summed afresh."""
+    return sum(run.l2.values()) + sum(amount for _user, amount in run.inflight.values())
+
+
+class _LedgerOracleRun(_Run):
+    """Holds the ledgers' running total to a full re-sum after every event."""
+
+    checks = 0
+
+    def _check_conservation(self, event_kind):
+        assert self.accounted == _resum(self), (self.now, event_kind, self.events[-1:])
+        self.checks += 1
+        super()._check_conservation(event_kind)
+
+
+class _FullResumRun(_Run):
+    """The conservation check as a full re-sum of both ledgers after every
+    event: the reference the running-total check must agree with."""
+
+    def _check_conservation(self, event_kind):
+        if self.exploit_drained:
+            return
+        accounted = _resum(self)
+        if self.bridge_pool != accounted:
+            self.violations.append(
+                {"t": self.now, "event": event_kind, "bridge": self.bridge_pool,
+                 "accounted": accounted}
+            )
+
+
+class _Mutant:
+    """A handler bug, mixed in ahead of a _Run class; notes when it first bites."""
+
+    mutated_at = None
+
+    def _mutated(self):
+        if self.mutated_at is None:
+            self.mutated_at = self.now
+
+
+class _TransferSkipsCredit(_Mutant):
+    """A transfer that debits the sender and credits no one."""
+
+    def _apply_tx(self, tx):
+        wid = super()._apply_tx(tx)
+        if tx["type"] == "transfer" and self.events[-1]["event"] == "transfer_applied":
+            self._move(tx["to"], -tx["amount"])
+            self._mutated()
+        return wid
+
+
+class _ClaimKeepsPool(_Mutant):
+    """A claim that pays out without drawing on the bridge escrow."""
+
+    def _on_claim(self, wid):
+        pool = self.bridge_pool
+        super()._on_claim(wid)
+        if self.bridge_pool != pool:
+            self.bridge_pool = pool
+            self._mutated()
+
+
+class _WithdrawalSkipsDebit(_Mutant):
+    """A withdrawal included without debiting the user's L2 balance."""
+
+    def _apply_tx(self, tx):
+        wid = super()._apply_tx(tx)
+        if wid is not None:
+            self._move(tx["user"], tx["amount"])
+            self._mutated()
+        return wid
+
+
+class _ScanCounting:
+    """Counts the full iterations made over a map."""
+
+    scans = 0
+
+    def _scanned(self):
+        self.scans += 1
+
+    def __iter__(self):
+        self._scanned()
+        return super().__iter__()
+
+    def keys(self):
+        self._scanned()
+        return super().keys()
+
+    def values(self):
+        self._scanned()
+        return super().values()
+
+    def items(self):
+        self._scanned()
+        return super().items()
+
+
+class _ScannedBalances(_ScanCounting, defaultdict):
+    pass
+
+
+class _ScannedFlights(_ScanCounting, dict):
+    pass
+
+
+def _random(users: int, actions: int) -> Scenario:
+    return Scenario(
+        name=f"random-{actions}",
+        config=RollupConfig.centralized_default(),
+        random_workload=RandomWorkload(users=users, actions=actions),
+    )
+
+
+class TestLedger:
+    def _oracle(self, scenario, seed=0) -> _LedgerOracleRun:
+        run = _LedgerOracleRun(scenario, seed)
+        run.execute()
+        assert run.result().events == simulate(scenario, seed).events
+        return run
+
+    def test_running_total_matches_a_full_resum_after_every_event(self):
+        runs = [self._oracle(load_bundled_scenario(n)) for n in sorted(FROZEN_BUNDLED)]
+        runs += [self._oracle(_fault_laden(seed)) for seed in sorted(FROZEN_FAULT_LADEN)]
+        runs += [self._oracle(_acceptance_random(), seed) for seed in range(5)]
+        runs.append(self._oracle(_random(100, 2_000)))
+        assert all(r.checks > 0 for r in runs)
+
+    def test_a_mis_summing_ledger_fails_the_oracle_and_the_end_of_run_resum(self):
+        class LosesHolds(_Run):
+            def _hold(self, pid, user, amount):
+                self.inflight[pid] = (user, amount)
+
+        with pytest.raises(RuntimeError, match="ledger total"):
+            LosesHolds(_acceptance_random(), 0).execute()
+        oracle = type("OracleLosesHolds", (LosesHolds, _LedgerOracleRun), {})
+        with pytest.raises(AssertionError):
+            oracle(_acceptance_random(), 0).execute()
+
+    @pytest.mark.parametrize(
+        "mutant", [_TransferSkipsCredit, _ClaimKeepsPool, _WithdrawalSkipsDebit]
+    )
+    def test_a_handler_bug_shows_at_the_same_event_as_a_full_resum(self, mutant):
+        fast = type("Fast", (mutant, _Run), {})
+        full = type("Full", (mutant, _FullResumRun), {})
+        runs = [(_acceptance_random(), seed) for seed in range(10)]
+        runs += [(_fault_laden(seed), 0) for seed in FAULT_SEEDS]
+        caught = 0
+        for scenario, seed in runs:
+            a, b = fast(scenario, seed), full(scenario, seed)
+            a.execute()
+            b.execute()
+            assert a.events == b.events
+            assert a.violations == b.violations
+            if a.mutated_at is None:
+                assert a.violations == []
+            else:
+                assert a.violations[0]["t"] == a.mutated_at
+                caught += 1
+        assert caught >= 10
+
+    def test_ledger_scans_per_run_do_not_grow_with_the_workload(self):
+        class ScanCountingRun(_Run):
+            def __init__(self, scenario, seed):
+                super().__init__(scenario, seed)
+                self.l2 = _ScannedBalances(int)
+                self.inflight = _ScannedFlights()
+
+        # Whatever the size, the maps are walked only by the one re-sum at
+        # the end of the run, never by the per-event check.
+        for users, actions in ((20, 200), (200, 2_000)):
+            for scenario in (
+                _random(users, actions),
+                _day_long_fault(InjectionKind.WITHDRAWAL_FAILURE, users, actions),
+            ):
+                run = ScanCountingRun(scenario, 0)
+                run.execute()
+                assert (run.l2.scans, run.inflight.scans) == (1, 1), scenario.name
+                assert run.result().events == simulate(scenario, 0).events
 
 
 # Each fault kind a config can neutralize, with the config change that does it.
