@@ -130,6 +130,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     _print_warnings(bundle.report["prevalence"]["warnings"])
+    _print_warnings(bundle.report["incidents"]["warnings"])
     if args.format == "json":
         _write(_json_text(bundle.report), args.out)
     else:

@@ -38,6 +38,12 @@ The model, in brief:
   fault. The stall test after each event returns at once when no fault is
   active; otherwise it looks up the root, claim and sequencer effects at
   most once each, not once per exit in flight.
+- Events wait on one heap as (time, priority, sequence, kind, args). The
+  loop calls _on_<kind>(*args), looked up on the instance so a subclass's
+  handler is the one that runs, then checks conservation under that kind's
+  name and updates the frozen-funds clock. With no fault active the fault
+  lookups (_ends, _censor_ends, _seq_accepting) return at once, and so does
+  the frozen-funds update unless a frozen interval is still open.
 
 An invalid state root injected by an attacker finalizes only when state
 validation is not enforced, or on a fraud-proof system whose whitelisted
@@ -53,6 +59,7 @@ import heapq
 import json
 from collections import defaultdict
 from dataclasses import dataclass
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 from l2risk.model import DaMode, HarmMetrics, ProofSystem, UpgradePolicy
@@ -88,7 +95,9 @@ _HATCH_BLOCKED = {"bridge": "bridge unavailable", "data": "data unavailable"}
 # bookkeeping runs last so it sees the settled state of that second.
 _P_END, _P_START, _P_L1, _P_ADMIT, _P_BATCH, _P_ACTION, _P_UPGRADE = range(7)
 
-# One encoder for every trace line; json.dumps would build a new one per event.
+# The settings of every trace line: what json.dumps(event, sort_keys=True,
+# separators=(",", ":")) writes. SimResult.trace_lines builds one C encoder
+# from them per call; JSONEncoder.encode would build a new one per event.
 _TRACE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
@@ -102,7 +111,20 @@ class SimResult:
 
     def trace_lines(self) -> list[str]:
         """One compact JSON object per event, stable across runs."""
-        return list(map(_TRACE_ENCODER.encode, self.events))
+        enc = _TRACE_ENCODER
+        encode = c_make_encoder(
+            {},  # markers: the circular-reference check
+            enc.default,
+            encode_basestring_ascii,
+            enc.indent,
+            enc.key_separator,
+            enc.item_separator,
+            enc.sort_keys,
+            enc.skipkeys,
+            enc.allow_nan,
+        )
+        join = "".join
+        return [join(encode(event, 0)) for event in self.events]
 
     def write_trace(self, path: str | Path) -> None:
         Path(path).write_text("\n".join(self.trace_lines()) + "\n", encoding="utf-8")
@@ -159,14 +181,14 @@ class _Run:
 
     # -- plumbing -----------------------------------------------------------
 
-    def _push(self, t: int, prio: int, kind: str, **payload) -> None:
+    def _push(self, t: int, prio: int, kind: str, *args) -> None:
+        """Schedule _on_<kind>(*args) at t; kind also names the event in
+        violation records."""
         self._pushes += 1
-        heapq.heappush(self._heap, (t, prio, self._pushes, kind, payload))
+        heapq.heappush(self._heap, (t, prio, self._pushes, kind, args))
 
     def _emit(self, event: str, **fields) -> None:
-        entry = {"t": self.now, "i": len(self.events), "event": event}
-        entry.update(fields)
-        self.events.append(entry)
+        self.events.append({"t": self.now, "i": len(self.events), "event": event, **fields})
 
     def _new_id(self, prefix: str) -> str:
         self._txid += 1
@@ -174,23 +196,23 @@ class _Run:
 
     def execute(self) -> None:
         for action in self.sc.workload(self.seed):
-            self._push(action.at, _P_ACTION, "action", action=action)
+            self._push(action.at, _P_ACTION, "action", action)
         for idx, inj in enumerate(self.sc.injections):
             if inj.kind is InjectionKind.EXPLOIT_USER_RISK:
-                self._push(inj.at, _P_START, "exploit", idx=idx)
+                self._push(inj.at, _P_START, "exploit", idx)
             else:
-                self._push(inj.at, _P_START, "injection_start", idx=idx)
-                self._push(inj.end, _P_END, "injection_end", idx=idx)
+                self._push(inj.at, _P_START, "injection_start", idx)
+                self._push(inj.end, _P_END, "injection_end", idx)
         if self.sc.upgrade_at is not None:
             self._push(self.sc.upgrade_at, _P_UPGRADE, "upgrade_announce")
 
         horizon = self.p.horizon
         while self._heap:
-            t, _prio, _n, kind, payload = heapq.heappop(self._heap)
+            t, _prio, _n, kind, args = heapq.heappop(self._heap)
             if horizon is not None and t > horizon:
                 break
             self.now = t
-            getattr(self, "_on_" + kind)(**payload)
+            getattr(self, "_on_" + kind)(*args)
             self._check_conservation(kind)
             self._update_frozen()
         if self._frozen_since is not None:
@@ -222,9 +244,13 @@ class _Run:
 
     def _ends(self, *effects: str) -> list[int]:
         """End times of the active faults that hold up any of these effects."""
+        if not self.active:
+            return []
         return [inj.end for inj in self.active.values() if _FAULT_EFFECTS[inj.kind] in effects]
 
     def _censor_ends(self, user: str) -> list[int]:
+        if not self.active:
+            return []
         return [
             inj.end
             for inj in self.active.values()
@@ -232,6 +258,8 @@ class _Run:
         ]
 
     def _seq_accepting(self, user: str) -> bool:
+        if not self.active:
+            return True
         return not self._ends("sequencer") and not self._censor_ends(user)
 
     def _hatch_blocked(self) -> str | None:
@@ -271,6 +299,8 @@ class _Run:
         )
 
     def _update_frozen(self) -> None:
+        if not self.active and self._frozen_since is None:
+            return  # nothing can stall and no frozen interval is open
         stalled = self._exit_stalled()
         if stalled and self._frozen_since is None:
             self._frozen_since = self.now
@@ -325,7 +355,7 @@ class _Run:
         pid = self._new_id("dep")
         self._emit("deposit_submitted", id=pid, user=a.user, amount=a.amount)
         land = next_l1_block(self.now, self.p.l1_block_interval)
-        self._push(land, _P_L1, "deposit_landed", pid=pid, user=a.user, amount=a.amount)
+        self._push(land, _P_L1, "deposit_landed", pid, a.user, a.amount)
 
     def _on_deposit_landed(self, pid: str, user: str, amount: int) -> None:
         self.bridge_pool += amount
@@ -362,9 +392,8 @@ class _Run:
             }
         if self._seq_accepting(a.user):
             factor = self.p.degradation_factor if self._ends("admission") else 1
-            self._push(
-                self.now + self.p.admission_latency * factor, _P_ADMIT, "tx_admitted", tx=tx
-            )
+            admit = self.now + self.p.admission_latency * factor
+            self._push(admit, _P_ADMIT, "tx_admitted", tx)
         else:
             tx["denied"] = True
             self._deny(tx)
@@ -402,10 +431,7 @@ class _Run:
         hid = self._new_id("hx")
         self._emit("hatch_exit_submitted", id=hid, user=a.user)
         land = next_l1_block(self.now, self.p.l1_block_interval)
-        self._push(
-            land, _P_L1, "hatch_included", hid=hid, user=a.user,
-            requested=a.amount, submitted=self.now,
-        )
+        self._push(land, _P_L1, "hatch_included", hid, a.user, a.amount, self.now)
 
     def _on_hatch_included(self, hid: str, user: str, requested: int, submitted: int) -> None:
         balance = self.l2[user]
@@ -423,7 +449,7 @@ class _Run:
         }
         self._emit("hatch_exit_included", id=hid, user=user, amount=amount)
         done = self.now + self.p.finalization_depth * self.p.l1_block_interval
-        self._push(done, _P_L1, "claim", wid=hid)
+        self._push(done, _P_L1, "claim", hid)
 
     # -- sequencing and batches ------------------------------------------------
 
@@ -445,7 +471,7 @@ class _Run:
         deadline = next_l1_block(
             self.now + self.cfg.forced_inclusion.timeout, self.p.l1_block_interval
         )
-        self._push(deadline, _P_L1, "forced_deadline", txid=tx["id"])
+        self._push(deadline, _P_L1, "forced_deadline", tx["id"])
         return deadline
 
     def _grid_batch(self, t: int) -> None:
@@ -476,7 +502,7 @@ class _Run:
             return
         land = next_l1_block(self.now, self.p.l1_block_interval)
         self._emit("batch_created", size=len(txs), lands_at=land)
-        self._push(land, _P_L1, "batch_landed", txs=txs)
+        self._push(land, _P_L1, "batch_landed", txs)
 
     def _on_batch_landed(self, txs: list[dict]) -> None:
         self._emit("batch_landed", size=len(txs))
@@ -531,28 +557,28 @@ class _Run:
         if self.cfg.proof_system is ProofSystem.ZK:
             ready = max(ready, batch_time + self.p.prover_latency)
         at = next_l1_block(ready, self.p.l1_block_interval)
-        self._push(at, _P_L1, "proposal_attempt", batch_time=batch_time, wids=wids)
+        self._push(at, _P_L1, "proposal_attempt", batch_time, wids)
 
     def _on_proposal_attempt(self, batch_time: int, wids: list[str]) -> None:
         blocked_until = self._ends(*self._root_effects)
         if blocked_until:
             retry = next_l1_block(max(blocked_until), self.p.l1_block_interval)
             self._emit("proposal_blocked", batch_time=batch_time, retry_at=retry)
-            self._push(retry, _P_L1, "proposal_attempt", batch_time=batch_time, wids=wids)
+            self._push(retry, _P_L1, "proposal_attempt", batch_time, wids)
             return
         self._emit("proposal", batch_time=batch_time, withdrawals=len(wids))
         if self.cfg.proof_system is ProofSystem.ZK:
             final = self.now + self.p.finalization_depth * self.p.l1_block_interval
         else:
             final = self.now + self.cfg.challenge_window
-        self._push(final, _P_L1, "root_finalized", batch_time=batch_time, wids=wids)
+        self._push(final, _P_L1, "root_finalized", batch_time, wids)
 
     def _on_root_finalized(self, batch_time: int, wids: list[str]) -> None:
         self._emit("root_finalized", batch_time=batch_time, withdrawals=len(wids))
         for wid in wids:
             if wid in self.pending:
                 self.pending[wid]["stage"] = "claimable"
-                self._push(self.now, _P_L1, "claim", wid=wid)
+                self._push(self.now, _P_L1, "claim", wid)
 
     def _on_claim(self, wid: str) -> None:
         if wid not in self.pending:
@@ -562,7 +588,7 @@ class _Run:
             self.pending[wid]["stage"] = "claimable"
             retry = max(ends)
             self._emit("claim_deferred", id=wid, retry_at=retry)
-            self._push(retry, _P_L1, "claim", wid=wid)
+            self._push(retry, _P_L1, "claim", wid)
             return
         user, amount = self._release(wid)
         self.bridge_pool -= amount
@@ -607,7 +633,7 @@ class _Run:
         inj = self.sc.injections[idx]
         self._emit("exploit_attempted", amount=inj.amount)
         land = next_l1_block(self.now, self.p.l1_block_interval)
-        self._push(land, _P_L1, "invalid_root_landed", idx=idx)
+        self._push(land, _P_L1, "invalid_root_landed", idx)
 
     def _on_invalid_root_landed(self, idx: int) -> None:
         inj = self.sc.injections[idx]
@@ -620,16 +646,16 @@ class _Run:
             deadline = self.now + self.cfg.challenge_window
             challenge_at = self._first_challenge_opportunity(self.now, deadline)
             if challenge_at is not None:
-                self._push(challenge_at, _P_L1, "root_challenged", idx=idx)
+                self._push(challenge_at, _P_L1, "root_challenged", idx)
                 return
-            self._push(deadline, _P_L1, "invalid_root_finalized", idx=idx)
+            self._push(deadline, _P_L1, "invalid_root_finalized", idx)
             return
         # no enforced validation: nothing stands between the root and finality
         if optimistic:
             final = self.now + self.cfg.challenge_window
         else:
             final = self.now + self.p.finalization_depth * self.p.l1_block_interval
-        self._push(final, _P_L1, "invalid_root_finalized", idx=idx)
+        self._push(final, _P_L1, "invalid_root_finalized", idx)
 
     def _first_challenge_opportunity(self, landed: int, deadline: int) -> int | None:
         """Earliest aligned instant in (landed, deadline) at which someone can

@@ -160,23 +160,34 @@ class RandomWorkload:
             raise ScenarioError("random workload fields must be positive")
 
     def materialize(self, seed: int) -> tuple[WorkloadAction, ...]:
-        rng = random.Random(seed)
+        getrandbits = random.Random(seed).getrandbits
+
+        def below(n: int) -> int:
+            """A uniform draw from range(n), exactly as Python 3.11's
+            Random.randrange(n), randint(1, n) - 1 and choice() over n items
+            make it: rejection sampling on n.bit_length() random bits."""
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            return r
+
+        kinds = ("deposit", "withdraw", "withdraw", "transfer")
         names = [f"user-{i}" for i in range(self.users)]
-        times = sorted(rng.randrange(self.horizon) for _ in range(self.actions))
+        times = sorted(below(self.horizon) for _ in range(self.actions))
         seen: set[str] = set()
         out: list[WorkloadAction] = []
         for t in times:
-            # randrange(n) draws exactly what choice() over n items draws
-            i = rng.randrange(len(names))
+            i = below(len(names))
             user = names[i]
             if user not in seen:
                 seen.add(user)
                 kind = "deposit"
             else:
-                kind = rng.choice(("deposit", "withdraw", "withdraw", "transfer"))
-            amount = rng.randint(1, self.max_amount)
+                kind = kinds[below(4)]
+            amount = 1 + below(self.max_amount)
             if kind == "transfer" and len(names) > 1:
-                j = rng.randrange(len(names) - 1)  # an index into names without user
+                j = below(len(names) - 1)  # an index into names without user
                 to = names[j + (j >= i)]
                 out.append(WorkloadAction(t, "transfer", user, amount, to))
             elif kind == "transfer":

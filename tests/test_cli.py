@@ -1,12 +1,14 @@
 """End-to-end command-line tests driving `main` in-process."""
 
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from l2risk.cli import main
 from l2risk.data import fixture_path
+from l2risk.report import build_report, render_report_text
 from l2risk.schemas import SCHEMA_NAMES, load_schema
 
 SNAPSHOT = str(fixture_path("snapshot-fixture.json"))
@@ -68,6 +70,22 @@ def test_snapshot_warnings_printed_to_stderr_once_each(tmp_path, capsys, command
         payload = payload["prevalence"]
     assert payload["warnings"]
     assert capsys.readouterr().err.splitlines() == payload["warnings"]
+
+
+def test_report_prints_incident_warnings_once_after_the_snapshot_warnings(tmp_path, capsys):
+    table = tmp_path / "incidents.csv"
+    table.write_text(Path(INCIDENTS).read_text(encoding="utf-8") + "Foochain,2024-01-01\n")
+    assert main(["report", "--snapshot", SNAPSHOT, "--incidents", str(table)]) == 0
+    printed = capsys.readouterr()
+    bundle = build_report(snapshot_path=SNAPSHOT, incidents_path=table)
+    assert bundle.report["incidents"]["warnings"] == ["line 34: too few fields"]
+    assert printed.err.splitlines() == [
+        *bundle.report["prevalence"]["warnings"],
+        "line 34: too few fields",
+    ]
+    # stdout is the report alone; only its "Generated:" timestamp may differ
+    out, expected = printed.out.splitlines(), render_report_text(bundle).splitlines()
+    assert out[:1] + out[2:] == expected[:1] + expected[2:]
 
 
 def test_ingest_snapshot_explicit_adapter(capsys):

@@ -9,7 +9,7 @@ from functools import reduce
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from l2risk.data import fixture_path, scenario_names
@@ -25,6 +25,8 @@ from l2risk.model import (
     ProposerConfig,
     ProverSetConfig,
     RollupConfig,
+    UpgradeConfig,
+    UpgradePolicy,
 )
 from l2risk.schemas import load_schema
 from l2risk.sim import (
@@ -41,6 +43,7 @@ from l2risk.sim import (
     parse_scenario,
     simulate,
 )
+from l2risk.sim import engine as sim_engine
 from l2risk.sim.engine import _FAULT_EFFECTS, _Run
 
 ZK_ONCHAIN = {"proof_system": "zk", "da": {"mode": "onchain"}}
@@ -146,8 +149,8 @@ def _some(**fields):
 
 
 # Well-typed documents. Many break a cross-field rule (an optimistic rollup
-# without a challenge window, a transfer without a recipient) that the
-# schema does not check; the reader must reject those with ScenarioError.
+# without a challenge window, forced inclusion usable while disabled) that
+# the schema does not check; the reader must reject those with ScenarioError.
 _DOCUMENTS = st.fixed_dictionaries(
     {
         "config": _some(
@@ -243,6 +246,18 @@ def _near_misses(draw):
     return doc
 
 
+_ACTIONS = ["deposit", "withdraw", "transfer", "hatch-exit"]
+_NAME = st.sampled_from(["", "u", "v"])
+
+
+def _parses(doc) -> bool:
+    try:
+        parse_scenario(doc)
+    except ScenarioError:
+        return False
+    return True
+
+
 class TestStrictReader:
     @settings(max_examples=400, deadline=None)
     @given(_DOCUMENTS | _near_misses() | st.sampled_from([[], "x", None, 3]))
@@ -276,6 +291,54 @@ class TestStrictReader:
             parse_scenario(doc)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "action, accepted",
+        [
+            # a user is named
+            ({"action": "deposit", "user": "", "amount": 1}, False),
+            ({"action": "deposit", "user": "u", "amount": 1}, True),
+            # a transfer names a recipient
+            ({"action": "transfer", "user": "u", "amount": 1}, False),
+            ({"action": "transfer", "user": "u", "amount": 1, "to": None}, False),
+            ({"action": "transfer", "user": "u", "amount": 1, "to": ""}, False),
+            ({"action": "transfer", "user": "u", "amount": 1, "to": "v"}, True),
+            # no other action does
+            ({"action": "withdraw", "user": "u", "amount": 1, "to": "v"}, False),
+            ({"action": "hatch-exit", "user": "u", "to": ""}, False),
+            ({"action": "withdraw", "user": "u", "amount": 1, "to": None}, True),
+            ({"action": "hatch-exit", "user": "u", "to": None}, True),
+            # every action but a hatch exit moves a positive amount
+            ({"action": "deposit", "user": "u"}, False),
+            ({"action": "withdraw", "user": "u", "amount": 0}, False),
+            ({"action": "transfer", "user": "u", "amount": 0, "to": "v"}, False),
+            ({"action": "withdraw", "user": "u", "amount": 1}, True),
+            ({"action": "hatch-exit", "user": "u"}, True),
+            ({"action": "hatch-exit", "user": "u", "amount": 0}, True),
+        ],
+    )
+    def test_schema_and_reader_agree_on_each_action_rule(self, action, accepted):
+        doc = _scenario(workload={"actions": [{"at": 0, **action}]})
+        assert _SCHEMA.is_valid(doc) is accepted
+        assert _parses(doc) is accepted
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.fixed_dictionaries(
+            {"at": _POS, "action": st.sampled_from(_ACTIONS), "user": _NAME},
+            optional={"amount": _INT, "to": st.none() | _NAME},
+        )
+    )
+    def test_schema_and_reader_accept_the_same_actions(self, action):
+        doc = _scenario(workload={"actions": [action]})
+        if action["action"] == "transfer" and action.get("to") == action["user"] != "":
+            # a transfer to oneself is refused by the reader alone: the schema
+            # takes it exactly when the reader takes it sent to someone else
+            assert not _parses(doc)
+            sent_on = _scenario(workload={"actions": [{**action, "to": "w"}]})
+            assert _SCHEMA.is_valid(doc) is _parses(sent_on)
+        else:
+            assert _SCHEMA.is_valid(doc) is _parses(doc)
+
     def test_omitted_config_keys_take_the_field_defaults(self):
         assert parse_scenario({"config": {}}).config == RollupConfig()
         assert RollupConfig() != RollupConfig.centralized_default()
@@ -295,7 +358,68 @@ class TestStrictReader:
             parse_scenario({"config": {"da": None}})
 
 
+def _materialize_reference(wl: RandomWorkload, seed: int) -> tuple[WorkloadAction, ...]:
+    """RandomWorkload.materialize as written with randrange, randint and
+    choice: the draws the getrandbits version must reproduce."""
+    rng = random.Random(seed)
+    names = [f"user-{i}" for i in range(wl.users)]
+    times = sorted(rng.randrange(wl.horizon) for _ in range(wl.actions))
+    seen: set[str] = set()
+    out: list[WorkloadAction] = []
+    for t in times:
+        i = rng.randrange(len(names))
+        user = names[i]
+        if user not in seen:
+            seen.add(user)
+            kind = "deposit"
+        else:
+            kind = rng.choice(("deposit", "withdraw", "withdraw", "transfer"))
+        amount = rng.randint(1, wl.max_amount)
+        if kind == "transfer" and len(names) > 1:
+            j = rng.randrange(len(names) - 1)
+            to = names[j + (j >= i)]
+            out.append(WorkloadAction(t, "transfer", user, amount, to))
+        elif kind == "transfer":
+            out.append(WorkloadAction(t, "withdraw", user, amount))
+        else:
+            out.append(WorkloadAction(t, kind, user, amount))
+    return tuple(out)
+
+
+# Sizes at the edges of bit_length rejection sampling: 1, powers of two and
+# their neighbours, where a draw needs one more bit than the size below it.
+_EDGE_SIZES = st.sampled_from(
+    sorted(
+        {n for k in (0, 1, 2, 3, 8, 16, 31, 32, 33, 53, 64) for n in (2**k - 1, 2**k, 2**k + 1)}
+        - {0}
+    )
+)
+
+
 class TestRandomWorkload:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        users=st.integers(1, 40) | _EDGE_SIZES.filter(lambda n: n <= 1025),
+        actions=st.integers(1, 80),
+        horizon=st.integers(1, DAY) | _EDGE_SIZES,
+        max_amount=st.integers(1, 2_000) | _EDGE_SIZES,
+        seed=st.integers(0, 2**64),
+    )
+    # one user (a transfer falls back to a withdrawal), and sizes of 1
+    @example(users=1, actions=30, horizon=1, max_amount=1, seed=0)
+    @example(users=2, actions=60, horizon=2**16, max_amount=2**32, seed=1)
+    def test_draws_match_randrange_randint_and_choice(
+        self, users, actions, horizon, max_amount, seed
+    ):
+        wl = RandomWorkload(users=users, actions=actions, horizon=horizon, max_amount=max_amount)
+        assert wl.materialize(seed) == _materialize_reference(wl, seed)
+
+    @pytest.mark.parametrize("users, actions", [(1_000, 16_000), (5, 20), (1, 30)])
+    def test_draws_match_the_reference_at_the_benchmark_sizes(self, users, actions):
+        wl = RandomWorkload(users=users, actions=actions)
+        for seed in range(5):
+            assert wl.materialize(seed) == _materialize_reference(wl, seed)
+
     def test_same_seed_same_actions(self):
         wl = RandomWorkload(users=4, actions=15, horizon=3600)
         assert wl.materialize(7) == wl.materialize(7)
@@ -856,6 +980,97 @@ class TestTraceFreeze:
         } <= seen
 
 
+def _compact(event: dict) -> str:
+    return json.dumps(event, sort_keys=True, separators=(",", ":"))
+
+
+# Text a JSON string must escape or \u-escape: quotes, backslashes, control
+# characters, non-ASCII (a line separator, a supplementary-plane character)
+# and what would close one object and open the next.
+_ODD_TEXT = ('"', "\\", "},{", "\n", "\x00", "é", "名前", "\u2028", "\U0001f600")
+
+
+@st.composite
+def _odd_user_scenarios(draw) -> Scenario:
+    """Explicit workloads whose user names hold text JSON must escape, with an
+    upgrade so the names also land in the holders list and a share in
+    exit_coverage."""
+    name = st.builds(operator.add, st.sampled_from(_ODD_TEXT), st.text(max_size=3))
+    users = draw(st.lists(name, min_size=1, max_size=4, unique=True))
+    actions = [WorkloadAction(draw(st.integers(0, 600)), "deposit", u, 1_000) for u in users]
+    for _ in range(draw(st.integers(0, 8))):
+        user = draw(st.sampled_from(users))
+        at = draw(st.integers(0, 3 * HOUR))
+        kind = draw(st.sampled_from(["withdraw", "transfer", "hatch-exit"]))
+        others = [u for u in users if u != user]
+        if kind == "transfer" and others:
+            to = draw(st.sampled_from(others))
+            actions.append(WorkloadAction(at, kind, user, draw(st.integers(1, 600)), to))
+        elif kind == "hatch-exit":
+            actions.append(WorkloadAction(at, kind, user, draw(st.integers(0, 600))))
+        else:
+            actions.append(WorkloadAction(at, "withdraw", user, draw(st.integers(1, 1_200))))
+    window = draw(st.sampled_from((HOUR, 3 * HOUR)))
+    config = RollupConfig(
+        escape_hatch=EscapeHatchConfig(enabled=True),
+        upgrade=UpgradeConfig(policy=UpgradePolicy.TIMELOCKED, window=window),
+    )
+    # announced once every deposit has landed, so there are holders to count
+    announce = draw(st.integers(600, 2 * HOUR))
+    return Scenario("odd-users", config, actions=actions, upgrade_at=announce)
+
+
+class TestTraceLines:
+    """trace_lines() writes each event exactly as json.dumps with sorted keys
+    and compact separators does, from one encoder per call."""
+
+    def _check(self, result) -> None:
+        assert result.trace_lines() == [_compact(e) for e in result.events]
+
+    def test_bundled_and_fault_laden_runs(self):
+        for name in sorted(FROZEN_BUNDLED):
+            self._check(simulate(load_bundled_scenario(name), seed=0))
+        for seed in sorted(FROZEN_FAULT_LADEN):
+            self._check(simulate(_fault_laden(seed), seed=0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_odd_user_scenarios())
+    def test_user_names_that_need_escaping(self, scenario):
+        result = simulate(scenario, seed=0)
+        assert any(isinstance(e.get("exit_coverage"), float) for e in result.events)
+        self._check(result)
+
+    def test_write_trace_writes_one_line_per_event(self, tmp_path):
+        users = [f"{text}-{i}" for i, text in enumerate(_ODD_TEXT)]
+        deposits = [WorkloadAction(0, "deposit", u, 100) for u in users]
+        withdrawals = [WorkloadAction(600, "withdraw", u, 50) for u in users]
+        result = simulate(Scenario("odd-users", RollupConfig(), actions=deposits + withdrawals))
+        path = tmp_path / "trace.ndjson"
+        result.write_trace(path)
+        data = path.read_bytes()
+        assert data == ("\n".join(result.trace_lines()) + "\n").encode("ascii")
+        assert data.count(b"\n") == len(result.events)
+
+    def test_one_encoder_per_call_whatever_the_event_count(self, monkeypatch):
+        real = json.encoder.c_make_encoder
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        # JSONEncoder.encode builds its encoder through json.encoder's name,
+        # so a per-event encoder is counted whichever way it is built.
+        monkeypatch.setattr(json.encoder, "c_make_encoder", counting)
+        monkeypatch.setattr(sim_engine, "c_make_encoder", counting, raising=False)
+        for users, actions in ((5, 20), (100, 2_000)):
+            result = simulate(_random(users, actions), seed=0)
+            built.clear()
+            lines = result.trace_lines()
+            assert len(lines) == len(result.events) > actions
+            assert len(built) == 1, (actions, len(built))
+
+
 def _scan_stalled(run: _Run) -> bool:
     """The stall test as a plain scan of every exit in flight, evaluating the
     fault predicates per exit: the reference the engine's answer must match
@@ -1126,6 +1341,61 @@ class TestLedger:
                 run.execute()
                 assert (run.l2.scans, run.inflight.scans) == (1, 1), scenario.name
                 assert run.result().events == simulate(scenario, 0).events
+
+
+class _RecoveryMintsOne(_Mutant, _Run):
+    """A recovery batch that adds a unit to the escrow from nowhere."""
+
+    def _on_recovery_batch(self):
+        super()._on_recovery_batch()
+        self.bridge_pool += 1
+        self._mutated()
+
+
+class _ClaimMintsOne(_Mutant, _Run):
+    """A claim that adds a unit to the escrow from nowhere."""
+
+    def _on_claim(self, wid):
+        super()._on_claim(wid)
+        self.bridge_pool += 1
+        self._mutated()
+
+
+class _BatchMintsOne(_Mutant, _Run):
+    """Every batch, on the grid or on recovery, adds a unit to the escrow."""
+
+    def _make_batch(self):
+        super()._make_batch()
+        self.bridge_pool += 1
+        self._mutated()
+
+
+class TestDispatch:
+    """A violation record names the kind its event was scheduled as, and a
+    subclass's handler is the one that runs."""
+
+    @pytest.mark.parametrize(
+        "broken, kind", [(_RecoveryMintsOne, "recovery_batch"), (_ClaimMintsOne, "claim")]
+    )
+    def test_a_violation_names_the_kind_whose_handler_broke_conservation(self, broken, kind):
+        run = broken(load_bundled_scenario("sequencer-outage-fi-24h"), 0)
+        run.execute()
+        assert run.mutated_at is not None
+        first = run.violations[0]
+        assert (first["t"], first["event"]) == (run.mutated_at, kind)
+        assert first["bridge"] == first["accounted"] + 1
+
+    def test_a_shared_handler_is_named_by_the_kind_it_ran_as(self):
+        # batch_tick and recovery_batch run the same code; the violation at
+        # each mint must still name its own kind.
+        run = _BatchMintsOne(load_bundled_scenario("sequencer-outage-fi-24h"), 0)
+        run.execute()
+        minted, gap = [], 0
+        for v in run.violations:
+            if v["bridge"] - v["accounted"] > gap:
+                minted.append((v["t"], v["event"]))
+            gap = v["bridge"] - v["accounted"]
+        assert minted == [(0, "batch_tick"), (18_000, "recovery_batch")]
 
 
 # Each fault kind a config can neutralize, with the config change that does it.
