@@ -115,18 +115,10 @@ class IncidentParseResult:
         return [f"line {i.line}: {i.reason}" for i in self.issues]
 
 
-def _source_kind(url: str) -> SourceKind:
-    host = urlparse(url).netloc.lower()
+def _source_kind(host: str) -> SourceKind:
     if host == "l2beat.com" or host.endswith(".l2beat.com"):
         return SourceKind.L2BEAT
     return SourceKind.EXTERNAL
-
-
-def _dedup_key(project: str, date: dt.date, detail: str, url: str) -> tuple:
-    # Re-reported incidents collapse, but distinct source pages for the same
-    # project/day/label stay separate, so the key includes URL host+path.
-    parts = urlparse(url)
-    return (project.strip(), date.isoformat(), normalize_label(detail), parts.netloc.lower() + parts.path)
 
 
 def parse_incidents(source: str | Path, *, text: str | None = None) -> IncidentParseResult:
@@ -177,7 +169,11 @@ def parse_incidents(source: str | Path, *, text: str | None = None) -> IncidentP
             continue
         url = row[col["link"]].strip()
         detail = row[col["incident_type"]].strip()
-        key = _dedup_key(project, date, detail, url)
+        parts = urlparse(url)
+        host = parts.netloc.lower()
+        # Re-reported incidents collapse, but distinct source pages for the
+        # same project/day/label stay separate, so the key includes host+path.
+        key = (project, date.isoformat(), normalize_label(detail), host + parts.path)
         if key in seen:
             duplicates += 1
             continue
@@ -195,7 +191,7 @@ def parse_incidents(source: str | Path, *, text: str | None = None) -> IncidentP
                 glossary_class=glossary,
                 compressed=compress(glossary) if glossary is not None else None,
                 source_url=url,
-                source_kind=_source_kind(url),
+                source_kind=_source_kind(host),
             )
         )
     return IncidentParseResult(tuple(records), tuple(issues), duplicates)

@@ -8,7 +8,6 @@ from __future__ import annotations
 import datetime as dt
 import enum
 from dataclasses import dataclass, field
-from decimal import Decimal, ROUND_HALF_UP
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -23,11 +22,18 @@ def _slug(text: str) -> str:
 
 
 def percentage(count: int, total: int) -> float:
-    """Share of total as a percentage, rounded half-up to one decimal."""
+    """Share of total as a percentage, rounded half-up to one decimal.
+    Exact integer arithmetic: the share in tenths of a percent, 1000 *
+    count / total, plus one half, floored (count is never negative)."""
     if total <= 0:
         raise ValueError("total must be positive")
-    raw = Decimal(count) * 100 / Decimal(total)
-    return float(raw.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+    return (2000 * count + total) // (2 * total) / 10
+
+
+def decode_text(data: bytes) -> str:
+    """data as Path.read_text(encoding="utf-8") reads it: strict UTF-8 with
+    universal newlines, so parse errors report the same lines and columns."""
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def aligned_table(headers: Sequence[str], rows: Sequence[Sequence[str]], left: int) -> str:
@@ -84,13 +90,20 @@ def enum_table(raw: Mapping, key: str, members: type[enum.Enum], read) -> dict:
 
 
 class _LabeledEnum(enum.Enum):
-    """Enum whose members parse from loosely formatted labels."""
+    """Enum whose members parse from loosely formatted labels.
+
+    Members hash by identity, in C, which agrees with Enum's identity
+    equality; Enum's own __hash__ is a Python function. Nothing the program
+    writes may depend on the order of a set of members, since that order
+    differs between interpreters under either hash."""
+
+    __hash__ = object.__hash__
 
     @classmethod
     def parse(cls, text: str):
         try:
-            return cls(_slug(text))
-        except ValueError:
+            return cls._value2member_map_[_slug(text)]
+        except KeyError:
             raise ValueError(f"{cls.__name__}: unrecognized label {text!r}") from None
 
 

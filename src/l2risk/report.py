@@ -7,9 +7,9 @@ pointing out where structure and operational history agree, disagree, or
 where structure carries hazards that leave no incident trail at all.
 
 Reports are reproducible: metadata carries a sha256 digest of every input
-file and a content digest over the whole document (minus the generation
-timestamp), so regenerating from identical inputs yields an identical
-digest.
+file, taken from the same bytes that were parsed, and a content digest over
+the whole document (minus the generation timestamp), so regenerating from
+identical inputs yields an identical digest.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ from l2risk.model import (
     RiskDimension,
     RoleFlag,
     RollupConfig,
+    decode_text,
 )
-from l2risk.sim import SimResult, load_scenario, simulate
+from l2risk.sim import SimResult, load_scenario, read_scenario, simulate
 from l2risk.snapshot import (
     FlagRuleset,
     PrevalenceTable,
@@ -167,8 +168,9 @@ class ReportBundle:
     simulations: tuple[SimResult, ...]
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _input(path: str | Path, data: bytes) -> tuple[dict, str]:
+    """An input's metadata entry and its text, both from the one read."""
+    return {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}, decode_text(data)
 
 
 def content_digest(report: dict) -> str:
@@ -194,15 +196,24 @@ def build_report(
     threshold: RoleFlag | None = None,
     generated_at: str | None = None,
 ) -> ReportBundle:
-    """Run the whole pipeline over the given inputs and assemble a report."""
+    """Run the whole pipeline over the given inputs and assemble a report.
+    Each input file is read once; its recorded sha256 covers the bytes
+    that were parsed."""
     snapshot_path = Path(snapshot_path)
     incidents_path = Path(incidents_path)
 
-    ruleset = FlagRuleset.from_file(ruleset_path) if ruleset_path else None
-    extract = extract_projects(load_snapshot(snapshot_path), ruleset=ruleset, adapter=adapter)
+    ruleset = None
+    if ruleset_path:
+        ruleset_input, text = _input(ruleset_path, Path(ruleset_path).read_bytes())
+        ruleset = FlagRuleset.from_file(ruleset_path, text=text)
+    snapshot_input, text = _input(snapshot_path, snapshot_path.read_bytes())
+    extract = extract_projects(
+        load_snapshot(snapshot_path, text=text), ruleset=ruleset, adapter=adapter
+    )
     prevalence = aggregate_prevalence(extract.profiles)
 
-    parsed = parse_incidents(incidents_path)
+    incidents_input, text = _input(incidents_path, incidents_path.read_bytes())
+    parsed = parse_incidents(incidents_path, text=text)
     dist = distribution(parsed.records)
 
     notes = cross_validate(prevalence, dist)
@@ -213,19 +224,17 @@ def build_report(
     priorities = prioritize(findings, prevalence, dist)
 
     simulations = []
+    scenario_inputs = []
     for sp in scenario_paths:
-        simulations.append(simulate(load_scenario(sp), seed=seed))
+        scenario_input, text = _input(Path(sp), read_scenario(sp))
+        scenario_inputs.append(scenario_input)
+        simulations.append(simulate(load_scenario(sp, text=text), seed=seed))
 
-    inputs: dict = {
-        "snapshot": {"path": str(snapshot_path), "sha256": _sha256(snapshot_path)},
-        "incidents": {"path": str(incidents_path), "sha256": _sha256(incidents_path)},
-    }
+    inputs: dict = {"snapshot": snapshot_input, "incidents": incidents_input}
     if ruleset_path:
-        inputs["ruleset"] = {"path": str(ruleset_path), "sha256": _sha256(Path(ruleset_path))}
+        inputs["ruleset"] = ruleset_input
     if scenario_paths:
-        inputs["scenarios"] = [
-            {"path": str(Path(sp)), "sha256": _sha256(Path(sp))} for sp in scenario_paths
-        ]
+        inputs["scenarios"] = scenario_inputs
 
     stamp = generated_at or dt.datetime.now(dt.timezone.utc).isoformat(timespec="seconds")
     prevalence_section = prevalence.to_dict()

@@ -12,6 +12,7 @@ from l2risk.sim.scenario import (
     load_bundled_scenario,
     load_scenario,
     parse_scenario,
+    read_scenario,
 )
 
 __all__ = [
@@ -27,5 +28,6 @@ __all__ = [
     "load_scenario",
     "next_l1_block",
     "parse_scenario",
+    "read_scenario",
     "simulate",
 ]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from l2risk.data import fixture_path
-from l2risk.model import DAY, IncidentClass, RollupConfig, _LabeledEnum
+from l2risk.model import DAY, IncidentClass, RollupConfig, _LabeledEnum, decode_text
 
 
 class ScenarioError(ValueError):
@@ -364,13 +364,22 @@ def parse_scenario(raw: object, *, name: str = "scenario") -> Scenario:
     )
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    """Read and validate a scenario JSON file."""
-    path = Path(path)
+def read_scenario(path: str | Path) -> bytes:
+    """A scenario file's bytes; a file that cannot be read is a ScenarioError."""
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        return Path(path).read_bytes()
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
+
+
+def load_scenario(path: str | Path, *, text: str | None = None) -> Scenario:
+    """Read and validate a scenario JSON file. Pass ``text`` to parse
+    content already read from ``path``."""
+    path = Path(path)
+    if text is None:
+        text = decode_text(read_scenario(path))
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
     return parse_scenario(raw, name=path.stem)

@@ -157,9 +157,13 @@ ADAPTERS: Mapping[str, Adapter] = MappingProxyType(
 )
 
 
-def load_snapshot(path: str | Path) -> Any:
+def load_snapshot(path: str | Path, *, text: str | None = None) -> Any:
+    """Parse a snapshot JSON file. Pass ``text`` to parse content already
+    read from ``path`` instead of reading it again."""
+    if text is None:
+        text = Path(path).read_text(encoding="utf-8")
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SnapshotParseError(f"{path}: not valid JSON ({exc})") from exc
 
@@ -204,11 +208,14 @@ class FlagRuleset:
         object.__setattr__(self, "rules", MappingProxyType(normalized))
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "FlagRuleset":
+    def from_file(cls, path: str | Path, *, text: str | None = None) -> "FlagRuleset":
         """Read a ruleset file: an object with "rules" (dimension -> list of
         strings), an optional boolean "sentiment_fallback" and an optional
-        "version"; anything else is a ValueError."""
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        "version"; anything else is a ValueError. Pass ``text`` to parse
+        content already read from ``path``."""
+        if text is None:
+            text = Path(path).read_text(encoding="utf-8")
+        raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError("ruleset must be an object")
         unknown = sorted(set(raw) - {"version", "sentiment_fallback", "rules"})

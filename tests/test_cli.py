@@ -1,6 +1,9 @@
 """End-to-end command-line tests driving `main` in-process."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -27,6 +30,17 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_cli_import_leaves_decimal_unloaded():
+    # percentages are integer arithmetic; decimal costs about 2 ms of every start
+    src = Path(sys.modules["l2risk"].__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, l2risk.cli; print(sorted(m for m in sys.modules if 'decimal' in m))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # -- ingest-snapshot -----------------------------------------------------------

@@ -1,4 +1,8 @@
+import enum
 import itertools
+import tempfile
+from decimal import ROUND_HALF_UP, Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +37,7 @@ from l2risk.model import (
     _LabeledEnum,
     _slug,
     binarize,
+    decode_text,
     normalize_label,
     percentage,
 )
@@ -126,6 +131,27 @@ class TestEnums:
             assert str(got.value) == str(exc)
         else:
             assert enum_cls.parse(text) is expected
+
+    def test_parse_is_one_lookup_not_an_enum_call(self, monkeypatch):
+        calls = []
+        call = enum.EnumType.__call__
+
+        def counted(cls, *args, **kwargs):
+            calls.append(cls)
+            return call(cls, *args, **kwargs)
+
+        monkeypatch.setattr(enum.EnumType, "__call__", counted)
+        for enum_cls in LABELED_ENUMS:
+            for member in enum_cls:
+                assert enum_cls.parse(member.value.upper()) is member
+        assert calls == []
+
+    def test_members_hash_by_identity(self):
+        for enum_cls in LABELED_ENUMS:
+            assert enum_cls.__hash__ is object.__hash__
+            for member in enum_cls:
+                assert hash(member) == object.__hash__(member)
+                assert {member: 1}[enum_cls.parse(member.value)] == 1
 
     def test_member_counts(self):
         assert len(RiskDimension) == 5
@@ -265,7 +291,38 @@ class TestRollupConfigValidation:
         assert RollupConfig.centralized_default().has_independent_provers()
 
 
+def _decimal_percentage(count: int, total: int) -> float:
+    """Reference: percentage as first written, in Decimal arithmetic. Exact
+    for totals up to 10**18: a share that is not a tie lies at least
+    1/(20 * total) from one, far beyond Decimal's 28 significant digits."""
+    raw = Decimal(count) * 100 / Decimal(total)
+    return float(raw.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+
+
 class TestPercentage:
+    def test_matches_decimal_reference_for_every_small_pair(self):
+        tenth, hundred = Decimal("0.1"), Decimal(100)
+        for total in range(1, 2001):
+            denominator = Decimal(total)
+            expected = [
+                float((Decimal(c) * hundred / denominator).quantize(tenth, ROUND_HALF_UP))
+                for c in range(total + 1)
+            ]
+            assert [percentage(c, total) for c in range(total + 1)] == expected, total
+
+    @settings(max_examples=500)
+    @given(
+        st.integers(min_value=1, max_value=10**18).flatmap(
+            lambda total: st.tuples(st.integers(min_value=0, max_value=total), st.just(total))
+        )
+        # exact ties (2k+1)/20 of a percent, and one count either side of them
+        | st.tuples(st.integers(0, 999), st.integers(1, 5 * 10**14), st.sampled_from([-1, 0, 1])).map(
+            lambda t: ((2 * t[0] + 1) * t[1] + t[2], 2000 * t[1])
+        )
+    )
+    def test_matches_decimal_reference_for_large_pairs(self, pair):
+        assert percentage(*pair) == _decimal_percentage(*pair)
+
     def test_rounds_ties_up(self):
         assert percentage(6, 32) == 18.8  # 18.75 is an exact tie
         assert percentage(1, 16) == 6.3  # 6.25 is an exact tie
@@ -278,6 +335,25 @@ class TestPercentage:
     @given(st.integers(min_value=0, max_value=500), st.integers(min_value=1, max_value=500))
     def test_within_rounding_distance_of_exact_share(self, count, total):
         assert abs(percentage(count, total) - 100 * count / total) <= 0.05 + 1e-9
+
+
+_CHUNKS = [b"a", b"{", b"\r", b"\n", b"\r\n", b"\xc3\xa9", b"\xef\xbb\xbf", b"\xff", b"\xc3"]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.sampled_from(_CHUNKS), max_size=12).map(b"".join))
+def test_decode_text_reads_bytes_as_read_text_reads_the_file(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_bytes(data)
+        try:
+            expected = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            with pytest.raises(UnicodeDecodeError) as got:
+                decode_text(data)
+            assert str(got.value) == str(exc)
+        else:
+            assert decode_text(data) == expected
 
 
 def test_harm_metrics_serialization_is_sorted_and_plain():

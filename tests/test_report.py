@@ -1,12 +1,20 @@
 """Cross-validation notes, report assembly, and reproducibility."""
 
+import builtins
+import enum
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import jsonschema
 import pytest
 
-from l2risk.data import fixture_path
+from l2risk.data import RULESET_JSON, fixture_path
 from l2risk.incidents import distribution, parse_incidents
 from l2risk.model import CompressedIncidentType, RiskDimension
 from l2risk.report import build_report, content_digest, cross_validate, render_report_text
@@ -207,6 +215,105 @@ def test_strict_roles_flag_follows_environment(monkeypatch):
         strict.report["metadata"]["content_digest"]
         != lax.report["metadata"]["content_digest"]
     )
+
+
+# The content digest of `l2risk report --format json` over the fixtures and
+# every bundled scenario, run from the repository root with relative paths
+# (the digest covers the paths). A change that moves it must say why.
+FIXTURE_REPORT_DIGEST = "764e84aba9930da30c7aa764d0bbe654ef3bbc4bcd94879a46fd35f4e06fc7a7"
+
+# Runs the CLI after giving labeled enum members a hash that sorts every set
+# of them by their place in the class, ascending ("up") or descending
+# ("down"). l2risk.model builds no set or dict of members at import, so the
+# hash is in place before any is built.
+_ORDERED_MEMBERS = """
+import sys
+import l2risk.model
+
+def place(member):
+    return type(member)._member_names_.index(member._name_)
+
+up = sys.argv.pop(1) == "up"
+l2risk.model._LabeledEnum.__hash__ = place if up else lambda member: -1 - place(member)
+from l2risk.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "hash_seed, member_order",
+    [("0", None), ("1", None), (None, None), (None, "up"), (None, "down")],
+)
+def test_report_digest_is_independent_of_hash_order(hash_seed, member_order, tmp_path):
+    # Identity hashes put members in a set in an order that can differ
+    # between interpreters, and string hashes follow PYTHONHASHSEED; no
+    # output may depend on either. A fresh interpreter rarely reorders a
+    # small set of members, so two runs also force opposite orders.
+    root = SNAPSHOT.parents[3]
+    if not (root / "src" / "l2risk").is_dir():
+        pytest.skip("needs a source checkout: the pinned digest covers src/ paths")
+    argv = ["report"]
+    for flag, path in (("--snapshot", SNAPSHOT), ("--incidents", INCIDENTS)):
+        argv += [flag, str(path.relative_to(root))]
+    for path in sorted(fixture_path("scenarios").glob("*.json")):
+        argv += ["--scenario", str(path.relative_to(root))]
+    out = tmp_path / "report.json"
+    argv += ["--format", "json", "--out", str(out)]
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONHASHSEED", "ERA_STRICT_ROLES")}
+    env["PYTHONPATH"] = str(root / "src")
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
+    if member_order is None:
+        command = [sys.executable, "-m", "l2risk.cli", *argv]
+    else:
+        command = [sys.executable, "-c", _ORDERED_MEMBERS, member_order, *argv]
+    subprocess.run(command, cwd=root, env=env, capture_output=True, check=True)
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["metadata"]["content_digest"] == FIXTURE_REPORT_DIGEST
+
+
+# -- work guards ---------------------------------------------------------------
+
+
+def _full_report():
+    return build_report(
+        snapshot_path=SNAPSHOT,
+        incidents_path=INCIDENTS,
+        ruleset_path=fixture_path(RULESET_JSON),
+        scenario_paths=sorted(fixture_path("scenarios").glob("*.json")),
+    )
+
+
+def test_build_report_reads_each_input_once(monkeypatch):
+    opened = Counter()
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        if not isinstance(file, int):
+            opened[Path(file).resolve()] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    bundle = _full_report()
+    inputs = bundle.report["metadata"]["inputs"]
+    paths = [inputs["snapshot"]["path"], inputs["incidents"]["path"], inputs["ruleset"]["path"]]
+    paths += [s["path"] for s in inputs["scenarios"]]
+    assert len(paths) == 12
+    assert {p: opened[Path(p).resolve()] for p in paths} == {p: 1 for p in paths}
+
+
+def test_build_report_never_calls_enum_hash(monkeypatch):
+    calls = Counter()
+    enum_hash = enum.Enum.__hash__
+
+    def counting_hash(self):
+        calls[type(self).__name__] += 1
+        return enum_hash(self)
+
+    monkeypatch.setattr(enum.Enum, "__hash__", counting_hash)
+    _full_report()
+    assert calls == Counter()
 
 
 # -- rendering -----------------------------------------------------------------

@@ -149,8 +149,9 @@ def _some(**fields):
 
 
 # Well-typed documents. Many break a cross-field rule (an optimistic rollup
-# without a challenge window, forced inclusion usable while disabled) that
-# the schema does not check; the reader must reject those with ScenarioError.
+# without a challenge window, forced inclusion usable while disabled, an
+# outage without a duration); the schema and the reader must both reject
+# those. A transfer to its own sender is the one rule only the reader checks.
 _DOCUMENTS = st.fixed_dictionaries(
     {
         "config": _some(
@@ -338,6 +339,81 @@ class TestStrictReader:
             assert _SCHEMA.is_valid(doc) is _parses(sent_on)
         else:
             assert _SCHEMA.is_valid(doc) is _parses(doc)
+
+    @pytest.mark.parametrize(
+        "doc, accepted",
+        [
+            # a scenario has a config
+            ({}, False),
+            ({"config": {}}, True),
+            # an optimistic rollup has a challenge window of at least 1
+            ({"config": {"proof_system": "optimistic"}}, False),
+            ({"config": {"proof_system": "optimistic", "challenge_window": 0}}, False),
+            ({"config": {"proof_system": "optimistic", "challenge_window": 1}}, True),
+            ({"config": {"proof_system": "zk", "challenge_window": 0}}, True),
+            # forced inclusion is usable only when enabled, and then times out after >= 1 s
+            ({"config": {"forced_inclusion": {"usable": True}}}, False),
+            ({"config": {"forced_inclusion": {"usable": True, "enabled": False}}}, False),
+            ({"config": {"forced_inclusion": {"usable": True, "enabled": True}}}, True),
+            ({"config": {"forced_inclusion": {"usable": False}}}, True),
+            ({"config": {"forced_inclusion": {"enabled": True, "timeout": 0}}}, False),
+            ({"config": {"forced_inclusion": {"enabled": True, "timeout": 1}}}, True),
+            ({"config": {"forced_inclusion": {"enabled": False, "timeout": 0}}}, True),
+            # onchain data, the default mode, cannot be withheld
+            ({"config": {"da": {"withholding_possible": True}}}, False),
+            ({"config": {"da": {"mode": "onchain", "withholding_possible": True}}}, False),
+            ({"config": {"da": {"mode": "external", "withholding_possible": True}}}, True),
+            ({"config": {"da": {"withholding_possible": False}}}, True),
+            # a timelocked upgrade has an exit window of at least 1
+            ({"config": {"upgrade": {"policy": "timelocked"}}}, False),
+            ({"config": {"upgrade": {"policy": "timelocked", "window": 0}}}, False),
+            ({"config": {"upgrade": {"policy": "timelocked", "window": 1}}}, True),
+            ({"config": {"upgrade": {"policy": "instant", "window": 0}}}, True),
+        ],
+    )
+    def test_schema_and_reader_agree_on_each_config_rule(self, doc, accepted):
+        assert _SCHEMA.is_valid(doc) is accepted
+        assert _parses(doc) is accepted
+
+    @pytest.mark.parametrize(
+        "injection, accepted",
+        [
+            # an exploit is instantaneous and takes a positive amount
+            ({"kind": "exploit-user-risk", "amount": 5}, True),
+            ({"kind": "exploit-user-risk", "amount": 5, "duration": 0}, True),
+            ({"kind": "exploit-user-risk", "amount": 5, "duration": 1}, False),
+            ({"kind": "exploit-user-risk"}, False),
+            ({"kind": "exploit-user-risk", "amount": 0}, False),
+            # every other kind is a window of at least 1 s, without an amount
+            ({"kind": "sequencer-outage"}, False),
+            ({"kind": "sequencer-outage", "duration": 0}, False),
+            ({"kind": "sequencer-outage", "duration": 1}, True),
+            ({"kind": "sequencer-outage", "duration": 1, "amount": 0}, True),
+            ({"kind": "sequencer-outage", "duration": 1, "amount": 1}, False),
+            # only censorship names targets
+            ({"kind": "censorship-forced-inclusion-failure", "duration": 1, "targets": ["u"]}, True),
+            ({"kind": "sequencer-outage", "duration": 1, "targets": ["u"]}, False),
+            ({"kind": "sequencer-outage", "duration": 1, "targets": []}, True),
+        ],
+    )
+    def test_schema_and_reader_agree_on_each_injection_rule(self, injection, accepted):
+        doc = _scenario(injections=[{"at": 0, **injection}])
+        assert _SCHEMA.is_valid(doc) is accepted
+        assert _parses(doc) is accepted
+
+    @settings(max_examples=300, deadline=None)
+    @given(_DOCUMENTS)
+    def test_schema_and_reader_accept_the_same_documents(self, doc):
+        # a transfer to its sender is refused by the reader alone, so the
+        # schema is asked about the same document sent to someone else
+        actions = doc.get("workload", {}).get("actions", [])
+        if any(a["action"] == "transfer" and a.get("to") == a["user"] for a in actions):
+            assert not _parses(doc)
+            doc = copy.deepcopy(doc)
+            for a in doc["workload"]["actions"]:
+                if a["action"] == "transfer" and a.get("to") == a["user"]:
+                    a["to"] = "x"
+        assert _SCHEMA.is_valid(doc) is _parses(doc)
 
     def test_omitted_config_keys_take_the_field_defaults(self):
         assert parse_scenario({"config": {}}).config == RollupConfig()
@@ -996,10 +1072,12 @@ def _odd_user_scenarios(draw) -> Scenario:
     upgrade so the names also land in the holders list and a share in
     exit_coverage."""
     name = st.builds(operator.add, st.sampled_from(_ODD_TEXT), st.text(max_size=3))
-    users = draw(st.lists(name, min_size=1, max_size=4, unique=True))
+    users = draw(st.lists(name, min_size=2, max_size=4, unique=True))
     actions = [WorkloadAction(draw(st.integers(0, 600)), "deposit", u, 1_000) for u in users]
+    # the first user only deposits, so someone still holds funds when the
+    # upgrade is announced even if every other user has exited by then
     for _ in range(draw(st.integers(0, 8))):
-        user = draw(st.sampled_from(users))
+        user = draw(st.sampled_from(users[1:]))
         at = draw(st.integers(0, 3 * HOUR))
         kind = draw(st.sampled_from(["withdraw", "transfer", "hatch-exit"]))
         others = [u for u in users if u != user]
