@@ -301,6 +301,7 @@ def _decimal_percentage(count: int, total: int) -> float:
 
 class TestPercentage:
     def test_matches_decimal_reference_for_every_small_pair(self):
+        # _decimal_percentage with its constants hoisted: about 2 M pairs
         tenth, hundred = Decimal("0.1"), Decimal(100)
         for total in range(1, 2001):
             denominator = Decimal(total)

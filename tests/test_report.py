@@ -224,8 +224,9 @@ FIXTURE_REPORT_DIGEST = "764e84aba9930da30c7aa764d0bbe654ef3bbc4bcd94879a46fd35f
 
 # Runs the CLI after giving labeled enum members a hash that sorts every set
 # of them by their place in the class, ascending ("up") or descending
-# ("down"). l2risk.model builds no set or dict of members at import, so the
-# hash is in place before any is built.
+# ("down"; from -2, since CPython turns a hash of -1 into -2). l2risk.model
+# builds no set or dict of members at import, so the hash is in place before
+# any is built.
 _ORDERED_MEMBERS = """
 import sys
 import l2risk.model
@@ -234,7 +235,7 @@ def place(member):
     return type(member)._member_names_.index(member._name_)
 
 up = sys.argv.pop(1) == "up"
-l2risk.model._LabeledEnum.__hash__ = place if up else lambda member: -1 - place(member)
+l2risk.model._LabeledEnum.__hash__ = place if up else lambda member: -2 - place(member)
 from l2risk.cli import main
 sys.exit(main(sys.argv[1:]))
 """
