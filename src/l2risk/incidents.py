@@ -19,11 +19,11 @@ from .model import (
     IncidentRecord,
     SourceKind,
     aligned_table,
-    enum_table,
-    json_count,
-    json_share,
+    check_tally,
+    iso_date,
     normalize_label,
     percentage,
+    read_json,
 )
 
 
@@ -125,9 +125,10 @@ def parse_incidents(source: str | Path, *, text: str | None = None) -> IncidentP
     """Parse a CSV/TSV incident table into classified records.
 
     The table needs a header with name, date, link, and incident_type
-    columns (any order, case-insensitive). Rows with unparseable dates or
-    empty project names are rejected with their line numbers; exact repeats
-    of (project, date, label, source host+path) are dropped as duplicates.
+    columns (any order, case-insensitive). Rows with empty project names or
+    dates not written YYYY-MM-DD are rejected with their line numbers; exact
+    repeats of (project, date, label, source host+path) are dropped as
+    duplicates.
     Pass ``text`` to parse in-memory content instead of reading ``source``.
     """
     if text is None:
@@ -161,7 +162,7 @@ def parse_incidents(source: str | Path, *, text: str | None = None) -> IncidentP
             issues.append(RowIssue(line_no, "empty project name", delimiter.join(row)))
             continue
         try:
-            date = dt.date.fromisoformat(row[col["date"]].strip())
+            date = iso_date(row[col["date"]].strip())
         except ValueError:
             issues.append(
                 RowIssue(line_no, f"unparseable date {row[col['date']]!r}", delimiter.join(row))
@@ -219,6 +220,14 @@ class IncidentDistribution:
     date_span: tuple[dt.date, dt.date] | None
 
     def __post_init__(self) -> None:
+        check_tally(
+            CompressedIncidentType,
+            "counts",
+            self.counts,
+            self.shares,
+            unmapped=self.unmapped,
+            distinct_projects=self.distinct_project_count,
+        )
         if sum(self.counts.values()) != self.total:
             raise ValueError("bucket counts must sum to total")
         object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
@@ -235,25 +244,23 @@ class IncidentDistribution:
         }
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "IncidentDistribution":
-        try:
-            span = raw["date_span"]
-            if span is not None and (type(span) is not list or len(span) != 2):
-                raise ValueError("date_span must be null or a pair of dates")
-            return cls(
-                total=json_count(raw["total"], "total"),
-                counts=enum_table(raw, "counts", CompressedIncidentType, json_count),
-                shares=enum_table(raw, "shares", CompressedIncidentType, json_share),
-                unmapped=json_count(raw["unmapped"], "unmapped"),
-                distinct_project_count=json_count(raw["distinct_projects"], "distinct_projects"),
-                date_span=(
-                    None
-                    if span is None
-                    else (dt.date.fromisoformat(span[0]), dt.date.fromisoformat(span[1]))
-                ),
-            )
-        except (KeyError, AttributeError, TypeError, ValueError) as exc:
-            raise ValueError(f"not a distribution artifact: {exc!r}") from exc
+    def from_dict(cls, raw: object) -> "IncidentDistribution":
+        doc = read_json(_DistributionArtifact, raw, "distribution")
+        if doc.date_span is not None and len(doc.date_span) != 2:
+            raise ValueError("date_span must be null or a pair of dates")
+        dates = doc.date_span and tuple(map(iso_date, doc.date_span))
+        return cls(doc.total, doc.counts, doc.shares, doc.unmapped, doc.distinct_projects, dates)
+
+
+@dataclass(eq=False, repr=False)
+class _DistributionArtifact:
+    total: int
+    counts: dict[CompressedIncidentType, int]
+    shares: dict[CompressedIncidentType, float | None]
+    unmapped: int
+    distinct_projects: int
+    date_span: tuple[str, ...] | None
+    warnings: tuple[str, ...] = ()
 
 
 def distribution(records: Iterable[IncidentRecord]) -> IncidentDistribution:

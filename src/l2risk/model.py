@@ -1,15 +1,16 @@
 """Shared domain model: project risk profiles, incident taxonomy, stakeholder
 roles, overlap fields, rollup configuration, and harm metrics, plus the
-label, percentage, text-table and strict JSON-artifact helpers the ingest
-modules share."""
+label, percentage and text-table helpers and the one strict JSON reader that
+scenarios, rulesets and the prevalence and distribution artifacts share."""
 
 from __future__ import annotations
 
 import datetime as dt
 import enum
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Mapping, Sequence
+import functools
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from types import MappingProxyType, UnionType
+from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
 
 
 def normalize_label(text: str) -> str:
@@ -28,6 +29,16 @@ def percentage(count: int, total: int) -> float:
     if total <= 0:
         raise ValueError("total must be positive")
     return (2000 * count + total) // (2 * total) / 10
+
+
+def iso_date(text: str) -> dt.date:
+    """The date written exactly as YYYY-MM-DD. Other spellings that
+    date.fromisoformat takes, such as "20220101" or the week date
+    "2022-W01-1", are a ValueError, as the JSON Schema date format has it."""
+    date = dt.date.fromisoformat(text)
+    if date.isoformat() != text:
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return date
 
 
 def decode_text(data: bytes) -> str:
@@ -51,42 +62,20 @@ def aligned_table(headers: Sequence[str], rows: Sequence[Sequence[str]], left: i
     return "\n".join(lines)
 
 
-def json_count(value, where: str) -> int:
-    """A count exactly as written in JSON: a non-negative integer, not a bool,
-    float or string."""
-    if type(value) is not int:
-        raise ValueError(f"{where} must be an integer")
-    if value < 0:
-        raise ValueError(f"{where} must not be negative")
-    return value
-
-
-def json_share(value, where: str) -> float | None:
-    """A share exactly as written in JSON: a percentage from 0 to 100 (a
-    number, not a bool) or null."""
-    if value is None:
-        return None
-    if type(value) not in (int, float):
-        raise ValueError(f"{where} must be a number or null")
-    if not 0 <= value <= 100:
-        raise ValueError(f"{where} must be between 0 and 100")
-    return float(value)
-
-
-def enum_table(raw: Mapping, key: str, members: type[enum.Enum], read) -> dict:
-    """raw[key] read as one value per enum member, each by read(value, path).
-    Keys are the members' canonical values; every member is required and no
-    other key is allowed."""
-    table = raw[key]
-    if not isinstance(table, dict):
-        raise ValueError(f"{key} must be an object")
-    unknown = sorted(set(table) - {m.value for m in members})
-    if unknown:
-        raise ValueError(f"unknown {key} keys: {unknown}")
-    missing = [m.value for m in members if m.value not in table]
-    if missing:
-        raise ValueError(f"{key} is missing {missing}")
-    return {m: read(table[m.value], f"{key}.{m.value}") for m in members}
+def check_tally(members, key: str, counts: Mapping, shares: Mapping, **scalars: int) -> None:
+    """Raise ValueError unless ``counts`` (named ``key``) and ``shares`` hold one
+    value per member, no count or ``scalars`` value is negative and each share is None or 0-100."""
+    for name, table in ((key, counts), ("shares", shares)):
+        missing = [m.value for m in members if m not in table]
+        if missing:
+            raise ValueError(f"{name} is missing {missing}")
+    scalars.update({f"{key}.{m.value}": count for m, count in counts.items()})
+    for name, count in scalars.items():
+        if count < 0:
+            raise ValueError(f"{name} must not be negative")
+    for m, share in shares.items():
+        if share is not None and not 0 <= share <= 100:
+            raise ValueError(f"shares.{m.value} must be between 0 and 100")
 
 
 class _LabeledEnum(enum.Enum):
@@ -105,6 +94,123 @@ class _LabeledEnum(enum.Enum):
             return cls._value2member_map_[_slug(text)]
         except KeyError:
             raise ValueError(f"{cls.__name__}: unrecognized label {text!r}") from None
+
+
+class _Invalid(Exception):
+    """A value the reader refused. ``message`` holds ``{}`` where the value's
+    dotted path goes; each enclosing reader prepends its key or index on the
+    way out, so the path is only built for a document that fails."""
+
+    def __init__(self, message: str) -> None:
+        self.message = message
+        self.path = ""
+
+    def at(self, segment: str) -> "_Invalid":
+        self.path = segment + self.path
+        return self
+
+
+_JSON_TYPES = {int: "an integer", bool: "a boolean", str: "a string"}
+
+
+@functools.cache
+def _reader(tp):
+    """The function that reads one decoded JSON value as type ``tp`` or
+    raises :class:`_Invalid`; built once per type."""
+    origin, args = get_origin(tp), get_args(tp)
+    if tp in _JSON_TYPES:
+        what = f"{{}} must be {_JSON_TYPES[tp]}"
+
+        def read(value):
+            if type(value) is not tp:  # not isinstance: JSON true is not the integer 1
+                raise _Invalid(what)
+            return value
+
+    elif tp == float | None:  # a share: 100 reads as 100.0, and true is not a number
+
+        def read(value):
+            if value is not None and type(value) not in (int, float):
+                raise _Invalid("{} must be a number or null")
+            return None if value is None else float(value)
+
+    elif is_dataclass(tp) or origin is dict:
+        if origin is dict:  # a table keyed by the enum members' values
+            members = {m.value: m for m in args[0]}
+            readers = dict.fromkeys(members, _reader(args[1]))
+            required = ()
+
+            def build(**items):
+                return {members[key]: item for key, item in items.items()}
+
+        else:
+            hints = get_type_hints(tp)
+            readers = {f.name: _reader(hints[f.name]) for f in fields(tp)}
+            required = [f.name for f in fields(tp) if f.default is f.default_factory is MISSING]
+            build = tp
+
+        def read(value):
+            if type(value) is not dict:
+                raise _Invalid("{} must be an object")
+            if not value.keys() <= readers.keys():
+                raise _Invalid(f"unknown {{}} keys: {sorted(value.keys() - readers.keys())}")
+            kwargs = {}
+            for key, item in value.items():
+                try:
+                    kwargs[key] = readers[key](item)
+                except _Invalid as exc:
+                    raise exc.at(f".{key}")
+            for key in required:
+                if key not in kwargs:
+                    raise _Invalid("{} is required").at(f".{key}")
+            try:
+                return build(**kwargs)
+            except ValueError as exc:  # a __post_init__ check
+                raise _Invalid(f"{{}}: {exc}") from exc
+
+    elif isinstance(tp, type) and issubclass(tp, _LabeledEnum):
+        members = {m.value: m for m in tp}
+        what = f"{{}} must be one of {list(members)}"
+
+        def read(value):
+            try:
+                return members[value]
+            except (KeyError, TypeError):  # TypeError: an unhashable list or object
+                raise _Invalid(what) from None
+
+    elif origin is tuple and args[1:] == (Ellipsis,):
+        element = _reader(args[0])
+        what = "{} must be a list of strings" if args[0] is str else "{} must be a list"
+
+        def read(value):
+            if type(value) is not list:
+                raise _Invalid(what)
+            out = []
+            for i, item in enumerate(value):
+                try:
+                    out.append(element(item))
+                except _Invalid as exc:
+                    raise _Invalid(what) if args[0] is str else exc.at(f"[{i}]")
+            return tuple(out)
+
+    elif origin is UnionType and args[1:] == (type(None),):
+        inner = _reader(args[0])
+
+        def read(value):
+            return None if value is None else inner(value)
+
+    else:
+        raise TypeError(f"no JSON reader for {tp!r}")
+    return read
+
+
+def read_json(tp, raw, what: str, error: type[ValueError] = ValueError):
+    """The decoded JSON document ``raw`` read strictly as ``tp``; a refused value
+    raises ``error`` naming its dotted path, or ``what`` for the whole document."""
+    try:
+        return _reader(tp)(raw)
+    except _Invalid as exc:
+        # the placeholder comes before any text taken from the document
+        raise error(exc.message.replace("{}", exc.path.lstrip(".") or what, 1)) from exc
 
 
 class ProjectCategory(_LabeledEnum):

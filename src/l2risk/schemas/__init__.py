@@ -1,11 +1,11 @@
 """JSON Schemas (draft 2020-12) describing the tool's machine-readable
-inputs and outputs: prevalence and distribution artifacts, scenario files,
-per-run metrics, and the full report."""
+inputs and outputs: prevalence and distribution artifacts, flagging
+rulesets, scenario files, per-run metrics, and the full report."""
 
 import json
 from importlib import resources
 
-SCHEMA_NAMES = ("prevalence", "distribution", "scenario", "metrics", "report")
+SCHEMA_NAMES = ("prevalence", "distribution", "ruleset", "scenario", "metrics", "report")
 
 
 def load_schema(name: str) -> dict:

@@ -384,12 +384,7 @@ class _Run:
         }
         self._emit("tx_submitted", id=txid, type=a.action, user=a.user, amount=a.amount)
         if a.action == "withdraw":
-            self.pending[txid] = {
-                "user": a.user,
-                "amount": a.amount,
-                "submitted": self.now,
-                "stage": "queued",
-            }
+            self.pending[txid] = {"user": a.user, "submitted": self.now, "stage": "queued"}
         if self._seq_accepting(a.user):
             factor = self.p.degradation_factor if self._ends("admission") else 1
             admit = self.now + self.p.admission_latency * factor
@@ -441,12 +436,7 @@ class _Run:
             return
         self._move(user, -amount)
         self._hold(hid, user, amount)
-        self.pending[hid] = {
-            "user": user,
-            "amount": amount,
-            "submitted": submitted,
-            "stage": "hatch_wait",
-        }
+        self.pending[hid] = {"user": user, "submitted": submitted, "stage": "hatch_wait"}
         self._emit("hatch_exit_included", id=hid, user=user, amount=amount)
         done = self.now + self.p.finalization_depth * self.p.l1_block_interval
         self._push(done, _P_L1, "claim", hid)
@@ -690,22 +680,25 @@ class _Run:
         self._emit("invalid_root_finalized", amount=inj.amount)
         self._emit("exploit_drain", drained=drained, bridge_left=self.bridge_pool)
 
-    def _on_upgrade_announce(self) -> None:
+    def _holders(self) -> set[str]:
+        """Users with funds on L2 or in flight."""
         holders = {u for u, b in self.l2.items() if b > 0}
         holders |= {u for u, a in self.inflight.values() if a > 0}
-        self.exit_denominator = holders
+        return holders
+
+    def _on_upgrade_announce(self) -> None:
+        self.exit_denominator = self._holders()
         if self.cfg.upgrade.policy is UpgradePolicy.TIMELOCKED:
             activation = self.now + self.cfg.upgrade.window
         else:
             activation = self.now
-        self._emit("upgrade_announced", activation=activation, holders=sorted(holders))
+        holders = sorted(self.exit_denominator)
+        self._emit("upgrade_announced", activation=activation, holders=holders)
         self._push(activation, _P_UPGRADE, "upgrade_activated")
 
     def _on_upgrade_activated(self) -> None:
         if self.exit_denominator:
-            still_in = {u for u, b in self.l2.items() if b > 0}
-            still_in |= {u for u, a in self.inflight.values() if a > 0}
-            exited = {u for u in self.exit_denominator if u not in still_in}
+            exited = self.exit_denominator - self._holders()
             self.exit_coverage = len(exited) / len(self.exit_denominator)
         else:
             self.exit_coverage = None

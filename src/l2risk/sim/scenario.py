@@ -5,26 +5,22 @@ workload (an explicit action list or a seeded random one), a list of fault
 injections, and an optional upgrade announcement. Scenarios are plain JSON so
 they can be versioned next to the analyses they support.
 
-Validation is strict: one reader, driven by the dataclass field types, takes
-every value exactly as written. Unknown keys, missing required keys, wrong
-JSON types and enum values other than the canonical ones all raise
-:class:`ScenarioError` naming the dotted path of the offending value, such as
-``workload.actions[3].user``; omitted keys take the dataclass defaults.
+Validation is strict: the JSON reader in :mod:`l2risk.model`, driven by the
+dataclass field types, takes every value exactly as written. Unknown keys,
+missing required keys, wrong JSON types and enum values other than the
+canonical ones raise :class:`ScenarioError` naming the offending value's
+dotted path, such as ``workload.actions[3].user``; omitted keys take defaults.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import json
 import random
-import types
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from l2risk.data import fixture_path
-from l2risk.model import DAY, IncidentClass, RollupConfig, _LabeledEnum, decode_text
+from l2risk.model import DAY, IncidentClass, RollupConfig, _LabeledEnum, decode_text, read_json
 
 
 class ScenarioError(ValueError):
@@ -222,96 +218,6 @@ class Scenario:
         return self.actions
 
 
-class _Invalid(Exception):
-    """A value the reader refused. ``message`` holds ``{}`` where the value's
-    dotted path goes; each enclosing reader prepends its key or index on the
-    way out, so the path is only built for a document that fails."""
-
-    def __init__(self, message: str) -> None:
-        self.message = message
-        self.path = ""
-
-    def at(self, segment: str) -> "_Invalid":
-        self.path = segment + self.path
-        return self
-
-
-_JSON_TYPES = {int: "an integer", bool: "a boolean", str: "a string"}
-
-
-@functools.cache
-def _reader(tp):
-    """The function that reads one decoded JSON value as type ``tp`` or
-    raises :class:`_Invalid`; built once per type."""
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if tp in _JSON_TYPES:
-        what = f"{{}} must be {_JSON_TYPES[tp]}"
-
-        def read(value):
-            if type(value) is not tp:  # not isinstance: JSON true is not the integer 1
-                raise _Invalid(what)
-            return value
-
-    elif isinstance(tp, type) and issubclass(tp, _LabeledEnum):
-        members = {m.value: m for m in tp}
-        what = f"{{}} must be one of {list(members)}"
-
-        def read(value):
-            try:
-                return members[value]
-            except (KeyError, TypeError):  # TypeError: an unhashable list or object
-                raise _Invalid(what) from None
-
-    elif dataclasses.is_dataclass(tp):
-        hints = typing.get_type_hints(tp)
-        fields = dataclasses.fields(tp)
-        readers = {f.name: _reader(hints[f.name]) for f in fields}
-        required = [f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING]
-
-        def read(value):
-            if type(value) is not dict:
-                raise _Invalid("{} must be an object")
-            if not value.keys() <= readers.keys():
-                raise _Invalid(f"unknown {{}} keys: {sorted(value.keys() - readers.keys())}")
-            kwargs = {}
-            for key, item in value.items():
-                try:
-                    kwargs[key] = readers[key](item)
-                except _Invalid as exc:
-                    raise exc.at(f".{key}")
-            for key in required:
-                if key not in kwargs:
-                    raise _Invalid("{} is required").at(f".{key}")
-            try:
-                return tp(**kwargs)
-            except ValueError as exc:  # a __post_init__ check
-                raise _Invalid(f"{{}}: {exc}") from exc
-
-    elif origin is tuple and args[1:] == (Ellipsis,):
-        element = _reader(args[0])
-
-        def read(value):
-            if type(value) is not list:
-                raise _Invalid("{} must be a list")
-            out = []
-            for i, item in enumerate(value):
-                try:
-                    out.append(element(item))
-                except _Invalid as exc:
-                    raise exc.at(f"[{i}]")
-            return tuple(out)
-
-    elif origin is types.UnionType and args[1:] == (type(None),):
-        inner = _reader(args[0])
-
-        def read(value):
-            return None if value is None else inner(value)
-
-    else:
-        raise TypeError(f"no scenario reader for {tp!r}")
-    return read
-
-
 # The document's shape. These live only inside parse_scenario and are never
 # compared or printed; leaving out frozen, eq and repr saves about 1 ms of
 # every import of this module.
@@ -344,12 +250,7 @@ def parse_scenario(raw: object, *, name: str = "scenario") -> Scenario:
     without a ``name`` takes ``name``."""
     if type(raw) is dict:
         raw = {"name": name, **raw}
-    try:
-        doc = _reader(_Document)(raw)
-    except _Invalid as exc:
-        # the placeholder comes before any text taken from the document
-        where = exc.path.lstrip(".") or "scenario"
-        raise ScenarioError(exc.message.replace("{}", where, 1)) from exc
+    doc = read_json(_Document, raw, "scenario", ScenarioError)
     if {"actions", "random"} <= raw.get("workload", {}).keys():
         raise ScenarioError("workload is either explicit or random, not both")
     return Scenario(

@@ -27,11 +27,10 @@ from .model import (
     Sentiment,
     _slug,
     aligned_table,
-    enum_table,
-    json_count,
-    json_share,
+    check_tally,
     normalize_label,
     percentage,
+    read_json,
 )
 
 
@@ -209,29 +208,13 @@ class FlagRuleset:
 
     @classmethod
     def from_file(cls, path: str | Path, *, text: str | None = None) -> "FlagRuleset":
-        """Read a ruleset file: an object with "rules" (dimension -> list of
-        strings), an optional boolean "sentiment_fallback" and an optional
-        "version"; anything else is a ValueError. Pass ``text`` to parse
-        content already read from ``path``."""
+        """Read a ruleset file as ``ruleset.schema.json`` describes it;
+        anything else is a ValueError. Pass ``text`` to parse content
+        already read from ``path``."""
         if text is None:
             text = Path(path).read_text(encoding="utf-8")
-        raw = json.loads(text)
-        if not isinstance(raw, dict):
-            raise ValueError("ruleset must be an object")
-        unknown = sorted(set(raw) - {"version", "sentiment_fallback", "rules"})
-        if unknown:
-            raise ValueError(f"unknown ruleset keys: {unknown}")
-        fallback = raw.get("sentiment_fallback", True)
-        if type(fallback) is not bool:
-            raise ValueError("sentiment_fallback must be a boolean")
-        if not isinstance(raw.get("rules"), dict):
-            raise ValueError("ruleset needs a rules object")
-        rules = {}
-        for dim, keys in raw["rules"].items():
-            if not isinstance(keys, list) or not all(isinstance(k, str) for k in keys):
-                raise ValueError(f"rules.{dim} must be a list of strings")
-            rules[RiskDimension.parse(dim)] = tuple(keys)
-        return cls(rules=rules, sentiment_fallback=fallback)
+        doc = read_json(_RulesetFile, json.loads(text), "ruleset")
+        return cls(rules=doc.rules, sentiment_fallback=doc.sentiment_fallback)
 
     @classmethod
     def default(cls) -> "FlagRuleset":
@@ -241,6 +224,13 @@ class FlagRuleset:
         value = normalize_label(value)
         description = normalize_label(description)
         return any(key in value or key in description for key in self.rules.get(dimension, ()))
+
+
+@dataclass(eq=False, repr=False)
+class _RulesetFile:
+    rules: dict[RiskDimension, tuple[str, ...]]
+    sentiment_fallback: bool = True
+    version: int = 1
 
 
 def _risk_fields(raw: Mapping[str, Any]) -> tuple[str, str, str, str]:
@@ -432,11 +422,14 @@ class PrevalenceTable:
     shares: Mapping[RiskDimension, float | None]
 
     def __post_init__(self) -> None:
+        check_tally(
+            RiskDimension, "flagged", self.flagged, self.shares, total_projects=self.total_projects
+        )
+        for dim, count in self.flagged.items():
+            if count > self.total_projects:
+                raise ValueError(f"flag count out of range for {dim.value}")
         object.__setattr__(self, "flagged", MappingProxyType(dict(self.flagged)))
         object.__setattr__(self, "shares", MappingProxyType(dict(self.shares)))
-        for dim, count in self.flagged.items():
-            if not 0 <= count <= max(self.total_projects, 0):
-                raise ValueError(f"flag count out of range for {dim.value}")
 
     def to_dict(self) -> dict:
         return {
@@ -446,15 +439,17 @@ class PrevalenceTable:
         }
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "PrevalenceTable":
-        try:
-            return cls(
-                total_projects=json_count(raw["total_projects"], "total_projects"),
-                flagged=enum_table(raw, "flagged", RiskDimension, json_count),
-                shares=enum_table(raw, "shares", RiskDimension, json_share),
-            )
-        except (KeyError, AttributeError, TypeError, ValueError) as exc:
-            raise ValueError(f"not a prevalence artifact: {exc!r}") from exc
+    def from_dict(cls, raw: object) -> "PrevalenceTable":
+        doc = read_json(_PrevalenceArtifact, raw, "prevalence")
+        return cls(doc.total_projects, doc.flagged, doc.shares)
+
+
+@dataclass(eq=False, repr=False)
+class _PrevalenceArtifact:
+    total_projects: int
+    flagged: dict[RiskDimension, int]
+    shares: dict[RiskDimension, float | None]
+    warnings: tuple[str, ...] = ()
 
 
 def aggregate_prevalence(profiles: Iterable[ProjectRiskProfile]) -> PrevalenceTable:

@@ -251,15 +251,20 @@ _DROP = object()
         ("dist", ("shares", "sequencer-disruption"), "86", "shares.sequencer-disruption must be"),
         ("dist", ("shares", "sequencer-disruption"), False, "shares.sequencer-disruption must"),
         ("dist", ("counts",), [], "counts must be an object"),
-        ("dist", ("unmapped",), _DROP, "KeyError('unmapped')"),
-        ("dist", ("distinct_projects",), _DROP, "KeyError('distinct_projects')"),
-        ("dist", ("date_span",), _DROP, "KeyError('date_span')"),
+        ("dist", ("unmapped",), _DROP, "unmapped is required"),
+        ("dist", ("distinct_projects",), _DROP, "distinct_projects is required"),
+        ("dist", ("date_span",), _DROP, "date_span is required"),
         ("dist", ("date_span",), [], "date_span must be null or a pair of dates"),
         ("dist", ("unmapped",), -1, "unmapped must not be negative"),
         ("dist", ("counts", "exploit-or-security"), -1, "counts.exploit-or-security must not"),
         ("prev", ("shares", "exit-window"), 250.0, "shares.exit-window must be between 0 and 100"),
         ("dist", ("shares", "sequencer-disruption"), 250.0, "shares.sequencer-disruption must be"),
         ("dist", ("shares", "sequencer-disruption"), -0.5, "shares.sequencer-disruption must be"),
+        ("prev", ("bogus",), 1, "unknown prevalence keys: ['bogus']"),
+        ("dist", ("bogus",), 1, "unknown distribution keys: ['bogus']"),
+        ("prev", ("warnings",), 5, "warnings must be a list of strings"),
+        ("dist", ("warnings",), 5, "warnings must be a list of strings"),
+        ("dist", ("date_span",), ["20220629", "2025-08-31"], "not a YYYY-MM-DD date: '20220629'"),
     ],
 )
 def test_cross_validate_rejects_loose_artifacts(

@@ -198,6 +198,14 @@ class TestParsingEdgeCases:
         assert result.issues[0].line == 2
         assert "date" in result.issues[0].reason
 
+    @pytest.mark.parametrize("date", ["20240102", "2024-W01-2"])
+    def test_date_other_than_yyyy_mm_dd_rejected(self, date):
+        # date.fromisoformat reads both, the second as 2024-01-02
+        text = self.HEADER + f"Chain A,{date},https://example.com/a,Sequencer halt\n"
+        result = parse_incidents("<mem>", text=text)
+        assert result.records == ()
+        assert result.warnings == [f"line 2: unparseable date {date!r}"]
+
     def test_empty_project_rejected(self):
         text = self.HEADER + " ,2024-01-01,https://example.com/a,Sequencer halt\n"
         result = parse_incidents("<mem>", text=text)

@@ -328,11 +328,16 @@ class TestPrevalence:
         ({"sentiment_fallback": 0, "rules": {}}, "sentiment_fallback must be a boolean"),
         ({"rules": {"exit-window": "no window"}}, "rules.exit-window must be a list of strings"),
         ({"rules": {"exit-window": ["no window", 7]}}, "rules.exit-window must be a list"),
-        ({"rules": []}, "ruleset needs a rules object"),
+        ({"rules": []}, "rules must be an object"),
         ({"rulez": {"exit-window": ["no window"]}}, "unknown ruleset keys: ['rulez']"),
-        ({"version": 1}, "ruleset needs a rules object"),
+        ({"version": 1}, "rules is required"),
         ([], "ruleset must be an object"),
-        ({"rules": {"exit-windows": ["x"]}}, "unrecognized label 'exit-windows'"),
+        ({"rules": {"exit-windows": ["x"]}}, "unknown rules keys: ['exit-windows']"),
+        ({"version": "one", "rules": {}}, "version must be an integer"),
+        (
+            {"rules": {"exit-window": ["no window"], "Exit Window": ["instant"]}},
+            "unknown rules keys: ['Exit Window']",
+        ),
     ],
 )
 def test_ruleset_file_is_read_strictly(tmp_path, doc, message):
