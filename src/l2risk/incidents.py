@@ -230,6 +230,8 @@ class IncidentDistribution:
         )
         if sum(self.counts.values()) != self.total:
             raise ValueError("bucket counts must sum to total")
+        if self.date_span is not None and self.date_span[0] > self.date_span[1]:
+            raise ValueError("date_span must not end before it starts")
         object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
         object.__setattr__(self, "shares", MappingProxyType(dict(self.shares)))
 

@@ -51,6 +51,16 @@ challengers are all offline for the entire challenge window.
 
 Runs are deterministic: with the same scenario and seed the event trace is
 byte-identical.
+
+Trace lines are what json.dumps(event, sort_keys=True, separators=(",", ":"))
+writes, from one field table: _Run.TRACE_FIELDS, next to _emit, lists the
+fields of every event kind, and at import each kind gets a % format with its
+keys sorted and its name written in. Names the scenario supplies (user, to)
+go through the JSON string escaper; ids, reason texts, actions and injection
+kinds are plain ASCII the engine chose and go between quotes unescaped;
+every other field is an int. The upgrade events (a holders list, a share
+that may be null) and a neutralized fault's start (one key more, its
+ineffective note) go through one C JSON encoder built per call.
 """
 
 from __future__ import annotations
@@ -60,6 +70,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 from l2risk.model import DaMode, HarmMetrics, ProofSystem, UpgradePolicy
@@ -97,8 +108,37 @@ _P_END, _P_START, _P_L1, _P_ADMIT, _P_BATCH, _P_ACTION, _P_UPGRADE = range(7)
 
 # The settings of every trace line: what json.dumps(event, sort_keys=True,
 # separators=(",", ":")) writes. SimResult.trace_lines builds one C encoder
-# from them per call; JSONEncoder.encode would build a new one per event.
+# from them per call for the events no line format fits; JSONEncoder.encode
+# would build a new one per event.
 _TRACE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+# The fields of _Run.TRACE_FIELDS a line format writes other than as an int
+# (scenario names escaped; engine-made tokens, such as actions checked
+# against _ACTIONS, as they are), and the kinds only the encoder writes.
+_NAME_FIELDS = frozenset({"user", "to"})
+_TOKEN_FIELDS = frozenset({"id", "reason", "action", "type", "kind"})
+_ENCODED_EVENTS = frozenset({"upgrade_announced", "upgrade_activated"})
+
+
+def _line_format(event: str, fields: tuple[str, ...]) -> tuple[str, itemgetter, int, tuple]:
+    """The % format of one event kind's trace line, keys sorted and the event
+    name written in; the getter of its other values in key order; its key
+    count; and the positions of the values to escape."""
+    keys = sorted((*fields, "t", "i", "event"))
+    parts, values = [], []
+    for key in keys:
+        if key == "event":
+            parts.append(f'"event":"{event}"')
+            continue
+        if key in _NAME_FIELDS:
+            parts.append(f'"{key}":%s')
+        elif key in _TOKEN_FIELDS:
+            parts.append(f'"{key}":"%s"')
+        else:
+            parts.append(f'"{key}":%d')
+        values.append(key)
+    escaped = tuple(j for j, key in enumerate(values) if key in _NAME_FIELDS)
+    return "{" + ",".join(parts) + "}", itemgetter(*values), len(keys), escaped
 
 
 @dataclass(frozen=True)
@@ -124,7 +164,23 @@ class SimResult:
             enc.allow_nan,
         )
         join = "".join
-        return [join(encode(event, 0)) for event in self.events]
+        formats = _LINE_FORMATS
+        lines: list[str] = []
+        append = lines.append
+        for event in self.events:
+            form = formats.get(event["event"])
+            if form is None or len(event) != form[2]:
+                append(join(encode(event, 0)))
+                continue
+            fmt, get, _keys, escaped = form
+            values = get(event)
+            if escaped:
+                values = list(values)
+                for j in escaped:
+                    values[j] = encode_basestring_ascii(values[j])
+                values = tuple(values)
+            append(fmt % values)
+        return lines
 
     def write_trace(self, path: str | Path) -> None:
         Path(path).write_text("\n".join(self.trace_lines()) + "\n", encoding="utf-8")
@@ -186,6 +242,44 @@ class _Run:
         violation records."""
         self._pushes += 1
         heapq.heappush(self._heap, (t, prio, self._pushes, kind, args))
+
+    # The payload of every event _emit records, besides "t", "i" and "event":
+    # the one list of what a trace line holds. _line_format says how each
+    # field is written.
+    TRACE_FIELDS = {
+        "action_rejected": ("action", "user", "reason"),
+        "deposit_submitted": ("id", "user", "amount"),
+        "deposit_landed": ("id", "user", "amount"),
+        "tx_submitted": ("id", "type", "user", "amount"),
+        "tx_admitted": ("id",),
+        "tx_queued_forced": ("id", "deadline"),
+        "tx_dropped": ("id", "reason"),
+        "hatch_exit_submitted": ("id", "user"),
+        "tx_failed": ("id", "user", "reason"),
+        "hatch_exit_included": ("id", "user", "amount"),
+        "batch_created": ("size", "lands_at"),
+        "batch_landed": ("size",),
+        "forced_inclusion": ("id", "delay"),
+        "credit_applied": ("id", "user", "amount"),
+        "transfer_applied": ("id", "user", "to", "amount"),
+        "withdrawal_included": ("id", "user", "amount"),
+        "proposal_blocked": ("batch_time", "retry_at"),
+        "proposal": ("batch_time", "withdrawals"),
+        "root_finalized": ("batch_time", "withdrawals"),
+        "claim_deferred": ("id", "retry_at"),
+        "withdrawal_claimed": ("id", "user", "amount", "latency"),
+        # plus "ineffective", a fixed text, when the config neutralizes it
+        "injection_start": ("kind", "until"),
+        "injection_end": ("kind",),
+        "exploit_attempted": ("amount",),
+        "invalid_root_landed": ("amount",),
+        "root_rejected": ("reason",),
+        "root_challenged": ("amount",),
+        "invalid_root_finalized": ("amount",),
+        "exploit_drain": ("drained", "bridge_left"),
+        "upgrade_announced": ("activation", "holders"),
+        "upgrade_activated": ("exit_coverage",),
+    }
 
     def _emit(self, event: str, **fields) -> None:
         self.events.append({"t": self.now, "i": len(self.events), "event": event, **fields})
@@ -703,6 +797,13 @@ class _Run:
         else:
             self.exit_coverage = None
         self._emit("upgrade_activated", exit_coverage=self.exit_coverage)
+
+
+_LINE_FORMATS = {
+    event: _line_format(event, fields)
+    for event, fields in _Run.TRACE_FIELDS.items()
+    if event not in _ENCODED_EVENTS
+}
 
 
 def simulate(scenario: Scenario, seed: int = 0) -> SimResult:

@@ -43,6 +43,30 @@ def test_cli_import_leaves_decimal_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+# Prints the modules that importing the CLI and the simulator loads. Taking
+# the difference leaves out what site start-up imports (.pth files).
+_NEW_MODULES = """
+import sys
+before = set(sys.modules)
+import l2risk.cli, l2risk.sim
+print("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_and_simulator_import_only_the_standard_library():
+    # pyproject.toml declares no dependencies; an import outside the standard
+    # library would break an install that trusts it
+    src = Path(sys.modules["l2risk"].__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", _NEW_MODULES], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = out.stdout.split()
+    assert "l2risk.sim.engine" in loaded
+    packages = {name.partition(".")[0] for name in loaded}
+    assert packages - sys.stdlib_module_names == {"l2risk"}
+
+
 # -- ingest-snapshot -----------------------------------------------------------
 
 
@@ -265,6 +289,7 @@ _DROP = object()
         ("prev", ("warnings",), 5, "warnings must be a list of strings"),
         ("dist", ("warnings",), 5, "warnings must be a list of strings"),
         ("dist", ("date_span",), ["20220629", "2025-08-31"], "not a YYYY-MM-DD date: '20220629'"),
+        ("dist", ("date_span",), ["2025-08-31", "2022-06-29"], "date_span must not end before"),
     ],
 )
 def test_cross_validate_rejects_loose_artifacts(

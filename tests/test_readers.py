@@ -53,7 +53,7 @@ def _table(members, values, loose):
 # Valid documents, which _near_misses breaks in one place, and loose ones:
 # tables with missing or extra keys, and the rules only the reader enforces
 # broken often (a flag count above total_projects, counts that do not add
-# up to the total).
+# up to the total, a date span that ends before it starts).
 def _prevalence(loose):
     return st.fixed_dictionaries(
         {
@@ -68,13 +68,14 @@ def _prevalence(loose):
 @st.composite
 def _distributions(draw, loose):
     counts = draw(_table(_BUCKETS, _COUNT, loose))
+    span = draw(st.none() | st.lists(st.dates(), min_size=2, max_size=2))
     doc = {
         "total": sum(counts.values()) + (draw(st.sampled_from([0, 1, -1])) if loose else 0),
         "counts": counts,
         "shares": draw(_table(_BUCKETS, _SHARE, loose)),
         "unmapped": draw(_COUNT),
         "distinct_projects": draw(_COUNT),
-        "date_span": draw(st.none() | st.lists(st.dates().map(str), min_size=2, max_size=2)),
+        "date_span": span and [str(d) for d in (span if loose else sorted(span))],
     }
     if draw(st.booleans()):
         doc["warnings"] = draw(_STRINGS)
@@ -159,7 +160,11 @@ class TestSchemaAndReaderAgree:
     @settings(max_examples=300, deadline=None)
     @given(_distributions(loose=True) | _near_misses(_distributions(loose=False)))
     def test_distribution(self, doc):
-        expected = _DISTRIBUTION_SCHEMA.is_valid(doc) and sum(doc["counts"].values()) == doc["total"]
+        expected = (
+            _DISTRIBUTION_SCHEMA.is_valid(doc)
+            and sum(doc["counts"].values()) == doc["total"]
+            and (doc["date_span"] is None or doc["date_span"][0] <= doc["date_span"][1])
+        )
         assert _reads(IncidentDistribution.from_dict, doc) is expected
 
     @settings(max_examples=200, deadline=None)
@@ -191,6 +196,19 @@ class TestSchemaAndReaderAgree:
                     "unmapped": 0,
                     "distinct_projects": 1,
                     "date_span": None,
+                },
+            ),
+            # the date span does not end before it starts
+            (
+                _DISTRIBUTION_SCHEMA,
+                IncidentDistribution.from_dict,
+                {
+                    "total": 0,
+                    "counts": {b: 0 for b in _BUCKETS},
+                    "shares": {b: None for b in _BUCKETS},
+                    "unmapped": 0,
+                    "distinct_projects": 0,
+                    "date_span": ["2025-08-31", "2022-06-29"],
                 },
             ),
         ],

@@ -1,6 +1,7 @@
 """Cross-validation notes, report assembly, and reproducibility."""
 
 import builtins
+import copy
 import enum
 import hashlib
 import io
@@ -91,6 +92,33 @@ def test_note_to_dict_uses_slugs(prevalence, dist):
 
 def test_report_validates_against_schema(bundle):
     jsonschema.validate(bundle.report, load_schema("report"))
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize(
+    "block, table, key, value",
+    [
+        ("prevalence", "flagged", "Exit Window", 3),
+        ("prevalence", "shares", "exit-window", 250.0),
+        ("incidents", "counts", "sequencer-disruption", _DROP),
+    ],
+)
+def test_report_schema_takes_only_canonical_table_members(bundle, block, table, key, value):
+    report = copy.deepcopy(bundle.report)
+    if value is _DROP:
+        del report[block][table][key]
+    else:
+        report[block][table][key] = value
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(report, load_schema("report"))
+
+
+def test_report_schema_members_are_the_models():
+    defs = load_schema("report")["$defs"]
+    assert defs["dimension"]["enum"] == [d.value for d in RiskDimension]
+    assert defs["bucket"]["enum"] == [t.value for t in CompressedIncidentType]
 
 
 def test_report_metadata_inputs_carry_real_digests(bundle):

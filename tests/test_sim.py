@@ -1067,10 +1067,13 @@ _ODD_TEXT = ('"', "\\", "},{", "\n", "\x00", "é", "名前", "\u2028", "\U0001f6
 
 
 @st.composite
-def _odd_user_scenarios(draw) -> Scenario:
+def _odd_user_scenarios(draw, faults: bool = False) -> Scenario:
     """Explicit workloads whose user names hold text JSON must escape, with an
     upgrade so the names also land in the holders list and a share in
-    exit_coverage."""
+    exit_coverage. With ``faults``, one to three fault windows (censorship
+    aimed at some of the names) on a config drawn with or without usable
+    forced inclusion, so the names also go through rejected, failed, queued
+    and dropped transactions."""
     name = st.builds(operator.add, st.sampled_from(_ODD_TEXT), st.text(max_size=3))
     users = draw(st.lists(name, min_size=2, max_size=4, unique=True))
     actions = [WorkloadAction(draw(st.integers(0, 600)), "deposit", u, 1_000) for u in users]
@@ -1093,17 +1096,106 @@ def _odd_user_scenarios(draw) -> Scenario:
         escape_hatch=EscapeHatchConfig(enabled=True),
         upgrade=UpgradeConfig(policy=UpgradePolicy.TIMELOCKED, window=window),
     )
+    injections = []
+    if faults:
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(_FAULT_KINDS))
+            targets = ()
+            if kind is InjectionKind.CENSORSHIP_FORCED_INCLUSION_FAILURE:
+                targets = tuple(draw(st.lists(st.sampled_from(users), max_size=2, unique=True)))
+            at = draw(st.integers(0, 3 * HOUR))
+            injections.append(Injection(kind, at, draw(st.sampled_from((900, HOUR))), targets))
+        fi = draw(st.booleans())
+        config = dataclasses.replace(
+            config,
+            forced_inclusion=ForcedInclusionConfig(enabled=fi, usable=fi, timeout=1_800),
+            da=draw(st.sampled_from((DaConfig(), DaConfig(mode=DaMode.EXTERNAL)))),
+        )
     # announced once every deposit has landed, so there are holders to count
     announce = draw(st.integers(600, 2 * HOUR))
-    return Scenario("odd-users", config, actions=actions, upgrade_at=announce)
+    return Scenario(
+        "odd-users", config, actions=actions, injections=injections, upgrade_at=announce
+    )
+
+
+def _odd_users_on_fault_paths(fi: bool) -> Scenario:
+    """Users named with text JSON must escape, each sent down one fault path:
+    dropped (or, with forced inclusion, queued) during an outage and under
+    censorship aimed at them, deposits and hatch exits refused by a bridge
+    halt and by withheld data, a hatch exit with nothing left to exit, and an
+    overdraft."""
+    u = [f"{text}-{i}" for i, text in enumerate(_ODD_TEXT)]
+    actions = [WorkloadAction(0, "deposit", name, 1_000) for name in u]
+    actions += [
+        WorkloadAction(HOUR + 100, "withdraw", u[0], 100),
+        WorkloadAction(3 * HOUR + 100, "deposit", u[1], 100),
+        WorkloadAction(3 * HOUR + 200, "hatch-exit", u[2], 0),
+        WorkloadAction(5 * HOUR + 100, "hatch-exit", u[3], 0),
+        WorkloadAction(7 * HOUR, "hatch-exit", u[4], 0),
+        WorkloadAction(7 * HOUR + 600, "hatch-exit", u[4], 0),
+        WorkloadAction(7 * HOUR, "withdraw", u[5], 5_000),
+        WorkloadAction(9 * HOUR + 100, "transfer", u[6], 100, u[7]),
+        WorkloadAction(9 * HOUR + 200, "transfer", u[7], 100, u[8]),
+    ]
+    injections = (
+        Injection(InjectionKind.SEQUENCER_OUTAGE, HOUR, HOUR),
+        Injection(InjectionKind.BRIDGE_HALT, 3 * HOUR, HOUR),
+        Injection(InjectionKind.DA_WITHHOLDING, 5 * HOUR, HOUR),
+        Injection(InjectionKind.CENSORSHIP_FORCED_INCLUSION_FAILURE, 9 * HOUR, HOUR, (u[6],)),
+    )
+    config = RollupConfig(
+        forced_inclusion=ForcedInclusionConfig(enabled=fi, usable=fi, timeout=1_800),
+        escape_hatch=EscapeHatchConfig(enabled=True),
+        da=DaConfig(mode=DaMode.EXTERNAL),
+    )
+    return Scenario("odd-users-faults", config, actions=actions, injections=injections)
+
+
+def _beyond_64_bits() -> list[Scenario]:
+    """Deposits, withdrawals, transfers, hatch exits and an exploit whose
+    amounts exceed 2**63, on configs that reject, challenge and finalize the
+    exploit's invalid root."""
+    big = 2**64 + 1
+    actions = [WorkloadAction(0, "deposit", u, 3 * big) for u in ("a", "b")]
+    actions += [
+        WorkloadAction(600, "withdraw", "a", big),
+        WorkloadAction(600, "transfer", "b", big + 2**63, "a"),
+        WorkloadAction(900, "hatch-exit", "b", big),
+        WorkloadAction(900, "withdraw", "b", 10 * big),
+    ]
+    exploit = Injection(InjectionKind.EXPLOIT_USER_RISK, at=1_200, amount=2**70)
+    hatch = EscapeHatchConfig(enabled=True)
+    configs = (
+        RollupConfig(escape_hatch=hatch),
+        RollupConfig(
+            proof_system=ProofSystem.OPTIMISTIC, challenge_window=2 * HOUR, escape_hatch=hatch
+        ),
+        RollupConfig(escape_hatch=hatch, state_validation_enforced=False),
+    )
+    return [Scenario("big", c, actions=actions, injections=(exploit,)) for c in configs]
+
+
+# Event kinds whose lines only the JSON encoder writes: the holders list and
+# the share that may be null. Every other kind must have a line format.
+_ENCODER_ONLY = frozenset({"upgrade_announced", "upgrade_activated"})
 
 
 class TestTraceLines:
     """trace_lines() writes each event exactly as json.dumps with sorted keys
     and compact separators does, from one encoder per call."""
 
-    def _check(self, result) -> None:
+    def _check(self, result) -> set[str]:
         assert result.trace_lines() == [_compact(e) for e in result.events]
+        # Each event holds what the field table lists for its kind (a
+        # neutralized fault's start adds its note), and each kind has a line
+        # format unless named encoder-only: a kind added to _emit cannot fall
+        # back to the encoder unnoticed.
+        for e in result.events:
+            note = {"ineffective"} if e["event"] == "injection_start" else set()
+            assert e.keys() - note == {"t", "i", "event", *_Run.TRACE_FIELDS[e["event"]]}
+        kinds = {e["event"] for e in result.events}
+        assert kinds <= sim_engine._LINE_FORMATS.keys() | _ENCODER_ONLY
+        return kinds
 
     def test_bundled_and_fault_laden_runs(self):
         for name in sorted(FROZEN_BUNDLED):
@@ -1117,6 +1209,40 @@ class TestTraceLines:
         result = simulate(scenario, seed=0)
         assert any(isinstance(e.get("exit_coverage"), float) for e in result.events)
         self._check(result)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_odd_user_scenarios(faults=True))
+    def test_user_names_that_need_escaping_under_faults(self, scenario):
+        self._check(simulate(scenario, seed=0))
+
+    def test_user_names_that_need_escaping_on_every_fault_path(self):
+        paths = {
+            ("action_rejected", "bridge unavailable"),
+            ("action_rejected", "data unavailable"),
+            ("tx_failed", "nothing to exit"),
+            ("tx_failed", "insufficient funds"),
+        }
+        for fi, denied in ((False, "tx_dropped"), (True, "tx_queued_forced")):
+            result = simulate(_odd_users_on_fault_paths(fi), seed=0)
+            self._check(result)
+            # every user has an odd name, so each of these lines escapes one
+            assert paths <= {(e["event"], e.get("reason")) for e in result.events if "user" in e}
+            kinds = {e["event"] for e in result.events}
+            assert {"hatch_exit_submitted", "transfer_applied", denied} <= kinds
+
+    def test_amounts_beyond_64_bits(self):
+        for scenario in _beyond_64_bits():
+            result = simulate(scenario, seed=0)
+            assert any(e.get("amount", 0) > 2**63 for e in result.events)
+            self._check(result)
+
+    def test_the_checked_runs_write_every_event_kind(self):
+        runs = [simulate(load_bundled_scenario(name), seed=0) for name in sorted(FROZEN_BUNDLED)]
+        runs += [simulate(_fault_laden(seed), seed=0) for seed in sorted(FROZEN_FAULT_LADEN)]
+        runs += [simulate(_odd_users_on_fault_paths(fi), seed=0) for fi in (False, True)]
+        runs += [simulate(scenario, seed=0) for scenario in _beyond_64_bits()]
+        kinds = set().union(*map(self._check, runs))
+        assert kinds == _Run.TRACE_FIELDS.keys()
 
     def test_write_trace_writes_one_line_per_event(self, tmp_path):
         users = [f"{text}-{i}" for i, text in enumerate(_ODD_TEXT)]
