@@ -192,8 +192,6 @@ def build_report(
     scenario_paths: Sequence[str | Path] = (),
     adapter: str = "auto",
     seed: int = 0,
-    config: RollupConfig | None = None,
-    threshold: RoleFlag | None = None,
     generated_at: str | None = None,
 ) -> ReportBundle:
     """Run the whole pipeline over the given inputs and assemble a report.
@@ -218,8 +216,8 @@ def build_report(
 
     notes = cross_validate(prevalence, dist)
 
-    cfg = config if config is not None else RollupConfig.centralized_default()
-    thr = role_threshold(threshold)
+    cfg = RollupConfig.centralized_default()
+    thr = role_threshold()
     findings = detect_problematic(classify_roles(cfg), cfg, thr)
     priorities = prioritize(findings, prevalence, dist)
 

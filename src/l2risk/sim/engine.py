@@ -54,22 +54,21 @@ byte-identical.
 
 Trace lines are what json.dumps(event, sort_keys=True, separators=(",", ":"))
 writes, from one field table: _Run.TRACE_FIELDS, next to _emit, lists the
-fields of every event kind, and at import each kind gets a % format with its
-keys sorted and its name written in. Names the scenario supplies (user, to)
-go through the JSON string escaper; ids, reason texts, actions and injection
-kinds are plain ASCII the engine chose and go between quotes unescaped;
-every other field is an int. The upgrade events (a holders list, a share
-that may be null) and a neutralized fault's start (one key more, its
-ineffective note) go through one C JSON encoder built per call.
+fields of every event kind, and at import each kind (and a neutralized
+fault's start, one key more) gets a % format with its keys sorted and its
+name written in. _JSON_FIELDS writes scenario names (user, to), the upgrade's
+holders and its share as JSON text; ids, reason texts and other tokens the
+engine chose go between quotes unescaped; every other field is an int. An
+event with no format raises KeyError. No JSON encoder is involved, so the
+bytes do not depend on CPython's _json accelerator.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 from collections import defaultdict
 from dataclasses import dataclass
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 
@@ -106,39 +105,38 @@ _HATCH_BLOCKED = {"bridge": "bridge unavailable", "data": "data unavailable"}
 # bookkeeping runs last so it sees the settled state of that second.
 _P_END, _P_START, _P_L1, _P_ADMIT, _P_BATCH, _P_ACTION, _P_UPGRADE = range(7)
 
-# The settings of every trace line: what json.dumps(event, sort_keys=True,
-# separators=(",", ":")) writes. SimResult.trace_lines builds one C encoder
-# from them per call for the events no line format fits; JSONEncoder.encode
-# would build a new one per event.
-_TRACE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# How a line format writes the fields of _Run.TRACE_FIELDS: as JSON text by
+# the writer here (scenario names escaped, the upgrade's holders and share),
+# as an engine-made token between quotes (such as actions checked against
+# _ACTIONS), or else as an int with %d.
+_JSON_FIELDS = {
+    "user": encode_basestring_ascii,
+    "to": encode_basestring_ascii,
+    "holders": lambda names: "[" + ",".join(map(encode_basestring_ascii, names)) + "]",
+    "exit_coverage": lambda share: "null" if share is None else float.__repr__(share),
+}
+_TOKEN_FIELDS = frozenset({"id", "reason", "action", "type", "kind", "ineffective"})
 
-# The fields of _Run.TRACE_FIELDS a line format writes other than as an int
-# (scenario names escaped; engine-made tokens, such as actions checked
-# against _ACTIONS, as they are), and the kinds only the encoder writes.
-_NAME_FIELDS = frozenset({"user", "to"})
-_TOKEN_FIELDS = frozenset({"id", "reason", "action", "type", "kind"})
-_ENCODED_EVENTS = frozenset({"upgrade_announced", "upgrade_activated"})
 
-
-def _line_format(event: str, fields: tuple[str, ...]) -> tuple[str, itemgetter, int, tuple]:
+def _line_format(event: str, fields: tuple[str, ...]) -> tuple[str, itemgetter, tuple]:
     """The % format of one event kind's trace line, keys sorted and the event
-    name written in; the getter of its other values in key order; its key
-    count; and the positions of the values to escape."""
+    name written in; the getter of its other values in key order; and the
+    positions of the values written as JSON text, each with its writer."""
     keys = sorted((*fields, "t", "i", "event"))
     parts, values = [], []
     for key in keys:
         if key == "event":
             parts.append(f'"event":"{event}"')
             continue
-        if key in _NAME_FIELDS:
+        if key in _JSON_FIELDS:
             parts.append(f'"{key}":%s')
         elif key in _TOKEN_FIELDS:
             parts.append(f'"{key}":"%s"')
         else:
             parts.append(f'"{key}":%d')
         values.append(key)
-    escaped = tuple(j for j, key in enumerate(values) if key in _NAME_FIELDS)
-    return "{" + ",".join(parts) + "}", itemgetter(*values), len(keys), escaped
+    written = tuple((j, _JSON_FIELDS[key]) for j, key in enumerate(values) if key in _JSON_FIELDS)
+    return "{" + ",".join(parts) + "}", itemgetter(*values), written
 
 
 @dataclass(frozen=True)
@@ -151,33 +149,16 @@ class SimResult:
 
     def trace_lines(self) -> list[str]:
         """One compact JSON object per event, stable across runs."""
-        enc = _TRACE_ENCODER
-        encode = c_make_encoder(
-            {},  # markers: the circular-reference check
-            enc.default,
-            encode_basestring_ascii,
-            enc.indent,
-            enc.key_separator,
-            enc.item_separator,
-            enc.sort_keys,
-            enc.skipkeys,
-            enc.allow_nan,
-        )
-        join = "".join
         formats = _LINE_FORMATS
         lines: list[str] = []
         append = lines.append
         for event in self.events:
-            form = formats.get(event["event"])
-            if form is None or len(event) != form[2]:
-                append(join(encode(event, 0)))
-                continue
-            fmt, get, _keys, escaped = form
+            fmt, get, written = formats[event["event"]][len(event)]
             values = get(event)
-            if escaped:
+            if written:
                 values = list(values)
-                for j in escaped:
-                    values[j] = encode_basestring_ascii(values[j])
+                for j, write in written:
+                    values[j] = write(values[j])
                 values = tuple(values)
             append(fmt % values)
         return lines
@@ -244,8 +225,8 @@ class _Run:
         heapq.heappush(self._heap, (t, prio, self._pushes, kind, args))
 
     # The payload of every event _emit records, besides "t", "i" and "event":
-    # the one list of what a trace line holds. _line_format says how each
-    # field is written.
+    # the one list of what a trace line holds. _line_format writes each field
+    # as _JSON_FIELDS and _TOKEN_FIELDS say.
     TRACE_FIELDS = {
         "action_rejected": ("action", "user", "reason"),
         "deposit_submitted": ("id", "user", "amount"),
@@ -799,11 +780,14 @@ class _Run:
         self._emit("upgrade_activated", exit_coverage=self.exit_coverage)
 
 
+# By kind, then by key count: a neutralized fault's start holds one key
+# more, its ineffective note.
 _LINE_FORMATS = {
-    event: _line_format(event, fields)
+    event: {len(fields) + 3: _line_format(event, fields)}
     for event, fields in _Run.TRACE_FIELDS.items()
-    if event not in _ENCODED_EVENTS
 }
+_noted = (*_Run.TRACE_FIELDS["injection_start"], "ineffective")
+_LINE_FORMATS["injection_start"][len(_noted) + 3] = _line_format("injection_start", _noted)
 
 
 def simulate(scenario: Scenario, seed: int = 0) -> SimResult:

@@ -27,6 +27,15 @@ class ScenarioError(ValueError):
     """A scenario document is malformed or internally inconsistent."""
 
 
+def _exact_ints(obj: object, *names: str) -> None:
+    """Refuse a bool or a float where the class declares an int: the trace
+    writes int fields with %d, which turns True into 1 and 0.5 into 0."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is not int:
+            raise ScenarioError(f"{name} must be an integer, not {value!r}")
+
+
 InjectionKind = _LabeledEnum(
     "InjectionKind",
     [(c.name, c.value) for c in IncidentClass]
@@ -60,14 +69,18 @@ class SimParams:
     horizon: int | None = None
 
     def __post_init__(self) -> None:
-        for name in (
+        positive = (
             "l1_block_interval",
             "finalization_depth",
             "prover_latency",
             "batch_interval",
             "proposal_delay",
             "admission_latency",
-        ):
+        )
+        _exact_ints(self, *positive, "degradation_factor")
+        if self.horizon is not None:
+            _exact_ints(self, "horizon")
+        for name in positive:
             if getattr(self, name) <= 0:
                 raise ScenarioError(f"{name} must be a positive integer")
         if self.degradation_factor < 1:
@@ -89,6 +102,7 @@ class Injection:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "targets", tuple(self.targets))
+        _exact_ints(self, "at", "duration", "amount")
         if self.at < 0:
             raise ScenarioError("injection start must be >= 0")
         if self.kind is InjectionKind.EXPLOIT_USER_RISK:
@@ -121,6 +135,9 @@ class WorkloadAction:
     to: str | None = None
 
     def __post_init__(self) -> None:
+        # tested here first, without a call: materialize builds one per draw
+        if type(self.at) is not int or type(self.amount) is not int:
+            _exact_ints(self, "at", "amount")
         if self.action not in _ACTIONS:
             raise ScenarioError(f"unknown action {self.action!r}")
         if self.at < 0:

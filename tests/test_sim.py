@@ -3,9 +3,13 @@ import dataclasses
 import hashlib
 import json
 import operator
+import os
 import random
+import subprocess
+import sys
 from collections import defaultdict
 from functools import reduce
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -116,6 +120,27 @@ class TestScenarioParsing:
             parse_scenario(_scenario(sim={"warp_speed": 1}))
         with pytest.raises(ScenarioError, match="must be an integer"):
             parse_scenario(_scenario(sim={"prover_latency": "fast"}))
+
+    @pytest.mark.parametrize("value", [True, False, 0.5, 100.0])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: WorkloadAction(v, "deposit", "u", 5),
+            lambda v: WorkloadAction(0, "deposit", "u", v),
+            lambda v: WorkloadAction(0, "hatch-exit", "u", v),
+            lambda v: Injection(InjectionKind.SEQUENCER_OUTAGE, at=v, duration=5),
+            lambda v: Injection(InjectionKind.SEQUENCER_OUTAGE, at=0, duration=v),
+            lambda v: Injection(InjectionKind.EXPLOIT_USER_RISK, at=0, amount=v),
+            lambda v: SimParams(prover_latency=v),
+            lambda v: SimParams(degradation_factor=v),
+            lambda v: SimParams(horizon=v),
+        ],
+    )
+    def test_python_built_inputs_take_only_exact_ints(self, build, value):
+        # the trace writes int fields with %d, which would turn True into 1
+        # and 0.5 into 0 where json.dumps writes true and 0.5
+        with pytest.raises(ScenarioError, match="must be an integer"):
+            build(value)
 
     def test_upgrade_needs_announce_at(self):
         with pytest.raises(ScenarioError, match="announce_at"):
@@ -1175,27 +1200,47 @@ def _beyond_64_bits() -> list[Scenario]:
     return [Scenario("big", c, actions=actions, injections=(exploit,)) for c in configs]
 
 
-# Event kinds whose lines only the JSON encoder writes: the holders list and
-# the share that may be null. Every other kind must have a line format.
-_ENCODER_ONLY = frozenset({"upgrade_announced", "upgrade_activated"})
+def _upgrade_edge_cases() -> list[Scenario]:
+    """An upgrade announced before anyone holds funds (no holders, a share of
+    null), and one announced to three holders with names JSON must escape,
+    one of whom exits in time (a share of 1/3), next to a prover outage that
+    permissionless provers neutralize."""
+    empty = Scenario(
+        "upgrade-no-holders",
+        RollupConfig(upgrade=UpgradeConfig(policy=UpgradePolicy.TIMELOCKED, window=HOUR)),
+        actions=[WorkloadAction(600, "deposit", "late", 100)],
+        upgrade_at=0,
+    )
+    users = ['"-0', "\\-1", "名前-6"]
+    actions = [WorkloadAction(0, "deposit", u, 1_000) for u in users]
+    actions.append(WorkloadAction(600, "withdraw", users[0], 1_000))
+    third = Scenario(
+        "upgrade-third-exits",
+        RollupConfig(
+            prover_set=ProverSetConfig(permissionless=True),
+            upgrade=UpgradeConfig(policy=UpgradePolicy.TIMELOCKED, window=2 * HOUR),
+        ),
+        actions=actions,
+        injections=(Injection(InjectionKind.PROVER_OUTAGE, 600, HOUR),),
+        upgrade_at=700,
+    )
+    return [empty, third]
 
 
 class TestTraceLines:
     """trace_lines() writes each event exactly as json.dumps with sorted keys
-    and compact separators does, from one encoder per call."""
+    and compact separators does, with no JSON encoder."""
 
     def _check(self, result) -> set[str]:
         assert result.trace_lines() == [_compact(e) for e in result.events]
         # Each event holds what the field table lists for its kind (a
-        # neutralized fault's start adds its note), and each kind has a line
-        # format unless named encoder-only: a kind added to _emit cannot fall
-        # back to the encoder unnoticed.
+        # neutralized fault's start adds its note), and each kind and key
+        # count has a line format: a kind added to _emit without one fails.
         for e in result.events:
             note = {"ineffective"} if e["event"] == "injection_start" else set()
             assert e.keys() - note == {"t", "i", "event", *_Run.TRACE_FIELDS[e["event"]]}
-        kinds = {e["event"] for e in result.events}
-        assert kinds <= sim_engine._LINE_FORMATS.keys() | _ENCODER_ONLY
-        return kinds
+            assert len(e) in sim_engine._LINE_FORMATS[e["event"]]
+        return {e["event"] for e in result.events}
 
     def test_bundled_and_fault_laden_runs(self):
         for name in sorted(FROZEN_BUNDLED):
@@ -1236,11 +1281,24 @@ class TestTraceLines:
             assert any(e.get("amount", 0) > 2**63 for e in result.events)
             self._check(result)
 
+    def test_upgrade_edge_cases(self):
+        empty, third = (simulate(scenario, seed=0) for scenario in _upgrade_edge_cases())
+        for result in (empty, third):
+            self._check(result)
+        assert [e["holders"] for e in _events(empty, "upgrade_announced")] == [[]]
+        assert [e["exit_coverage"] for e in _events(empty, "upgrade_activated")] == [None]
+        (announced,) = _events(third, "upgrade_announced")
+        assert announced["holders"] == sorted(['"-0', "\\-1", "名前-6"])
+        assert [e["exit_coverage"] for e in _events(third, "upgrade_activated")] == [1 / 3]
+        (start,) = _events(third, "injection_start")
+        assert start["kind"] == "prover-outage" and "permissionless" in start["ineffective"]
+
     def test_the_checked_runs_write_every_event_kind(self):
         runs = [simulate(load_bundled_scenario(name), seed=0) for name in sorted(FROZEN_BUNDLED)]
         runs += [simulate(_fault_laden(seed), seed=0) for seed in sorted(FROZEN_FAULT_LADEN)]
         runs += [simulate(_odd_users_on_fault_paths(fi), seed=0) for fi in (False, True)]
         runs += [simulate(scenario, seed=0) for scenario in _beyond_64_bits()]
+        runs += [simulate(scenario, seed=0) for scenario in _upgrade_edge_cases()]
         kinds = set().union(*map(self._check, runs))
         assert kinds == _Run.TRACE_FIELDS.keys()
 
@@ -1255,7 +1313,7 @@ class TestTraceLines:
         assert data == ("\n".join(result.trace_lines()) + "\n").encode("ascii")
         assert data.count(b"\n") == len(result.events)
 
-    def test_one_encoder_per_call_whatever_the_event_count(self, monkeypatch):
+    def test_no_encoder_whatever_the_event_count(self, monkeypatch):
         real = json.encoder.c_make_encoder
         built = []
 
@@ -1264,15 +1322,45 @@ class TestTraceLines:
             return real(*args)
 
         # JSONEncoder.encode builds its encoder through json.encoder's name,
-        # so a per-event encoder is counted whichever way it is built.
+        # so an encoder is counted whichever way it is built.
         monkeypatch.setattr(json.encoder, "c_make_encoder", counting)
-        monkeypatch.setattr(sim_engine, "c_make_encoder", counting, raising=False)
         for users, actions in ((5, 20), (100, 2_000)):
             result = simulate(_random(users, actions), seed=0)
             built.clear()
             lines = result.trace_lines()
             assert len(lines) == len(result.events) > actions
-            assert len(built) == 1, (actions, len(built))
+            assert built == [], (actions, len(built))
+
+    def test_the_same_lines_without_the_c_json_module(self):
+        # With _json blocked, json.encoder falls back to its pure-Python
+        # functions; json.dumps there is the reference the lines must match.
+        src = Path(sim_engine.__file__).parents[2]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(src), str(Path(__file__).parent)))}
+        out = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_C_JSON], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["None", "5"]
+
+
+# Runs the three bundled upgrade scenarios and the upgrade edge cases with
+# CPython's _json module blocked; prints json.encoder.c_make_encoder (None
+# once blocked) and the number of runs whose lines match json.dumps.
+_WITHOUT_C_JSON = """
+import sys
+for name in [m for m in sys.modules if m == "json" or m.startswith("json.")]:
+    del sys.modules[name]  # imported at start-up, say by a .pth file
+sys.modules["_json"] = None
+import json
+from l2risk.sim import load_bundled_scenario, simulate
+from test_sim import _upgrade_edge_cases
+print(json.encoder.c_make_encoder)
+names = ("instant-upgrade", "timelocked-upgrade-blocked", "timelocked-upgrade-exit")
+runs = [simulate(load_bundled_scenario(n), seed=0) for n in names]
+runs += [simulate(s, seed=0) for s in _upgrade_edge_cases()]
+dumps = lambda e: json.dumps(e, sort_keys=True, separators=(",", ":"))
+print(sum(r.trace_lines() == [dumps(e) for e in r.events] for r in runs))
+"""
 
 
 def _scan_stalled(run: _Run) -> bool:
