@@ -218,26 +218,23 @@ NARRATIVES: Mapping[str, _Narrative] = MappingProxyType(
 
 @dataclass(frozen=True)
 class Finding:
-    """One populated overlap field and the stakeholders sitting in it."""
+    """One populated overlap field and the stakeholders sitting in it; the
+    field, severity, principles and text all come from its narrative."""
 
-    field: EraField
-    stakeholders: frozenset[Stakeholder]
-    severity: Severity
-    principle_tags: frozenset[Principle]
     narrative_key: str
-    informational: bool
+    stakeholders: frozenset[Stakeholder]
 
     def __post_init__(self) -> None:
         if self.narrative_key not in NARRATIVES:
             raise ValueError(f"unknown narrative key {self.narrative_key!r}")
-        if NARRATIVES[self.narrative_key].field is not self.field:
-            raise ValueError("narrative key does not belong to this field")
         if not self.stakeholders:
             raise ValueError("findings need at least one stakeholder")
 
-    @property
-    def narrative(self) -> str:
-        return NARRATIVES[self.narrative_key].text
+    field = property(lambda self: NARRATIVES[self.narrative_key].field)
+    severity = property(lambda self: NARRATIVES[self.narrative_key].severity)
+    principle_tags = property(lambda self: NARRATIVES[self.narrative_key].principles)
+    informational = property(lambda self: NARRATIVES[self.narrative_key].informational)
+    narrative = property(lambda self: NARRATIVES[self.narrative_key].text)
 
     def to_dict(self) -> dict:
         return {
@@ -251,9 +248,7 @@ class Finding:
         }
 
 
-def _finding(key: str, stakeholders: frozenset[Stakeholder]) -> Finding:
-    n = NARRATIVES[key]
-    return Finding(n.field, stakeholders, n.severity, n.principles, key, n.informational)
+_NO_FALLBACK = "exposed-users-without-fallback"
 
 
 def detect_problematic(
@@ -261,28 +256,17 @@ def detect_problematic(
 ) -> tuple[Finding, ...]:
     """Emit one finding per populated field, in field order.
 
-    Fields 2 and 7 are always problematic. Field 4 escalates from
+    Each field takes its one narrative, except that field 4 escalates from
     informational to problematic when the deployment offers neither an escape
     hatch nor usable forced inclusion, since exposed users then have no
-    practical exit of their own. Everything else is informational context.
+    practical exit of their own.
     """
-    groups = populated_fields(matrix, threshold)
-    fallback_missing = not (config.escape_hatch.enabled or config.forced_inclusion.usable)
-    keys_by_field = {
-        EraField.BENEFIT_ONLY: "benefit-without-exposure-or-decision",
-        EraField.BENEFIT_AND_DECISION: "benefit-and-decision-without-exposure",
-        EraField.DECISION_ONLY: "decision-without-exposure-or-benefit",
-        EraField.EXPOSURE_AND_BENEFIT: (
-            "exposed-users-without-fallback"
-            if fallback_missing
-            else "exposure-and-benefit-without-decision"
-        ),
-        EraField.FULL_OVERLAP: "full-overlap",
-        EraField.EXPOSURE_AND_DECISION: "exposure-and-decision-without-benefit",
-        EraField.EXPOSURE_ONLY: "exposure-without-benefit-or-decision",
-    }
+    keys = {n.field: key for key, n in NARRATIVES.items() if key != _NO_FALLBACK}
+    if not (config.escape_hatch.enabled or config.forced_inclusion.usable):
+        keys[EraField.EXPOSURE_AND_BENEFIT] = _NO_FALLBACK
     return tuple(
-        _finding(keys_by_field[field], members) for field, members in groups.items()
+        Finding(keys[field], members)
+        for field, members in populated_fields(matrix, threshold).items()
     )
 
 
@@ -311,26 +295,24 @@ MITIGATION_LABELS: Mapping[str, str] = MappingProxyType(
     }
 )
 
-# What a dominant incident bucket argues for right now (immediate) and, for
-# invalid-state exploits, what it argues for structurally.
-_DRIVER_TABLE: Mapping[CompressedIncidentType, tuple[tuple[str, ...], tuple[str, ...]]] = (
-    MappingProxyType(
-        {
-            CompressedIncidentType.SEQUENCER_DISRUPTION: (IMMEDIATE_MITIGATIONS, ()),
-            CompressedIncidentType.BRIDGE_OR_WITHDRAWAL: (
-                ("open-proposer-and-proof-submission", "public-tested-fallbacks"),
-                (),
-            ),
-            CompressedIncidentType.EXPLOIT_OR_SECURITY: (
-                ("public-tested-fallbacks",),
-                ("mandatory-l1-state-validation",),
-            ),
-            CompressedIncidentType.CENSORSHIP_OR_FORCED_INCLUSION: (
-                ("strengthen-sequencer-liveness", "public-tested-fallbacks"),
-                (),
-            ),
-        }
-    )
+# What a dominant incident bucket argues for; each mitigation's bucket is
+# the one of the two tuples above that holds it.
+_DRIVER_TABLE: Mapping[CompressedIncidentType, tuple[str, ...]] = MappingProxyType(
+    {
+        CompressedIncidentType.SEQUENCER_DISRUPTION: IMMEDIATE_MITIGATIONS,
+        CompressedIncidentType.BRIDGE_OR_WITHDRAWAL: (
+            "open-proposer-and-proof-submission",
+            "public-tested-fallbacks",
+        ),
+        CompressedIncidentType.EXPLOIT_OR_SECURITY: (
+            "public-tested-fallbacks",
+            "mandatory-l1-state-validation",
+        ),
+        CompressedIncidentType.CENSORSHIP_OR_FORCED_INCLUSION: (
+            "strengthen-sequencer-liveness",
+            "public-tested-fallbacks",
+        ),
+    }
 )
 
 _PREVALENCE_MITIGATIONS: Mapping[RiskDimension, str] = MappingProxyType(
@@ -370,65 +352,43 @@ def prioritize(
     findings: Iterable[Finding],
     prevalence: PrevalenceTable | None,
     dist: IncidentDistribution | None,
-    *,
-    prevalence_threshold: float = DEFAULT_PREVALENCE_THRESHOLD,
 ) -> Prioritization:
     """Sort mitigations into an immediate-operational bucket driven by where
     incidents concentrate and a structural-governance bucket driven by how
     widespread the latent hazards are.
 
-    Structural picks depend on prevalence alone (latent hazards deserve
-    attention even with zero realized incidents); a dominant exploit bucket
-    additionally argues for mandatory state validation. Findings annotate
-    the result but cannot change bucket membership, so input order never
-    matters.
+    Every incident bucket tied for the most incidents picks its row of
+    ``_DRIVER_TABLE``; a dominant exploit bucket thereby also argues for
+    mandatory state validation. Each latent hazard above
+    ``DEFAULT_PREVALENCE_THRESHOLD`` percent of projects picks its structural
+    mitigation, even with zero realized incidents. Findings annotate the
+    rationales but cannot change what is picked, so input order never matters.
     """
-    findings = list(findings)
-    immediate: list[str] = []
-    structural: list[str] = []
-    rationale: dict[str, str] = {}
-
+    rationale: dict[str, str] = {}  # every picked mitigation, in the order picked
     if dist is not None and dist.total > 0:
         top = max(dist.counts.values())
-        drivers = [t for t in CompressedIncidentType if dist.counts[t] == top and top > 0]
-        for driver in drivers:
-            share = dist.shares[driver]
-            imm, struct = _DRIVER_TABLE[driver]
-            for m in imm:
-                if m not in immediate:
-                    immediate.append(m)
-                    rationale[m] = (
-                        f"{driver.value} leads the incident distribution at {share:.1f}%"
-                    )
-            for m in struct:
-                if m not in structural:
-                    structural.append(m)
-                    rationale[m] = (
-                        f"{driver.value} leads the incident distribution at {share:.1f}%"
+        for driver in CompressedIncidentType:
+            if dist.counts[driver] == top:
+                share = dist.shares[driver]
+                for m in _DRIVER_TABLE[driver]:
+                    rationale.setdefault(
+                        m, f"{driver.value} leads the incident distribution at {share:.1f}%"
                     )
 
     if prevalence is not None and prevalence.total_projects > 0:
-        for dim, mitigation in _PREVALENCE_MITIGATIONS.items():
+        for dim, m in _PREVALENCE_MITIGATIONS.items():
             share = prevalence.shares[dim]
-            if share is not None and share > prevalence_threshold:
-                if mitigation not in structural:
-                    structural.append(mitigation)
-                    rationale[mitigation] = (
-                        f"{share:.1f}% of analyzed projects carry the {dim.value} hazard"
-                    )
-                else:
-                    rationale[mitigation] += (
-                        f"; {share:.1f}% of analyzed projects carry the {dim.value} hazard"
-                    )
+            if share is not None and share > DEFAULT_PREVALENCE_THRESHOLD:
+                reason = f"{share:.1f}% of analyzed projects carry the {dim.value} hazard"
+                rationale[m] = f"{rationale[m]}; {reason}" if m in rationale else reason
 
     problem_fields = sorted({int(f.field) for f in findings if not f.informational})
     if problem_fields:
-        note = f"deployment findings flag fields {problem_fields}"
-        for m in list(immediate) + list(structural):
-            rationale[m] += f" ({note})"
+        for m in rationale:
+            rationale[m] += f" (deployment findings flag fields {problem_fields})"
 
     return Prioritization(
-        immediate_operational=tuple(m for m in IMMEDIATE_MITIGATIONS if m in immediate),
-        structural_governance=tuple(m for m in STRUCTURAL_MITIGATIONS if m in structural),
+        immediate_operational=tuple(m for m in IMMEDIATE_MITIGATIONS if m in rationale),
+        structural_governance=tuple(m for m in STRUCTURAL_MITIGATIONS if m in rationale),
         rationale=rationale,
     )

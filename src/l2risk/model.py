@@ -78,6 +78,16 @@ def check_tally(members, key: str, counts: Mapping, shares: Mapping, **scalars: 
             raise ValueError(f"shares.{m.value} must be between 0 and 100")
 
 
+def _exact_ints(obj: object, *names: str, error: type[ValueError] = ValueError) -> None:
+    """Refuse a bool or a float where ``obj``'s class declares an int, raising
+    ``error``: the simulator's trace writes int values with %d, which turns
+    True into 1 and 0.5 into 0."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is not int:
+            raise error(f"{name} must be an integer, not {value!r}")
+
+
 class _LabeledEnum(enum.Enum):
     """Enum whose members parse from loosely formatted labels.
 
@@ -478,6 +488,9 @@ class SequencerConfig:
     # Time the operator needs to restore service after an unplanned stop.
     recovery_latency: int = 10 * 60
 
+    def __post_init__(self) -> None:
+        _exact_ints(self, "recovery_latency")
+
 
 @dataclass(frozen=True)
 class ProposerConfig:
@@ -485,6 +498,7 @@ class ProposerConfig:
     count: int = 1
 
     def __post_init__(self) -> None:
+        _exact_ints(self, "count")
         if self.count < 1:
             raise ValueError("proposer count must be >= 1")
 
@@ -498,6 +512,7 @@ class ForcedInclusionConfig:
     usable: bool = False
 
     def __post_init__(self) -> None:
+        _exact_ints(self, "timeout")
         if self.usable and not self.enabled:
             raise ValueError("forced inclusion cannot be usable while disabled")
         if self.enabled and self.timeout <= 0:
@@ -517,6 +532,7 @@ class DaConfig:
     withholding_possible: bool = False
 
     def __post_init__(self) -> None:
+        _exact_ints(self, "attestation_quorum")
         if self.mode is DaMode.ONCHAIN and self.withholding_possible:
             raise ValueError("onchain data cannot be withheld")
 
@@ -527,6 +543,7 @@ class UpgradeConfig:
     window: int = 0
 
     def __post_init__(self) -> None:
+        _exact_ints(self, "window")
         if self.policy is UpgradePolicy.TIMELOCKED and self.window <= 0:
             raise ValueError("timelocked upgrades need a positive exit window")
 
@@ -537,6 +554,7 @@ class ProverSetConfig:
     permissionless: bool = False
 
     def __post_init__(self) -> None:
+        _exact_ints(self, "count")
         if self.count < 1:
             raise ValueError("prover count must be >= 1")
 
@@ -557,6 +575,7 @@ class RollupConfig:
     state_validation_enforced: bool = True
 
     def __post_init__(self) -> None:
+        _exact_ints(self, "challenge_window")
         if self.proof_system is ProofSystem.OPTIMISTIC and self.challenge_window <= 0:
             raise ValueError("optimistic rollups need a positive challenge window")
         if self.proof_system is ProofSystem.ZK and self.prover_set is None:

@@ -77,81 +77,69 @@ def _pct(value: float | None) -> str:
     return "undefined" if value is None else f"{value}%"
 
 
+_D, _T = RiskDimension, CompressedIncidentType
+
+# One row per note: key, linked dimensions, linked incident types, and a text
+# that quotes exactly the shares of those links, each under its slug.
+_NOTES = (
+    (
+        "sequencer-liveness-gap",
+        (_D.SEQUENCER_FAILURE,),
+        (_T.SEQUENCER_DISRUPTION,),
+        "Sequencer disruptions account for {sequencer-disruption} of classified incidents, "
+        "yet only {sequencer-failure} of projects are flagged for sequencer-failure risk. "
+        "Listed liveness mechanisms are often nominal rather than usable, so structural "
+        "listings and operational history must be read together.",
+    ),
+    (
+        "proposer-withdrawal-linkage",
+        (_D.PROPOSER_FAILURE,),
+        (_T.BRIDGE_OR_WITHDRAWAL,),
+        "{proposer-failure} of projects cannot progress withdrawals if their whitelisted "
+        "proposers stall, and bridge or withdrawal incidents make up {bridge-or-withdrawal} "
+        "of the record; the structural dependency has a visible operational footprint.",
+    ),
+    (
+        "exit-window-latent",
+        (_D.EXIT_WINDOW,),
+        (),
+        "{exit-window} of projects give users no window to exit before upgrades take effect. "
+        "No incident class maps to this hazard: it stays latent until a contentious upgrade "
+        "or shutdown forces exits, so its absence from the incident record is not evidence "
+        "of safety.",
+    ),
+    (
+        "unobservable-validation-da",
+        (_D.STATE_VALIDATION, _D.DATA_AVAILABILITY),
+        (),
+        "Unenforced state validation ({state-validation} of projects) and offchain data "
+        "dependence ({data-availability}) fail quietly: an accepted invalid root or withheld "
+        "data produces no public outage until funds move. Incident feeds systematically "
+        "under-report these hazards.",
+    ),
+)
+
+
 def cross_validate(
     prevalence: PrevalenceTable, dist: IncidentDistribution
 ) -> tuple[CrossNote, ...]:
     """Line the prevalence table up against the incident distribution.
 
-    Notes fire on the evidence that supports them: incident-linked notes need
-    at least one matching incident, while latent-hazard notes depend only on
-    structure and survive an empty incident record.
+    Notes fire on the evidence that supports them, in table order: a note
+    linked to incident types needs a recorded incident of one of them, while
+    a latent-hazard note (no incident types) needs one of its linked shares
+    above 0 and survives an empty incident record.
     """
-    notes: list[CrossNote] = []
-    shares = prevalence.shares
-    ishares = dist.shares
-
-    if dist.counts[CompressedIncidentType.SEQUENCER_DISRUPTION] > 0:
-        notes.append(
-            CrossNote(
-                key="sequencer-liveness-gap",
-                text=(
-                    "Sequencer disruptions account for "
-                    f"{_pct(ishares[CompressedIncidentType.SEQUENCER_DISRUPTION])} of classified "
-                    f"incidents, yet only {_pct(shares[RiskDimension.SEQUENCER_FAILURE])} of "
-                    "projects are flagged for sequencer-failure risk. Listed liveness "
-                    "mechanisms are often nominal rather than usable, so structural listings "
-                    "and operational history must be read together."
-                ),
-                dimensions=(RiskDimension.SEQUENCER_FAILURE,),
-                incident_types=(CompressedIncidentType.SEQUENCER_DISRUPTION,),
-            )
-        )
-    if dist.counts[CompressedIncidentType.BRIDGE_OR_WITHDRAWAL] > 0:
-        notes.append(
-            CrossNote(
-                key="proposer-withdrawal-linkage",
-                text=(
-                    f"{_pct(shares[RiskDimension.PROPOSER_FAILURE])} of projects cannot "
-                    "progress withdrawals if their whitelisted proposers stall, and bridge or "
-                    "withdrawal incidents make up "
-                    f"{_pct(ishares[CompressedIncidentType.BRIDGE_OR_WITHDRAWAL])} of the "
-                    "record; the structural dependency has a visible operational footprint."
-                ),
-                dimensions=(RiskDimension.PROPOSER_FAILURE,),
-                incident_types=(CompressedIncidentType.BRIDGE_OR_WITHDRAWAL,),
-            )
-        )
-    exit_share = shares[RiskDimension.EXIT_WINDOW]
-    if exit_share is not None and exit_share > 0:
-        notes.append(
-            CrossNote(
-                key="exit-window-latent",
-                text=(
-                    f"{_pct(exit_share)} of projects give users no window to exit before "
-                    "upgrades take effect. No incident class maps to this hazard: it stays "
-                    "latent until a contentious upgrade or shutdown forces exits, so its "
-                    "absence from the incident record is not evidence of safety."
-                ),
-                dimensions=(RiskDimension.EXIT_WINDOW,),
-                incident_types=(),
-            )
-        )
-    sv = shares[RiskDimension.STATE_VALIDATION]
-    da = shares[RiskDimension.DATA_AVAILABILITY]
-    if (sv is not None and sv > 0) or (da is not None and da > 0):
-        notes.append(
-            CrossNote(
-                key="unobservable-validation-da",
-                text=(
-                    f"Unenforced state validation ({_pct(sv)} of projects) and offchain data "
-                    f"dependence ({_pct(da)}) fail quietly: an accepted invalid root or "
-                    "withheld data produces no public outage until funds move. Incident "
-                    "feeds systematically under-report these hazards."
-                ),
-                dimensions=(RiskDimension.STATE_VALIDATION, RiskDimension.DATA_AVAILABILITY),
-                incident_types=(),
-            )
-        )
+    notes = []
+    for key, dims, types, template in _NOTES:
+        if types:
+            fires = any(dist.counts[t] > 0 for t in types)
+        else:
+            fires = any((prevalence.shares[d] or 0) > 0 for d in dims)
+        if fires:
+            shares = {d.value: _pct(prevalence.shares[d]) for d in dims}
+            shares.update((t.value, _pct(dist.shares[t])) for t in types)
+            notes.append(CrossNote(key, template.format_map(shares), dims, types))
     return tuple(notes)
 
 

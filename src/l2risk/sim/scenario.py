@@ -20,20 +20,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from l2risk.data import fixture_path
-from l2risk.model import DAY, IncidentClass, RollupConfig, _LabeledEnum, decode_text, read_json
+from l2risk.model import (
+    DAY,
+    IncidentClass,
+    RollupConfig,
+    _exact_ints,
+    _LabeledEnum,
+    decode_text,
+    read_json,
+)
 
 
 class ScenarioError(ValueError):
     """A scenario document is malformed or internally inconsistent."""
-
-
-def _exact_ints(obj: object, *names: str) -> None:
-    """Refuse a bool or a float where the class declares an int: the trace
-    writes int fields with %d, which turns True into 1 and 0.5 into 0."""
-    for name in names:
-        value = getattr(obj, name)
-        if type(value) is not int:
-            raise ScenarioError(f"{name} must be an integer, not {value!r}")
 
 
 InjectionKind = _LabeledEnum(
@@ -77,9 +76,9 @@ class SimParams:
             "proposal_delay",
             "admission_latency",
         )
-        _exact_ints(self, *positive, "degradation_factor")
+        _exact_ints(self, *positive, "degradation_factor", error=ScenarioError)
         if self.horizon is not None:
-            _exact_ints(self, "horizon")
+            _exact_ints(self, "horizon", error=ScenarioError)
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ScenarioError(f"{name} must be a positive integer")
@@ -102,7 +101,7 @@ class Injection:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "targets", tuple(self.targets))
-        _exact_ints(self, "at", "duration", "amount")
+        _exact_ints(self, "at", "duration", "amount", error=ScenarioError)
         if self.at < 0:
             raise ScenarioError("injection start must be >= 0")
         if self.kind is InjectionKind.EXPLOIT_USER_RISK:
@@ -137,7 +136,7 @@ class WorkloadAction:
     def __post_init__(self) -> None:
         # tested here first, without a call: materialize builds one per draw
         if type(self.at) is not int or type(self.amount) is not int:
-            _exact_ints(self, "at", "amount")
+            _exact_ints(self, "at", "amount", error=ScenarioError)
         if self.action not in _ACTIONS:
             raise ScenarioError(f"unknown action {self.action!r}")
         if self.at < 0:
@@ -169,6 +168,7 @@ class RandomWorkload:
     max_amount: int = 1_000
 
     def __post_init__(self) -> None:
+        _exact_ints(self, "users", "actions", "horizon", "max_amount", error=ScenarioError)
         if min(self.users, self.actions, self.horizon, self.max_amount) <= 0:
             raise ScenarioError("random workload fields must be positive")
 

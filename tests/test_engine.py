@@ -9,7 +9,6 @@ from l2risk.engine import (
     NARRATIVES,
     OutsideDiagramError,
     Principle,
-    Severity,
     assign_field,
     classify_roles,
     detect_problematic,
@@ -18,8 +17,9 @@ from l2risk.engine import (
     prioritize,
     role_threshold,
 )
-from l2risk.incidents import distribution, parse_incidents
+from l2risk.incidents import IncidentDistribution, distribution, parse_incidents
 from l2risk.model import (
+    CompressedIncidentType,
     EraField,
     EscapeHatchConfig,
     ForcedInclusionConfig,
@@ -270,24 +270,18 @@ class TestDetectProblematic:
         assert fields == sorted(fields)
 
     def test_finding_validation(self):
-        with pytest.raises(ValueError):
-            Finding(
-                EraField.EXPOSURE_ONLY,
-                frozenset(),
-                Severity.OPERATIONAL,
-                frozenset({Principle.NON_MALEFICENCE}),
-                "exposure-without-benefit-or-decision",
-                False,
-            )
-        with pytest.raises(ValueError):
-            Finding(
-                EraField.BENEFIT_ONLY,
-                frozenset({Stakeholder.END_USER}),
-                Severity.OPERATIONAL,
-                frozenset(),
-                "exposure-without-benefit-or-decision",
-                False,
-            )
+        with pytest.raises(ValueError, match="at least one stakeholder"):
+            Finding("exposure-without-benefit-or-decision", frozenset())
+        with pytest.raises(ValueError, match="unknown narrative key"):
+            Finding("exposure-only", frozenset({Stakeholder.END_USER}))
+        finding = Finding("exposed-users-without-fallback", frozenset({Stakeholder.END_USER}))
+        n = NARRATIVES["exposed-users-without-fallback"]
+        assert (finding.field, finding.severity, finding.principle_tags) == (
+            n.field,
+            n.severity,
+            n.principles,
+        )
+        assert (finding.informational, finding.narrative) == (n.informational, n.text)
 
     def test_every_narrative_maps_to_its_field(self):
         assert {n.field for n in NARRATIVES.values()} == set(EraField)
@@ -356,11 +350,44 @@ class TestPrioritize:
         backward = prioritize(tuple(reversed(default_findings_nostrict)), prevalence, dist)
         assert forward == backward
 
-    def test_buckets_are_disjoint_and_threshold_configurable(self, paper_inputs):
-        prevalence, dist = paper_inputs
-        result = prioritize((), prevalence, dist, prevalence_threshold=90.0)
+    def test_buckets_are_disjoint_and_threshold_is_strict(self, paper_inputs):
+        _, dist = paper_inputs
+        shares = {
+            RiskDimension.EXIT_WINDOW: 20.0,
+            RiskDimension.STATE_VALIDATION: 20.1,
+            RiskDimension.DATA_AVAILABILITY: 0.0,
+            RiskDimension.PROPOSER_FAILURE: 90.0,
+            RiskDimension.SEQUENCER_FAILURE: 90.0,
+        }
+        prevalence = PrevalenceTable(1000, {d: int(s * 10) for d, s in shares.items()}, shares)
+        result = prioritize((), prevalence, dist)
         assert set(result.immediate_operational).isdisjoint(result.structural_governance)
-        assert result.structural_governance == ()
+        # exactly DEFAULT_PREVALENCE_THRESHOLD (20.0) is not above it
+        assert result.structural_governance == ("mandatory-l1-state-validation",)
+        assert result.rationale["mandatory-l1-state-validation"] == (
+            "20.1% of analyzed projects carry the state-validation hazard"
+        )
+
+    def test_tied_top_buckets_each_pick_their_row(self):
+        counts = {
+            CompressedIncidentType.SEQUENCER_DISRUPTION: 1,
+            CompressedIncidentType.BRIDGE_OR_WITHDRAWAL: 2,
+            CompressedIncidentType.EXPLOIT_OR_SECURITY: 2,
+            CompressedIncidentType.CENSORSHIP_OR_FORCED_INCLUSION: 0,
+        }
+        shares = {t: 100 * c / 5 for t, c in counts.items()}
+        result = prioritize((), None, IncidentDistribution(5, counts, shares, 0, 0, None))
+        assert result.immediate_operational == (
+            "open-proposer-and-proof-submission",
+            "public-tested-fallbacks",
+        )
+        assert result.structural_governance == ("mandatory-l1-state-validation",)
+        # a mitigation both rows pick keeps the first driver's reason
+        assert result.to_dict()["rationale"] == {
+            "mandatory-l1-state-validation": "exploit-or-security leads the incident distribution at 40.0%",
+            "open-proposer-and-proof-submission": "bridge-or-withdrawal leads the incident distribution at 40.0%",
+            "public-tested-fallbacks": "bridge-or-withdrawal leads the incident distribution at 40.0%",
+        }
 
     def test_no_inputs_no_output(self):
         result = prioritize((), None, None)

@@ -23,12 +23,15 @@ from l2risk.model import (
     ProjectCategory,
     ProjectRiskProfile,
     ProofSystem,
+    ProposerConfig,
+    ProverSetConfig,
     RiskDimension,
     RiskEntry,
     RoleAssignment,
     RoleFlag,
     RoleMatrix,
     RollupConfig,
+    SequencerConfig,
     Sentiment,
     SourceKind,
     Stakeholder,
@@ -289,6 +292,40 @@ class TestRollupConfigValidation:
 
     def test_default_config_has_independent_provers(self):
         assert RollupConfig.centralized_default().has_independent_provers()
+
+    @pytest.mark.parametrize("value", [True, 0.5, 100.0])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: RollupConfig(proof_system=ProofSystem.OPTIMISTIC, challenge_window=v),
+            lambda v: ForcedInclusionConfig(enabled=True, timeout=v),
+            lambda v: UpgradeConfig(policy=UpgradePolicy.TIMELOCKED, window=v),
+            lambda v: ProverSetConfig(count=v),
+            lambda v: ProposerConfig(count=v),
+            lambda v: SequencerConfig(recovery_latency=v),
+            lambda v: DaConfig(attestation_quorum=v),
+        ],
+        ids=[
+            "challenge_window",
+            "timeout",
+            "window",
+            "prover_count",
+            "proposer_count",
+            "recovery_latency",
+            "attestation_quorum",
+        ],
+    )
+    def test_int_fields_take_only_exact_ints(self, build, value):
+        # the simulator's trace writes these through %d, which would turn
+        # True into 1 and 0.5 into 0 where json.dumps writes true and 0.5
+        with pytest.raises(ValueError, match="must be an integer"):
+            build(value)
+
+    def test_fractional_forced_inclusion_timeout_is_refused(self):
+        # once accepted, a withdrawal denied during an outage was traced with
+        # "deadline":2508 where json.dumps writes 2508.0
+        with pytest.raises(ValueError, match=r"timeout must be an integer, not 1800\.5"):
+            ForcedInclusionConfig(enabled=True, usable=True, timeout=1800.5)
 
 
 def _decimal_percentage(count: int, total: int) -> float:

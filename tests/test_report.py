@@ -14,13 +14,30 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from l2risk.data import RULESET_JSON, fixture_path
-from l2risk.incidents import distribution, parse_incidents
-from l2risk.model import CompressedIncidentType, RiskDimension
-from l2risk.report import build_report, content_digest, cross_validate, render_report_text
+from l2risk.data import RULESET_JSON, fixture_path, scenario_names
+from l2risk.engine import (
+    IMMEDIATE_MITIGATIONS,
+    MITIGATION_LABELS,
+    NARRATIVES,
+    STRUCTURAL_MITIGATIONS,
+    Principle,
+    Severity,
+)
+from l2risk.incidents import IncidentDistribution, distribution, parse_incidents
+from l2risk.model import CompressedIncidentType, RiskDimension, Stakeholder
+from l2risk.report import (
+    _NOTES,
+    _pct,
+    build_report,
+    content_digest,
+    cross_validate,
+    render_report_text,
+)
 from l2risk.schemas import load_schema
-from l2risk.snapshot import aggregate_prevalence, extract_projects, load_snapshot
+from l2risk.snapshot import PrevalenceTable, aggregate_prevalence, extract_projects, load_snapshot
 
 SNAPSHOT = fixture_path("snapshot-fixture.json")
 INCIDENTS = fixture_path("incident-table.csv")
@@ -87,6 +104,59 @@ def test_note_to_dict_uses_slugs(prevalence, dist):
     json.dumps(payload)  # fully serializable
 
 
+_LINKED_SHARE = st.sampled_from([None, 0.0, 0.1, 24.8, 100.0])
+
+
+@st.composite
+def _evidence(draw):
+    """A prevalence table and an incident distribution holding any mix of
+    undefined, zero and positive shares and of zero and non-zero counts."""
+    shares = {d: draw(_LINKED_SHARE) for d in RiskDimension}
+    prevalence = PrevalenceTable(100, {d: 0 for d in RiskDimension}, shares)
+    counts = {t: draw(st.sampled_from([0, 0, 1, 3])) for t in CompressedIncidentType}
+    ishares = {t: draw(_LINKED_SHARE) for t in CompressedIncidentType}
+    return prevalence, IncidentDistribution(sum(counts.values()), counts, ishares, 0, 0, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_evidence())
+def test_notes_fire_by_the_one_rule_and_quote_their_links(evidence):
+    prevalence, dist = evidence
+    expected = [
+        key
+        for key, dims, types, _ in _NOTES
+        if (
+            any(dist.counts[t] > 0 for t in types)
+            if types
+            else any(prevalence.shares[d] not in (None, 0.0) for d in dims)
+        )
+    ]
+    notes = cross_validate(prevalence, dist)
+    assert [n.key for n in notes] == expected  # in table order
+    links = {key: (dims, types) for key, dims, types, _ in _NOTES}
+    for note in notes:
+        assert (note.dimensions, note.incident_types) == links[note.key]
+        for d in note.dimensions:
+            assert _pct(prevalence.shares[d]) in note.text
+        for t in note.incident_types:
+            assert _pct(dist.shares[t]) in note.text
+
+
+@pytest.mark.parametrize(
+    "sv, da, fires",
+    [(None, None, False), (0.0, None, False), (0.0, 0.0, False), (3.1, 0.0, True), (None, 2.5, True)],
+)
+def test_validation_da_note_fires_on_either_share(sv, da, fires):
+    shares = {d: 0.0 for d in RiskDimension}
+    shares.update({RiskDimension.STATE_VALIDATION: sv, RiskDimension.DATA_AVAILABILITY: da})
+    prevalence = PrevalenceTable(100, {d: 0 for d in RiskDimension}, shares)
+    texts = {n.key: n.text for n in cross_validate(prevalence, distribution([]))}
+    assert ("unobservable-validation-da" in texts) is fires
+    if fires:
+        assert f"({_pct(sv)} of projects)" in texts["unobservable-validation-da"]
+        assert f"dependence ({_pct(da)})" in texts["unobservable-validation-da"]
+
+
 # -- report assembly -----------------------------------------------------------
 
 
@@ -119,6 +189,86 @@ def test_report_schema_members_are_the_models():
     defs = load_schema("report")["$defs"]
     assert defs["dimension"]["enum"] == [d.value for d in RiskDimension]
     assert defs["bucket"]["enum"] == [t.value for t in CompressedIncidentType]
+
+
+def test_report_schema_ids_are_the_tables():
+    defs = load_schema("report")["$defs"]
+    assert defs["note"]["enum"] == [key for key, *_ in _NOTES]
+    assert defs["narrative"]["enum"] == list(NARRATIVES)
+    assert defs["severity"]["enum"] == [s.value for s in Severity]
+    assert defs["principle"]["enum"] == [p.value for p in Principle]
+    assert defs["stakeholder"]["enum"] == [s.value for s in Stakeholder]
+    assert defs["immediateMitigation"]["enum"] == list(IMMEDIATE_MITIGATIONS)
+    assert defs["structuralMitigation"]["enum"] == list(STRUCTURAL_MITIGATIONS)
+    assert list(MITIGATION_LABELS) == list(IMMEDIATE_MITIGATIONS + STRUCTURAL_MITIGATIONS)
+
+
+def test_report_simulation_items_are_the_metrics_schema():
+    metrics = load_schema("metrics")
+    for key in ("$schema", "title", "description"):
+        del metrics[key]
+    assert load_schema("report")["$defs"]["simulation"] == metrics
+
+
+# FormatChecker makes `format: date` a rule rather than an annotation
+_REPORT_SCHEMA = jsonschema.Draft202012Validator(
+    load_schema("report"), format_checker=jsonschema.FormatChecker()
+)
+
+
+@pytest.fixture(scope="module")
+def full_report():
+    """A report over every input kind: the fixtures, the default ruleset and
+    all bundled scenarios."""
+    return build_report(
+        snapshot_path=SNAPSHOT,
+        incidents_path=INCIDENTS,
+        ruleset_path=fixture_path(RULESET_JSON),
+        scenario_paths=[fixture_path(f"scenarios/{name}") for name in scenario_names()],
+    ).report
+
+
+def test_real_reports_satisfy_the_schema(full_report, tmp_path):
+    _REPORT_SCHEMA.validate(full_report)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("name,date,link,incident_type\n", encoding="utf-8")
+    report = build_report(snapshot_path=SNAPSHOT, incidents_path=empty).report
+    assert report["incidents"]["date_span"] is None
+    _REPORT_SCHEMA.validate(report)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("simulations", 0, "metrics"), {}),
+        (("simulations", 0, "metrics", "peak_backlog"), 3),
+        (("simulations", 0, "metrics", "frozen_funds_duration"), -5),
+        (("simulations", 0, "metrics", "exit_coverage_before_upgrade"), 3.0),
+        (("simulations", 0, "conservation_violations"), [1]),
+        (("simulations", 0, "elapsed"), 1),
+        (("prevalence", "source"), "x"),
+        (("incidents", "source"), "x"),
+        (("incidents", "date_span"), ["x", "y"]),
+        (("cross_validation", 0, "key"), "made-up-note"),
+        (("cross_validation", 0, "dimensions"), ["Exit Window"]),
+        (("cross_validation", 0, "incident_types"), ["outage"]),
+        (("findings", 0, "severity"), "catastrophic"),
+        (("findings", 0, "principles"), ["kindness"]),
+        (("findings", 0, "narrative_key"), "made-up-narrative"),
+        (("findings", 0, "stakeholders"), ["user"]),
+        (("prioritization", "immediate_operational"), ["reduce-external-da-reliance"]),
+        (("prioritization", "structural_governance"), ["do-nothing"]),
+        (("prioritization", "rationale", "do-nothing"), "because"),
+    ],
+)
+def test_report_schema_refuses(full_report, path, value):
+    report = copy.deepcopy(full_report)
+    target = report
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    with pytest.raises(jsonschema.ValidationError):
+        _REPORT_SCHEMA.validate(report)
 
 
 def test_report_metadata_inputs_carry_real_digests(bundle):

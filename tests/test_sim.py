@@ -134,6 +134,10 @@ class TestScenarioParsing:
             lambda v: SimParams(prover_latency=v),
             lambda v: SimParams(degradation_factor=v),
             lambda v: SimParams(horizon=v),
+            lambda v: RandomWorkload(users=v),
+            lambda v: RandomWorkload(actions=v),
+            lambda v: RandomWorkload(horizon=v),
+            lambda v: RandomWorkload(max_amount=v),
         ],
     )
     def test_python_built_inputs_take_only_exact_ints(self, build, value):
