@@ -69,9 +69,7 @@ def _cmd_ingest_snapshot(args: argparse.Namespace) -> int:
     _print_warnings(result.warnings)
     table = aggregate_prevalence(result.profiles)
     if args.format == "json":
-        payload = table.to_dict()
-        payload["warnings"] = list(result.warnings)
-        _write(_json_text(payload), args.out)
+        _write(_json_text(table.to_dict(result.warnings)), args.out)
     else:
         _write(render_prevalence_text(table), args.out)
     return 0
@@ -82,21 +80,22 @@ def _cmd_ingest_incidents(args: argparse.Namespace) -> int:
     _print_warnings(parsed.warnings)
     dist = distribution(parsed.records)
     if args.format == "json":
-        payload = dist.to_dict()
-        payload["warnings"] = list(parsed.warnings)
-        _write(_json_text(payload), args.out)
+        _write(_json_text(dist.to_dict(parsed.warnings)), args.out)
     else:
         _write(render_distribution_text(dist), args.out)
     return 0
 
 
+def _read_artifact(path: str) -> object:
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+
+
 def _cmd_cross_validate(args: argparse.Namespace) -> int:
-    prevalence = PrevalenceTable.from_dict(
-        json.loads(Path(args.prevalence).read_text(encoding="utf-8"))
-    )
-    dist = IncidentDistribution.from_dict(
-        json.loads(Path(args.distribution).read_text(encoding="utf-8"))
-    )
+    prevalence = PrevalenceTable.from_dict(_read_artifact(args.prevalence))
+    dist = IncidentDistribution.from_dict(_read_artifact(args.distribution))
     notes = cross_validate(prevalence, dist)
     if args.format == "json":
         _write(_json_text([n.to_dict() for n in notes]), args.out)

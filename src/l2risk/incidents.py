@@ -19,11 +19,12 @@ from .model import (
     IncidentRecord,
     SourceKind,
     aligned_table,
+    check_shares,
     check_tally,
     iso_date,
     normalize_label,
-    percentage,
     read_json,
+    share_table,
 )
 
 
@@ -147,6 +148,8 @@ def parse_incidents(source: str | Path, *, text: str | None = None) -> IncidentP
     if missing:
         raise IncidentFormatError(f"incident table header lacks columns: {missing}")
     col = {name: header.index(name) for name in header}
+    # a row must reach every column read from it
+    width = 1 + max(col[c] for c in (*REQUIRED_COLUMNS, "description") if c in col)
 
     records: list[IncidentRecord] = []
     seen: set[tuple] = set()
@@ -154,7 +157,7 @@ def parse_incidents(source: str | Path, *, text: str | None = None) -> IncidentP
     for line_no, row in enumerate(rows[1:], start=2):
         if not any(cell.strip() for cell in row):
             continue
-        if len(row) < len(REQUIRED_COLUMNS):
+        if len(row) < width:
             issues.append(RowIssue(line_no, "too few fields", delimiter.join(row)))
             continue
         project = row[col["name"]].strip()
@@ -232,10 +235,13 @@ class IncidentDistribution:
             raise ValueError("bucket counts must sum to total")
         if self.date_span is not None and self.date_span[0] > self.date_span[1]:
             raise ValueError("date_span must not end before it starts")
+        check_shares(CompressedIncidentType, self.counts, self.shares, self.total)
         object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
         object.__setattr__(self, "shares", MappingProxyType(dict(self.shares)))
 
-    def to_dict(self) -> dict:
+    def to_dict(self, warnings: Iterable[str]) -> dict:
+        """The artifact ``ingest-incidents --format json`` writes and the report
+        embeds, with the parse's ``warnings``."""
         return {
             "total": self.total,
             "counts": {t.value: self.counts[t] for t in CompressedIncidentType},
@@ -243,6 +249,7 @@ class IncidentDistribution:
             "unmapped": self.unmapped,
             "distinct_projects": self.distinct_project_count,
             "date_span": [d.isoformat() for d in self.date_span] if self.date_span else None,
+            "warnings": list(warnings),
         }
 
     @classmethod
@@ -250,8 +257,15 @@ class IncidentDistribution:
         doc = read_json(_DistributionArtifact, raw, "distribution")
         if doc.date_span is not None and len(doc.date_span) != 2:
             raise ValueError("date_span must be null or a pair of dates")
-        dates = doc.date_span and tuple(map(iso_date, doc.date_span))
-        return cls(doc.total, doc.counts, doc.shares, doc.unmapped, doc.distinct_projects, dates)
+        dates = []
+        for i, text in enumerate(doc.date_span or ()):
+            try:
+                dates.append(iso_date(text))
+            except ValueError as exc:
+                raise ValueError(f"date_span[{i}]: {exc}") from None
+        return cls(
+            doc.total, doc.counts, doc.shares, doc.unmapped, doc.distinct_projects, tuple(dates) or None
+        )
 
 
 @dataclass(eq=False, repr=False)
@@ -273,9 +287,7 @@ def distribution(records: Iterable[IncidentRecord]) -> IncidentDistribution:
     for r in classified:
         counts[r.compressed] += 1
     total = len(classified)
-    shares = {
-        t: (percentage(counts[t], total) if total else None) for t in CompressedIncidentType
-    }
+    shares = share_table(CompressedIncidentType, counts, total)
     dates = sorted(r.date_utc for r in records)
     return IncidentDistribution(
         total=total,

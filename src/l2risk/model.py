@@ -78,6 +78,21 @@ def check_tally(members, key: str, counts: Mapping, shares: Mapping, **scalars: 
             raise ValueError(f"shares.{m.value} must be between 0 and 100")
 
 
+def share_table(members, counts: Mapping, total: int) -> dict:
+    """Each member's ``percentage`` of ``total``; all None (undefined) when it is 0."""
+    return {m: percentage(counts[m], total) if total else None for m in members}
+
+
+def check_shares(members, counts: Mapping, shares: Mapping, total: int) -> None:
+    """Raise ValueError unless ``shares`` is ``share_table(members, counts, total)``;
+    run after the checks on counts and totals."""
+    for m, expected in share_table(members, counts, total).items():
+        if shares[m] != expected:
+            raise ValueError(
+                f"shares.{m.value} must be {expected} for {counts[m]} of {total}, not {shares[m]}"
+            )
+
+
 def _exact_ints(obj: object, *names: str, error: type[ValueError] = ValueError) -> None:
     """Refuse a bool or a float where ``obj``'s class declares an int, raising
     ``error``: the simulator's trace writes int values with %d, which turns

@@ -223,10 +223,6 @@ def build_report(
         inputs["scenarios"] = scenario_inputs
 
     stamp = generated_at or dt.datetime.now(dt.timezone.utc).isoformat(timespec="seconds")
-    prevalence_section = prevalence.to_dict()
-    prevalence_section["warnings"] = list(extract.warnings)
-    incidents_section = dist.to_dict()
-    incidents_section["warnings"] = list(parsed.warnings)
 
     report = {
         "metadata": {
@@ -236,8 +232,8 @@ def build_report(
             "seed": seed,
             "inputs": inputs,
         },
-        "prevalence": prevalence_section,
-        "incidents": incidents_section,
+        "prevalence": prevalence.to_dict(extract.warnings),
+        "incidents": dist.to_dict(parsed.warnings),
         "cross_validation": [n.to_dict() for n in notes],
         "findings": [f.to_dict() for f in findings],
         "prioritization": priorities.to_dict(),

@@ -226,8 +226,10 @@ class Scenario:
         object.__setattr__(self, "injections", tuple(self.injections))
         if self.actions and self.random_workload is not None:
             raise ScenarioError("workload is either explicit or random, not both")
-        if self.upgrade_at is not None and self.upgrade_at < 0:
-            raise ScenarioError("upgrade announcement must be >= 0")
+        if self.upgrade_at is not None:
+            _exact_ints(self, "upgrade_at", error=ScenarioError)
+            if self.upgrade_at < 0:
+                raise ScenarioError("upgrade announcement must be >= 0")
 
     def workload(self, seed: int) -> tuple[WorkloadAction, ...]:
         if self.random_workload is not None:

@@ -27,10 +27,11 @@ from .model import (
     Sentiment,
     _slug,
     aligned_table,
+    check_shares,
     check_tally,
     normalize_label,
-    percentage,
     read_json,
+    share_table,
 )
 
 
@@ -331,7 +332,11 @@ def extract_projects(
 
         entries: list[RiskEntry] = []
         dims_seen: set[RiskDimension] = set()
-        for raw_risk in raw.get("risks", []) or []:
+        risks = raw.get("risks")
+        if risks is not None and type(risks) is not list:
+            warnings.append(f"project {project_id}: non-list risks value dropped")
+            risks = None
+        for raw_risk in risks or ():
             if not isinstance(raw_risk, dict):
                 warnings.append(f"project {project_id}: non-object risk entry dropped")
                 continue
@@ -428,14 +433,18 @@ class PrevalenceTable:
         for dim, count in self.flagged.items():
             if count > self.total_projects:
                 raise ValueError(f"flag count out of range for {dim.value}")
+        check_shares(RiskDimension, self.flagged, self.shares, self.total_projects)
         object.__setattr__(self, "flagged", MappingProxyType(dict(self.flagged)))
         object.__setattr__(self, "shares", MappingProxyType(dict(self.shares)))
 
-    def to_dict(self) -> dict:
+    def to_dict(self, warnings: Iterable[str]) -> dict:
+        """The artifact ``ingest-snapshot --format json`` writes and the report
+        embeds, with the extraction's ``warnings``."""
         return {
             "total_projects": self.total_projects,
             "flagged": {d.value: self.flagged[d] for d in RiskDimension},
             "shares": {d.value: self.shares[d] for d in RiskDimension},
+            "warnings": list(warnings),
         }
 
     @classmethod
@@ -461,7 +470,7 @@ def aggregate_prevalence(profiles: Iterable[ProjectRiskProfile]) -> PrevalenceTa
         for e in p.risks:
             if e.flagged:
                 flagged[e.dimension] += 1
-    shares = {d: (percentage(flagged[d], total) if total else None) for d in RiskDimension}
+    shares = share_table(RiskDimension, flagged, total)
     return PrevalenceTable(total_projects=total, flagged=flagged, shares=shares)
 
 

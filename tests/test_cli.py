@@ -200,6 +200,31 @@ def test_ingest_incidents_bad_row_warns_but_succeeds(tmp_path, capsys):
     assert json.loads(captured.out)["total"] == 1
 
 
+@pytest.mark.parametrize(
+    "header, row",
+    [
+        # a description column past the four required ones
+        ("name,date,link,incident_type,description", "{}, went down"),
+        # required columns past index 3
+        ("a,b,c,name,date,link,incident_type", "x,y,z,{}"),
+    ],
+)
+@pytest.mark.parametrize("command", ["ingest-incidents", "report"])
+def test_incident_row_short_of_a_read_column_has_too_few_fields(
+    tmp_path, capsys, header, row, command
+):
+    full = row.format("Goodchain,2024-01-01,https://example.com/a,Sequencer outage")
+    short = ",".join(full.split(",")[:4])  # enough for the old four-field check
+    csv = tmp_path / "inc.csv"
+    csv.write_text(f"{header}\n{full}\n{short}\n")
+    snapshot = ["--snapshot", SNAPSHOT] if command == "report" else []
+    assert main([command, "--incidents", str(csv), *snapshot, "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert "line 3: too few fields" in captured.err
+    payload = json.loads(captured.out)
+    assert (payload["incidents"] if command == "report" else payload)["total"] == 1
+
+
 def test_ingest_incidents_header_only_is_empty_distribution(tmp_path, capsys):
     csv = tmp_path / "empty.csv"
     csv.write_text("name,date,link,incident_type\n")
@@ -317,15 +342,64 @@ def test_cross_validate_rejects_loose_artifacts(
 def test_cross_validate_accepts_the_schemas_edge_values(artifacts):
     prev, dist = artifacts
     doc = json.loads(prev.read_text())
+    doc["flagged"].update({"exit-window": 129, "state-validation": 0})
     doc["shares"].update({"exit-window": 100, "state-validation": 0.0})
     prev.write_text(json.dumps(doc))
     doc = json.loads(dist.read_text())
+    doc["counts"] = {bucket: 0 for bucket in doc["counts"]}
+    doc["shares"] = {bucket: 0.0 for bucket in doc["shares"]}
+    doc["counts"]["sequencer-disruption"] = 32
     doc["shares"]["sequencer-disruption"] = 100.0
     doc["date_span"] = None
     dist.write_text(json.dumps(doc))
     assert main(
         ["cross-validate", "--prevalence", str(prev), "--distribution", str(dist)]
     ) == 0
+
+
+@pytest.mark.parametrize(
+    "artifact, shares, message",
+    [
+        ("dist", None, "shares.sequencer-disruption must be 59.4 for 19 of 32, not None"),
+        ("prev", 0.0, "shares.state-validation must be 24.8 for 32 of 129, not 0.0"),
+    ],
+)
+def test_cross_validate_refuses_shares_that_are_not_the_counts(
+    artifacts, capsys, artifact, shares, message
+):
+    prev, dist = artifacts
+    path = prev if artifact == "prev" else dist
+    doc = json.loads(path.read_text())
+    doc["shares"] = dict.fromkeys(doc["shares"], shares)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(
+        ["cross-validate", "--prevalence", str(prev), "--distribution", str(dist)]
+    ) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("artifact", ["prev", "dist"])
+def test_cross_validate_names_the_artifact_that_is_not_json(artifacts, capsys, artifact):
+    prev, dist = artifacts
+    path = prev if artifact == "prev" else dist
+    path.write_text("{nope")
+    assert main(
+        ["cross-validate", "--prevalence", str(prev), "--distribution", str(dist)]
+    ) == 2
+    assert f"error: {path}: not valid JSON (" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index, value", [(0, "2025-13-01"), (1, "2025-02-30")])
+def test_cross_validate_names_the_date_span_entry(artifacts, capsys, index, value):
+    prev, dist = artifacts
+    doc = json.loads(dist.read_text())
+    doc["date_span"][index] = value
+    dist.write_text(json.dumps(doc))
+    assert main(
+        ["cross-validate", "--prevalence", str(prev), "--distribution", str(dist)]
+    ) == 2
+    assert f"error: date_span[{index}]: " in capsys.readouterr().err
 
 
 # -- simulate ------------------------------------------------------------------

@@ -241,6 +241,14 @@ class TestParsingEdgeCases:
         assert result.records == ()
         assert result.issues and "empty" in result.issues[0].reason
 
+    def test_shares_must_be_the_counts_percentages(self):
+        counts = {t: 0 for t in CompressedIncidentType}
+        counts[CompressedIncidentType.SEQUENCER_DISRUPTION] = 1
+        with pytest.raises(ValueError, match="must be 100.0 for 1 of 1, not None"):
+            IncidentDistribution(1, counts, dict.fromkeys(counts), 0, 1, None)
+        with pytest.raises(ValueError, match="must be None for 0 of 0, not 0.0"):
+            IncidentDistribution(0, dict.fromkeys(counts, 0), dict.fromkeys(counts, 0.0), 0, 0, None)
+
     def test_empty_distribution_total_zero(self):
         dist = distribution(())
         assert dist.total == 0

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from l2risk.data import RULESET_JSON, fixture_path
 from l2risk.incidents import IncidentDistribution
-from l2risk.model import CompressedIncidentType, RiskDimension
+from l2risk.model import CompressedIncidentType, RiskDimension, percentage
 from l2risk.schemas import load_schema
 from l2risk.snapshot import FlagRuleset, PrevalenceTable
 
@@ -50,29 +50,47 @@ def _table(members, values, loose):
     )
 
 
+def _shares(counts, total):
+    """The shares the reader requires: each count's percentage of the
+    total, or all null over a total of 0."""
+    return {key: percentage(count, total) if total > 0 else None for key, count in counts.items()}
+
+
+def _share_table(draw, members, counts, total, loose):
+    """The computed shares, or in a third of the loose documents any table."""
+    if loose and draw(st.integers(0, 2)) == 0:
+        return draw(_table(members, _SHARE, loose))
+    return _shares(counts, total)
+
+
 # Valid documents, which _near_misses breaks in one place, and loose ones:
 # tables with missing or extra keys, and the rules only the reader enforces
 # broken often (a flag count above total_projects, counts that do not add
-# up to the total, a date span that ends before it starts).
-def _prevalence(loose):
-    return st.fixed_dictionaries(
-        {
-            "total_projects": st.integers(-1, 20) if loose else st.integers(12, 20),
-            "flagged": _table(_DIMENSIONS, _COUNT, loose),
-            "shares": _table(_DIMENSIONS, _SHARE, loose),
-        },
-        optional={"warnings": _STRINGS},
-    )
+# up to the total, shares that are not the counts' percentages, a date span
+# that ends before it starts).
+@st.composite
+def _prevalences(draw, loose):
+    total = draw(st.integers(-1, 20) if loose else st.integers(12, 20))
+    flagged = draw(_table(_DIMENSIONS, _COUNT, loose))
+    doc = {
+        "total_projects": total,
+        "flagged": flagged,
+        "shares": _share_table(draw, _DIMENSIONS, flagged, total, loose),
+    }
+    if draw(st.booleans()):
+        doc["warnings"] = draw(_STRINGS)
+    return doc
 
 
 @st.composite
 def _distributions(draw, loose):
     counts = draw(_table(_BUCKETS, _COUNT, loose))
     span = draw(st.none() | st.lists(st.dates(), min_size=2, max_size=2))
+    total = sum(counts.values())
     doc = {
-        "total": sum(counts.values()) + (draw(st.sampled_from([0, 1, -1])) if loose else 0),
+        "total": total + (draw(st.sampled_from([0, 1, -1])) if loose else 0),
         "counts": counts,
-        "shares": draw(_table(_BUCKETS, _SHARE, loose)),
+        "shares": _share_table(draw, _BUCKETS, counts, total, loose),
         "unmapped": draw(_COUNT),
         "distinct_projects": draw(_COUNT),
         "date_span": span and [str(d) for d in (span if loose else sorted(span))],
@@ -150,10 +168,12 @@ class TestSchemaAndReaderAgree:
     # read or refused with exit 2.
 
     @settings(max_examples=300, deadline=None)
-    @given(_prevalence(loose=True) | _near_misses(_prevalence(loose=False)))
+    @given(_prevalences(loose=True) | _near_misses(_prevalences(loose=False)))
     def test_prevalence(self, doc):
-        expected = _PREVALENCE_SCHEMA.is_valid(doc) and all(
-            count <= doc["total_projects"] for count in doc["flagged"].values()
+        expected = (
+            _PREVALENCE_SCHEMA.is_valid(doc)
+            and all(count <= doc["total_projects"] for count in doc["flagged"].values())
+            and doc["shares"] == _shares(doc["flagged"], doc["total_projects"])
         )
         assert _reads(PrevalenceTable.from_dict, doc) is expected
 
@@ -164,6 +184,7 @@ class TestSchemaAndReaderAgree:
             _DISTRIBUTION_SCHEMA.is_valid(doc)
             and sum(doc["counts"].values()) == doc["total"]
             and (doc["date_span"] is None or doc["date_span"][0] <= doc["date_span"][1])
+            and doc["shares"] == _shares(doc["counts"], doc["total"])
         )
         assert _reads(IncidentDistribution.from_dict, doc) is expected
 
@@ -209,6 +230,29 @@ class TestSchemaAndReaderAgree:
                     "unmapped": 0,
                     "distinct_projects": 0,
                     "date_span": ["2025-08-31", "2022-06-29"],
+                },
+            ),
+            # each share is its count's percentage of the total: not 0.0 for
+            # 111 of 129 projects, and not null for 19 of 19 incidents
+            (
+                _PREVALENCE_SCHEMA,
+                PrevalenceTable.from_dict,
+                {
+                    "total_projects": 129,
+                    "flagged": {d: 111 for d in _DIMENSIONS},
+                    "shares": {d: 0.0 for d in _DIMENSIONS},
+                },
+            ),
+            (
+                _DISTRIBUTION_SCHEMA,
+                IncidentDistribution.from_dict,
+                {
+                    "total": 19,
+                    "counts": {b: 19 if b == "sequencer-disruption" else 0 for b in _BUCKETS},
+                    "shares": {b: None for b in _BUCKETS},
+                    "unmapped": 0,
+                    "distinct_projects": 1,
+                    "date_span": None,
                 },
             ),
         ],

@@ -10,12 +10,15 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from referencing import Registry
+from referencing.jsonschema import DRAFT202012
 
 from l2risk.data import RULESET_JSON, fixture_path, scenario_names
 from l2risk.engine import (
@@ -27,7 +30,7 @@ from l2risk.engine import (
     Severity,
 )
 from l2risk.incidents import IncidentDistribution, distribution, parse_incidents
-from l2risk.model import CompressedIncidentType, RiskDimension, Stakeholder
+from l2risk.model import CompressedIncidentType, RiskDimension, Stakeholder, share_table
 from l2risk.report import (
     _NOTES,
     _pct,
@@ -36,7 +39,7 @@ from l2risk.report import (
     cross_validate,
     render_report_text,
 )
-from l2risk.schemas import load_schema
+from l2risk.schemas import SCHEMA_NAMES, load_schema
 from l2risk.snapshot import PrevalenceTable, aggregate_prevalence, extract_projects, load_snapshot
 
 SNAPSHOT = fixture_path("snapshot-fixture.json")
@@ -104,18 +107,18 @@ def test_note_to_dict_uses_slugs(prevalence, dist):
     json.dumps(payload)  # fully serializable
 
 
-_LINKED_SHARE = st.sampled_from([None, 0.0, 0.1, 24.8, 100.0])
-
-
 @st.composite
 def _evidence(draw):
-    """A prevalence table and an incident distribution holding any mix of
-    undefined, zero and positive shares and of zero and non-zero counts."""
-    shares = {d: draw(_LINKED_SHARE) for d in RiskDimension}
-    prevalence = PrevalenceTable(100, {d: 0 for d in RiskDimension}, shares)
+    """A prevalence table and an incident distribution drawn from counts and
+    totals: undefined shares over a total of 0, else any mix of zero and
+    positive shares (0.0, 0.1, 24.8, 100.0 of 1,000 projects)."""
+    total = draw(st.sampled_from([0, 1000]))
+    flagged = {d: draw(st.sampled_from([0, 1, 248, 1000])) if total else 0 for d in RiskDimension}
+    prevalence = PrevalenceTable(total, flagged, share_table(RiskDimension, flagged, total))
     counts = {t: draw(st.sampled_from([0, 0, 1, 3])) for t in CompressedIncidentType}
-    ishares = {t: draw(_LINKED_SHARE) for t in CompressedIncidentType}
-    return prevalence, IncidentDistribution(sum(counts.values()), counts, ishares, 0, 0, None)
+    total = sum(counts.values())
+    ishares = share_table(CompressedIncidentType, counts, total)
+    return prevalence, IncidentDistribution(total, counts, ishares, 0, 0, None)
 
 
 @settings(max_examples=300, deadline=None)
@@ -144,12 +147,18 @@ def test_notes_fire_by_the_one_rule_and_quote_their_links(evidence):
 
 @pytest.mark.parametrize(
     "sv, da, fires",
-    [(None, None, False), (0.0, None, False), (0.0, 0.0, False), (3.1, 0.0, True), (None, 2.5, True)],
+    [(None, None, False), (0.0, 0.0, False), (3.1, 0.0, True), (0.0, 2.5, True), (3.1, 2.5, True)],
 )
 def test_validation_da_note_fires_on_either_share(sv, da, fires):
-    shares = {d: 0.0 for d in RiskDimension}
-    shares.update({RiskDimension.STATE_VALIDATION: sv, RiskDimension.DATA_AVAILABILITY: da})
-    prevalence = PrevalenceTable(100, {d: 0 for d in RiskDimension}, shares)
+    # the shares of 0 projects are undefined; the others are counts of 1,000
+    total = 0 if sv is None else 1000
+    flagged = {d: 0 for d in RiskDimension}
+    if total:
+        flagged[RiskDimension.STATE_VALIDATION] = round(sv * 10)
+        flagged[RiskDimension.DATA_AVAILABILITY] = round(da * 10)
+    prevalence = PrevalenceTable(total, flagged, share_table(RiskDimension, flagged, total))
+    assert prevalence.shares[RiskDimension.STATE_VALIDATION] == sv
+    assert prevalence.shares[RiskDimension.DATA_AVAILABILITY] == da
     texts = {n.key: n.text for n in cross_validate(prevalence, distribution([]))}
     assert ("unobservable-validation-da" in texts) is fires
     if fires:
@@ -186,9 +195,9 @@ def test_report_schema_takes_only_canonical_table_members(bundle, block, table, 
 
 
 def test_report_schema_members_are_the_models():
-    defs = load_schema("report")["$defs"]
-    assert defs["dimension"]["enum"] == [d.value for d in RiskDimension]
-    assert defs["bucket"]["enum"] == [t.value for t in CompressedIncidentType]
+    assert load_schema("prevalence")["$defs"]["dimension"]["enum"] == [d.value for d in RiskDimension]
+    buckets = load_schema("distribution")["$defs"]["bucket"]["enum"]
+    assert buckets == [t.value for t in CompressedIncidentType]
 
 
 def test_report_schema_ids_are_the_tables():
@@ -204,10 +213,11 @@ def test_report_schema_ids_are_the_tables():
 
 
 def test_report_simulation_items_are_the_metrics_schema():
-    metrics = load_schema("metrics")
-    for key in ("$schema", "title", "description"):
-        del metrics[key]
-    assert load_schema("report")["$defs"]["simulation"] == metrics
+    report = load_schema("report")["properties"]
+    assert report["simulations"]["items"] == {"$ref": "metrics.schema.json"}
+    # the report adds one rule to each artifact: its warnings are required
+    assert report["prevalence"] == {"$ref": "prevalence.schema.json", "required": ["warnings"]}
+    assert report["incidents"] == {"$ref": "distribution.schema.json", "required": ["warnings"]}
 
 
 # FormatChecker makes `format: date` a rule rather than an annotation
@@ -237,38 +247,82 @@ def test_real_reports_satisfy_the_schema(full_report, tmp_path):
     _REPORT_SCHEMA.validate(report)
 
 
-@pytest.mark.parametrize(
-    "path, value",
-    [
-        (("simulations", 0, "metrics"), {}),
-        (("simulations", 0, "metrics", "peak_backlog"), 3),
-        (("simulations", 0, "metrics", "frozen_funds_duration"), -5),
-        (("simulations", 0, "metrics", "exit_coverage_before_upgrade"), 3.0),
-        (("simulations", 0, "conservation_violations"), [1]),
-        (("simulations", 0, "elapsed"), 1),
-        (("prevalence", "source"), "x"),
-        (("incidents", "source"), "x"),
-        (("incidents", "date_span"), ["x", "y"]),
-        (("cross_validation", 0, "key"), "made-up-note"),
-        (("cross_validation", 0, "dimensions"), ["Exit Window"]),
-        (("cross_validation", 0, "incident_types"), ["outage"]),
-        (("findings", 0, "severity"), "catastrophic"),
-        (("findings", 0, "principles"), ["kindness"]),
-        (("findings", 0, "narrative_key"), "made-up-narrative"),
-        (("findings", 0, "stakeholders"), ["user"]),
-        (("prioritization", "immediate_operational"), ["reduce-external-da-reliance"]),
-        (("prioritization", "structural_governance"), ["do-nothing"]),
-        (("prioritization", "rationale", "do-nothing"), "because"),
-    ],
-)
-def test_report_schema_refuses(full_report, path, value):
-    report = copy.deepcopy(full_report)
+_MUTATIONS = [
+    (("simulations", 0, "metrics"), {}),
+    (("simulations", 0, "metrics", "peak_backlog"), 3),
+    (("simulations", 0, "metrics", "frozen_funds_duration"), -5),
+    (("simulations", 0, "metrics", "exit_coverage_before_upgrade"), 3.0),
+    (("simulations", 0, "conservation_violations"), [1]),
+    (("simulations", 0, "elapsed"), 1),
+    (("prevalence", "source"), "x"),
+    (("incidents", "source"), "x"),
+    (("incidents", "date_span"), ["x", "y"]),
+    (("cross_validation", 0, "key"), "made-up-note"),
+    (("cross_validation", 0, "dimensions"), ["Exit Window"]),
+    (("cross_validation", 0, "incident_types"), ["outage"]),
+    (("findings", 0, "severity"), "catastrophic"),
+    (("findings", 0, "principles"), ["kindness"]),
+    (("findings", 0, "narrative_key"), "made-up-narrative"),
+    (("findings", 0, "stakeholders"), ["user"]),
+    (("prioritization", "immediate_operational"), ["reduce-external-da-reliance"]),
+    (("prioritization", "structural_governance"), ["do-nothing"]),
+    (("prioritization", "rationale", "do-nothing"), "because"),
+]
+
+
+def _mutated(report, path, value):
+    report = copy.deepcopy(report)
     target = report
     for step in path[:-1]:
         target = target[step]
     target[path[-1]] = value
+    return report
+
+
+@pytest.mark.parametrize("path, value", _MUTATIONS)
+def test_report_schema_refuses(full_report, path, value):
     with pytest.raises(jsonschema.ValidationError):
-        _REPORT_SCHEMA.validate(report)
+        _REPORT_SCHEMA.validate(_mutated(full_report, path, value))
+
+
+def _refs(node):
+    """Every $ref in a schema, at any depth."""
+    if isinstance(node, dict):
+        if "$ref" in node:
+            yield node["$ref"]
+        node = list(node.values())
+    if isinstance(node, list):
+        for item in node:
+            yield from _refs(item)
+
+
+def test_schema_files_resolve_by_name_as_the_bundle_does(full_report, tmp_path):
+    files = {
+        p.name: json.loads(p.read_text())
+        for p in resources.files("l2risk.schemas").iterdir()
+        if p.name.endswith(".schema.json")
+    }
+    assert sorted(files) == sorted(f"{name}.schema.json" for name in SCHEMA_NAMES)
+    for name in SCHEMA_NAMES:
+        bundle = load_schema(name)
+        for ref in _refs(files[f"{name}.schema.json"]):
+            sibling = ref.partition("#")[0]
+            assert sibling == "" or sibling in bundle["$defs"] and sibling in files, ref
+
+    registry = Registry().with_resources(
+        (file_name, DRAFT202012.create_resource(schema)) for file_name, schema in files.items()
+    )
+    on_disk = jsonschema.Draft202012Validator(
+        files["report.schema.json"], registry=registry, format_checker=jsonschema.FormatChecker()
+    )
+    empty = tmp_path / "empty.csv"
+    empty.write_text("name,date,link,incident_type\n", encoding="utf-8")
+    reports = [full_report, build_report(snapshot_path=SNAPSHOT, incidents_path=empty).report]
+    for validator in (_REPORT_SCHEMA, on_disk):
+        for report in reports:
+            validator.validate(report)
+        for path, value in _MUTATIONS:
+            assert not validator.is_valid(_mutated(full_report, path, value)), path
 
 
 def test_report_metadata_inputs_carry_real_digests(bundle):

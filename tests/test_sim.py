@@ -138,6 +138,7 @@ class TestScenarioParsing:
             lambda v: RandomWorkload(actions=v),
             lambda v: RandomWorkload(horizon=v),
             lambda v: RandomWorkload(max_amount=v),
+            lambda v: Scenario("s", RollupConfig(), upgrade_at=v),
         ],
     )
     def test_python_built_inputs_take_only_exact_ints(self, build, value):

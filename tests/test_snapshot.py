@@ -192,6 +192,18 @@ class TestExtract:
         with pytest.raises(DuplicateProjectError):
             extract_projects(doc)
 
+    @pytest.mark.parametrize("risks", [5, True, False, "none", {"name": "Exit window"}])
+    def test_risks_other_than_a_list_or_null_warned_once(self, risks):
+        doc = {
+            "projects": [
+                {"id": "a", "category": "Other", "risks": risks},
+                {"id": "b", "category": "Other", "risks": None},
+            ]
+        }
+        result = extract_projects(doc)
+        assert result.warnings == ("project a: non-list risks value dropped",)
+        assert [p.risks for p in result.profiles] == [(), ()]
+
     def test_extraction_is_idempotent(self, fixture_profiles):
         round_tripped = extract_projects(profiles_to_snapshot(fixture_profiles))
         assert round_tripped.profiles == fixture_profiles
