@@ -113,7 +113,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     (outdir / "metrics.json").write_text(_json_text(result.summary()) + "\n", encoding="utf-8")
     m = result.metrics
     print(
-        f"{scenario.name}: {len(result.events)} events, censorship {m.censorship_window}s, "
+        f"{scenario.name}: {len(result.records)} events, censorship {m.censorship_window}s, "
         f"frozen {m.frozen_funds_duration}s, conserved {m.funds_conserved}"
     )
     return 0

@@ -126,10 +126,10 @@ def parse_incidents(source: str | Path, *, text: str | None = None) -> IncidentP
     """Parse a CSV/TSV incident table into classified records.
 
     The table needs a header with name, date, link, and incident_type
-    columns (any order, case-insensitive). Rows with empty project names or
-    dates not written YYYY-MM-DD are rejected with their line numbers; exact
-    repeats of (project, date, label, source host+path) are dropped as
-    duplicates.
+    columns (any order, case-insensitive) on its first non-blank line. Rows
+    with empty project names or dates not written YYYY-MM-DD are rejected
+    with their line numbers; exact repeats of (project, date,
+    label, source host+path) are dropped as duplicates.
     Pass ``text`` to parse in-memory content instead of reading ``source``.
     """
     if text is None:
@@ -143,7 +143,9 @@ def parse_incidents(source: str | Path, *, text: str | None = None) -> IncidentP
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
 
     rows = list(reader)
-    header = [normalize_label(h).replace(" ", "_") for h in rows[0]]
+    # the header is the first row that is not blank, as the delimiter's line is
+    top = next((k for k, row in enumerate(rows) if any(cell.strip() for cell in row)), 0)
+    header = [normalize_label(h).replace(" ", "_") for h in rows[top]]
     missing = [c for c in REQUIRED_COLUMNS if c not in header]
     if missing:
         raise IncidentFormatError(f"incident table header lacks columns: {missing}")
@@ -154,7 +156,7 @@ def parse_incidents(source: str | Path, *, text: str | None = None) -> IncidentP
     records: list[IncidentRecord] = []
     seen: set[tuple] = set()
     duplicates = 0
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in enumerate(rows[top + 1 :], start=top + 2):
         if not any(cell.strip() for cell in row):
             continue
         if len(row) < width:

@@ -52,15 +52,22 @@ challengers are all offline for the entire challenge window.
 Runs are deterministic: with the same scenario and seed the event trace is
 byte-identical.
 
+Each event is recorded as one tuple, (kind, t, i, *values), its values in
+the order _Run.TRACE_FIELDS, next to _emit, lists the fields of its kind; a
+neutralized fault's start holds one value more, its ineffective note.
+SimResult keeps these records. Its events view, one {"t", "i", "event",
+**fields} dict per record, is built only when a caller reads it; the trace,
+the summary and the CLI never do.
+
 Trace lines are what json.dumps(event, sort_keys=True, separators=(",", ":"))
-writes, from one field table: _Run.TRACE_FIELDS, next to _emit, lists the
-fields of every event kind, and at import each kind (and a neutralized
-fault's start, one key more) gets a % format with its keys sorted and its
-name written in. _JSON_FIELDS writes scenario names (user, to), the upgrade's
-holders and its share as JSON text; ids, reason texts and other tokens the
-engine chose go between quotes unescaped; every other field is an int. An
-event with no format raises KeyError. No JSON encoder is involved, so the
-bytes do not depend on CPython's _json accelerator.
+writes of that dict, formatted straight from the record: at import each kind
+(and a neutralized fault's start) gets a % format with its keys sorted and
+its name written in, and a getter of the record's slots in key order.
+_JSON_FIELDS writes scenario names (user, to), the upgrade's holders and its
+share as JSON text; ids, reason texts and other tokens the engine chose go
+between quotes unescaped; every other field is an int. A record with no
+format raises KeyError. No JSON encoder is involved, so the bytes do not
+depend on CPython's _json accelerator.
 """
 
 from __future__ import annotations
@@ -68,6 +75,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -120,23 +128,23 @@ _TOKEN_FIELDS = frozenset({"id", "reason", "action", "type", "kind", "ineffectiv
 
 def _line_format(event: str, fields: tuple[str, ...]) -> tuple[str, itemgetter, tuple]:
     """The % format of one event kind's trace line, keys sorted and the event
-    name written in; the getter of its other values in key order; and the
-    positions of the values written as JSON text, each with its writer."""
-    keys = sorted((*fields, "t", "i", "event"))
-    parts, values = [], []
-    for key in keys:
+    name written in; the getter of its other values, in key order, from the
+    slots of a record (kind, t, i, *fields); and the positions of the values
+    written as JSON text, each with its writer."""
+    slots = {"t": 1, "i": 2, **{key: 3 + j for j, key in enumerate(fields)}}
+    keys = sorted(slots)
+    parts = []
+    for key in sorted((*keys, "event")):
         if key == "event":
             parts.append(f'"event":"{event}"')
-            continue
-        if key in _JSON_FIELDS:
+        elif key in _JSON_FIELDS:
             parts.append(f'"{key}":%s')
         elif key in _TOKEN_FIELDS:
             parts.append(f'"{key}":"%s"')
         else:
             parts.append(f'"{key}":%d')
-        values.append(key)
-    written = tuple((j, _JSON_FIELDS[key]) for j, key in enumerate(values) if key in _JSON_FIELDS)
-    return "{" + ",".join(parts) + "}", itemgetter(*values), written
+    written = tuple((j, _JSON_FIELDS[key]) for j, key in enumerate(keys) if key in _JSON_FIELDS)
+    return "{" + ",".join(parts) + "}", itemgetter(*(slots[key] for key in keys)), written
 
 
 @dataclass(frozen=True)
@@ -144,17 +152,29 @@ class SimResult:
     scenario: str
     seed: int
     metrics: HarmMetrics
-    events: tuple[dict, ...]
+    # one (kind, t, i, *values) tuple per event, values in TRACE_FIELDS order
+    records: tuple[tuple, ...]
     violations: tuple[dict, ...]
+
+    @cached_property
+    def events(self) -> tuple[dict, ...]:
+        """Each record as a {"t", "i", "event", **fields} dict, built on first use."""
+        names = _FIELD_NAMES
+        events = []
+        for kind, t, i, *values in self.records:
+            event = {"t": t, "i": i, "event": kind}
+            event.update(zip(names[kind], values))
+            events.append(event)
+        return tuple(events)
 
     def trace_lines(self) -> list[str]:
         """One compact JSON object per event, stable across runs."""
         formats = _LINE_FORMATS
         lines: list[str] = []
         append = lines.append
-        for event in self.events:
-            fmt, get, written = formats[event["event"]][len(event)]
-            values = get(event)
+        for record in self.records:
+            fmt, get, written = formats[record[0]][len(record)]
+            values = get(record)
             if written:
                 values = list(values)
                 for j, write in written:
@@ -170,7 +190,7 @@ class SimResult:
         return {
             "scenario": self.scenario,
             "seed": self.seed,
-            "event_count": len(self.events),
+            "event_count": len(self.records),
             "metrics": self.metrics.to_dict(),
             "conservation_violations": list(self.violations),
         }
@@ -185,7 +205,7 @@ class _Run:
         self.now = 0
         self._heap: list = []
         self._pushes = 0
-        self.events: list[dict] = []
+        self.records: list[tuple] = []
         self.violations: list[dict] = []
 
         self.bridge_pool = 0
@@ -224,9 +244,9 @@ class _Run:
         self._pushes += 1
         heapq.heappush(self._heap, (t, prio, self._pushes, kind, args))
 
-    # The payload of every event _emit records, besides "t", "i" and "event":
-    # the one list of what a trace line holds. _line_format writes each field
-    # as _JSON_FIELDS and _TOKEN_FIELDS say.
+    # The payload of every event _emit records, in record order after its
+    # kind, t and i: the one list of what a trace line holds. _line_format
+    # writes each field as _JSON_FIELDS and _TOKEN_FIELDS say.
     TRACE_FIELDS = {
         "action_rejected": ("action", "user", "reason"),
         "deposit_submitted": ("id", "user", "amount"),
@@ -262,8 +282,10 @@ class _Run:
         "upgrade_activated": ("exit_coverage",),
     }
 
-    def _emit(self, event: str, **fields) -> None:
-        self.events.append({"t": self.now, "i": len(self.events), "event": event, **fields})
+    def _emit(self, kind: str, *values) -> None:
+        """Record one event as (kind, t, i, *values), values in TRACE_FIELDS order."""
+        records = self.records
+        records.append((kind, self.now, len(records)) + values)
 
     def _new_id(self, prefix: str) -> str:
         self._txid += 1
@@ -311,7 +333,7 @@ class _Run:
             scenario=self.sc.name,
             seed=self.seed,
             metrics=metrics,
-            events=tuple(self.events),
+            records=tuple(self.records),
             violations=tuple(self.violations),
         )
 
@@ -425,17 +447,17 @@ class _Run:
 
     def _do_deposit(self, a: WorkloadAction) -> None:
         if self._ends("bridge"):
-            self._emit("action_rejected", action="deposit", user=a.user, reason="bridge unavailable")
+            self._emit("action_rejected", "deposit", a.user, "bridge unavailable")
             return
         pid = self._new_id("dep")
-        self._emit("deposit_submitted", id=pid, user=a.user, amount=a.amount)
+        self._emit("deposit_submitted", pid, a.user, a.amount)
         land = next_l1_block(self.now, self.p.l1_block_interval)
         self._push(land, _P_L1, "deposit_landed", pid, a.user, a.amount)
 
     def _on_deposit_landed(self, pid: str, user: str, amount: int) -> None:
         self.bridge_pool += amount
         self._hold(pid, user, amount)
-        self._emit("deposit_landed", id=pid, user=user, amount=amount)
+        self._emit("deposit_landed", pid, user, amount)
         credit = {
             "id": pid,
             "type": "credit",
@@ -457,7 +479,7 @@ class _Run:
             "submitted": self.now,
             "denied": False,
         }
-        self._emit("tx_submitted", id=txid, type=a.action, user=a.user, amount=a.amount)
+        self._emit("tx_submitted", txid, a.action, a.user, a.amount)
         if a.action == "withdraw":
             self.pending[txid] = {"user": a.user, "submitted": self.now, "stage": "queued"}
         if self._seq_accepting(a.user):
@@ -474,32 +496,30 @@ class _Run:
             tx["denied"] = True
             self._deny(tx)
             return
-        self._emit("tx_admitted", id=tx["id"])
+        self._emit("tx_admitted", tx["id"])
         self.mempool.append(tx)
         self._grid_batch(self.now)
 
     def _deny(self, tx: dict) -> None:
         if self.cfg.forced_inclusion.usable:
             deadline = self._queue_forced(tx)
-            self._emit("tx_queued_forced", id=tx["id"], deadline=deadline)
+            self._emit("tx_queued_forced", tx["id"], deadline)
         else:
-            self._emit("tx_dropped", id=tx["id"], reason="sequencer unavailable")
+            self._emit("tx_dropped", tx["id"], "sequencer unavailable")
             self.pending.pop(tx["id"], None)
             blocked_for = self._denial_end(tx["user"]) - tx["submitted"]
             self.censorship_window = max(self.censorship_window, blocked_for)
 
     def _do_hatch(self, a: WorkloadAction) -> None:
         if not self.cfg.escape_hatch.enabled:
-            self._emit(
-                "action_rejected", action="hatch-exit", user=a.user, reason="escape hatch disabled"
-            )
+            self._emit("action_rejected", "hatch-exit", a.user, "escape hatch disabled")
             return
         reason = self._hatch_blocked()
         if reason is not None:
-            self._emit("action_rejected", action="hatch-exit", user=a.user, reason=reason)
+            self._emit("action_rejected", "hatch-exit", a.user, reason)
             return
         hid = self._new_id("hx")
-        self._emit("hatch_exit_submitted", id=hid, user=a.user)
+        self._emit("hatch_exit_submitted", hid, a.user)
         land = next_l1_block(self.now, self.p.l1_block_interval)
         self._push(land, _P_L1, "hatch_included", hid, a.user, a.amount, self.now)
 
@@ -507,12 +527,12 @@ class _Run:
         balance = self.l2[user]
         amount = balance if requested == 0 else min(requested, balance)
         if amount <= 0:
-            self._emit("tx_failed", id=hid, user=user, reason="nothing to exit")
+            self._emit("tx_failed", hid, user, "nothing to exit")
             return
         self._move(user, -amount)
         self._hold(hid, user, amount)
         self.pending[hid] = {"user": user, "submitted": submitted, "stage": "hatch_wait"}
-        self._emit("hatch_exit_included", id=hid, user=user, amount=amount)
+        self._emit("hatch_exit_included", hid, user, amount)
         done = self.now + self.p.finalization_depth * self.p.l1_block_interval
         self._push(done, _P_L1, "claim", hid)
 
@@ -566,11 +586,11 @@ class _Run:
         if not txs:
             return
         land = next_l1_block(self.now, self.p.l1_block_interval)
-        self._emit("batch_created", size=len(txs), lands_at=land)
+        self._emit("batch_created", len(txs), land)
         self._push(land, _P_L1, "batch_landed", txs)
 
     def _on_batch_landed(self, txs: list[dict]) -> None:
-        self._emit("batch_landed", size=len(txs))
+        self._emit("batch_landed", len(txs))
         wids = []
         for tx in txs:
             wid = self._apply_tx(tx)
@@ -582,7 +602,7 @@ class _Run:
         tx = self.forced.pop(txid, None)
         if tx is None:
             return  # already included by a batch
-        self._emit("forced_inclusion", id=txid, delay=self.now - tx["entry"])
+        self._emit("forced_inclusion", txid, self.now - tx["entry"])
         wid = self._apply_tx(tx)
         self._schedule_proposal(self.now, [wid] if wid is not None else [])
 
@@ -595,24 +615,24 @@ class _Run:
         if tx["type"] == "credit":
             self._release(tx["id"])
             self._move(user, amount)
-            self._emit("credit_applied", id=tx["id"], user=user, amount=amount)
+            self._emit("credit_applied", tx["id"], user, amount)
             return None
         if tx["type"] == "transfer":
             if self.l2[user] < amount:
-                self._emit("tx_failed", id=tx["id"], user=user, reason="insufficient funds")
+                self._emit("tx_failed", tx["id"], user, "insufficient funds")
                 return None
             self._move(user, -amount)
             self._move(tx["to"], amount)
-            self._emit("transfer_applied", id=tx["id"], user=user, to=tx["to"], amount=amount)
+            self._emit("transfer_applied", tx["id"], user, tx["to"], amount)
             return None
         if self.l2[user] < amount:
-            self._emit("tx_failed", id=tx["id"], user=user, reason="insufficient funds")
+            self._emit("tx_failed", tx["id"], user, "insufficient funds")
             self.pending.pop(tx["id"], None)
             return None
         self._move(user, -amount)
         self._hold(tx["id"], user, amount)
         self.pending[tx["id"]]["stage"] = "awaiting_root"
-        self._emit("withdrawal_included", id=tx["id"], user=user, amount=amount)
+        self._emit("withdrawal_included", tx["id"], user, amount)
         return tx["id"]
 
     # -- state roots and claims -------------------------------------------------
@@ -628,10 +648,10 @@ class _Run:
         blocked_until = self._ends(*self._root_effects)
         if blocked_until:
             retry = next_l1_block(max(blocked_until), self.p.l1_block_interval)
-            self._emit("proposal_blocked", batch_time=batch_time, retry_at=retry)
+            self._emit("proposal_blocked", batch_time, retry)
             self._push(retry, _P_L1, "proposal_attempt", batch_time, wids)
             return
-        self._emit("proposal", batch_time=batch_time, withdrawals=len(wids))
+        self._emit("proposal", batch_time, len(wids))
         if self.cfg.proof_system is ProofSystem.ZK:
             final = self.now + self.p.finalization_depth * self.p.l1_block_interval
         else:
@@ -639,7 +659,7 @@ class _Run:
         self._push(final, _P_L1, "root_finalized", batch_time, wids)
 
     def _on_root_finalized(self, batch_time: int, wids: list[str]) -> None:
-        self._emit("root_finalized", batch_time=batch_time, withdrawals=len(wids))
+        self._emit("root_finalized", batch_time, len(wids))
         for wid in wids:
             if wid in self.pending:
                 self.pending[wid]["stage"] = "claimable"
@@ -652,7 +672,7 @@ class _Run:
         if ends:
             self.pending[wid]["stage"] = "claimable"
             retry = max(ends)
-            self._emit("claim_deferred", id=wid, retry_at=retry)
+            self._emit("claim_deferred", wid, retry)
             self._push(retry, _P_L1, "claim", wid)
             return
         user, amount = self._release(wid)
@@ -660,7 +680,7 @@ class _Run:
         p = self.pending.pop(wid)
         latency = self.now - p["submitted"]
         self.latencies[user].append(latency)
-        self._emit("withdrawal_claimed", id=wid, user=user, amount=amount, latency=latency)
+        self._emit("withdrawal_claimed", wid, user, amount, latency)
 
     # -- fault windows, exploits, upgrades ----------------------------------------
 
@@ -678,34 +698,33 @@ class _Run:
 
     def _on_injection_start(self, idx: int) -> None:
         inj = self.sc.injections[idx]
-        fields = {"kind": inj.kind.value, "until": inj.end}
         reason = self._neutralized(inj.kind)
         if reason is None:
             self.active[idx] = inj
+            self._emit("injection_start", inj.kind.value, inj.end)
         else:
-            fields["ineffective"] = reason
-        self._emit("injection_start", **fields)
+            self._emit("injection_start", inj.kind.value, inj.end, reason)
 
     def _on_injection_end(self, idx: int) -> None:
         self.active.pop(idx, None)  # a neutralized fault never became active
         kind = self.sc.injections[idx].kind
-        self._emit("injection_end", kind=kind.value)
+        self._emit("injection_end", kind.value)
         if _FAULT_EFFECTS[kind] in ("sequencer", "censorship"):
             if (self.mempool or self.forced) and not self._ends("sequencer"):
                 self._push(self.now, _P_BATCH, "recovery_batch")
 
     def _on_exploit(self, idx: int) -> None:
         inj = self.sc.injections[idx]
-        self._emit("exploit_attempted", amount=inj.amount)
+        self._emit("exploit_attempted", inj.amount)
         land = next_l1_block(self.now, self.p.l1_block_interval)
         self._push(land, _P_L1, "invalid_root_landed", idx)
 
     def _on_invalid_root_landed(self, idx: int) -> None:
         inj = self.sc.injections[idx]
-        self._emit("invalid_root_landed", amount=inj.amount)
+        self._emit("invalid_root_landed", inj.amount)
         optimistic = self.cfg.proof_system is ProofSystem.OPTIMISTIC
         if self.cfg.state_validation_enforced and not optimistic:
-            self._emit("root_rejected", reason="validity proof required")
+            self._emit("root_rejected", "validity proof required")
             return
         if self.cfg.state_validation_enforced:
             deadline = self.now + self.cfg.challenge_window
@@ -745,15 +764,15 @@ class _Run:
 
     def _on_root_challenged(self, idx: int) -> None:
         inj = self.sc.injections[idx]
-        self._emit("root_challenged", amount=inj.amount)
+        self._emit("root_challenged", inj.amount)
 
     def _on_invalid_root_finalized(self, idx: int) -> None:
         inj = self.sc.injections[idx]
         drained = min(inj.amount, self.bridge_pool)
         self.bridge_pool -= drained
         self.exploit_drained = True
-        self._emit("invalid_root_finalized", amount=inj.amount)
-        self._emit("exploit_drain", drained=drained, bridge_left=self.bridge_pool)
+        self._emit("invalid_root_finalized", inj.amount)
+        self._emit("exploit_drain", drained, self.bridge_pool)
 
     def _holders(self) -> set[str]:
         """Users with funds on L2 or in flight."""
@@ -768,7 +787,7 @@ class _Run:
         else:
             activation = self.now
         holders = sorted(self.exit_denominator)
-        self._emit("upgrade_announced", activation=activation, holders=holders)
+        self._emit("upgrade_announced", activation, holders)
         self._push(activation, _P_UPGRADE, "upgrade_activated")
 
     def _on_upgrade_activated(self) -> None:
@@ -777,17 +796,20 @@ class _Run:
             self.exit_coverage = len(exited) / len(self.exit_denominator)
         else:
             self.exit_coverage = None
-        self._emit("upgrade_activated", exit_coverage=self.exit_coverage)
+        self._emit("upgrade_activated", self.exit_coverage)
 
 
-# By kind, then by key count: a neutralized fault's start holds one key
-# more, its ineffective note.
+# By kind, then by record length: a neutralized fault's start holds one
+# value more, its ineffective note.
 _LINE_FORMATS = {
     event: {len(fields) + 3: _line_format(event, fields)}
     for event, fields in _Run.TRACE_FIELDS.items()
 }
 _noted = (*_Run.TRACE_FIELDS["injection_start"], "ineffective")
 _LINE_FORMATS["injection_start"][len(_noted) + 3] = _line_format("injection_start", _noted)
+# The events view's keys: zip stops at the record's end, so a start that was
+# not neutralized gets no ineffective key.
+_FIELD_NAMES = {**_Run.TRACE_FIELDS, "injection_start": _noted}
 
 
 def simulate(scenario: Scenario, seed: int = 0) -> SimResult:

@@ -301,7 +301,7 @@ def load_scenario(path: str | Path, *, text: str | None = None) -> Scenario:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
+        raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
     return parse_scenario(raw, name=path.stem)
 
 

@@ -214,7 +214,11 @@ class FlagRuleset:
         already read from ``path``."""
         if text is None:
             text = Path(path).read_text(encoding="utf-8")
-        doc = read_json(_RulesetFile, json.loads(text), "ruleset")
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+        doc = read_json(_RulesetFile, raw, "ruleset")
         return cls(rules=doc.rules, sentiment_fallback=doc.sentiment_fallback)
 
     @classmethod

@@ -9,10 +9,12 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import l2risk.cli
 from l2risk.cli import main
-from l2risk.data import fixture_path
+from l2risk.data import fixture_path, scenario_names
 from l2risk.report import build_report, render_report_text
 from l2risk.schemas import SCHEMA_NAMES, load_schema
+from l2risk.sim import SimResult, simulate
 
 SNAPSHOT = str(fixture_path("snapshot-fixture.json"))
 INCIDENTS = str(fixture_path("incident-table.csv"))
@@ -225,6 +227,20 @@ def test_incident_row_short_of_a_read_column_has_too_few_fields(
     assert (payload["incidents"] if command == "report" else payload)["total"] == 1
 
 
+@pytest.mark.parametrize("command", ["ingest-incidents", "report"])
+def test_incident_table_after_a_blank_line_reads_as_without_it(tmp_path, capsys, command):
+    csv = tmp_path / "inc.csv"
+    snapshot = ["--snapshot", SNAPSHOT] if command == "report" else []
+    payloads = []
+    for blank in ("", "\n"):
+        csv.write_text(blank + Path(INCIDENTS).read_text(encoding="utf-8"), encoding="utf-8")
+        assert main([command, "--incidents", str(csv), *snapshot, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        payloads.append(payload["incidents"] if command == "report" else payload)
+    assert payloads[0]["total"] > 0
+    assert payloads[0] == payloads[1]
+
+
 def test_ingest_incidents_header_only_is_empty_distribution(tmp_path, capsys):
     csv = tmp_path / "empty.csv"
     csv.write_text("name,date,link,incident_type\n")
@@ -427,11 +443,67 @@ def test_simulate_same_seed_identical_bytes(tmp_path):
     assert (a / "metrics.json").read_bytes() == (b / "metrics.json").read_bytes()
 
 
+def _refuse_events_view(result):
+    raise AssertionError(f"{result.scenario}: the events view was built")
+
+
+def test_simulate_and_report_count_records_without_the_events_view(
+    tmp_path, capsys, monkeypatch
+):
+    # the dict per event is for callers that ask; these paths count records
+    monkeypatch.setattr(SimResult, "events", property(_refuse_events_view))
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(simulate(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(l2risk.cli, "simulate", recording)
+    scenarios = [str(fixture_path(f"scenarios/{name}")) for name in scenario_names()]
+    for k, path in enumerate(scenarios):
+        out = tmp_path / str(k)
+        assert main(["simulate", "--scenario", path, "--out", str(out)]) == 0
+        (result,) = results[k:]
+        printed = capsys.readouterr().out
+        assert printed.startswith(f"{result.scenario}: {len(result.records)} events,")
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["event_count"] == len(result.records)
+    with pytest.raises(AssertionError, match="the events view was built"):
+        results[0].events
+
+    bundle = build_report(
+        snapshot_path=SNAPSHOT, incidents_path=INCIDENTS, scenario_paths=scenarios
+    )
+    render_report_text(bundle)
+    counts = [s["event_count"] for s in bundle.report["simulations"]]
+    assert counts == [len(r.records) for r in bundle.simulations]
+    assert counts == [len(r.records) for r in results]
+
+
 def test_simulate_invalid_scenario_exits_4(tmp_path, capsys):
     bad = tmp_path / "scen.json"
     bad.write_text('{"name": "x", "bogus": true}')
     assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")]) == 4
     assert "unknown scenario keys" in capsys.readouterr().err
+
+
+_REPORT = ["report", "--snapshot", SNAPSHOT, "--incidents", INCIDENTS]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["simulate", "--scenario", "{bad}", "--out", "{tmp}/o"], 4),
+        ([*_REPORT, *("--scenario", BASELINE, "--scenario", "{bad}", "--scenario", BASELINE)], 4),
+        (["ingest-snapshot", "--snapshot", SNAPSHOT, "--ruleset", "{bad}"], 2),
+        ([*_REPORT, "--ruleset", "{bad}"], 2),
+    ],
+)
+def test_an_input_that_is_not_json_is_named(tmp_path, capsys, argv, code):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{nope")
+    assert main([arg.format(bad=bad, tmp=tmp_path) for arg in argv]) == code
+    assert f"error: {bad}: not valid JSON (" in capsys.readouterr().err
 
 
 _ACTIONS = [

@@ -232,6 +232,14 @@ class TestParsingEdgeCases:
         result = parse_incidents("<mem>", text=text)
         assert result.records[0].source_kind is SourceKind.L2BEAT
 
+    @pytest.mark.parametrize("blank", ["\n", "\n \n", " , ,\n\n"])
+    def test_header_is_the_first_non_blank_line(self, blank):
+        rows = "Chain A,01/02/2024,https://example.com/a,Sequencer halt\n"
+        result = parse_incidents("<mem>", text=blank + self.HEADER + rows)
+        assert result.records == ()
+        # line numbers count the blank lines above the header
+        assert result.issues[0].line == 2 + blank.count("\n")
+
     def test_missing_header_column_raises(self):
         with pytest.raises(IncidentFormatError):
             parse_incidents("<mem>", text="name,date,link\nA,2024-01-01,https://x.example\n")

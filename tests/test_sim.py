@@ -1253,6 +1253,22 @@ class TestTraceLines:
         for seed in sorted(FROZEN_FAULT_LADEN):
             self._check(simulate(_fault_laden(seed), seed=0))
 
+    def test_records_hold_their_kinds_fields_and_read_back_as_the_events(self):
+        runs = [simulate(load_bundled_scenario(name), seed=0) for name in sorted(FROZEN_BUNDLED)]
+        runs += [simulate(_fault_laden(seed), seed=0) for seed in sorted(FROZEN_FAULT_LADEN)]
+        runs += [simulate(_acceptance_random(), seed=seed) for seed in RANDOM_SEEDS[:8]]
+        notes = 0
+        for result in runs:
+            # (kind, t, i, *values): one value per field, and a neutralized
+            # fault's start one more, its ineffective note
+            for i, record in enumerate(result.records):
+                extra = len(record) - 3 - len(_Run.TRACE_FIELDS[record[0]])
+                assert extra == 0 or (record[0] == "injection_start" and extra == 1), record
+                assert record[2] == i
+                notes += extra
+            assert [json.loads(line) for line in result.trace_lines()] == list(result.events)
+        assert notes > 0
+
     @settings(max_examples=60, deadline=None)
     @given(_odd_user_scenarios())
     def test_user_names_that_need_escaping(self, scenario):
@@ -1394,7 +1410,7 @@ class _CheckedRun(_Run):
 
     def _update_frozen(self):
         stalled = self._exit_stalled()
-        assert stalled == _scan_stalled(self), (self.now, self.events[-1:])
+        assert stalled == _scan_stalled(self), (self.now, self.records[-1:])
         self.stalled += stalled
         self.targeted_stalls += stalled and all(inj.targets for inj in self.active.values())
         super()._update_frozen()
@@ -1469,7 +1485,7 @@ class _LedgerOracleRun(_Run):
     checks = 0
 
     def _check_conservation(self, event_kind):
-        assert self.accounted == _resum(self), (self.now, event_kind, self.events[-1:])
+        assert self.accounted == _resum(self), (self.now, event_kind, self.records[-1:])
         self.checks += 1
         super()._check_conservation(event_kind)
 
@@ -1504,7 +1520,7 @@ class _TransferSkipsCredit(_Mutant):
 
     def _apply_tx(self, tx):
         wid = super()._apply_tx(tx)
-        if tx["type"] == "transfer" and self.events[-1]["event"] == "transfer_applied":
+        if tx["type"] == "transfer" and self.records[-1][0] == "transfer_applied":
             self._move(tx["to"], -tx["amount"])
             self._mutated()
         return wid
@@ -1611,7 +1627,7 @@ class TestLedger:
             a, b = fast(scenario, seed), full(scenario, seed)
             a.execute()
             b.execute()
-            assert a.events == b.events
+            assert a.records == b.records
             assert a.violations == b.violations
             if a.mutated_at is None:
                 assert a.violations == []
