@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -138,14 +139,20 @@ def parse_incidents(source: str | Path, *, text: str | None = None) -> IncidentP
     if not text.strip():
         return IncidentParseResult((), (RowIssue(0, "empty incident table"),), 0)
 
-    header_line = text.lstrip().splitlines()[0]
-    delimiter = "\t" if "\t" in header_line else ","
-    reader = csv.reader(io.StringIO(text), delimiter=delimiter)
-
-    rows = list(reader)
-    # the header is the first row that is not blank, as the delimiter's line is
-    top = next((k for k, row in enumerate(rows) if any(cell.strip() for cell in row)), 0)
-    header = [normalize_label(h).replace(" ", "_") for h in rows[top]]
+    # The header is the first row with a non-blank cell. Each row up to it
+    # is read with the delimiter of its own first line, a tab if that line
+    # holds one; the rows after it keep the header's.
+    lines = io.StringIO(text)
+    top = 0
+    header: list[str] = []
+    for line in lines:
+        delimiter = "\t" if "\t" in line else ","
+        reader = csv.reader(itertools.chain([line], lines), delimiter=delimiter)
+        row = next(reader)
+        if any(cell.strip() for cell in row):
+            header = [normalize_label(h).replace(" ", "_") for h in row]
+            break
+        top += reader.line_num
     missing = [c for c in REQUIRED_COLUMNS if c not in header]
     if missing:
         raise IncidentFormatError(f"incident table header lacks columns: {missing}")
@@ -156,7 +163,7 @@ def parse_incidents(source: str | Path, *, text: str | None = None) -> IncidentP
     records: list[IncidentRecord] = []
     seen: set[tuple] = set()
     duplicates = 0
-    for line_no, row in enumerate(rows[top + 1 :], start=top + 2):
+    for line_no, row in enumerate(reader, start=top + 2):
         if not any(cell.strip() for cell in row):
             continue
         if len(row) < width:

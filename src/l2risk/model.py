@@ -467,10 +467,6 @@ FIELD_TABLE: Mapping[tuple[bool, bool, bool], EraField] = MappingProxyType(
     }
 )
 
-FIELD_FLAGS: Mapping[EraField, tuple[bool, bool, bool]] = MappingProxyType(
-    {f: flags for flags, f in FIELD_TABLE.items()}
-)
-
 
 class ProofSystem(_LabeledEnum):
     OPTIMISTIC = "optimistic"

@@ -38,8 +38,16 @@ The model, in brief:
   fault. The stall test after each event returns at once when no fault is
   active; otherwise it looks up the root, claim and sequencer effects at
   most once each, not once per exit in flight.
-- Events wait on one heap as (time, priority, sequence, kind, args). The
-  loop calls _on_<kind>(*args), looked up on the instance so a subclass's
+- The engine's own events wait on a heap as (time, priority, sequence,
+  kind, args). Workload actions never enter it: they arrive as a stream in
+  time order (an explicit list stably sorted by time, a random workload
+  drawn one action at a time), and the next one waits beside the heap as
+  the entry its push would have made, numbered 1..n ahead of every pushed
+  event. The loop takes whichever of the two sorts first, so events run in
+  the order one heap holding everything would give them, while the heap
+  holds only what the engine scheduled.
+- The loop calls _on_<kind>(*args) from a per-run table of handlers,
+  each bound on first use and looked up on the instance so a subclass's
   handler is the one that runs, then checks conservation under that kind's
   name and updates the frozen-funds clock. With no fault active the fault
   lookups (_ends, _censor_ends, _seq_accepting) return at once, and so does
@@ -73,11 +81,12 @@ depend on CPython's _json accelerator.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from l2risk.model import DaMode, HarmMetrics, ProofSystem, UpgradePolicy
@@ -112,6 +121,8 @@ _HATCH_BLOCKED = {"bridge": "bridge unavailable", "data": "data unavailable"}
 # landings precede sequencer work, user actions come late, and upgrade
 # bookkeeping runs last so it sees the settled state of that second.
 _P_END, _P_START, _P_L1, _P_ADMIT, _P_BATCH, _P_ACTION, _P_UPGRADE = range(7)
+# What the loop holds once the workload is spent: above every event's key.
+_NO_ACTION = (math.inf,)
 
 # How a line format writes the fields of _Run.TRACE_FIELDS: as JSON text by
 # the writer here (scenario names escaped, the upgrade's holders and share),
@@ -292,26 +303,55 @@ class _Run:
         return f"{prefix}-{self._txid}"
 
     def execute(self) -> None:
-        for action in self.sc.workload(self.seed):
-            self._push(action.at, _P_ACTION, "action", action)
-        for idx, inj in enumerate(self.sc.injections):
+        sc = self.sc
+        if sc.random_workload is not None:
+            actions = sc.random_workload.stream(self.seed)
+            self._pushes = sc.random_workload.actions
+        else:
+            # stable: same-instant actions keep their list order
+            actions = sorted(sc.actions, key=attrgetter("at"))
+            self._pushes = len(actions)
+        for idx, inj in enumerate(sc.injections):
             if inj.kind is InjectionKind.EXPLOIT_USER_RISK:
                 self._push(inj.at, _P_START, "exploit", idx)
             else:
                 self._push(inj.at, _P_START, "injection_start", idx)
                 self._push(inj.end, _P_END, "injection_end", idx)
-        if self.sc.upgrade_at is not None:
-            self._push(self.sc.upgrade_at, _P_UPGRADE, "upgrade_announce")
+        if sc.upgrade_at is not None:
+            self._push(sc.upgrade_at, _P_UPGRADE, "upgrade_announce")
 
+        # The next action waits beside the heap as the entry its push would
+        # have made, numbered 1..n in time order; the loop takes whichever
+        # of it and the heap's top has the lower (t, priority, number).
+        queued = ((a.at, _P_ACTION, k, "action", (a,)) for k, a in enumerate(actions, 1))
+        following = next(queued, _NO_ACTION)
+        heap = self._heap
+        pop = heapq.heappop
+        check_conservation = self._check_conservation
+        update_frozen = self._update_frozen
+        handlers: dict = {}
         horizon = self.p.horizon
-        while self._heap:
-            t, _prio, _n, kind, args = heapq.heappop(self._heap)
-            if horizon is not None and t > horizon:
+        if horizon is None:
+            horizon = math.inf
+        while True:
+            if heap and heap[0] < following:
+                t, _prio, _n, kind, args = pop(heap)
+            elif following is not _NO_ACTION:
+                t, _prio, _n, kind, args = following
+                following = next(queued, _NO_ACTION)
+            else:
+                break
+            if t > horizon:
                 break
             self.now = t
-            getattr(self, "_on_" + kind)(*args)
-            self._check_conservation(kind)
-            self._update_frozen()
+            try:
+                handler = handlers[kind]
+            except KeyError:
+                # looked up on the instance, so a subclass's handler runs
+                handler = handlers[kind] = getattr(self, "_on_" + kind)
+            handler(*args)
+            check_conservation(kind)
+            update_frozen()
         if self._frozen_since is not None:
             self._frozen_accum += self.now - self._frozen_since
             self._frozen_since = None

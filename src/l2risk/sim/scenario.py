@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -134,9 +135,18 @@ class WorkloadAction:
     to: str | None = None
 
     def __post_init__(self) -> None:
-        # tested here first, without a call: materialize builds one per draw
-        if type(self.at) is not int or type(self.amount) is not int:
+        # tested here first, without a call: stream builds one per draw
+        if (
+            type(self.at) is not int
+            or type(self.amount) is not int
+            or type(self.user) is not str
+            or (self.to is not None and type(self.to) is not str)
+        ):
             _exact_ints(self, "at", "amount", error=ScenarioError)
+            if type(self.user) is not str:
+                raise ScenarioError(f"user must be a string, not {self.user!r}")
+            # only the recipient is left to fail the test
+            raise ScenarioError(f"to must be a string or None, not {self.to!r}")
         if self.action not in _ACTIONS:
             raise ScenarioError(f"unknown action {self.action!r}")
         if self.at < 0:
@@ -173,6 +183,11 @@ class RandomWorkload:
             raise ScenarioError("random workload fields must be positive")
 
     def materialize(self, seed: int) -> tuple[WorkloadAction, ...]:
+        return tuple(self.stream(seed))
+
+    def stream(self, seed: int) -> Iterator[WorkloadAction]:
+        """The seeded actions one at a time, in time order, each drawn when
+        it is taken; same-instant actions come in draw order."""
         getrandbits = random.Random(seed).getrandbits
 
         def below(n: int) -> int:
@@ -189,7 +204,6 @@ class RandomWorkload:
         names = [f"user-{i}" for i in range(self.users)]
         times = sorted(below(self.horizon) for _ in range(self.actions))
         seen: set[str] = set()
-        out: list[WorkloadAction] = []
         for t in times:
             i = below(len(names))
             user = names[i]
@@ -202,12 +216,11 @@ class RandomWorkload:
             if kind == "transfer" and len(names) > 1:
                 j = below(len(names) - 1)  # an index into names without user
                 to = names[j + (j >= i)]
-                out.append(WorkloadAction(t, "transfer", user, amount, to))
+                yield WorkloadAction(t, "transfer", user, amount, to)
             elif kind == "transfer":
-                out.append(WorkloadAction(t, "withdraw", user, amount))
+                yield WorkloadAction(t, "withdraw", user, amount)
             else:
-                out.append(WorkloadAction(t, kind, user, amount))
-        return tuple(out)
+                yield WorkloadAction(t, kind, user, amount)
 
 
 @dataclass(frozen=True)

@@ -376,34 +376,6 @@ DIMENSION_LABELS: Mapping[RiskDimension, str] = MappingProxyType(
 )
 
 
-def profiles_to_snapshot(profiles: Iterable[ProjectRiskProfile]) -> dict:
-    """Serialize profiles back to the normalized snapshot layout."""
-    category_names = {
-        ProjectCategory.ZK_ROLLUP: "ZK Rollup",
-        ProjectCategory.OPTIMISTIC_ROLLUP: "Optimistic Rollup",
-        ProjectCategory.OTHER: "Other",
-    }
-    return {
-        "projects": [
-            {
-                "id": p.project_id,
-                "name": p.name,
-                "category": category_names[p.category],
-                "risks": [
-                    {
-                        "name": DIMENSION_LABELS[e.dimension],
-                        "value": e.value,
-                        "sentiment": e.sentiment.value,
-                        "description": e.description,
-                    }
-                    for e in p.risks
-                ],
-            }
-            for p in profiles
-        ]
-    }
-
-
 # ---------------------------------------------------------------------------
 # Prevalence
 

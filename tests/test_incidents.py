@@ -240,6 +240,25 @@ class TestParsingEdgeCases:
         # line numbers count the blank lines above the header
         assert result.issues[0].line == 2 + blank.count("\n")
 
+    @pytest.mark.parametrize("blank", [",,,\n", " , ,\n\n", "\t\t\n"])
+    @pytest.mark.parametrize("delimiter", [",", "\t"])
+    def test_a_blank_line_of_delimiters_leaves_the_header_its_own(self, blank, delimiter):
+        # the header line picks the delimiter, whatever the blank lines above hold
+        rows = [
+            ["name", "date", "link", "incident_type"],
+            ["Chain A", "2024-01-01", "https://example.com/a", "Sequencer halt"],
+            ["Chain B", "01/02/2024", "https://example.com/b", "Sequencer halt"],
+        ]
+        table = "".join(delimiter.join(row) + "\n" for row in rows)
+        alone = parse_incidents("<mem>", text=table)
+        below = parse_incidents("<mem>", text=blank + table)
+        assert below.records == alone.records and len(alone.records) == 1
+        shift = blank.count("\n")
+        assert [(i.line - shift, i.reason, i.raw) for i in below.issues] == [
+            (i.line, i.reason, i.raw) for i in alone.issues
+        ]
+        assert alone.warnings == ["line 3: unparseable date '01/02/2024'"]
+
     def test_missing_header_column_raises(self):
         with pytest.raises(IncidentFormatError):
             parse_incidents("<mem>", text="name,date,link\nA,2024-01-01,https://x.example\n")

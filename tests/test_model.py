@@ -14,7 +14,6 @@ from l2risk.model import (
     DaConfig,
     DaMode,
     EraField,
-    FIELD_FLAGS,
     FIELD_TABLE,
     ForcedInclusionConfig,
     HarmMetrics,
@@ -185,6 +184,11 @@ class TestBinarize:
         assert len(set(ranks)) == 4
 
 
+# FIELD_TABLE inverted: the (risk_exposed, beneficiary, decision_maker) triple
+# of each field
+FIELD_FLAGS = {f: flags for flags, f in FIELD_TABLE.items()}
+
+
 class TestFieldTable:
     def test_bijection_covers_exactly_the_seven_nonempty_triples(self):
         triples = [t for t in itertools.product([False, True], repeat=3) if any(t)]
@@ -193,6 +197,7 @@ class TestFieldTable:
         assert (False, False, False) not in FIELD_TABLE
 
     def test_inverse_agrees(self):
+        assert set(FIELD_FLAGS) == set(EraField)
         for flags, field in FIELD_TABLE.items():
             assert FIELD_FLAGS[field] == flags
 

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import hashlib
+import heapq
 import json
 import operator
 import os
@@ -48,7 +49,15 @@ from l2risk.sim import (
     simulate,
 )
 from l2risk.sim import engine as sim_engine
-from l2risk.sim.engine import _FAULT_EFFECTS, _Run
+from l2risk.sim.engine import (
+    _FAULT_EFFECTS,
+    _P_ACTION,
+    _P_END,
+    _P_START,
+    _P_UPGRADE,
+    SimResult,
+    _Run,
+)
 
 ZK_ONCHAIN = {"proof_system": "zk", "da": {"mode": "onchain"}}
 
@@ -146,6 +155,22 @@ class TestScenarioParsing:
         # and 0.5 into 0 where json.dumps writes true and 0.5
         with pytest.raises(ScenarioError, match="must be an integer"):
             build(value)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: WorkloadAction(0, "deposit", 7, 5), "user must be a string, not 7"),
+            (lambda: WorkloadAction(0, "withdraw", b"u", 5), "user must be a string, not b'u'"),
+            (lambda: WorkloadAction(0, "hatch-exit", None), "user must be a string, not None"),
+            (lambda: WorkloadAction(0, "transfer", "u", 5, 7), "to must be a string or None, not 7"),
+            (lambda: WorkloadAction(0, "transfer", "u", 5, ["v"]), r"to must be .* not \['v'\]"),
+            (lambda: WorkloadAction(0, "deposit", "u", 5, 0), "to must be a string or None, not 0"),
+        ],
+    )
+    def test_python_built_actions_take_only_string_names(self, build, message):
+        # the trace writes user and to as JSON strings, which a number is not
+        with pytest.raises(ScenarioError, match=message):
+            build()
 
     def test_upgrade_needs_announce_at(self):
         with pytest.raises(ScenarioError, match="announce_at"):
@@ -1709,6 +1734,167 @@ class TestDispatch:
                 minted.append((v["t"], v["event"]))
             gap = v["bridge"] - v["accounted"]
         assert minted == [(0, "batch_tick"), (18_000, "recovery_batch")]
+
+
+# -- the workload beside the heap ------------------------------------------------
+
+
+class _AllOnHeapRun(_Run):
+    """The event loop with every workload action pushed onto the heap before
+    the first event: the reference the streamed workload must match."""
+
+    def execute(self):
+        for action in self.sc.workload(self.seed):
+            self._push(action.at, _P_ACTION, "action", action)
+        for idx, inj in enumerate(self.sc.injections):
+            if inj.kind is InjectionKind.EXPLOIT_USER_RISK:
+                self._push(inj.at, _P_START, "exploit", idx)
+            else:
+                self._push(inj.at, _P_START, "injection_start", idx)
+                self._push(inj.end, _P_END, "injection_end", idx)
+        if self.sc.upgrade_at is not None:
+            self._push(self.sc.upgrade_at, _P_UPGRADE, "upgrade_announce")
+
+        horizon = self.p.horizon
+        while self._heap:
+            t, _prio, _n, kind, args = heapq.heappop(self._heap)
+            if horizon is not None and t > horizon:
+                break
+            self.now = t
+            getattr(self, "_on_" + kind)(*args)
+            self._check_conservation(kind)
+            self._update_frozen()
+        if self._frozen_since is not None:
+            self._frozen_accum += self.now - self._frozen_since
+            self._frozen_since = None
+        if _resum(self) != self.accounted:
+            raise RuntimeError(f"ledger total {self.accounted} != {_resum(self)}")
+
+
+class _ActionsOffHeapRun(_Run):
+    """Asserts after every event that no action waits on the heap."""
+
+    def _update_frozen(self):
+        assert all(entry[3] != "action" for entry in self._heap), (self.now, self.records[-1:])
+        super()._update_frozen()
+
+
+def _check_streamed(scenario: Scenario, seed: int = 0) -> SimResult:
+    """simulate's result, held to the all-on-heap reference's, with the heap
+    watched for actions after every event."""
+    result = simulate(scenario, seed)
+    reference = _AllOnHeapRun(scenario, seed)
+    reference.execute()
+    assert reference.result() == result
+    watched = _ActionsOffHeapRun(scenario, seed)
+    watched.execute()
+    assert watched.result() == result
+    return result
+
+
+_USERS = ("u", "v", "w")
+
+
+@st.composite
+def _unsorted_workloads(draw) -> Scenario:
+    """Explicit workloads in any list order, often several at one instant,
+    some at the horizon and one second past it, with a fault window or two
+    and an upgrade announcement that may land on an action's instant."""
+    horizon = draw(st.sampled_from((None, 600, HOUR, 2 * HOUR)))
+    edge = horizon or HOUR
+    at = st.sampled_from((0, 12, 120, edge - 1, edge, edge + 1)) | st.integers(0, edge + 1)
+    actions = []
+    for _ in range(draw(st.integers(1, 24))):
+        user = draw(st.sampled_from(_USERS))
+        kind = draw(st.sampled_from(_ACTIONS))
+        if kind == "transfer":
+            to = draw(st.sampled_from([u for u in _USERS if u != user]))
+            actions.append(WorkloadAction(draw(at), kind, user, draw(st.integers(1, 600)), to))
+        else:
+            low = 0 if kind == "hatch-exit" else 1
+            actions.append(WorkloadAction(draw(at), kind, user, draw(st.integers(low, 600))))
+    injections = []
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(_FAULT_KINDS))
+        injections.append(Injection(kind, draw(at), draw(st.sampled_from((12, 600, HOUR)))))
+    fi = draw(st.booleans())
+    config = RollupConfig(
+        forced_inclusion=ForcedInclusionConfig(enabled=fi, usable=fi, timeout=600),
+        escape_hatch=EscapeHatchConfig(enabled=True),
+        upgrade=UpgradeConfig(policy=UpgradePolicy.TIMELOCKED, window=600),
+    )
+    return Scenario(
+        "unsorted",
+        config,
+        params=SimParams(horizon=horizon),
+        actions=actions,
+        injections=injections,
+        upgrade_at=draw(st.none() | at),
+    )
+
+
+class TestWorkloadBesideTheHeap:
+    """The loop takes actions from a time-ordered stream beside the heap; it
+    must run the same events in the same order as pushing them all."""
+
+    def test_bundled_and_fault_laden_runs(self):
+        for name in sorted(FROZEN_BUNDLED):
+            _check_streamed(load_bundled_scenario(name))
+        for seed in range(40):
+            _check_streamed(_fault_laden(seed))
+
+    def test_random_seeds(self):
+        sc = _acceptance_random()
+        for seed in RANDOM_SEEDS:
+            _check_streamed(sc, seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_unsorted_workloads())
+    def test_unsorted_explicit_workloads(self, scenario):
+        _check_streamed(scenario)
+
+    def test_same_instant_actions_keep_their_list_order(self):
+        actions = [
+            WorkloadAction(120, "deposit", "w", 30),
+            WorkloadAction(0, "deposit", "v", 20),
+            WorkloadAction(120, "deposit", "u", 10),
+            WorkloadAction(0, "deposit", "u", 40),
+        ]
+        result = _check_streamed(Scenario("ties", RollupConfig(), actions=actions))
+        submitted = [(e["t"], e["user"]) for e in _events(result, "deposit_submitted")]
+        assert submitted == [(0, "v"), (0, "u"), (120, "w"), (120, "u")]
+
+    def test_the_horizon_takes_an_action_at_it_and_none_past_it(self):
+        actions = [
+            WorkloadAction(601, "deposit", "v", 20),
+            WorkloadAction(600, "deposit", "u", 10),
+        ]
+        scenario = Scenario(
+            "edge", RollupConfig(), params=SimParams(horizon=600), actions=actions
+        )
+        result = _check_streamed(scenario)
+        assert [e["user"] for e in _events(result, "deposit_submitted")] == ["u"]
+        assert max(e["t"] for e in result.events) == 600
+
+    @pytest.mark.parametrize("horizon", [1, 600, HOUR, DAY // 2])
+    def test_a_horizon_that_cuts_a_random_workload_short(self, horizon):
+        scenario = Scenario(
+            "cut",
+            RollupConfig.centralized_default(),
+            params=SimParams(horizon=horizon),
+            random_workload=RandomWorkload(users=8, actions=200),
+        )
+        result = _check_streamed(scenario)
+        assert sum(a.at <= horizon for a in scenario.workload(0)) < 200
+        assert all(e["t"] <= horizon for e in result.events)
+
+    def test_the_stream_is_the_materialized_workload_in_time_order(self):
+        for users, actions in ((1, 1), (5, 20), (100, 2_000)):
+            wl = RandomWorkload(users=users, actions=actions)
+            for seed in range(3):
+                drawn = tuple(wl.stream(seed))
+                assert drawn == wl.materialize(seed)
+                assert [a.at for a in drawn] == sorted(a.at for a in drawn)
 
 
 # Each fault kind a config can neutralize, with the config change that does it.

@@ -10,6 +10,7 @@ from l2risk.data import SNAPSHOT_JSON, fixture_path
 from l2risk.model import ProjectCategory, ProjectRiskProfile, RiskDimension, Sentiment, _slug
 from l2risk.snapshot import (
     CONFORMING_CATEGORIES,
+    DIMENSION_LABELS,
     DuplicateProjectError,
     FlagRuleset,
     SchemaMismatchError,
@@ -18,10 +19,37 @@ from l2risk.snapshot import (
     extract_projects,
     flag_entry,
     load_snapshot,
-    profiles_to_snapshot,
     render_prevalence_text,
     render_schema_text,
 )
+
+
+def profiles_to_snapshot(profiles) -> dict:
+    """Serialize profiles back to the normalized snapshot layout."""
+    category_names = {
+        ProjectCategory.ZK_ROLLUP: "ZK Rollup",
+        ProjectCategory.OPTIMISTIC_ROLLUP: "Optimistic Rollup",
+        ProjectCategory.OTHER: "Other",
+    }
+    return {
+        "projects": [
+            {
+                "id": p.project_id,
+                "name": p.name,
+                "category": category_names[p.category],
+                "risks": [
+                    {
+                        "name": DIMENSION_LABELS[e.dimension],
+                        "value": e.value,
+                        "sentiment": e.sentiment.value,
+                        "description": e.description,
+                    }
+                    for e in p.risks
+                ],
+            }
+            for p in profiles
+        ]
+    }
 
 
 def recount_by_sentiment(doc):
