@@ -39,13 +39,12 @@ The model, in brief:
   active; otherwise it looks up the root, claim and sequencer effects at
   most once each, not once per exit in flight.
 - The engine's own events wait on a heap as (time, priority, sequence,
-  kind, args). Workload actions never enter it: they arrive as a stream in
-  time order (an explicit list stably sorted by time, a random workload
-  drawn one action at a time), and the next one waits beside the heap as
-  the entry its push would have made, numbered 1..n ahead of every pushed
-  event. The loop takes whichever of the two sorts first, so events run in
-  the order one heap holding everything would give them, while the heap
-  holds only what the engine scheduled.
+  kind, args). Workload actions never enter it: they come in time order as
+  plain (at, action, user, amount, to) tuples, an explicit list's stably
+  sorted by time, a random workload's drawn one at a time with no
+  WorkloadAction built, and the next waits beside the heap as the entry its
+  push would have made, numbered 1..n ahead of every pushed event. The loop
+  takes whichever of the two sorts first, as one heap holding all would.
 - The loop calls _on_<kind>(*args) from a per-run table of handlers,
   each bound on first use and looked up on the instance so a subclass's
   handler is the one that runs, then checks conservation under that kind's
@@ -90,7 +89,7 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from l2risk.model import DaMode, HarmMetrics, ProofSystem, UpgradePolicy
-from l2risk.sim.scenario import Injection, InjectionKind, Scenario, WorkloadAction
+from l2risk.sim.scenario import Injection, InjectionKind, Scenario
 
 
 def next_l1_block(t: int, interval: int = 12) -> int:
@@ -309,8 +308,9 @@ class _Run:
             self._pushes = sc.random_workload.actions
         else:
             # stable: same-instant actions keep their list order
-            actions = sorted(sc.actions, key=attrgetter("at"))
-            self._pushes = len(actions)
+            fields = attrgetter("at", "action", "user", "amount", "to")
+            actions = map(fields, sorted(sc.actions, key=attrgetter("at")))
+            self._pushes = len(sc.actions)
         for idx, inj in enumerate(sc.injections):
             if inj.kind is InjectionKind.EXPLOIT_USER_RISK:
                 self._push(inj.at, _P_START, "exploit", idx)
@@ -323,7 +323,7 @@ class _Run:
         # The next action waits beside the heap as the entry its push would
         # have made, numbered 1..n in time order; the loop takes whichever
         # of it and the heap's top has the lower (t, priority, number).
-        queued = ((a.at, _P_ACTION, k, "action", (a,)) for k, a in enumerate(actions, 1))
+        queued = ((d[0], _P_ACTION, k, "action", d[1:]) for k, d in enumerate(actions, 1))
         following = next(queued, _NO_ACTION)
         heap = self._heap
         pop = heapq.heappop
@@ -477,22 +477,22 @@ class _Run:
 
     # -- user actions ---------------------------------------------------------
 
-    def _on_action(self, action: WorkloadAction) -> None:
-        if action.action == "deposit":
-            self._do_deposit(action)
-        elif action.action == "hatch-exit":
-            self._do_hatch(action)
+    def _on_action(self, action: str, user: str, amount: int, to: str | None) -> None:
+        if action == "deposit":
+            self._do_deposit(user, amount)
+        elif action == "hatch-exit":
+            self._do_hatch(user, amount)
         else:
-            self._do_submit(action)
+            self._do_submit(action, user, amount, to)
 
-    def _do_deposit(self, a: WorkloadAction) -> None:
+    def _do_deposit(self, user: str, amount: int) -> None:
         if self._ends("bridge"):
-            self._emit("action_rejected", "deposit", a.user, "bridge unavailable")
+            self._emit("action_rejected", "deposit", user, "bridge unavailable")
             return
         pid = self._new_id("dep")
-        self._emit("deposit_submitted", pid, a.user, a.amount)
+        self._emit("deposit_submitted", pid, user, amount)
         land = next_l1_block(self.now, self.p.l1_block_interval)
-        self._push(land, _P_L1, "deposit_landed", pid, a.user, a.amount)
+        self._push(land, _P_L1, "deposit_landed", pid, user, amount)
 
     def _on_deposit_landed(self, pid: str, user: str, amount: int) -> None:
         self.bridge_pool += amount
@@ -508,21 +508,21 @@ class _Run:
         }
         self._enqueue_l2(credit)
 
-    def _do_submit(self, a: WorkloadAction) -> None:
-        txid = self._new_id("wd" if a.action == "withdraw" else "tr")
+    def _do_submit(self, action: str, user: str, amount: int, to: str | None) -> None:
+        txid = self._new_id("wd" if action == "withdraw" else "tr")
         tx = {
             "id": txid,
-            "type": a.action,
-            "user": a.user,
-            "amount": a.amount,
-            "to": a.to,
+            "type": action,
+            "user": user,
+            "amount": amount,
+            "to": to,
             "submitted": self.now,
             "denied": False,
         }
-        self._emit("tx_submitted", txid, a.action, a.user, a.amount)
-        if a.action == "withdraw":
-            self.pending[txid] = {"user": a.user, "submitted": self.now, "stage": "queued"}
-        if self._seq_accepting(a.user):
+        self._emit("tx_submitted", txid, action, user, amount)
+        if action == "withdraw":
+            self.pending[txid] = {"user": user, "submitted": self.now, "stage": "queued"}
+        if self._seq_accepting(user):
             factor = self.p.degradation_factor if self._ends("admission") else 1
             admit = self.now + self.p.admission_latency * factor
             self._push(admit, _P_ADMIT, "tx_admitted", tx)
@@ -550,18 +550,18 @@ class _Run:
             blocked_for = self._denial_end(tx["user"]) - tx["submitted"]
             self.censorship_window = max(self.censorship_window, blocked_for)
 
-    def _do_hatch(self, a: WorkloadAction) -> None:
+    def _do_hatch(self, user: str, amount: int) -> None:
         if not self.cfg.escape_hatch.enabled:
-            self._emit("action_rejected", "hatch-exit", a.user, "escape hatch disabled")
+            self._emit("action_rejected", "hatch-exit", user, "escape hatch disabled")
             return
         reason = self._hatch_blocked()
         if reason is not None:
-            self._emit("action_rejected", "hatch-exit", a.user, reason)
+            self._emit("action_rejected", "hatch-exit", user, reason)
             return
         hid = self._new_id("hx")
-        self._emit("hatch_exit_submitted", hid, a.user)
+        self._emit("hatch_exit_submitted", hid, user)
         land = next_l1_block(self.now, self.p.l1_block_interval)
-        self._push(land, _P_L1, "hatch_included", hid, a.user, a.amount, self.now)
+        self._push(land, _P_L1, "hatch_included", hid, user, amount, self.now)
 
     def _on_hatch_included(self, hid: str, user: str, requested: int, submitted: int) -> None:
         balance = self.l2[user]

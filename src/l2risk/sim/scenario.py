@@ -101,6 +101,8 @@ class Injection:
     amount: int = 0
 
     def __post_init__(self) -> None:
+        if type(self.kind) is not InjectionKind:
+            raise ScenarioError(f"injection kind must be an InjectionKind, not {self.kind!r}")
         object.__setattr__(self, "targets", tuple(self.targets))
         _exact_ints(self, "at", "duration", "amount", error=ScenarioError)
         if self.at < 0:
@@ -135,7 +137,7 @@ class WorkloadAction:
     to: str | None = None
 
     def __post_init__(self) -> None:
-        # tested here first, without a call: stream builds one per draw
+        # tested here first, without a call: materialize builds one per draw
         if (
             type(self.at) is not int
             or type(self.amount) is not int
@@ -183,11 +185,12 @@ class RandomWorkload:
             raise ScenarioError("random workload fields must be positive")
 
     def materialize(self, seed: int) -> tuple[WorkloadAction, ...]:
-        return tuple(self.stream(seed))
+        """The seeded actions, validated, in time order."""
+        return tuple(WorkloadAction(*d) for d in self.stream(seed))
 
-    def stream(self, seed: int) -> Iterator[WorkloadAction]:
-        """The seeded actions one at a time, in time order, each drawn when
-        it is taken; same-instant actions come in draw order."""
+    def stream(self, seed: int) -> Iterator[tuple[int, str, str, int, str | None]]:
+        """The seeded actions as plain (at, action, user, amount, to) tuples,
+        each drawn when taken: in time order, same-instant ones in draw order."""
         getrandbits = random.Random(seed).getrandbits
 
         def below(n: int) -> int:
@@ -215,12 +218,11 @@ class RandomWorkload:
             amount = 1 + below(self.max_amount)
             if kind == "transfer" and len(names) > 1:
                 j = below(len(names) - 1)  # an index into names without user
-                to = names[j + (j >= i)]
-                yield WorkloadAction(t, "transfer", user, amount, to)
+                yield t, "transfer", user, amount, names[j + (j >= i)]
             elif kind == "transfer":
-                yield WorkloadAction(t, "withdraw", user, amount)
+                yield t, "withdraw", user, amount, None
             else:
-                yield WorkloadAction(t, kind, user, amount)
+                yield t, kind, user, amount, None
 
 
 @dataclass(frozen=True)
@@ -243,11 +245,6 @@ class Scenario:
             _exact_ints(self, "upgrade_at", error=ScenarioError)
             if self.upgrade_at < 0:
                 raise ScenarioError("upgrade announcement must be >= 0")
-
-    def workload(self, seed: int) -> tuple[WorkloadAction, ...]:
-        if self.random_workload is not None:
-            return self.random_workload.materialize(seed)
-        return self.actions
 
 
 # The document's shape. These live only inside parse_scenario and are never

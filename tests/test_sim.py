@@ -6,6 +6,7 @@ import json
 import operator
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import defaultdict
@@ -72,12 +73,20 @@ def _events(result, name):
     return [e for e in result.events if e["event"] == name]
 
 
+def _workload(scenario: Scenario, seed: int) -> tuple[WorkloadAction, ...]:
+    """The scenario's actions as validated WorkloadActions: its random
+    workload materialized on seed, else its explicit list."""
+    if scenario.random_workload is not None:
+        return scenario.random_workload.materialize(seed)
+    return scenario.actions
+
+
 class TestScenarioParsing:
     def test_minimal_document(self):
         sc = parse_scenario(_scenario(), name="bare")
         assert sc.name == "bare"
         assert sc.params == SimParams()
-        assert sc.workload(seed=0) == ()
+        assert _workload(sc, seed=0) == ()
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ScenarioError, match="unknown scenario keys"):
@@ -100,6 +109,12 @@ class TestScenarioParsing:
     def test_windowed_injection_needs_duration(self):
         with pytest.raises(ScenarioError, match="duration"):
             Injection(InjectionKind.SEQUENCER_OUTAGE, at=0)
+
+    @pytest.mark.parametrize("kind", ["sequencer-outage", IncidentClass.SEQUENCER_OUTAGE, None, 3])
+    def test_injection_kind_must_be_an_injection_kind(self, kind):
+        message = f"injection kind must be an InjectionKind, not {kind!r}"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            Injection(kind=kind, at=0, duration=10)
 
     def test_targets_only_for_censorship(self):
         with pytest.raises(ScenarioError, match="targets"):
@@ -544,6 +559,7 @@ class TestRandomWorkload:
     ):
         wl = RandomWorkload(users=users, actions=actions, horizon=horizon, max_amount=max_amount)
         assert wl.materialize(seed) == _materialize_reference(wl, seed)
+        _check_trusted(wl, seed)
 
     @pytest.mark.parametrize("users, actions", [(1_000, 16_000), (5, 20), (1, 30)])
     def test_draws_match_the_reference_at_the_benchmark_sizes(self, users, actions):
@@ -569,6 +585,45 @@ class TestRandomWorkload:
         for a in wl.materialize(3):
             assert 0 <= a.at < 500
             assert 1 <= a.amount <= 9
+
+
+def _check_trusted(wl: RandomWorkload, seed: int) -> tuple[tuple, ...]:
+    """The stream's plain tuples, each checked to build a WorkloadAction
+    holding exactly its values, and all in time order."""
+    drawn = tuple(wl.stream(seed))
+    for d in drawn:
+        assert type(d) is tuple and dataclasses.astuple(WorkloadAction(*d)) == d
+    assert [d[0] for d in drawn] == sorted(d[0] for d in drawn)
+    return drawn
+
+
+class TestTrustedStream:
+    """simulate takes a random workload's draws as plain tuples and never
+    validates them; each must be what WorkloadAction would accept. The
+    hypothesis-drawn workloads of TestRandomWorkload are checked too."""
+
+    def test_random_seeds(self):
+        wl = _acceptance_random().random_workload
+        for seed in RANDOM_SEEDS:
+            _check_trusted(wl, seed)
+
+    def test_one_user_turns_transfers_into_withdrawals(self):
+        drawn = _check_trusted(RandomWorkload(users=1, actions=200), 0)
+        assert {d[1] for d in drawn} == {"deposit", "withdraw"}
+        assert all(d[4] is None for d in drawn)
+
+    def test_simulate_builds_no_workload_action(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a WorkloadAction was built")
+
+        monkeypatch.setattr(WorkloadAction, "__post_init__", refuse)
+        with pytest.raises(AssertionError, match="was built"):
+            WorkloadAction(0, "deposit", "u", 1)
+        outage = Injection(InjectionKind.SEQUENCER_OUTAGE, at=HOUR, duration=HOUR)
+        faulted = dataclasses.replace(_acceptance_random(), injections=(outage,))
+        for scenario in (_acceptance_random(), _random(100, 2_000), faulted):
+            for seed in range(3):
+                assert simulate(scenario, seed).records
 
 
 class TestL1Alignment:
@@ -1744,8 +1799,8 @@ class _AllOnHeapRun(_Run):
     the first event: the reference the streamed workload must match."""
 
     def execute(self):
-        for action in self.sc.workload(self.seed):
-            self._push(action.at, _P_ACTION, "action", action)
+        for a in _workload(self.sc, self.seed):
+            self._push(a.at, _P_ACTION, "action", a.action, a.user, a.amount, a.to)
         for idx, inj in enumerate(self.sc.injections):
             if inj.kind is InjectionKind.EXPLOIT_USER_RISK:
                 self._push(inj.at, _P_START, "exploit", idx)
@@ -1885,16 +1940,15 @@ class TestWorkloadBesideTheHeap:
             random_workload=RandomWorkload(users=8, actions=200),
         )
         result = _check_streamed(scenario)
-        assert sum(a.at <= horizon for a in scenario.workload(0)) < 200
+        assert sum(a.at <= horizon for a in _workload(scenario, 0)) < 200
         assert all(e["t"] <= horizon for e in result.events)
 
     def test_the_stream_is_the_materialized_workload_in_time_order(self):
         for users, actions in ((1, 1), (5, 20), (100, 2_000)):
             wl = RandomWorkload(users=users, actions=actions)
             for seed in range(3):
-                drawn = tuple(wl.stream(seed))
-                assert drawn == wl.materialize(seed)
-                assert [a.at for a in drawn] == sorted(a.at for a in drawn)
+                drawn = _check_trusted(wl, seed)
+                assert drawn == tuple(map(dataclasses.astuple, wl.materialize(seed)))
 
 
 # Each fault kind a config can neutralize, with the config change that does it.
