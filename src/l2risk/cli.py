@@ -29,6 +29,7 @@ from l2risk.incidents import (
     parse_incidents,
     render_distribution_text,
 )
+from l2risk.model import load_json
 from l2risk.report import build_report, cross_validate, render_report_text
 from l2risk.sim import ScenarioError, load_scenario, simulate
 from l2risk.snapshot import (
@@ -86,16 +87,9 @@ def _cmd_ingest_incidents(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_artifact(path: str) -> object:
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-
-
 def _cmd_cross_validate(args: argparse.Namespace) -> int:
-    prevalence = PrevalenceTable.from_dict(_read_artifact(args.prevalence))
-    dist = IncidentDistribution.from_dict(_read_artifact(args.distribution))
+    prevalence = PrevalenceTable.from_dict(load_json(args.prevalence))
+    dist = IncidentDistribution.from_dict(load_json(args.distribution))
     notes = cross_validate(prevalence, dist)
     if args.format == "json":
         _write(_json_text([n.to_dict() for n in notes]), args.out)

@@ -1,14 +1,16 @@
 """Shared domain model: project risk profiles, incident taxonomy, stakeholder
 roles, overlap fields, rollup configuration, and harm metrics, plus the
-label, percentage and text-table helpers and the one strict JSON reader that
-scenarios, rulesets and the prevalence and distribution artifacts share."""
+label, percentage and text-table helpers, the exact field type check, and
+the JSON file loader and strict reader that scenarios, rulesets and artifacts share."""
 
 from __future__ import annotations
 
 import datetime as dt
 import enum
 import functools
+import json
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from pathlib import Path
 from types import MappingProxyType, UnionType
 from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
 
@@ -45,6 +47,14 @@ def decode_text(data: bytes) -> str:
     """data as Path.read_text(encoding="utf-8") reads it: strict UTF-8 with
     universal newlines, so parse errors report the same lines and columns."""
     return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def load_json(path, text: str | None = None, error: type[ValueError] = ValueError):
+    """The JSON in ``text``, else in file ``path``; invalid JSON raises ``error`` naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8") if text is None else text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: not valid JSON ({exc})") from exc
 
 
 def aligned_table(headers: Sequence[str], rows: Sequence[Sequence[str]], left: int) -> str:
@@ -93,16 +103,6 @@ def check_shares(members, counts: Mapping, shares: Mapping, total: int) -> None:
             )
 
 
-def _exact_ints(obj: object, *names: str, error: type[ValueError] = ValueError) -> None:
-    """Refuse a bool or a float where ``obj``'s class declares an int, raising
-    ``error``: the simulator's trace writes int values with %d, which turns
-    True into 1 and 0.5 into 0."""
-    for name in names:
-        value = getattr(obj, name)
-        if type(value) is not int:
-            raise error(f"{name} must be an integer, not {value!r}")
-
-
 class _LabeledEnum(enum.Enum):
     """Enum whose members parse from loosely formatted labels.
 
@@ -136,6 +136,34 @@ class _Invalid(Exception):
 
 
 _JSON_TYPES = {int: "an integer", bool: "a boolean", str: "a string"}
+
+
+@functools.cache
+def _field_types(cls) -> tuple:
+    """(name, exact types, exact item type or None, words) per field of
+    dataclass ``cls``, each typed X, ``X | None`` or ``tuple[X, ...]``."""
+    table = []
+    for name, tp in get_type_hints(cls).items():
+        x, *rest = get_args(tp) or (tp,)
+        words = _JSON_TYPES.get(x) or ("an " if x.__name__[0] in "AEIOU" else "a ") + x.__name__
+        if get_origin(tp) is tuple:
+            table.append((name, (tuple,), x, words))
+        else:
+            table.append((name, (x, *rest), None, f"{words} or None" if rest else words))
+    return tuple(table)
+
+
+def check_types(obj, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` unless each field of dataclass ``obj`` holds exactly its declared
+    type; a bool is not an int, which the trace would write with %d as 1."""
+    for name, types, item, words in _field_types(type(obj)):
+        value = getattr(obj, name)
+        if type(value) not in types:
+            raise error(f"{name} must be {'a tuple' if item else words}, not {value!r}")
+        if item is not None:
+            for i, v in enumerate(value):
+                if type(v) is not item:
+                    raise error(f"{name}[{i}] must be {words}, not {v!r}")
 
 
 @functools.cache
@@ -500,7 +528,7 @@ class SequencerConfig:
     recovery_latency: int = 10 * 60
 
     def __post_init__(self) -> None:
-        _exact_ints(self, "recovery_latency")
+        check_types(self)
 
 
 @dataclass(frozen=True)
@@ -509,7 +537,7 @@ class ProposerConfig:
     count: int = 1
 
     def __post_init__(self) -> None:
-        _exact_ints(self, "count")
+        check_types(self)
         if self.count < 1:
             raise ValueError("proposer count must be >= 1")
 
@@ -523,7 +551,7 @@ class ForcedInclusionConfig:
     usable: bool = False
 
     def __post_init__(self) -> None:
-        _exact_ints(self, "timeout")
+        check_types(self)
         if self.usable and not self.enabled:
             raise ValueError("forced inclusion cannot be usable while disabled")
         if self.enabled and self.timeout <= 0:
@@ -535,6 +563,9 @@ class EscapeHatchConfig:
     enabled: bool = False
     non_disableable: bool = False
 
+    def __post_init__(self) -> None:
+        check_types(self)
+
 
 @dataclass(frozen=True)
 class DaConfig:
@@ -543,7 +574,7 @@ class DaConfig:
     withholding_possible: bool = False
 
     def __post_init__(self) -> None:
-        _exact_ints(self, "attestation_quorum")
+        check_types(self)
         if self.mode is DaMode.ONCHAIN and self.withholding_possible:
             raise ValueError("onchain data cannot be withheld")
 
@@ -554,7 +585,7 @@ class UpgradeConfig:
     window: int = 0
 
     def __post_init__(self) -> None:
-        _exact_ints(self, "window")
+        check_types(self)
         if self.policy is UpgradePolicy.TIMELOCKED and self.window <= 0:
             raise ValueError("timelocked upgrades need a positive exit window")
 
@@ -565,7 +596,7 @@ class ProverSetConfig:
     permissionless: bool = False
 
     def __post_init__(self) -> None:
-        _exact_ints(self, "count")
+        check_types(self)
         if self.count < 1:
             raise ValueError("prover count must be >= 1")
 
@@ -586,7 +617,7 @@ class RollupConfig:
     state_validation_enforced: bool = True
 
     def __post_init__(self) -> None:
-        _exact_ints(self, "challenge_window")
+        check_types(self)
         if self.proof_system is ProofSystem.OPTIMISTIC and self.challenge_window <= 0:
             raise ValueError("optimistic rollups need a positive challenge window")
         if self.proof_system is ProofSystem.ZK and self.prover_set is None:
@@ -610,11 +641,7 @@ class RollupConfig:
         )
 
     def has_independent_provers(self) -> bool:
-        return (
-            self.proof_system is ProofSystem.ZK
-            and self.prover_set is not None
-            and self.prover_set.count > 1
-        )
+        return self.proof_system is ProofSystem.ZK and self.prover_set.count > 1
 
 
 @dataclass(frozen=True)

@@ -185,6 +185,8 @@ def build_report(
     """Run the whole pipeline over the given inputs and assemble a report.
     Each input file is read once; its recorded sha256 covers the bytes
     that were parsed."""
+    if type(seed) is not int:  # the report writes it as JSON, where true is not 1
+        raise ValueError(f"seed must be an integer, not {seed!r}")
     snapshot_path = Path(snapshot_path)
     incidents_path = Path(incidents_path)
 

@@ -854,6 +854,8 @@ _FIELD_NAMES = {**_Run.TRACE_FIELDS, "injection_start": _noted}
 
 def simulate(scenario: Scenario, seed: int = 0) -> SimResult:
     """Run a scenario to quiescence and summarize the harm it caused."""
+    if type(seed) is not int:  # the metrics write it as JSON, where true is not 1
+        raise ValueError(f"seed must be an integer, not {seed!r}")
     run = _Run(scenario, seed)
     run.execute()
     return run.result()

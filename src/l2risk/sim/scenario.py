@@ -14,7 +14,6 @@ dotted path, such as ``workload.actions[3].user``; omitted keys take defaults.
 
 from __future__ import annotations
 
-import json
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -25,9 +24,10 @@ from l2risk.model import (
     DAY,
     IncidentClass,
     RollupConfig,
-    _exact_ints,
     _LabeledEnum,
+    check_types,
     decode_text,
+    load_json,
     read_json,
 )
 
@@ -69,18 +69,15 @@ class SimParams:
     horizon: int | None = None
 
     def __post_init__(self) -> None:
-        positive = (
+        check_types(self, ScenarioError)
+        for name in (
             "l1_block_interval",
             "finalization_depth",
             "prover_latency",
             "batch_interval",
             "proposal_delay",
             "admission_latency",
-        )
-        _exact_ints(self, *positive, "degradation_factor", error=ScenarioError)
-        if self.horizon is not None:
-            _exact_ints(self, "horizon", error=ScenarioError)
-        for name in positive:
+        ):
             if getattr(self, name) <= 0:
                 raise ScenarioError(f"{name} must be a positive integer")
         if self.degradation_factor < 1:
@@ -101,10 +98,9 @@ class Injection:
     amount: int = 0
 
     def __post_init__(self) -> None:
-        if type(self.kind) is not InjectionKind:
-            raise ScenarioError(f"injection kind must be an InjectionKind, not {self.kind!r}")
-        object.__setattr__(self, "targets", tuple(self.targets))
-        _exact_ints(self, "at", "duration", "amount", error=ScenarioError)
+        if type(self.targets) is list:
+            object.__setattr__(self, "targets", tuple(self.targets))
+        check_types(self, ScenarioError)
         if self.at < 0:
             raise ScenarioError("injection start must be >= 0")
         if self.kind is InjectionKind.EXPLOIT_USER_RISK:
@@ -137,18 +133,7 @@ class WorkloadAction:
     to: str | None = None
 
     def __post_init__(self) -> None:
-        # tested here first, without a call: materialize builds one per draw
-        if (
-            type(self.at) is not int
-            or type(self.amount) is not int
-            or type(self.user) is not str
-            or (self.to is not None and type(self.to) is not str)
-        ):
-            _exact_ints(self, "at", "amount", error=ScenarioError)
-            if type(self.user) is not str:
-                raise ScenarioError(f"user must be a string, not {self.user!r}")
-            # only the recipient is left to fail the test
-            raise ScenarioError(f"to must be a string or None, not {self.to!r}")
+        check_types(self, ScenarioError)
         if self.action not in _ACTIONS:
             raise ScenarioError(f"unknown action {self.action!r}")
         if self.at < 0:
@@ -180,7 +165,7 @@ class RandomWorkload:
     max_amount: int = 1_000
 
     def __post_init__(self) -> None:
-        _exact_ints(self, "users", "actions", "horizon", "max_amount", error=ScenarioError)
+        check_types(self, ScenarioError)
         if min(self.users, self.actions, self.horizon, self.max_amount) <= 0:
             raise ScenarioError("random workload fields must be positive")
 
@@ -237,14 +222,14 @@ class Scenario:
     description: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "actions", tuple(self.actions))
-        object.__setattr__(self, "injections", tuple(self.injections))
+        for name in ("actions", "injections"):
+            if type(getattr(self, name)) is list:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+        check_types(self, ScenarioError)
         if self.actions and self.random_workload is not None:
             raise ScenarioError("workload is either explicit or random, not both")
-        if self.upgrade_at is not None:
-            _exact_ints(self, "upgrade_at", error=ScenarioError)
-            if self.upgrade_at < 0:
-                raise ScenarioError("upgrade announcement must be >= 0")
+        if self.upgrade_at is not None and self.upgrade_at < 0:
+            raise ScenarioError("upgrade announcement must be >= 0")
 
 
 # The document's shape. These live only inside parse_scenario and are never
@@ -308,11 +293,7 @@ def load_scenario(path: str | Path, *, text: str | None = None) -> Scenario:
     path = Path(path)
     if text is None:
         text = decode_text(read_scenario(path))
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_scenario(raw, name=path.stem)
+    return parse_scenario(load_json(path, text, ScenarioError), name=path.stem)
 
 
 def load_bundled_scenario(name: str) -> Scenario:

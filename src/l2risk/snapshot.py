@@ -29,6 +29,7 @@ from .model import (
     aligned_table,
     check_shares,
     check_tally,
+    load_json,
     normalize_label,
     read_json,
     share_table,
@@ -160,12 +161,7 @@ ADAPTERS: Mapping[str, Adapter] = MappingProxyType(
 def load_snapshot(path: str | Path, *, text: str | None = None) -> Any:
     """Parse a snapshot JSON file. Pass ``text`` to parse content already
     read from ``path`` instead of reading it again."""
-    if text is None:
-        text = Path(path).read_text(encoding="utf-8")
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SnapshotParseError(f"{path}: not valid JSON ({exc})") from exc
+    return load_json(path, text, SnapshotParseError)
 
 
 def _project_rows(doc: Any, adapter: str) -> list[dict]:
@@ -212,13 +208,7 @@ class FlagRuleset:
         """Read a ruleset file as ``ruleset.schema.json`` describes it;
         anything else is a ValueError. Pass ``text`` to parse content
         already read from ``path``."""
-        if text is None:
-            text = Path(path).read_text(encoding="utf-8")
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-        doc = read_json(_RulesetFile, raw, "ruleset")
+        doc = read_json(_RulesetFile, load_json(path, text), "ruleset")
         return cls(rules=doc.rules, sentiment_fallback=doc.sentiment_fallback)
 
     @classmethod

@@ -12,9 +12,11 @@ import pytest
 import l2risk.cli
 from l2risk.cli import main
 from l2risk.data import fixture_path, scenario_names
+from l2risk.model import load_json
 from l2risk.report import build_report, render_report_text
 from l2risk.schemas import SCHEMA_NAMES, load_schema
-from l2risk.sim import SimResult, simulate
+from l2risk.sim import ScenarioError, SimResult, load_scenario, simulate
+from l2risk.snapshot import FlagRuleset, SnapshotParseError, load_snapshot
 
 SNAPSHOT = str(fixture_path("snapshot-fixture.json"))
 INCIDENTS = str(fixture_path("incident-table.csv"))
@@ -393,6 +395,27 @@ def test_cross_validate_refuses_shares_that_are_not_the_counts(
         ["cross-validate", "--prevalence", str(prev), "--distribution", str(dist)]
     ) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "load, error",
+    [
+        (load_json, ValueError),
+        (load_snapshot, SnapshotParseError),
+        (FlagRuleset.from_file, ValueError),
+        (load_scenario, ScenarioError),
+    ],
+)
+@pytest.mark.parametrize("given_text", [False, True])
+def test_each_loader_names_the_file_that_is_not_json(tmp_path, load, error, given_text):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{nope")
+    with pytest.raises(json.JSONDecodeError) as decode:
+        json.loads("{nope")
+    with pytest.raises(error) as exc:
+        load(bad, text="{nope") if given_text else load(bad)
+    assert type(exc.value) is error
+    assert str(exc.value) == f"{bad}: not valid JSON ({decode.value})"
 
 
 @pytest.mark.parametrize("artifact", ["prev", "dist"])

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -167,6 +168,13 @@ def test_validation_da_note_fires_on_either_share(sv, da, fires):
 
 
 # -- report assembly -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [True, 0.5])
+def test_build_report_refuses_a_seed_that_is_not_an_int(seed):
+    # report.schema.json refuses both, so the report must not be written
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, not {seed!r}")):
+        build_report(snapshot_path=SNAPSHOT, incidents_path=INCIDENTS, seed=seed)
 
 
 def test_report_validates_against_schema(bundle):

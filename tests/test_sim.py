@@ -31,6 +31,7 @@ from l2risk.model import (
     ProposerConfig,
     ProverSetConfig,
     RollupConfig,
+    SequencerConfig,
     UpgradeConfig,
     UpgradePolicy,
 )
@@ -112,8 +113,8 @@ class TestScenarioParsing:
 
     @pytest.mark.parametrize("kind", ["sequencer-outage", IncidentClass.SEQUENCER_OUTAGE, None, 3])
     def test_injection_kind_must_be_an_injection_kind(self, kind):
-        message = f"injection kind must be an InjectionKind, not {kind!r}"
-        with pytest.raises(ScenarioError, match=re.escape(message)):
+        message = f"kind must be an InjectionKind, not {kind!r}"
+        with pytest.raises(ScenarioError, match="^" + re.escape(message)):
             Injection(kind=kind, at=0, duration=10)
 
     def test_targets_only_for_censorship(self):
@@ -205,6 +206,122 @@ class TestScenarioParsing:
         kinds = {k.value for k in InjectionKind}
         assert {c.value for c in IncidentClass} <= kinds
         assert {"da-withholding", "proposer-outage", "prover-outage"} <= kinds
+
+
+_CENSORSHIP = InjectionKind.CENSORSHIP_FORCED_INCLUSION_FAILURE
+
+# Each class the type rule covers, with the fewest arguments that build it,
+# and the error its __post_init__ raises.
+_TYPED = [
+    (SequencerConfig, {}, ValueError),
+    (ProposerConfig, {}, ValueError),
+    (ForcedInclusionConfig, {}, ValueError),
+    (EscapeHatchConfig, {}, ValueError),
+    (DaConfig, {}, ValueError),
+    (UpgradeConfig, {}, ValueError),
+    (ProverSetConfig, {}, ValueError),
+    (RollupConfig, {}, ValueError),
+    (SimParams, {}, ScenarioError),
+    (Injection, {"kind": _CENSORSHIP, "at": 0, "duration": 5}, ScenarioError),
+    (WorkloadAction, {"at": 0, "action": "deposit", "user": "u", "amount": 5}, ScenarioError),
+    (RandomWorkload, {}, ScenarioError),
+    (Scenario, {"name": "s", "config": RollupConfig()}, ScenarioError),
+]
+
+
+class TestExactFieldTypes:
+    @pytest.mark.parametrize(
+        "cls, kwargs, error, name",
+        [
+            pytest.param(cls, kwargs, error, f.name, id=f"{cls.__name__}.{f.name}")
+            for cls, kwargs, error in _TYPED
+            for f in dataclasses.fields(cls)
+        ],
+    )
+    def test_every_field_refuses_an_object(self, cls, kwargs, error, name):
+        with pytest.raises(error, match=f"^{name} must be .*, not <object object at ") as exc:
+            cls(**{**kwargs, name: object()})
+        assert type(exc.value) is error
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            # counted as whitelisted
+            (
+                lambda: ProposerConfig(whitelist="no"),
+                ValueError,
+                "whitelist must be a boolean, not 'no'",
+            ),
+            # built with no prover set, then simulated as neither zk nor optimistic
+            (
+                lambda: RollupConfig(proof_system="zk"),
+                ValueError,
+                "proof_system must be a ProofSystem, not 'zk'",
+            ),
+            (
+                lambda: EscapeHatchConfig(non_disableable=1),
+                ValueError,
+                "non_disableable must be a boolean, not 1",
+            ),
+            (
+                lambda: RollupConfig(sequencer={"topology": "shared"}),
+                ValueError,
+                "sequencer must be a SequencerConfig, not {'topology': 'shared'}",
+            ),
+            (
+                lambda: RollupConfig(prover_set=ProverSetConfig),
+                ValueError,
+                "prover_set must be a ProverSetConfig or None, not <class ",
+            ),
+            (
+                lambda: Scenario("s", RollupConfig(), actions=({"at": 0},)),
+                ScenarioError,
+                "actions[0] must be a WorkloadAction, not {'at': 0}",
+            ),
+            (
+                lambda: Scenario("s", RollupConfig(), injections="none"),
+                ScenarioError,
+                "injections must be a tuple, not 'none'",
+            ),
+            (
+                lambda: Injection(_CENSORSHIP, 0, 5, targets=("u", 7)),
+                ScenarioError,
+                "targets[1] must be a string, not 7",
+            ),
+            (
+                lambda: Scenario(5, RollupConfig()),
+                ScenarioError,
+                "name must be a string, not 5",
+            ),
+            (
+                lambda: SimParams(horizon=3.0),
+                ScenarioError,
+                "horizon must be an integer or None, not 3.0",
+            ),
+            (
+                lambda: WorkloadAction(0, 7, "u", 5),
+                ScenarioError,
+                "action must be a string, not 7",
+            ),
+        ],
+    )
+    def test_holes_are_refused_at_construction(self, build, error, message):
+        with pytest.raises(error, match="^" + re.escape(message)) as exc:
+            build()
+        assert type(exc.value) is error
+
+    def test_lists_become_tuples(self):
+        action = WorkloadAction(0, "deposit", "u", 5)
+        outage = Injection(_CENSORSHIP, 0, 5, targets=["u"])
+        sc = Scenario("s", RollupConfig(), actions=[action], injections=[outage])
+        assert sc.actions == (action,) and sc.injections == (outage,)
+        assert outage.targets == ("u",)
+
+    @pytest.mark.parametrize("seed", [True, 0.5])
+    def test_simulate_refuses_a_seed_that_is_not_an_int(self, seed):
+        message = f"seed must be an integer, not {seed!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate(Scenario("s", RollupConfig()), seed=seed)
 
 
 _SCHEMA = jsonschema.Draft202012Validator(load_schema("scenario"))
