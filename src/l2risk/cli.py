@@ -45,57 +45,45 @@ from l2risk.snapshot import (
 )
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2)
-
-
-def _write(text: str, out: str | None) -> None:
+def _write(text: str, out: str | Path | None) -> None:
+    """Write ``text`` to the file ``out``, ending in a newline, or print it."""
     if out:
-        if not text.endswith("\n"):
-            text += "\n"
-        Path(out).write_text(text, encoding="utf-8")
+        Path(out).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
     else:
         print(text)
 
 
-def _print_warnings(warnings) -> None:
+def _output(args: argparse.Namespace, warnings, payload, render) -> int:
+    """Print the warnings to stderr, then write the JSON payload or, under
+    ``--format text`` only, ``render()`` to ``--out`` or stdout."""
     for warning in warnings:
         print(warning, file=sys.stderr)
+    _write(json.dumps(payload, indent=2) if args.format == "json" else render(), args.out)
+    return 0
 
 
 def _cmd_ingest_snapshot(args: argparse.Namespace) -> int:
     doc = load_snapshot(args.snapshot)
     ruleset = FlagRuleset.from_file(args.ruleset) if args.ruleset else None
     result = extract_projects(doc, ruleset=ruleset, adapter=args.adapter)
-    _print_warnings(result.warnings)
     table = aggregate_prevalence(result.profiles)
-    if args.format == "json":
-        _write(_json_text(table.to_dict(result.warnings)), args.out)
-    else:
-        _write(render_prevalence_text(table), args.out)
-    return 0
+    payload = table.to_dict(result.warnings)
+    return _output(args, result.warnings, payload, lambda: render_prevalence_text(table))
 
 
 def _cmd_ingest_incidents(args: argparse.Namespace) -> int:
     parsed = parse_incidents(args.incidents)
-    _print_warnings(parsed.warnings)
     dist = distribution(parsed.records)
-    if args.format == "json":
-        _write(_json_text(dist.to_dict(parsed.warnings)), args.out)
-    else:
-        _write(render_distribution_text(dist), args.out)
-    return 0
+    payload = dist.to_dict(parsed.warnings)
+    return _output(args, parsed.warnings, payload, lambda: render_distribution_text(dist))
 
 
 def _cmd_cross_validate(args: argparse.Namespace) -> int:
     prevalence = PrevalenceTable.from_dict(load_json(args.prevalence))
     dist = IncidentDistribution.from_dict(load_json(args.distribution))
     notes = cross_validate(prevalence, dist)
-    if args.format == "json":
-        _write(_json_text([n.to_dict() for n in notes]), args.out)
-    else:
-        _write("\n".join(f"[{n.key}] {n.text}" for n in notes), args.out)
-    return 0
+    return _output(args, (), [n.to_dict() for n in notes],
+                   lambda: "\n".join(f"[{n.key}] {n.text}" for n in notes))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -104,83 +92,75 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     result.write_trace(outdir / "trace.ndjson")
-    (outdir / "metrics.json").write_text(_json_text(result.summary()) + "\n", encoding="utf-8")
+    _write(json.dumps(result.summary(), indent=2), outdir / "metrics.json")
     m = result.metrics
-    print(
-        f"{scenario.name}: {len(result.records)} events, censorship {m.censorship_window}s, "
-        f"frozen {m.frozen_funds_duration}s, conserved {m.funds_conserved}"
-    )
+    print(f"{scenario.name}: {len(result.records)} events, censorship {m.censorship_window}s, "
+          f"frozen {m.frozen_funds_duration}s, conserved {m.funds_conserved}")
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    # build_report is looked up here at each call, so a wrapper set on
+    # l2risk.cli.build_report is the one that runs
     bundle = build_report(
-        snapshot_path=args.snapshot,
-        incidents_path=args.incidents,
-        ruleset_path=args.ruleset,
-        scenario_paths=args.scenario or (),
-        adapter=args.adapter,
-        seed=args.seed,
+        snapshot_path=args.snapshot, incidents_path=args.incidents, ruleset_path=args.ruleset,
+        scenario_paths=args.scenario or (), adapter=args.adapter, seed=args.seed,
     )
-    _print_warnings(bundle.report["prevalence"]["warnings"])
-    _print_warnings(bundle.report["incidents"]["warnings"])
-    if args.format == "json":
-        _write(_json_text(bundle.report), args.out)
-    else:
-        _write(render_report_text(bundle), args.out)
-    return 0
+    report = bundle.report
+    warnings = report["prevalence"]["warnings"] + report["incidents"]["warnings"]
+    return _output(args, warnings, report, lambda: render_report_text(bundle))
+
+
+# Flags that several subcommands share, as (flag, add_argument keywords).
+_ADAPTER = ("--adapter", {"choices": ["auto", *sorted(ADAPTERS)], "default": "auto"})
+_FORMAT = ("--format", {"choices": ["text", "json"], "default": "text"})
+_OUT = ("--out", {"help": "write output here instead of stdout"})
+
+# The one place a subcommand or a flag is declared: name -> (help, handler,
+# flags), in the order --help lists them.
+_COMMANDS = {
+    "ingest-snapshot": ("derive the hazard prevalence table", _cmd_ingest_snapshot, (
+        ("--snapshot", {"required": True, "help": "risk snapshot JSON"}),
+        ("--ruleset", {"help": "flagging ruleset JSON (default: bundled rules)"}),
+        _ADAPTER, _FORMAT, _OUT,
+    )),
+    "ingest-incidents": ("classify an incident table", _cmd_ingest_incidents, (
+        ("--incidents", {"required": True, "help": "incident CSV/TSV"}),
+        _FORMAT, _OUT,
+    )),
+    "cross-validate": ("line prevalence up against the incident record", _cmd_cross_validate, (
+        ("--prevalence", {"required": True, "help": "ingest-snapshot JSON output"}),
+        ("--distribution", {"required": True, "help": "ingest-incidents JSON output"}),
+        _FORMAT, _OUT,
+    )),
+    "simulate": ("run one scenario deterministically", _cmd_simulate, (
+        ("--scenario", {"required": True, "help": "scenario JSON"}),
+        ("--seed", {"type": int, "default": 0, "help": "workload seed (default 0)"}),
+        ("--out", {"default": ".", "help": "directory for trace.ndjson and metrics.json"}),
+    )),
+    "report": ("assemble the full reproducible report", _cmd_report, (
+        ("--snapshot", {"required": True}),
+        ("--incidents", {"required": True}),
+        ("--ruleset", {}),
+        ("--scenario", {"action": "append", "help": "scenario JSON; repeatable"}),
+        _ADAPTER,
+        ("--seed", {"type": int, "default": 0}),
+        _FORMAT, _OUT,
+    )),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="l2risk",
-        description="Ethical-risk analysis toolkit for L2 rollups.",
+        prog="l2risk", description="Ethical-risk analysis toolkit for L2 rollups."
     )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    adapters = ["auto", *sorted(ADAPTERS)]
-
-    snap = sub.add_parser("ingest-snapshot", help="derive the hazard prevalence table")
-    snap.add_argument("--snapshot", required=True, help="risk snapshot JSON")
-    snap.add_argument("--ruleset", help="flagging ruleset JSON (default: bundled rules)")
-    snap.add_argument("--adapter", choices=adapters, default="auto")
-    snap.add_argument("--format", choices=["text", "json"], default="text")
-    snap.add_argument("--out", help="write output here instead of stdout")
-    snap.set_defaults(func=_cmd_ingest_snapshot)
-
-    inc = sub.add_parser("ingest-incidents", help="classify an incident table")
-    inc.add_argument("--incidents", required=True, help="incident CSV/TSV")
-    inc.add_argument("--format", choices=["text", "json"], default="text")
-    inc.add_argument("--out", help="write output here instead of stdout")
-    inc.set_defaults(func=_cmd_ingest_incidents)
-
-    xv = sub.add_parser(
-        "cross-validate", help="line prevalence up against the incident record"
-    )
-    xv.add_argument("--prevalence", required=True, help="ingest-snapshot JSON output")
-    xv.add_argument("--distribution", required=True, help="ingest-incidents JSON output")
-    xv.add_argument("--format", choices=["text", "json"], default="text")
-    xv.add_argument("--out", help="write output here instead of stdout")
-    xv.set_defaults(func=_cmd_cross_validate)
-
-    sim = sub.add_parser("simulate", help="run one scenario deterministically")
-    sim.add_argument("--scenario", required=True, help="scenario JSON")
-    sim.add_argument("--seed", type=int, default=0, help="workload seed (default 0)")
-    sim.add_argument("--out", default=".", help="directory for trace.ndjson and metrics.json")
-    sim.set_defaults(func=_cmd_simulate)
-
-    rep = sub.add_parser("report", help="assemble the full reproducible report")
-    rep.add_argument("--snapshot", required=True)
-    rep.add_argument("--incidents", required=True)
-    rep.add_argument("--ruleset")
-    rep.add_argument("--scenario", action="append", help="scenario JSON; repeatable")
-    rep.add_argument("--adapter", choices=adapters, default="auto")
-    rep.add_argument("--seed", type=int, default=0)
-    rep.add_argument("--format", choices=["text", "json"], default="text")
-    rep.add_argument("--out", help="write output here instead of stdout")
-    rep.set_defaults(func=_cmd_report)
+    for name, (help_text, handler, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, keywords in flags:
+            command.add_argument(flag, **keywords)
+        command.set_defaults(func=handler)
     return parser
 
 

@@ -81,20 +81,25 @@ BASELINE_ROLES = RoleMatrix(
 _ABSENT = RoleAssignment(_N, _N, _N)
 
 
+def _hatch_is_exit_path(config: RollupConfig) -> bool:
+    return config.escape_hatch.enabled and config.escape_hatch.non_disableable
+
+
 def classify_roles(config: RollupConfig) -> RoleMatrix:
     """Adjust the baseline role matrix to one deployment's architecture.
 
     Three switches move cells: a permissionless sequencer set dilutes the
     sequencer's decision power to indirect; a timelocked upgrade policy gives
-    end users indirect decision exposure only when an exit path (escape
-    hatch) actually exists; and the independent-prover row only exists when
-    the proving set extends past the operator (zk with count > 1).
+    end users indirect decision exposure only when an exit path exists (an
+    escape hatch that is enabled and non-disableable); and the
+    independent-prover row only exists when the proving set extends past the
+    operator (zk with count > 1).
     """
     rows = dict(BASELINE_ROLES.rows)
     if config.sequencer.topology is SequencerTopology.PERMISSIONLESS:
         old = rows[Stakeholder.SEQUENCER]
         rows[Stakeholder.SEQUENCER] = RoleAssignment(old.risk_exposed, old.beneficiary, _I)
-    if config.upgrade.policy is UpgradePolicy.TIMELOCKED and config.escape_hatch.enabled:
+    if config.upgrade.policy is UpgradePolicy.TIMELOCKED and _hatch_is_exit_path(config):
         old = rows[Stakeholder.END_USER]
         rows[Stakeholder.END_USER] = RoleAssignment(old.risk_exposed, old.beneficiary, _I)
     if not config.has_independent_provers():
@@ -258,11 +263,11 @@ def detect_problematic(
 
     Each field takes its one narrative, except that field 4 escalates from
     informational to problematic when the deployment offers neither an escape
-    hatch nor usable forced inclusion, since exposed users then have no
-    practical exit of their own.
+    hatch the operator cannot switch off nor usable forced inclusion, since
+    exposed users then have no practical exit of their own.
     """
     keys = {n.field: key for key, n in NARRATIVES.items() if key != _NO_FALLBACK}
-    if not (config.escape_hatch.enabled or config.forced_inclusion.usable):
+    if not (_hatch_is_exit_path(config) or config.forced_inclusion.usable):
         keys[EraField.EXPOSURE_AND_BENEFIT] = _NO_FALLBACK
     return tuple(
         Finding(keys[field], members)

@@ -194,7 +194,8 @@ class SimResult:
         return lines
 
     def write_trace(self, path: str | Path) -> None:
-        Path(path).write_text("\n".join(self.trace_lines()) + "\n", encoding="utf-8")
+        # every line, the last included, ends in "\n"; no events write no bytes
+        Path(path).write_text("\n".join([*self.trace_lines(), ""]), encoding="utf-8")
 
     def summary(self) -> dict:
         return {

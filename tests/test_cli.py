@@ -631,3 +631,103 @@ def test_report_repeatable_scenario_flag(tmp_path):
         "escape-hatch-outage",
     ]
     assert len(report["metadata"]["inputs"]["scenarios"]) == 2
+
+
+# -- help ----------------------------------------------------------------------
+
+# Every --help text at 80 columns. Python 3.10 heads the flags "optional
+# arguments:"; later versions "options:".
+_HELP = {
+    None: """\
+usage: l2risk [-h] [--version]
+              {ingest-snapshot,ingest-incidents,cross-validate,simulate,report}
+              ...
+
+Ethical-risk analysis toolkit for L2 rollups.
+
+positional arguments:
+  {ingest-snapshot,ingest-incidents,cross-validate,simulate,report}
+    ingest-snapshot     derive the hazard prevalence table
+    ingest-incidents    classify an incident table
+    cross-validate      line prevalence up against the incident record
+    simulate            run one scenario deterministically
+    report              assemble the full reproducible report
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+""",
+    "ingest-snapshot": """\
+usage: l2risk ingest-snapshot [-h] --snapshot SNAPSHOT [--ruleset RULESET]
+                              [--adapter {auto,keyed,normalized,wrapped}]
+                              [--format {text,json}] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --snapshot SNAPSHOT   risk snapshot JSON
+  --ruleset RULESET     flagging ruleset JSON (default: bundled rules)
+  --adapter {auto,keyed,normalized,wrapped}
+  --format {text,json}
+  --out OUT             write output here instead of stdout
+""",
+    "ingest-incidents": """\
+usage: l2risk ingest-incidents [-h] --incidents INCIDENTS
+                               [--format {text,json}] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --incidents INCIDENTS
+                        incident CSV/TSV
+  --format {text,json}
+  --out OUT             write output here instead of stdout
+""",
+    "cross-validate": """\
+usage: l2risk cross-validate [-h] --prevalence PREVALENCE --distribution
+                             DISTRIBUTION [--format {text,json}] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --prevalence PREVALENCE
+                        ingest-snapshot JSON output
+  --distribution DISTRIBUTION
+                        ingest-incidents JSON output
+  --format {text,json}
+  --out OUT             write output here instead of stdout
+""",
+    "simulate": """\
+usage: l2risk simulate [-h] --scenario SCENARIO [--seed SEED] [--out OUT]
+
+options:
+  -h, --help           show this help message and exit
+  --scenario SCENARIO  scenario JSON
+  --seed SEED          workload seed (default 0)
+  --out OUT            directory for trace.ndjson and metrics.json
+""",
+    "report": """\
+usage: l2risk report [-h] --snapshot SNAPSHOT --incidents INCIDENTS
+                     [--ruleset RULESET] [--scenario SCENARIO]
+                     [--adapter {auto,keyed,normalized,wrapped}] [--seed SEED]
+                     [--format {text,json}] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --snapshot SNAPSHOT
+  --incidents INCIDENTS
+  --ruleset RULESET
+  --scenario SCENARIO   scenario JSON; repeatable
+  --adapter {auto,keyed,normalized,wrapped}
+  --seed SEED
+  --format {text,json}
+  --out OUT             write output here instead of stdout
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(_HELP))
+def test_help_text_is_pinned(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"] if command is None else [command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out.replace("\noptional arguments:\n", "\noptions:\n")
+    assert out == _HELP[command]

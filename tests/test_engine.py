@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -256,6 +257,30 @@ class TestDetectProblematic:
         field4 = next(f for f in findings if f.field is EraField.EXPOSURE_AND_BENEFIT)
         assert field4.narrative_key == "exposure-and-benefit-without-decision"
         assert field4.informational
+
+    @pytest.mark.parametrize(
+        "non_disableable, decision, field4_key",
+        [
+            (False, N, "exposed-users-without-fallback"),
+            (True, I, "exposure-and-benefit-without-decision"),
+        ],
+    )
+    def test_only_a_non_disableable_hatch_is_the_users_exit_path(
+        self, monkeypatch, non_disableable, decision, field4_key
+    ):
+        # an operator who can switch the hatch off can close the exit it offers
+        monkeypatch.delenv("ERA_STRICT_ROLES", raising=False)
+        cfg = replace(
+            RollupConfig.centralized_default(),
+            escape_hatch=EscapeHatchConfig(enabled=True, non_disableable=non_disableable),
+            upgrade=UpgradeConfig(policy=UpgradePolicy.TIMELOCKED, window=30 * 86400),
+        )
+        matrix = classify_roles(cfg)
+        assert matrix[Stakeholder.END_USER].decision_maker is decision
+        findings = detect_problematic(matrix, cfg)
+        field4 = next(f for f in findings if f.field is EraField.EXPOSURE_AND_BENEFIT)
+        assert Stakeholder.END_USER in field4.stakeholders
+        assert field4.narrative_key == field4_key
 
     def test_fields_three_five_six_are_informational_only(self, monkeypatch):
         monkeypatch.delenv("ERA_STRICT_ROLES", raising=False)

@@ -1524,12 +1524,15 @@ class TestTraceLines:
         users = [f"{text}-{i}" for i, text in enumerate(_ODD_TEXT)]
         deposits = [WorkloadAction(0, "deposit", u, 100) for u in users]
         withdrawals = [WorkloadAction(600, "withdraw", u, 50) for u in users]
-        result = simulate(Scenario("odd-users", RollupConfig(), actions=deposits + withdrawals))
-        path = tmp_path / "trace.ndjson"
-        result.write_trace(path)
-        data = path.read_bytes()
-        assert data == ("\n".join(result.trace_lines()) + "\n").encode("ascii")
-        assert data.count(b"\n") == len(result.events)
+        odd = Scenario("odd-users", RollupConfig(), actions=deposits + withdrawals)
+        # a run with no events writes an empty file, not a blank line
+        for result in simulate(odd), simulate(Scenario(name="empty", config=RollupConfig())):
+            path = tmp_path / f"{result.scenario}.ndjson"
+            result.write_trace(path)
+            data = path.read_bytes()
+            assert data == "".join(line + "\n" for line in result.trace_lines()).encode("ascii")
+            assert data.count(b"\n") == len(result.events)
+        assert data == b""
 
     def test_no_encoder_whatever_the_event_count(self, monkeypatch):
         real = json.encoder.c_make_encoder
