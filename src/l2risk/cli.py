@@ -150,22 +150,31 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``. Every subcommand is registered, so usage
+    errors list all five, but only the one ``argv`` names gets its flags,
+    -h included: no top-level option takes a value, so that is its first
+    token not starting with "-". Each add_argument costs a terminal-size
+    lookup, and no other subcommand's parser is ever run."""
+    chosen = next((token for token in argv if not token.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="l2risk", description="Ethical-risk analysis toolkit for L2 rollups."
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, handler, flags) in _COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
-        for flag, keywords in flags:
-            command.add_argument(flag, **keywords)
+        command = sub.add_parser(name, help=help_text, add_help=name == chosen)
+        if name == chosen:
+            for flag, keywords in flags:
+                command.add_argument(flag, **keywords)
         command.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except SchemaMismatchError as exc:

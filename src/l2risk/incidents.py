@@ -22,6 +22,7 @@ from .model import (
     aligned_table,
     check_shares,
     check_tally,
+    decode_file,
     iso_date,
     normalize_label,
     read_json,
@@ -134,7 +135,7 @@ def parse_incidents(source: str | Path, *, text: str | None = None) -> IncidentP
     Pass ``text`` to parse in-memory content instead of reading ``source``.
     """
     if text is None:
-        text = Path(source).read_text(encoding="utf-8")
+        text = decode_file(source, Path(source).read_bytes())
     issues: list[RowIssue] = []
     if not text.strip():
         return IncidentParseResult((), (RowIssue(0, "empty incident table"),), 0)

@@ -45,14 +45,28 @@ def iso_date(text: str) -> dt.date:
 
 def decode_text(data: bytes) -> str:
     """data as Path.read_text(encoding="utf-8") reads it: strict UTF-8 with
-    universal newlines, so parse errors report the same lines and columns."""
-    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    universal newlines, so parse errors report the same lines and columns.
+    Text without a carriage return is returned as decoded, uncopied."""
+    text = data.decode("utf-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def decode_file(path, data: bytes, error: type[ValueError] = ValueError) -> str:
+    """decode_text(data) for ``data`` read from file ``path``; bytes that are
+    not UTF-8 raise ``error`` naming it."""
+    try:
+        return decode_text(data)
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not valid UTF-8 ({exc})") from exc
 
 
 def load_json(path, text: str | None = None, error: type[ValueError] = ValueError):
-    """The JSON in ``text``, else in file ``path``; invalid JSON raises ``error`` naming it."""
+    """The JSON in ``text``, else in file ``path``; text that is not UTF-8
+    or not JSON raises ``error`` naming it."""
+    if text is None:
+        text = decode_file(path, Path(path).read_bytes(), error)
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8") if text is None else text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{path}: not valid JSON ({exc})") from exc
 

@@ -42,9 +42,9 @@ from l2risk.model import (
     RiskDimension,
     RoleFlag,
     RollupConfig,
-    decode_text,
+    decode_file,
 )
-from l2risk.sim import SimResult, load_scenario, read_scenario, simulate
+from l2risk.sim import ScenarioError, SimResult, load_scenario, read_scenario, simulate
 from l2risk.snapshot import (
     FlagRuleset,
     PrevalenceTable,
@@ -156,9 +156,11 @@ class ReportBundle:
     simulations: tuple[SimResult, ...]
 
 
-def _input(path: str | Path, data: bytes) -> tuple[dict, str]:
-    """An input's metadata entry and its text, both from the one read."""
-    return {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}, decode_text(data)
+def _input(path: str | Path, data: bytes, error: type[ValueError] = ValueError) -> tuple[dict, str]:
+    """An input's metadata entry and its text, both from the one read; bytes
+    that are not UTF-8 raise ``error`` naming the file."""
+    meta = {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+    return meta, decode_file(path, data, error)
 
 
 def content_digest(report: dict) -> str:
@@ -214,7 +216,7 @@ def build_report(
     simulations = []
     scenario_inputs = []
     for sp in scenario_paths:
-        scenario_input, text = _input(Path(sp), read_scenario(sp))
+        scenario_input, text = _input(Path(sp), read_scenario(sp), ScenarioError)
         scenario_inputs.append(scenario_input)
         simulations.append(simulate(load_scenario(sp, text=text), seed=seed))
 

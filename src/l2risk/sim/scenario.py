@@ -26,7 +26,7 @@ from l2risk.model import (
     RollupConfig,
     _LabeledEnum,
     check_types,
-    decode_text,
+    decode_file,
     load_json,
     read_json,
 )
@@ -292,7 +292,7 @@ def load_scenario(path: str | Path, *, text: str | None = None) -> Scenario:
     content already read from ``path``."""
     path = Path(path)
     if text is None:
-        text = decode_text(read_scenario(path))
+        text = decode_file(path, read_scenario(path), ScenarioError)
     return parse_scenario(load_json(path, text, ScenarioError), name=path.stem)
 
 

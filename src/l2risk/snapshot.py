@@ -300,6 +300,7 @@ def extract_projects(
     profiles: list[ProjectRiskProfile] = []
     seen_ids: set[str] = set()
     flagged_rows: dict[tuple[str, str, str, str], RiskEntry] = {}
+    parsed_labels: dict[str, ProjectCategory | None] = {}
 
     for raw in _project_rows(doc, adapter):
         name = str(raw.get("name") or raw.get("id") or "")
@@ -308,9 +309,15 @@ def extract_projects(
         if not raw_category:
             warnings.append(f"project {project_id or name or '?'}: no category; skipped")
             continue
-        try:
-            category = ProjectCategory.parse(str(raw_category))
-        except ValueError:
+        # keyed on the label, not the raw value, which may be an unhashable list
+        label = str(raw_category)
+        if label not in parsed_labels:
+            try:
+                parsed_labels[label] = ProjectCategory.parse(label)
+            except ValueError:
+                parsed_labels[label] = None
+        category = parsed_labels[label]
+        if category is None:
             warnings.append(
                 f"project {project_id}: category {raw_category!r} outside the tracked set; excluded"
             )

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -529,6 +530,34 @@ def test_an_input_that_is_not_json_is_named(tmp_path, capsys, argv, code):
     assert f"error: {bad}: not valid JSON (" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["ingest-snapshot", "--snapshot", "{bad}"], 2),
+        (["ingest-snapshot", "--snapshot", SNAPSHOT, "--ruleset", "{bad}"], 2),
+        (["ingest-incidents", "--incidents", "{bad}"], 2),
+        (["cross-validate", "--prevalence", "{bad}", "--distribution", "{dist}"], 2),
+        (["cross-validate", "--prevalence", "{prev}", "--distribution", "{bad}"], 2),
+        (["simulate", "--scenario", "{bad}", "--out", "{tmp}/o"], 4),
+        (["report", "--snapshot", "{bad}", "--incidents", INCIDENTS], 2),
+        (["report", "--snapshot", SNAPSHOT, "--incidents", "{bad}"], 2),
+        ([*_REPORT, "--ruleset", "{bad}"], 2),
+        ([*_REPORT, "--scenario", BASELINE, "--scenario", "{bad}"], 4),
+    ],
+    ids=lambda v: f"{v[0]}{v[v.index('{bad}') - 1]}" if isinstance(v, list) else None,
+)
+def test_an_input_that_is_not_utf8_is_named(tmp_path, artifacts, capsys, argv, code):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    with pytest.raises(UnicodeDecodeError) as decode:
+        bad.read_text(encoding="utf-8")
+    prev, dist = artifacts
+    capsys.readouterr()
+    assert main([arg.format(bad=bad, tmp=tmp_path, prev=prev, dist=dist) for arg in argv]) == code
+    assert capsys.readouterr().err == f"error: {bad}: not valid UTF-8 ({decode.value})\n"
+    assert not (tmp_path / "o").exists()
+
+
 _ACTIONS = [
     {"at": 0, "action": "deposit", "user": "alice", "amount": 500},
     {"at": 60, "action": "deposit", "user": "bob", "amount": 500},
@@ -731,3 +760,78 @@ def test_help_text_is_pinned(monkeypatch, capsys, command):
     assert exc.value.code == 0
     out = capsys.readouterr().out.replace("\noptional arguments:\n", "\noptions:\n")
     assert out == _HELP[command]
+
+
+_USAGE = """\
+usage: l2risk [-h] [--version]
+              {ingest-snapshot,ingest-incidents,cross-validate,simulate,report}
+              ...
+"""
+
+# (exit code, stdout, stderr) of calls that argparse ends, at 80 columns, as
+# CPython 3.11 words them. The parser gives only the subcommand argv names
+# its flags, yet every usage line above lists all five subcommands.
+_EARLY_EXITS = {
+    "report --snapshot a --incidents b extra": (
+        2, "", _USAGE + "l2risk: error: unrecognized arguments: extra\n",
+    ),
+    "bogus": (2, "", _USAGE + (
+        "l2risk: error: argument command: invalid choice: 'bogus' (choose from "
+        "'ingest-snapshot', 'ingest-incidents', 'cross-validate', 'simulate', 'report')\n"
+    )),
+    "report": (2, "", """\
+usage: l2risk report [-h] --snapshot SNAPSHOT --incidents INCIDENTS
+                     [--ruleset RULESET] [--scenario SCENARIO]
+                     [--adapter {auto,keyed,normalized,wrapped}] [--seed SEED]
+                     [--format {text,json}] [--out OUT]
+l2risk report: error: the following arguments are required: --snapshot, --incidents
+"""),
+    "simulate --scenario x --bogus": (
+        2, "", _USAGE + "l2risk: error: unrecognized arguments: --bogus\n",
+    ),
+    "--version": (0, "l2risk 0.1.0\n", ""),
+    "-h report": (0, _HELP[None], ""),
+}
+
+
+@pytest.mark.parametrize("argv", list(_EARLY_EXITS))
+def test_early_exit_output_is_pinned(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    out, err = capsys.readouterr()
+    out = out.replace("\noptional arguments:\n", "\noptions:\n")
+    assert (exc.value.code, out, err) == _EARLY_EXITS[argv]
+
+
+# -- README --------------------------------------------------------------------
+
+_ROOT = Path(__file__).parents[1]
+
+
+def _quick_start() -> list[tuple[str, str]]:
+    """(command, stdout) for each ``$ l2risk`` line of README's Quick start."""
+    text = (_ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Quick start", 1)[1].split("```console\n", 1)[1].split("\n```", 1)[0]
+    runs = []
+    for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+        command, _, output = chunk.partition("\n")
+        runs.append((command, output.rstrip("\n") + "\n"))
+    return runs
+
+
+def test_quick_start_runs_the_three_pipeline_steps():
+    commands = [command.split()[:2] for command, _ in _quick_start()]
+    assert commands == [
+        ["l2risk", "ingest-snapshot"], ["l2risk", "ingest-incidents"], ["l2risk", "simulate"],
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, expected", _quick_start(), ids=[c.split()[1] for c, _ in _quick_start()]
+)
+def test_quick_start_prints_what_readme_shows(tmp_path, monkeypatch, capsys, command, expected):
+    monkeypatch.chdir(_ROOT)
+    argv = [str(tmp_path / "run") if arg == "/tmp/run" else arg for arg in command.split()[1:]]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected

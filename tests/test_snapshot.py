@@ -484,13 +484,22 @@ def _risk_row(draw):
     return row
 
 
+# Spellings of one label, out-of-set labels, and values that are not strings,
+# some of which print as a label does; _ABSENT leaves the key out.
+_ABSENT = object()
+_CATEGORIES = [
+    "Other", "ZK Rollup", "zk-rollup", " zk_rollup ", "optimistic_rollup", "Validium",
+    7, "7", True, "True", ["ZK Rollup"], {"a": 1}, "", None, _ABSENT,
+]
+
+
 @st.composite
 def _snapshot(draw):
     projects = []
     for i in range(draw(st.integers(0, 8))):
         project = {"id": f"p{i}", "name": f"P{i}", "risks": draw(st.lists(_risk_row(), max_size=8))}
-        category = draw(st.sampled_from(["Other", "ZK Rollup", "optimistic_rollup", "Validium", None]))
-        if category is not None:
+        category = draw(st.sampled_from(_CATEGORIES))
+        if category is not _ABSENT:
             project["category"] = category
         projects.append(project)
     return {"projects": projects}
@@ -521,3 +530,23 @@ def test_fixture_extract_flags_each_distinct_row_once(fixture_doc, monkeypatch):
     assert len(calls) == 22
     extract_projects(fixture_doc)
     assert len(calls) == 44  # nothing is kept between calls
+
+
+def test_extract_parses_each_distinct_category_label_once(monkeypatch):
+    calls = []
+    real = ProjectCategory.parse
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(ProjectCategory, "parse", counting)
+    categories = ["ZK Rollup", "Validium", ["ZK Rollup"], "ZK Rollup", "Validium", ["ZK Rollup"], 7, "7"]
+    doc = {"projects": [{"id": f"p{i}", "category": c} for i, c in enumerate(categories)]}
+    result = extract_projects(doc)
+    assert calls == ["ZK Rollup", "Validium", "['ZK Rollup']", "7"]
+    assert [p.project_id for p in result.profiles] == ["p0", "p3"]
+    assert result.warnings == tuple(
+        f"project p{i}: category {c!r} outside the tracked set; excluded"
+        for i, c in enumerate(categories) if c != "ZK Rollup"
+    )
