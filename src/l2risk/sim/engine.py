@@ -69,12 +69,17 @@ the summary and the CLI never do.
 Trace lines are what json.dumps(event, sort_keys=True, separators=(",", ":"))
 writes of that dict, formatted straight from the record: at import each kind
 (and a neutralized fault's start) gets a % format with its keys sorted and
-its name written in, and a getter of the record's slots in key order.
-_JSON_FIELDS writes scenario names (user, to), the upgrade's holders and its
-share as JSON text; ids, reason texts and other tokens the engine chose go
-between quotes unescaped; every other field is an int. A record with no
-format raises KeyError. No JSON encoder is involved, so the bytes do not
-depend on CPython's _json accelerator.
+its name written in, and a getter of the record's slots in key order. Ids,
+reason texts and other tokens the engine chose go between quotes unescaped;
+_JSON_FIELDS writes the upgrade's holders and its share as JSON text; every
+other field is an int. A scenario name (user, to) is plain when JSON writes
+it as itself between quotes. The first trace a result writes decides once
+whether all its names are: a random workload's user-<n> are by
+construction, an explicit list's distinct names are each checked. If so,
+the names go between quotes like tokens, and a line is one format lookup
+and one %; a run with any other name has _JSON_FIELDS escape every name it
+writes. A record with no format raises KeyError. No JSON encoder is
+involved, so the bytes do not depend on CPython's _json accelerator.
 """
 
 from __future__ import annotations
@@ -82,14 +87,14 @@ from __future__ import annotations
 import heapq
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from l2risk.model import DaMode, HarmMetrics, ProofSystem, UpgradePolicy
-from l2risk.sim.scenario import Injection, InjectionKind, Scenario
+from l2risk.sim.scenario import Injection, InjectionKind, RandomWorkload, Scenario, WorkloadAction
 
 
 def next_l1_block(t: int, interval: int = 12) -> int:
@@ -124,9 +129,9 @@ _P_END, _P_START, _P_L1, _P_ADMIT, _P_BATCH, _P_ACTION, _P_UPGRADE = range(7)
 _NO_ACTION = (math.inf,)
 
 # How a line format writes the fields of _Run.TRACE_FIELDS: as JSON text by
-# the writer here (scenario names escaped, the upgrade's holders and share),
-# as an engine-made token between quotes (such as actions checked against
-# _ACTIONS), or else as an int with %d.
+# the writer here (scenario names escaped, unless every name in the run is
+# plain; the upgrade's holders and share), as an engine-made token between
+# quotes (such as actions checked against _ACTIONS), or else as an int with %d.
 _JSON_FIELDS = {
     "user": encode_basestring_ascii,
     "to": encode_basestring_ascii,
@@ -134,26 +139,33 @@ _JSON_FIELDS = {
     "exit_coverage": lambda share: "null" if share is None else float.__repr__(share),
 }
 _TOKEN_FIELDS = frozenset({"id", "reason", "action", "type", "kind", "ineffective"})
+# The scenario names: tokens too in a run whose every name is plain.
+_NAME_FIELDS = frozenset({"user", "to"})
 
 
-def _line_format(event: str, fields: tuple[str, ...]) -> tuple[str, itemgetter, tuple]:
+def _line_format(
+    event: str, fields: tuple[str, ...], plain_names: bool
+) -> tuple[str, itemgetter, tuple]:
     """The % format of one event kind's trace line, keys sorted and the event
     name written in; the getter of its other values, in key order, from the
     slots of a record (kind, t, i, *fields); and the positions of the values
-    written as JSON text, each with its writer."""
+    written as JSON text, each with its writer. With plain_names the names go
+    between quotes as tokens."""
+    tokens = _TOKEN_FIELDS | _NAME_FIELDS if plain_names else _TOKEN_FIELDS
+    writers = {key: write for key, write in _JSON_FIELDS.items() if key not in tokens}
     slots = {"t": 1, "i": 2, **{key: 3 + j for j, key in enumerate(fields)}}
     keys = sorted(slots)
     parts = []
     for key in sorted((*keys, "event")):
         if key == "event":
             parts.append(f'"event":"{event}"')
-        elif key in _JSON_FIELDS:
-            parts.append(f'"{key}":%s')
-        elif key in _TOKEN_FIELDS:
+        elif key in tokens:
             parts.append(f'"{key}":"%s"')
+        elif key in writers:
+            parts.append(f'"{key}":%s')
         else:
             parts.append(f'"{key}":%d')
-    written = tuple((j, _JSON_FIELDS[key]) for j, key in enumerate(keys) if key in _JSON_FIELDS)
+    written = tuple((j, writers[key]) for j, key in enumerate(keys) if key in writers)
     return "{" + ",".join(parts) + "}", itemgetter(*(slots[key] for key in keys)), written
 
 
@@ -165,6 +177,8 @@ class SimResult:
     # one (kind, t, i, *values) tuple per event, values in TRACE_FIELDS order
     records: tuple[tuple, ...]
     violations: tuple[dict, ...]
+    # what the user and to names came from, read only to write the trace
+    workload: RandomWorkload | tuple[WorkloadAction, ...] = field(compare=False, repr=False)
 
     @cached_property
     def events(self) -> tuple[dict, ...]:
@@ -177,25 +191,37 @@ class SimResult:
             events.append(event)
         return tuple(events)
 
+    @cached_property
+    def _plain_names(self) -> bool:
+        """Whether JSON writes every user and to name the run can write as
+        itself between quotes: a random workload's user-<n> names are by
+        construction; an explicit list's distinct names are each checked once."""
+        if isinstance(self.workload, RandomWorkload):
+            return True
+        names = {a.user for a in self.workload}
+        names.update(a.to for a in self.workload if a.to is not None)
+        return all(encode_basestring_ascii(name) == f'"{name}"' for name in names)
+
     def trace_lines(self) -> list[str]:
         """One compact JSON object per event, stable across runs."""
-        formats = _LINE_FORMATS
+        formats = _PLAIN_LINE_FORMATS if self._plain_names else _LINE_FORMATS
         lines: list[str] = []
         append = lines.append
         for record in self.records:
             fmt, get, written = formats[record[0]][len(record)]
-            values = get(record)
             if written:
-                values = list(values)
+                values = list(get(record))
                 for j, write in written:
                     values[j] = write(values[j])
-                values = tuple(values)
-            append(fmt % values)
+                append(fmt % tuple(values))
+            else:
+                append(fmt % get(record))
         return lines
 
     def write_trace(self, path: str | Path) -> None:
-        # every line, the last included, ends in "\n"; no events write no bytes
-        Path(path).write_text("\n".join([*self.trace_lines(), ""]), encoding="utf-8")
+        lines = self.trace_lines()
+        lines.append("")  # every line, the last included, ends in "\n"; no events write no bytes
+        Path(path).write_text("\n".join(lines), encoding="utf-8")
 
     def summary(self) -> dict:
         return {
@@ -376,6 +402,7 @@ class _Run:
             metrics=metrics,
             records=tuple(self.records),
             violations=tuple(self.violations),
+            workload=self.sc.random_workload or self.sc.actions,
         )
 
     # -- fault-window predicates --------------------------------------------
@@ -840,17 +867,30 @@ class _Run:
         self._emit("upgrade_activated", self.exit_coverage)
 
 
-# By kind, then by record length: a neutralized fault's start holds one
-# value more, its ineffective note.
-_LINE_FORMATS = {
-    event: {len(fields) + 3: _line_format(event, fields)}
-    for event, fields in _Run.TRACE_FIELDS.items()
+# The events view's keys, and the line formats' fields: zip stops at the
+# record's end, so a start that was not neutralized gets no ineffective key.
+_FIELD_NAMES = {
+    **_Run.TRACE_FIELDS,
+    "injection_start": (*_Run.TRACE_FIELDS["injection_start"], "ineffective"),
 }
-_noted = (*_Run.TRACE_FIELDS["injection_start"], "ineffective")
-_LINE_FORMATS["injection_start"][len(_noted) + 3] = _line_format("injection_start", _noted)
-# The events view's keys: zip stops at the record's end, so a start that was
-# not neutralized gets no ineffective key.
-_FIELD_NAMES = {**_Run.TRACE_FIELDS, "injection_start": _noted}
+
+
+def _line_formats(plain_names: bool) -> dict[str, dict[int, tuple]]:
+    """Each kind's line formats by record length: a neutralized fault's start
+    holds one value more, its ineffective note."""
+    formats = {
+        event: {len(fields) + 3: _line_format(event, fields, plain_names)}
+        for event, fields in _Run.TRACE_FIELDS.items()
+    }
+    noted = _FIELD_NAMES["injection_start"]
+    formats["injection_start"][len(noted) + 3] = _line_format("injection_start", noted, plain_names)
+    return formats
+
+
+# Names written as JSON text, for any run; and as tokens, for a run whose
+# every name is plain.
+_LINE_FORMATS = _line_formats(plain_names=False)
+_PLAIN_LINE_FORMATS = _line_formats(plain_names=True)
 
 
 def simulate(scenario: Scenario, seed: int = 0) -> SimResult:

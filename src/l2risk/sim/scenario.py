@@ -175,34 +175,51 @@ class RandomWorkload:
 
     def stream(self, seed: int) -> Iterator[tuple[int, str, str, int, str | None]]:
         """The seeded actions as plain (at, action, user, amount, to) tuples,
-        each drawn when taken: in time order, same-instant ones in draw order."""
+        each drawn when taken: in time order, same-instant ones in draw order.
+
+        Each uniform draw from range(n) is exactly what Python 3.11's
+        Random.randrange(n), randint(1, n) - 1 and choice() over n items make
+        of the same generator: n.bit_length() random bits, drawn again while
+        they reach n. The bit lengths are worked out once per stream and the
+        draws made inline, with no function call per number."""
         getrandbits = random.Random(seed).getrandbits
-
-        def below(n: int) -> int:
-            """A uniform draw from range(n), exactly as Python 3.11's
-            Random.randrange(n), randint(1, n) - 1 and choice() over n items
-            make it: rejection sampling on n.bit_length() random bits."""
-            k = n.bit_length()
-            r = getrandbits(k)
-            while r >= n:
-                r = getrandbits(k)
-            return r
-
         kinds = ("deposit", "withdraw", "withdraw", "transfer")
         names = [f"user-{i}" for i in range(self.users)]
-        times = sorted(below(self.horizon) for _ in range(self.actions))
+        # the size of each range drawn from, and the bits a draw takes
+        horizon, users, n_kinds, max_amount = self.horizon, self.users, len(kinds), self.max_amount
+        others = users - 1  # a recipient is an index into names without the sender
+        k_horizon, k_users, k_kinds, k_amount, k_others = (
+            n.bit_length() for n in (horizon, users, n_kinds, max_amount, others)
+        )
+        times = []
+        for _ in range(self.actions):
+            t = getrandbits(k_horizon)
+            while t >= horizon:
+                t = getrandbits(k_horizon)
+            times.append(t)
+        times.sort()
         seen: set[str] = set()
         for t in times:
-            i = below(len(names))
+            i = getrandbits(k_users)
+            while i >= users:
+                i = getrandbits(k_users)
             user = names[i]
             if user not in seen:
                 seen.add(user)
                 kind = "deposit"
             else:
-                kind = kinds[below(4)]
-            amount = 1 + below(self.max_amount)
-            if kind == "transfer" and len(names) > 1:
-                j = below(len(names) - 1)  # an index into names without user
+                r = getrandbits(k_kinds)
+                while r >= n_kinds:
+                    r = getrandbits(k_kinds)
+                kind = kinds[r]
+            amount = getrandbits(k_amount)
+            while amount >= max_amount:
+                amount = getrandbits(k_amount)
+            amount += 1
+            if kind == "transfer" and others:
+                j = getrandbits(k_others)
+                while j >= others:
+                    j = getrandbits(k_others)
                 yield t, "transfer", user, amount, names[j + (j >= i)]
             elif kind == "transfer":
                 yield t, "withdraw", user, amount, None

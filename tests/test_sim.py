@@ -1249,6 +1249,11 @@ FROZEN_FAULT_LADEN = {
 # sha256 over the 50 per-seed digests of RandomWorkload() on the centralized
 # default config, joined by newlines in seed order.
 FROZEN_RANDOM_SEEDS = "443e975c25f34cbfe29cca6ebf9a206e54c3c7796cd7a03f8b8273d48c3e1dd9"
+# _random(users, actions) at the benchmark ladder's 2k and 16k rungs, seed 0.
+FROZEN_LADDER = {
+    (100, 2_000): "f892051d28cbf8ecd71ba53a425c841dd7858c5c31f63fa3f529908231138383",
+    (1_000, 16_000): "a7b3117124880c5363b397120b729038929852455ac886631303c6418dd96c6a",
+}
 
 
 class TestTraceFreeze:
@@ -1264,6 +1269,11 @@ class TestTraceFreeze:
         sc = _acceptance_random()
         digests = "\n".join(_digest(simulate(sc, seed=s)) for s in RANDOM_SEEDS)
         assert hashlib.sha256(digests.encode()).hexdigest() == FROZEN_RANDOM_SEEDS
+
+    @pytest.mark.parametrize("users, actions", sorted(FROZEN_LADDER))
+    def test_ladder_sizes(self, users, actions):
+        digest = _digest(simulate(_random(users, actions), seed=0))
+        assert digest == FROZEN_LADDER[users, actions]
 
     def test_fault_laden_reach_every_stall_path(self):
         seen = set()
@@ -1288,9 +1298,13 @@ def _compact(event: dict) -> str:
 
 
 # Text a JSON string must escape or \u-escape: quotes, backslashes, control
-# characters, non-ASCII (a line separator, a supplementary-plane character)
-# and what would close one object and open the next.
-_ODD_TEXT = ('"', "\\", "},{", "\n", "\x00", "é", "名前", "\u2028", "\U0001f600")
+# characters (DEL too, just past "~"), non-ASCII (a line separator, a
+# supplementary-plane character) and what would close one object and open
+# the next.
+_ODD_TEXT = ('"', "\\", "},{", "\n", "\x00", "\x7f", "é", "名前", "\u2028", "\U0001f600")
+# Text JSON writes as itself: the ends of the printable ASCII range, and
+# marks that other formats escape.
+_PLAIN_TEXT = (" ", "~", "/", "'")
 
 
 @st.composite
@@ -1345,13 +1359,13 @@ def _odd_user_scenarios(draw, faults: bool = False) -> Scenario:
     )
 
 
-def _odd_users_on_fault_paths(fi: bool) -> Scenario:
-    """Users named with text JSON must escape, each sent down one fault path:
-    dropped (or, with forced inclusion, queued) during an outage and under
-    censorship aimed at them, deposits and hatch exits refused by a bridge
-    halt and by withheld data, a hatch exit with nothing left to exit, and an
-    overdraft."""
-    u = [f"{text}-{i}" for i, text in enumerate(_ODD_TEXT)]
+def _odd_users_on_fault_paths(fi: bool, texts: tuple[str, ...] = _ODD_TEXT) -> Scenario:
+    """Users named after nine or more texts (by default, text JSON must
+    escape), each sent down one fault path: dropped (or, with forced inclusion,
+    queued) during an outage and under censorship aimed at them, deposits and
+    hatch exits refused by a bridge halt and by withheld data, a hatch exit
+    with nothing left to exit, and an overdraft."""
+    u = [f"{text}-{i}" for i, text in enumerate(texts)]
     actions = [WorkloadAction(0, "deposit", name, 1_000) for name in u]
     actions += [
         WorkloadAction(HOUR + 100, "withdraw", u[0], 100),
@@ -1442,6 +1456,7 @@ class TestTraceLines:
             note = {"ineffective"} if e["event"] == "injection_start" else set()
             assert e.keys() - note == {"t", "i", "event", *_Run.TRACE_FIELDS[e["event"]]}
             assert len(e) in sim_engine._LINE_FORMATS[e["event"]]
+            assert len(e) in sim_engine._PLAIN_LINE_FORMATS[e["event"]]
         return {e["event"] for e in result.events}
 
     def test_bundled_and_fault_laden_runs(self):
@@ -1492,6 +1507,28 @@ class TestTraceLines:
             assert paths <= {(e["event"], e.get("reason")) for e in result.events if "user" in e}
             kinds = {e["event"] for e in result.events}
             assert {"hatch_exit_submitted", "transfer_applied", denied} <= kinds
+
+    def test_plain_names_on_every_fault_path(self):
+        for fi in (False, True):
+            result = simulate(_odd_users_on_fault_paths(fi, _PLAIN_TEXT * 3), seed=0)
+            assert result._plain_names
+            self._check(result)
+
+    def test_one_name_that_needs_escaping_among_plain_ones(self):
+        # The one odd name is a transfer's recipient, as well as a user in
+        # the fault-path runs; in the last run it is only ever a recipient.
+        texts = (*_PLAIN_TEXT * 2, "\x7f", *_PLAIN_TEXT)
+        scenarios = [_odd_users_on_fault_paths(fi, texts) for fi in (False, True)]
+        actions = [
+            WorkloadAction(0, "deposit", "a", 100),
+            WorkloadAction(600, "transfer", "a", 50, '"'),
+        ]
+        scenarios.append(Scenario("odd-recipient", RollupConfig(), actions=actions))
+        for scenario in scenarios:
+            result = simulate(scenario, seed=0)
+            # the whole run takes the escaping path, plain names and all
+            assert not result._plain_names
+            assert "transfer_applied" in self._check(result)
 
     def test_amounts_beyond_64_bits(self):
         for scenario in _beyond_64_bits():
@@ -1551,6 +1588,32 @@ class TestTraceLines:
             lines = result.trace_lines()
             assert len(lines) == len(result.events) > actions
             assert built == [], (actions, len(built))
+
+    def test_no_name_writer_for_a_random_workload(self, monkeypatch):
+        written = []
+
+        def counting(write):
+            def counted(value):
+                written.append(value)
+                return write(value)
+
+            return counted
+
+        # Every value writer of both format tables counts its calls.
+        for formats in (sim_engine._LINE_FORMATS, sim_engine._PLAIN_LINE_FORMATS):
+            for by_length in formats.values():
+                for n, (fmt, get, writers) in list(by_length.items()):
+                    counted = tuple((j, counting(write)) for j, write in writers)
+                    monkeypatch.setitem(by_length, n, (fmt, get, counted))
+        odd = Scenario("odd", RollupConfig(), actions=[WorkloadAction(0, "deposit", '"', 1)])
+        simulate(odd).trace_lines()
+        assert written  # the counting reaches a run that escapes its names
+        for users, actions in ((5, 20), (100, 2_000)):
+            result = simulate(_random(users, actions), seed=0)
+            written.clear()
+            lines = result.trace_lines()
+            assert len(lines) == len(result.records) > actions
+            assert written == [], (actions, len(written))
 
     def test_the_same_lines_without_the_c_json_module(self):
         # With _json blocked, json.encoder falls back to its pure-Python
