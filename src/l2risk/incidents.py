@@ -15,6 +15,7 @@ from typing import Iterable, Mapping
 from urllib.parse import urlparse
 
 from .model import (
+    INCIDENT_TAXONOMY,
     CompressedIncidentType,
     IncidentClass,
     IncidentRecord,
@@ -36,38 +37,10 @@ class IncidentFormatError(ValueError):
 
 REQUIRED_COLUMNS = ("name", "date", "link", "incident_type")
 
-# Ordered first-match keyword rules from label fragments to glossary classes.
-# Order matters: specific fragments come before the generic ones they contain
-# ("bridge halt" before "halt", "l2 downtime" before "downtime").
-_CLASS_RULES: tuple[tuple[str, IncidentClass], ...] = (
-    ("censor", IncidentClass.CENSORSHIP_FORCED_INCLUSION_FAILURE),
-    ("exploit", IncidentClass.EXPLOIT_USER_RISK),
-    ("security", IncidentClass.EXPLOIT_USER_RISK),
-    ("withdrawal delay", IncidentClass.WITHDRAWAL_DELAYS),
-    ("withdrawal failure", IncidentClass.WITHDRAWAL_FAILURE),
-    ("bridge issue", IncidentClass.WITHDRAWAL_FAILURE),
-    ("bridge pause", IncidentClass.BRIDGE_PAUSE_RISK),
-    ("bridge halt", IncidentClass.BRIDGE_HALT),
-    ("performance degradation", IncidentClass.SEQUENCER_PERFORMANCE_DEGRADATION),
-    ("l2 downtime", IncidentClass.L2_DOWNTIME),
-    ("outage", IncidentClass.SEQUENCER_OUTAGE),
-    ("downtime", IncidentClass.SEQUENCER_OUTAGE),
-    ("halt", IncidentClass.SEQUENCER_HALT),
-)
-
+# Each class's bucket, a view of model.INCIDENT_TAXONOMY: the one place a
+# class's label fragments and bucket are written.
 COMPRESSION_MAP: Mapping[IncidentClass, CompressedIncidentType] = MappingProxyType(
-    {
-        IncidentClass.SEQUENCER_OUTAGE: CompressedIncidentType.SEQUENCER_DISRUPTION,
-        IncidentClass.SEQUENCER_HALT: CompressedIncidentType.SEQUENCER_DISRUPTION,
-        IncidentClass.SEQUENCER_PERFORMANCE_DEGRADATION: CompressedIncidentType.SEQUENCER_DISRUPTION,
-        IncidentClass.WITHDRAWAL_FAILURE: CompressedIncidentType.BRIDGE_OR_WITHDRAWAL,
-        IncidentClass.BRIDGE_HALT: CompressedIncidentType.BRIDGE_OR_WITHDRAWAL,
-        IncidentClass.WITHDRAWAL_DELAYS: CompressedIncidentType.BRIDGE_OR_WITHDRAWAL,
-        IncidentClass.BRIDGE_PAUSE_RISK: CompressedIncidentType.BRIDGE_OR_WITHDRAWAL,
-        IncidentClass.L2_DOWNTIME: CompressedIncidentType.BRIDGE_OR_WITHDRAWAL,
-        IncidentClass.EXPLOIT_USER_RISK: CompressedIncidentType.EXPLOIT_OR_SECURITY,
-        IncidentClass.CENSORSHIP_FORCED_INCLUSION_FAILURE: CompressedIncidentType.CENSORSHIP_OR_FORCED_INCLUSION,
-    }
+    {cls: bucket for cls, _fragments, bucket in INCIDENT_TAXONOMY}
 )
 
 COMPRESSED_LABELS: Mapping[CompressedIncidentType, str] = MappingProxyType(
@@ -83,13 +56,14 @@ COMPRESSED_LABELS: Mapping[CompressedIncidentType, str] = MappingProxyType(
 def classify_incident(detail: str) -> IncidentClass | None:
     """Map a free-text incident label to a glossary class.
 
-    Matching is first-hit over an ordered keyword table; labels nothing
-    matches return None and are reported as unmapped.
+    Matching is first-hit over the taxonomy's fragments in row order;
+    labels nothing matches return None and are reported as unmapped.
     """
     text = normalize_label(detail)
-    for fragment, cls in _CLASS_RULES:
-        if fragment in text:
-            return cls
+    for cls, fragments, _bucket in INCIDENT_TAXONOMY:
+        for fragment in fragments:
+            if fragment in text:
+                return cls
     return None
 
 
@@ -203,7 +177,6 @@ def parse_incidents(source: str | Path, *, text: str | None = None) -> IncidentP
                 description=description,
                 detail=detail,
                 glossary_class=glossary,
-                compressed=compress(glossary) if glossary is not None else None,
                 source_url=url,
                 source_kind=_source_kind(host),
             )
@@ -292,10 +265,10 @@ class _DistributionArtifact:
 def distribution(records: Iterable[IncidentRecord]) -> IncidentDistribution:
     """Tally classified records into the four compressed buckets."""
     records = list(records)
-    classified = [r for r in records if r.compressed is not None]
+    classified = [r for r in records if r.glossary_class is not None]
     counts = {t: 0 for t in CompressedIncidentType}
     for r in classified:
-        counts[r.compressed] += 1
+        counts[COMPRESSION_MAP[r.glossary_class]] += 1
     total = len(classified)
     shares = share_table(CompressedIncidentType, counts, total)
     dates = sorted(r.date_utc for r in records)

@@ -380,6 +380,27 @@ class CompressedIncidentType(_LabeledEnum):
     CENSORSHIP_OR_FORCED_INCLUSION = "censorship-or-forced-inclusion"
 
 
+_Bucket = CompressedIncidentType
+
+# The taxonomy, one row per glossary class: (class, label fragments, bucket).
+# Labels classify first-match over the fragments in row order, so a specific
+# fragment sits above the generic one it contains ("bridge halt" above
+# "halt", "l2 downtime" above "downtime"). Rows stay a tuple scanned by
+# identity: a dict keyed by members would fix their hashes at import.
+INCIDENT_TAXONOMY: tuple[tuple[IncidentClass, tuple[str, ...], CompressedIncidentType], ...] = (
+    (IncidentClass.CENSORSHIP_FORCED_INCLUSION_FAILURE, ("censor",), _Bucket.CENSORSHIP_OR_FORCED_INCLUSION),
+    (IncidentClass.EXPLOIT_USER_RISK, ("exploit", "security"), _Bucket.EXPLOIT_OR_SECURITY),
+    (IncidentClass.WITHDRAWAL_DELAYS, ("withdrawal delay",), _Bucket.BRIDGE_OR_WITHDRAWAL),
+    (IncidentClass.WITHDRAWAL_FAILURE, ("withdrawal failure", "bridge issue"), _Bucket.BRIDGE_OR_WITHDRAWAL),
+    (IncidentClass.BRIDGE_PAUSE_RISK, ("bridge pause",), _Bucket.BRIDGE_OR_WITHDRAWAL),
+    (IncidentClass.BRIDGE_HALT, ("bridge halt",), _Bucket.BRIDGE_OR_WITHDRAWAL),
+    (IncidentClass.SEQUENCER_PERFORMANCE_DEGRADATION, ("performance degradation",), _Bucket.SEQUENCER_DISRUPTION),
+    (IncidentClass.L2_DOWNTIME, ("l2 downtime",), _Bucket.BRIDGE_OR_WITHDRAWAL),
+    (IncidentClass.SEQUENCER_OUTAGE, ("outage", "downtime"), _Bucket.SEQUENCER_DISRUPTION),
+    (IncidentClass.SEQUENCER_HALT, ("halt",), _Bucket.SEQUENCER_DISRUPTION),
+)
+
+
 class SourceKind(_LabeledEnum):
     L2BEAT = "l2beat"
     EXTERNAL = "external"
@@ -398,15 +419,20 @@ class IncidentRecord:
     description: str
     detail: str
     glossary_class: IncidentClass | None
-    compressed: CompressedIncidentType | None
     source_url: str
     source_kind: SourceKind
 
     def __post_init__(self) -> None:
         if not self.project.strip():
             raise ValueError("incident project must be non-empty")
-        if (self.compressed is None) != (self.glossary_class is None):
-            raise ValueError("compressed type must accompany a glossary class")
+
+    @property
+    def compressed(self) -> CompressedIncidentType | None:
+        """The glossary class's reporting bucket; None when unclassified."""
+        for cls, _fragments, bucket in INCIDENT_TAXONOMY:
+            if cls is self.glossary_class:
+                return bucket
+        return None
 
 
 class Stakeholder(_LabeledEnum):
@@ -627,7 +653,7 @@ class RollupConfig:
     da: DaConfig = field(default_factory=DaConfig)
     upgrade: UpgradeConfig = field(default_factory=UpgradeConfig)
     challenge_window: int = 0  # optimistic only
-    prover_set: ProverSetConfig | None = None  # zk only
+    prover_set: ProverSetConfig | None = None  # zk provers; optimistic challengers
     state_validation_enforced: bool = True
 
     def __post_init__(self) -> None:

@@ -369,6 +369,7 @@ class _Run:
             else:
                 break
             if t > horizon:
+                self.now = horizon  # a cut run ends at the horizon, not its last event
                 break
             self.now = t
             try:

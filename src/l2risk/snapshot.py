@@ -165,20 +165,17 @@ def load_snapshot(path: str | Path, *, text: str | None = None) -> Any:
 
 
 def _project_rows(doc: Any, adapter: str) -> list[dict]:
-    if adapter != "auto":
-        if adapter not in ADAPTERS:
-            raise ValueError(f"unknown adapter {adapter!r}; known: {sorted(ADAPTERS)}")
-        rows = ADAPTERS[adapter](doc)
-        if rows is None:
-            raise SchemaMismatchError(
-                f"adapter {adapter!r} does not recognize this document", explore_schema(doc)
-            )
-        return rows
-    for name in ADAPTERS:
+    if adapter == "auto":
+        names, mismatch = ADAPTERS, "no adapter recognizes this document"
+    elif adapter in ADAPTERS:
+        names, mismatch = (adapter,), f"adapter {adapter!r} does not recognize this document"
+    else:
+        raise ValueError(f"unknown adapter {adapter!r}; known: {sorted(ADAPTERS)}")
+    for name in names:
         rows = ADAPTERS[name](doc)
         if rows is not None:
             return rows
-    raise SchemaMismatchError("no adapter recognizes this document", explore_schema(doc))
+    raise SchemaMismatchError(mismatch, explore_schema(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -362,29 +359,34 @@ def extract_projects(
     return ExtractResult(tuple(profiles), tuple(warnings))
 
 
-DIMENSION_LABELS: Mapping[RiskDimension, str] = MappingProxyType(
+# One row per risk dimension: (table label, hazard summary).
+_DIMENSIONS: Mapping[RiskDimension, tuple[str, str]] = MappingProxyType(
     {
-        RiskDimension.STATE_VALIDATION: "State validation",
-        RiskDimension.EXIT_WINDOW: "Exit window",
-        RiskDimension.PROPOSER_FAILURE: "Proposer failure",
-        RiskDimension.SEQUENCER_FAILURE: "Sequencer failure",
-        RiskDimension.DATA_AVAILABILITY: "Data availability",
+        RiskDimension.STATE_VALIDATION: (
+            "State validation", "Invalid state roots can be accepted; nothing enforces validation"
+        ),
+        RiskDimension.EXIT_WINDOW: (
+            "Exit window", "Contracts upgrade instantly, leaving users no window to exit first"
+        ),
+        RiskDimension.PROPOSER_FAILURE: (
+            "Proposer failure", "Root posting is whitelisted, so proposer failure freezes withdrawals"
+        ),
+        RiskDimension.SEQUENCER_FAILURE: (
+            "Sequencer failure", "No inclusion path exists while the sequencer is down or censoring"
+        ),
+        RiskDimension.DATA_AVAILABILITY: (
+            "Data availability", "State reconstruction leans entirely on data kept off the L1"
+        ),
     }
+)
+
+DIMENSION_LABELS: Mapping[RiskDimension, str] = MappingProxyType(
+    {d: label for d, (label, _hazard) in _DIMENSIONS.items()}
 )
 
 
 # ---------------------------------------------------------------------------
 # Prevalence
-
-HAZARD_SUMMARIES: Mapping[RiskDimension, str] = MappingProxyType(
-    {
-        RiskDimension.STATE_VALIDATION: "Invalid state roots can be accepted; nothing enforces validation",
-        RiskDimension.EXIT_WINDOW: "Contracts upgrade instantly, leaving users no window to exit first",
-        RiskDimension.PROPOSER_FAILURE: "Root posting is whitelisted, so proposer failure freezes withdrawals",
-        RiskDimension.SEQUENCER_FAILURE: "No inclusion path exists while the sequencer is down or censoring",
-        RiskDimension.DATA_AVAILABILITY: "State reconstruction leans entirely on data kept off the L1",
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -452,13 +454,7 @@ def render_prevalence_text(table: PrevalenceTable) -> str:
     rows = []
     for d in RiskDimension:
         share = table.shares[d]
-        rows.append(
-            (
-                DIMENSION_LABELS[d],
-                HAZARD_SUMMARIES[d],
-                str(table.flagged[d]),
-                "-" if share is None else f"{share:.1f}",
-            )
-        )
+        label, hazard = _DIMENSIONS[d]
+        rows.append((label, hazard, str(table.flagged[d]), "-" if share is None else f"{share:.1f}"))
     rows.append(("Total projects analyzed", "", str(table.total_projects), ""))
     return aligned_table(("Type", "Potential risk", "Projects", "Share (%)"), rows, left=2)

@@ -835,3 +835,12 @@ def test_quick_start_prints_what_readme_shows(tmp_path, monkeypatch, capsys, com
     argv = [str(tmp_path / "run") if arg == "/tmp/run" else arg for arg in command.split()[1:]]
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_python_api_prints_what_readme_shows(capsys):
+    text = (_ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Python API", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    shown = re.findall(r"^print\(.*\)\s+# (.*)$", block, flags=re.M)
+    assert shown == ["3600", "('deposit_submitted', 0, 0, 'dep-1', 'alice', 1000)"]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-len(shown):] == shown

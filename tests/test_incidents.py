@@ -1,5 +1,7 @@
 import csv
 import datetime as dt
+import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -16,7 +18,7 @@ from l2risk.incidents import (
     parse_incidents,
     render_distribution_text,
 )
-from l2risk.model import CompressedIncidentType, IncidentClass, SourceKind
+from l2risk.model import CompressedIncidentType, IncidentClass, IncidentRecord, SourceKind
 
 
 def independent_tally(csv_path):
@@ -174,6 +176,103 @@ class TestCompression:
             assert compress(cls) is CompressedIncidentType.BRIDGE_OR_WITHDRAWAL
 
 
+# The glossary as two literal tables, kept as the reference the taxonomy rows
+# must reproduce: ordered first-match label fragments, and each class's bucket.
+_REFERENCE_RULES = (
+    ("censor", IncidentClass.CENSORSHIP_FORCED_INCLUSION_FAILURE),
+    ("exploit", IncidentClass.EXPLOIT_USER_RISK),
+    ("security", IncidentClass.EXPLOIT_USER_RISK),
+    ("withdrawal delay", IncidentClass.WITHDRAWAL_DELAYS),
+    ("withdrawal failure", IncidentClass.WITHDRAWAL_FAILURE),
+    ("bridge issue", IncidentClass.WITHDRAWAL_FAILURE),
+    ("bridge pause", IncidentClass.BRIDGE_PAUSE_RISK),
+    ("bridge halt", IncidentClass.BRIDGE_HALT),
+    ("performance degradation", IncidentClass.SEQUENCER_PERFORMANCE_DEGRADATION),
+    ("l2 downtime", IncidentClass.L2_DOWNTIME),
+    ("outage", IncidentClass.SEQUENCER_OUTAGE),
+    ("downtime", IncidentClass.SEQUENCER_OUTAGE),
+    ("halt", IncidentClass.SEQUENCER_HALT),
+)
+_SEQUENCER = CompressedIncidentType.SEQUENCER_DISRUPTION
+_BRIDGE = CompressedIncidentType.BRIDGE_OR_WITHDRAWAL
+_REFERENCE_BUCKETS = {
+    IncidentClass.SEQUENCER_OUTAGE: _SEQUENCER,
+    IncidentClass.SEQUENCER_HALT: _SEQUENCER,
+    IncidentClass.SEQUENCER_PERFORMANCE_DEGRADATION: _SEQUENCER,
+    IncidentClass.WITHDRAWAL_FAILURE: _BRIDGE,
+    IncidentClass.BRIDGE_HALT: _BRIDGE,
+    IncidentClass.WITHDRAWAL_DELAYS: _BRIDGE,
+    IncidentClass.BRIDGE_PAUSE_RISK: _BRIDGE,
+    IncidentClass.L2_DOWNTIME: _BRIDGE,
+    IncidentClass.EXPLOIT_USER_RISK: CompressedIncidentType.EXPLOIT_OR_SECURITY,
+    IncidentClass.CENSORSHIP_FORCED_INCLUSION_FAILURE: CompressedIncidentType.CENSORSHIP_OR_FORCED_INCLUSION,
+}
+
+
+def _reference_class(label):
+    text = " ".join(label.split()).lower()
+    return next((cls for fragment, cls in _REFERENCE_RULES if fragment in text), None)
+
+
+def _random_labels(count, seed=0):
+    """Labels from the fragments' words and a few others, in random case,
+    spacing and order, with now and then a stray letter or two."""
+    rng = random.Random(seed)
+    words = sorted({w for fragment, _cls in _REFERENCE_RULES for w in fragment.split()})
+    words += ["sequencer", "delays", "issue", "bridge", "l2", "or", "&", "/", "(", "x", "token"]
+    labels = []
+    for _ in range(count):
+        picked = [rng.choice(words) for _ in range(rng.randint(1, 5))]
+        picked = [w.upper() if rng.random() < 0.2 else w for w in picked]
+        if rng.random() < 0.3:
+            picked.insert(rng.randrange(len(picked) + 1), rng.choice("abcdefghijklmnopqrstuvwxyz") * 2)
+        labels.append("".join(w + rng.choice(("", " ", "  ", "\t")) for w in picked))
+    return labels
+
+
+class TestTaxonomy:
+    def test_classification_is_first_match_over_the_reference_rules(self):
+        fragments = [fragment for fragment, _cls in _REFERENCE_RULES]
+        labels = list(fragments)
+        labels += [a + sep + b for a, b in itertools.permutations(fragments, 2) for sep in ("", " ", " / ")]
+        with open(fixture_path(INCIDENTS_CSV), newline="", encoding="utf-8") as fh:
+            labels += [row["incident_type"] for row in csv.DictReader(fh)]
+        randoms = _random_labels(4000)
+        # the random labels reach every class and the unmapped case
+        assert {_reference_class(lb) for lb in randoms} == {*IncidentClass, None}
+        mismatched = [lb for lb in labels + randoms if classify_incident(lb) is not _reference_class(lb)]
+        assert not mismatched
+
+    def test_buckets_match_the_reference(self):
+        assert dict(COMPRESSION_MAP) == _REFERENCE_BUCKETS
+
+    def test_a_parsed_record_reports_its_class_bucket(self):
+        first_fragment = {}
+        for fragment, cls in _REFERENCE_RULES:
+            first_fragment.setdefault(cls, fragment)
+        body = "".join(
+            f"Chain,2024-01-01,https://example.com/{i},{first_fragment[cls]}\n"
+            for i, cls in enumerate(IncidentClass)
+        )
+        records = parse_incidents("<mem>", text="name,date,link,incident_type\n" + body).records
+        assert [r.glossary_class for r in records] == list(IncidentClass)
+        for r in records:
+            assert r.compressed is COMPRESSION_MAP[r.glossary_class]
+
+    def test_a_record_takes_no_bucket_argument(self):
+        with pytest.raises(TypeError):
+            IncidentRecord(
+                project="Chain",
+                date_utc=dt.date(2024, 1, 1),
+                description="",
+                detail="Sequencer outage",
+                glossary_class=IncidentClass.SEQUENCER_OUTAGE,
+                compressed=CompressedIncidentType.EXPLOIT_OR_SECURITY,
+                source_url="https://example.com/",
+                source_kind=SourceKind.EXTERNAL,
+            )
+
+
 class TestParsingEdgeCases:
     HEADER = "name,date,link,incident_type\n"
 
@@ -216,7 +315,7 @@ class TestParsingEdgeCases:
         text = self.HEADER + "Chain A,2024-01-01,https://example.com/a,Governance drama\n"
         result = parse_incidents("<mem>", text=text)
         assert len(result.records) == 1
-        assert result.records[0].glossary_class is None
+        assert result.records[0].glossary_class is result.records[0].compressed is None
         dist = distribution(result.records)
         assert dist.total == 0
         assert dist.unmapped == 1

@@ -1153,6 +1153,26 @@ class TestUpgrades:
         assert max(e["t"] for e in result.events) <= 1000
         assert not _events(result, "withdrawal_claimed")
 
+    @pytest.mark.parametrize(
+        "horizon, frozen", [(5000, 4000), (50_000, 49_000), (80_000, 79_000), (None, 86_408)]
+    )
+    def test_frozen_funds_run_to_the_horizon_that_cuts_the_run(self, horizon, frozen):
+        # the withdrawal waits out the outage in the forced queue; a cut run
+        # closes its frozen interval at the horizon, not at its last event
+        raw = _scenario(
+            injections=[{"kind": "sequencer-outage", "at": 500, "duration": 200_000}],
+            workload={
+                "actions": [
+                    {"at": 0, "action": "deposit", "user": "u", "amount": 500},
+                    {"at": 1000, "action": "withdraw", "user": "u", "amount": 100},
+                ]
+            },
+        )
+        raw["config"]["forced_inclusion"] = {"enabled": True, "usable": True, "timeout": DAY}
+        if horizon is not None:
+            raw["sim"] = {"horizon": horizon}
+        assert simulate(parse_scenario(raw), seed=0).metrics.frozen_funds_duration == frozen
+
 
 # -- trace freeze, stall-state equivalence and scaling -------------------------
 
@@ -1997,6 +2017,7 @@ class _AllOnHeapRun(_Run):
         while self._heap:
             t, _prio, _n, kind, args = heapq.heappop(self._heap)
             if horizon is not None and t > horizon:
+                self.now = horizon
                 break
             self.now = t
             getattr(self, "_on_" + kind)(*args)
