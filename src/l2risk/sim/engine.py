@@ -48,9 +48,13 @@ The model, in brief:
 - The loop calls _on_<kind>(*args) from a per-run table of handlers,
   each bound on first use and looked up on the instance so a subclass's
   handler is the one that runs, then checks conservation under that kind's
-  name and updates the frozen-funds clock. With no fault active the fault
-  lookups (_ends, _censor_ends, _seq_accepting) return at once, and so does
-  the frozen-funds update unless a frozen interval is still open.
+  name and updates the frozen-funds clock. With no fault active the handlers
+  make no fault lookup (_ends, _censor_ends, _seq_accepting) at all: each
+  guards its lookups with self.active. The frozen-funds update returns at
+  once too, unless a frozen interval is still open.
+- A run sim.horizon cuts ends at the horizon. Its open frozen interval and
+  its denied transactions still unapplied count up to it, and a dropped
+  transaction counts its denial up to the horizon at most.
 
 An invalid state root injected by an attacker finalizes only when state
 validation is not enforced, or on a fraud-proof system whose whitelisted
@@ -67,30 +71,34 @@ SimResult keeps these records. Its events view, one {"t", "i", "event",
 the summary and the CLI never do.
 
 Trace lines are what json.dumps(event, sort_keys=True, separators=(",", ":"))
-writes of that dict, formatted straight from the record: at import each kind
-(and a neutralized fault's start) gets a % format with its keys sorted and
-its name written in, and a getter of the record's slots in key order. Ids,
-reason texts and other tokens the engine chose go between quotes unescaped;
-_JSON_FIELDS writes the upgrade's holders and its share as JSON text; every
-other field is an int. A scenario name (user, to) is plain when JSON writes
-it as itself between quotes. The first trace a result writes decides once
-whether all its names are: a random workload's user-<n> are by
+writes of that dict, written straight from the record by one compiled
+writer per kind (and one for a neutralized fault's start): an f-string with
+its keys sorted and its name written in, reading each value from its slot.
+Ids, reason texts and other tokens the engine chose go between quotes
+unescaped; _JSON_FIELDS writes the upgrade's holders and its share as JSON
+text; every other field is an int. A scenario name (user, to) is plain when
+JSON writes it as itself between quotes. The first trace a result writes
+decides once whether all its names are: a random workload's user-<n> are by
 construction, an explicit list's distinct names are each checked. If so,
-the names go between quotes like tokens, and a line is one format lookup
-and one %; a run with any other name has _JSON_FIELDS escape every name it
-writes. A record with no format raises KeyError. No JSON encoder is
+the names go between quotes like tokens, and a line is one writer lookup
+and one call; a run with any other name has _JSON_FIELDS escape every name
+it writes. Each of the two writer tables is compiled when a trace first
+needs it, not at import. A record with no writer raises KeyError.
+write_trace writes the lines _TRACE_CHUNK at a time. No JSON encoder is
 involved, so the bytes do not depend on CPython's _json accelerator.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import defaultdict
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
+from heapq import heappop, heappush
+from itertools import count
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 
 from l2risk.model import DaMode, HarmMetrics, ProofSystem, UpgradePolicy
@@ -128,10 +136,10 @@ _P_END, _P_START, _P_L1, _P_ADMIT, _P_BATCH, _P_ACTION, _P_UPGRADE = range(7)
 # What the loop holds once the workload is spent: above every event's key.
 _NO_ACTION = (math.inf,)
 
-# How a line format writes the fields of _Run.TRACE_FIELDS: as JSON text by
+# How a line writer writes the fields of _Run.TRACE_FIELDS: as JSON text by
 # the writer here (scenario names escaped, unless every name in the run is
 # plain; the upgrade's holders and share), as an engine-made token between
-# quotes (such as actions checked against _ACTIONS), or else as an int with %d.
+# quotes (such as actions checked against _ACTIONS), or else as an int.
 _JSON_FIELDS = {
     "user": encode_basestring_ascii,
     "to": encode_basestring_ascii,
@@ -141,32 +149,37 @@ _JSON_FIELDS = {
 _TOKEN_FIELDS = frozenset({"id", "reason", "action", "type", "kind", "ineffective"})
 # The scenario names: tokens too in a run whose every name is plain.
 _NAME_FIELDS = frozenset({"user", "to"})
+# The trace lines write_trace joins and writes at a time, so it never holds
+# the whole trace as one string and its encoded copy.
+_TRACE_CHUNK = 4096
 
 
 def _line_format(
     event: str, fields: tuple[str, ...], plain_names: bool
-) -> tuple[str, itemgetter, tuple]:
-    """The % format of one event kind's trace line, keys sorted and the event
-    name written in; the getter of its other values, in key order, from the
-    slots of a record (kind, t, i, *fields); and the positions of the values
-    written as JSON text, each with its writer. With plain_names the names go
-    between quotes as tokens."""
+) -> Callable[[tuple], str]:
+    """The writer of one event kind's trace line: an f-string compiled from
+    the record's slots (kind, t, i, *fields), its keys sorted and the event
+    name written in, that reads each value straight from its slot and passes
+    the fields of _JSON_FIELDS through their writers. With plain_names the
+    names go between quotes as tokens. Only the engine's own key and event
+    names reach the source, and its expressions hold no quote or backslash,
+    so it compiles on every Python the project supports."""
     tokens = _TOKEN_FIELDS | _NAME_FIELDS if plain_names else _TOKEN_FIELDS
-    writers = {key: write for key, write in _JSON_FIELDS.items() if key not in tokens}
     slots = {"t": 1, "i": 2, **{key: 3 + j for j, key in enumerate(fields)}}
-    keys = sorted(slots)
     parts = []
-    for key in sorted((*keys, "event")):
+    for key in sorted((*slots, "event")):
+        assert key.isascii() and key.isidentifier() and key.islower(), key
         if key == "event":
+            assert event.isascii() and event.isidentifier() and event.islower(), event
             parts.append(f'"event":"{event}"')
         elif key in tokens:
-            parts.append(f'"{key}":"%s"')
-        elif key in writers:
-            parts.append(f'"{key}":%s')
+            parts.append(f'"{key}":"{{r[{slots[key]}]}}"')
+        elif key in _JSON_FIELDS:
+            parts.append(f'"{key}":{{_{key}(r[{slots[key]}])}}')
         else:
-            parts.append(f'"{key}":%d')
-    written = tuple((j, writers[key]) for j, key in enumerate(keys) if key in writers)
-    return "{" + ",".join(parts) + "}", itemgetter(*(slots[key] for key in keys)), written
+            parts.append(f'"{key}":{{r[{slots[key]}]}}')
+    writers = {"_" + key: write for key, write in _JSON_FIELDS.items()}
+    return eval("lambda r: f'{{" + ",".join(parts) + "}}'", writers)
 
 
 @dataclass(frozen=True)
@@ -204,24 +217,20 @@ class SimResult:
 
     def trace_lines(self) -> list[str]:
         """One compact JSON object per event, stable across runs."""
-        formats = _PLAIN_LINE_FORMATS if self._plain_names else _LINE_FORMATS
-        lines: list[str] = []
-        append = lines.append
-        for record in self.records:
-            fmt, get, written = formats[record[0]][len(record)]
-            if written:
-                values = list(get(record))
-                for j, write in written:
-                    values[j] = write(values[j])
-                append(fmt % tuple(values))
-            else:
-                append(fmt % get(record))
-        return lines
+        return self._lines(self.records)
+
+    def _lines(self, records: tuple[tuple, ...]) -> list[str]:
+        writers = _line_formats(self._plain_names)
+        return [writers[r[0]][len(r)](r) for r in records]
 
     def write_trace(self, path: str | Path) -> None:
-        lines = self.trace_lines()
-        lines.append("")  # every line, the last included, ends in "\n"; no events write no bytes
-        Path(path).write_text("\n".join(lines), encoding="utf-8")
+        """Write the trace lines, each ending in a newline, _TRACE_CHUNK at a
+        time; no events write no bytes."""
+        records = self.records
+        with open(path, "w", encoding="utf-8") as out:
+            for start in range(0, len(records), _TRACE_CHUNK):
+                out.write("\n".join(self._lines(records[start : start + _TRACE_CHUNK])))
+                out.write("\n")
 
     def summary(self) -> dict:
         return {
@@ -238,10 +247,12 @@ class _Run:
         self.sc = scenario
         self.cfg = scenario.config
         self.p = scenario.params
+        self.horizon = math.inf if self.p.horizon is None else self.p.horizon
         self.seed = seed
         self.now = 0
         self._heap: list = []
-        self._pushes = 0
+        # numbers pushed events in push order, after any workload actions
+        self._numbers = count(1)
         self.records: list[tuple] = []
         self.violations: list[dict] = []
 
@@ -265,6 +276,8 @@ class _Run:
         self.exploit_drained = False
         self.latencies: dict[str, list[int]] = defaultdict(list)
         self.censorship_window = 0
+        # tx id -> submission time of each denied transaction not yet applied
+        self.denied: dict[str, int] = {}
         # exits in flight, tracked for the frozen-funds metric
         self.pending: dict[str, dict] = {}
         self._frozen_accum = 0
@@ -278,8 +291,7 @@ class _Run:
     def _push(self, t: int, prio: int, kind: str, *args) -> None:
         """Schedule _on_<kind>(*args) at t; kind also names the event in
         violation records."""
-        self._pushes += 1
-        heapq.heappush(self._heap, (t, prio, self._pushes, kind, args))
+        heappush(self._heap, (t, prio, next(self._numbers), kind, args))
 
     # The payload of every event _emit records, in record order after its
     # kind, t and i: the one list of what a trace line holds. _line_format
@@ -332,12 +344,12 @@ class _Run:
         sc = self.sc
         if sc.random_workload is not None:
             actions = sc.random_workload.stream(self.seed)
-            self._pushes = sc.random_workload.actions
+            self._numbers = count(sc.random_workload.actions + 1)
         else:
             # stable: same-instant actions keep their list order
             fields = attrgetter("at", "action", "user", "amount", "to")
             actions = map(fields, sorted(sc.actions, key=attrgetter("at")))
-            self._pushes = len(sc.actions)
+            self._numbers = count(len(sc.actions) + 1)
         for idx, inj in enumerate(sc.injections):
             if inj.kind is InjectionKind.EXPLOIT_USER_RISK:
                 self._push(inj.at, _P_START, "exploit", idx)
@@ -353,13 +365,11 @@ class _Run:
         queued = ((d[0], _P_ACTION, k, "action", d[1:]) for k, d in enumerate(actions, 1))
         following = next(queued, _NO_ACTION)
         heap = self._heap
-        pop = heapq.heappop
+        pop = heappop
         check_conservation = self._check_conservation
         update_frozen = self._update_frozen
         handlers: dict = {}
-        horizon = self.p.horizon
-        if horizon is None:
-            horizon = math.inf
+        horizon = self.horizon
         while True:
             if heap and heap[0] < following:
                 t, _prio, _n, kind, args = pop(heap)
@@ -369,7 +379,7 @@ class _Run:
             else:
                 break
             if t > horizon:
-                self.now = horizon  # a cut run ends at the horizon, not its last event
+                self._cut()
                 break
             self.now = t
             try:
@@ -388,6 +398,13 @@ class _Run:
             raise RuntimeError(
                 f"ledger total {self.accounted} != {resummed} summed afresh in {self.sc.name}"
             )
+
+    def _cut(self) -> None:
+        """End a run the horizon cuts at the horizon, not at its last event: a
+        denied transaction still unapplied has waited until then."""
+        self.now = self.horizon
+        for submitted in self.denied.values():
+            self.censorship_window = max(self.censorship_window, self.horizon - submitted)
 
     def result(self) -> SimResult:
         metrics = HarmMetrics(
@@ -410,13 +427,9 @@ class _Run:
 
     def _ends(self, *effects: str) -> list[int]:
         """End times of the active faults that hold up any of these effects."""
-        if not self.active:
-            return []
         return [inj.end for inj in self.active.values() if _FAULT_EFFECTS[inj.kind] in effects]
 
     def _censor_ends(self, user: str) -> list[int]:
-        if not self.active:
-            return []
         return [
             inj.end
             for inj in self.active.values()
@@ -424,8 +437,6 @@ class _Run:
         ]
 
     def _seq_accepting(self, user: str) -> bool:
-        if not self.active:
-            return True
         return not self._ends("sequencer") and not self._censor_ends(user)
 
     def _hatch_blocked(self) -> str | None:
@@ -515,7 +526,7 @@ class _Run:
             self._do_submit(action, user, amount, to)
 
     def _do_deposit(self, user: str, amount: int) -> None:
-        if self._ends("bridge"):
+        if self.active and self._ends("bridge"):
             self._emit("action_rejected", "deposit", user, "bridge unavailable")
             return
         pid = self._new_id("dep")
@@ -551,16 +562,16 @@ class _Run:
         self._emit("tx_submitted", txid, action, user, amount)
         if action == "withdraw":
             self.pending[txid] = {"user": user, "submitted": self.now, "stage": "queued"}
-        if self._seq_accepting(user):
-            factor = self.p.degradation_factor if self._ends("admission") else 1
-            admit = self.now + self.p.admission_latency * factor
-            self._push(admit, _P_ADMIT, "tx_admitted", tx)
-        else:
+        if self.active and not self._seq_accepting(user):
             tx["denied"] = True
             self._deny(tx)
+        else:
+            factor = self.p.degradation_factor if self.active and self._ends("admission") else 1
+            admit = self.now + self.p.admission_latency * factor
+            self._push(admit, _P_ADMIT, "tx_admitted", tx)
 
     def _on_tx_admitted(self, tx: dict) -> None:
-        if not self._seq_accepting(tx["user"]):
+        if self.active and not self._seq_accepting(tx["user"]):
             # the sequencer went away between submission and admission
             tx["denied"] = True
             self._deny(tx)
@@ -572,11 +583,13 @@ class _Run:
     def _deny(self, tx: dict) -> None:
         if self.cfg.forced_inclusion.usable:
             deadline = self._queue_forced(tx)
+            self.denied[tx["id"]] = tx["submitted"]
             self._emit("tx_queued_forced", tx["id"], deadline)
         else:
             self._emit("tx_dropped", tx["id"], "sequencer unavailable")
             self.pending.pop(tx["id"], None)
-            blocked_for = self._denial_end(tx["user"]) - tx["submitted"]
+            # counted up to the horizon, if one cuts the run first
+            blocked_for = min(self._denial_end(tx["user"]), self.horizon) - tx["submitted"]
             self.censorship_window = max(self.censorship_window, blocked_for)
 
     def _do_hatch(self, user: str, amount: int) -> None:
@@ -609,7 +622,7 @@ class _Run:
 
     def _enqueue_l2(self, tx: dict) -> None:
         """Route a system transaction (deposit credit) toward L2 inclusion."""
-        if self._seq_accepting(tx["user"]):
+        if not self.active or self._seq_accepting(tx["user"]):
             self.mempool.append(tx)
             self._grid_batch(self.now)
         elif self.cfg.forced_inclusion.usable:
@@ -636,7 +649,7 @@ class _Run:
             self._push(bt, _P_BATCH, "batch_tick")
 
     def _on_batch_tick(self) -> None:
-        if self._ends("sequencer"):
+        if self.active and self._ends("sequencer"):
             return
         self._make_batch()
 
@@ -679,6 +692,7 @@ class _Run:
         """Apply one included transaction; returns the id of a successfully
         included withdrawal, else None."""
         if tx["denied"]:
+            del self.denied[tx["id"]]
             self.censorship_window = max(self.censorship_window, self.now - tx["submitted"])
         user, amount = tx["user"], tx["amount"]
         if tx["type"] == "credit":
@@ -714,7 +728,7 @@ class _Run:
         self._push(at, _P_L1, "proposal_attempt", batch_time, wids)
 
     def _on_proposal_attempt(self, batch_time: int, wids: list[str]) -> None:
-        blocked_until = self._ends(*self._root_effects)
+        blocked_until = self._ends(*self._root_effects) if self.active else None
         if blocked_until:
             retry = next_l1_block(max(blocked_until), self.p.l1_block_interval)
             self._emit("proposal_blocked", batch_time, retry)
@@ -737,7 +751,7 @@ class _Run:
     def _on_claim(self, wid: str) -> None:
         if wid not in self.pending:
             return
-        ends = self._ends("claims", "bridge")
+        ends = self._ends("claims", "bridge") if self.active else None
         if ends:
             self.pending[wid]["stage"] = "claimable"
             retry = max(ends)
@@ -868,7 +882,7 @@ class _Run:
         self._emit("upgrade_activated", self.exit_coverage)
 
 
-# The events view's keys, and the line formats' fields: zip stops at the
+# The events view's keys, and the line writers' fields: zip stops at the
 # record's end, so a start that was not neutralized gets no ineffective key.
 _FIELD_NAMES = {
     **_Run.TRACE_FIELDS,
@@ -876,22 +890,19 @@ _FIELD_NAMES = {
 }
 
 
-def _line_formats(plain_names: bool) -> dict[str, dict[int, tuple]]:
-    """Each kind's line formats by record length: a neutralized fault's start
-    holds one value more, its ineffective note."""
-    formats = {
+@cache
+def _line_formats(plain_names: bool) -> dict[str, dict[int, Callable[[tuple], str]]]:
+    """Each kind's line writers by record length: a neutralized fault's start
+    holds one value more, its ineffective note. Two tables, each compiled on
+    first use and kept: names written as JSON text, for any run, and as
+    tokens (plain_names), for a run whose every name is plain."""
+    writers = {
         event: {len(fields) + 3: _line_format(event, fields, plain_names)}
         for event, fields in _Run.TRACE_FIELDS.items()
     }
     noted = _FIELD_NAMES["injection_start"]
-    formats["injection_start"][len(noted) + 3] = _line_format("injection_start", noted, plain_names)
-    return formats
-
-
-# Names written as JSON text, for any run; and as tokens, for a run whose
-# every name is plain.
-_LINE_FORMATS = _line_formats(plain_names=False)
-_PLAIN_LINE_FORMATS = _line_formats(plain_names=True)
+    writers["injection_start"][len(noted) + 3] = _line_format("injection_start", noted, plain_names)
+    return writers
 
 
 def simulate(scenario: Scenario, seed: int = 0) -> SimResult:

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import hashlib
 import heapq
+import itertools
 import json
 import operator
 import os
@@ -1153,12 +1154,10 @@ class TestUpgrades:
         assert max(e["t"] for e in result.events) <= 1000
         assert not _events(result, "withdrawal_claimed")
 
-    @pytest.mark.parametrize(
-        "horizon, frozen", [(5000, 4000), (50_000, 49_000), (80_000, 79_000), (None, 86_408)]
-    )
-    def test_frozen_funds_run_to_the_horizon_that_cuts_the_run(self, horizon, frozen):
-        # the withdrawal waits out the outage in the forced queue; a cut run
-        # closes its frozen interval at the horizon, not at its last event
+    @staticmethod
+    def _outage_withdrawal(horizon: int | None, usable: bool = True) -> Scenario:
+        """A withdrawal at 1,000 s, denied by a sequencer outage from 500 s to
+        200,500 s, with or without usable forced inclusion (24 h timeout)."""
         raw = _scenario(
             injections=[{"kind": "sequencer-outage", "at": 500, "duration": 200_000}],
             workload={
@@ -1168,11 +1167,32 @@ class TestUpgrades:
                 ]
             },
         )
-        raw["config"]["forced_inclusion"] = {"enabled": True, "usable": True, "timeout": DAY}
+        raw["config"]["forced_inclusion"] = {"enabled": usable, "usable": usable, "timeout": DAY}
         if horizon is not None:
             raw["sim"] = {"horizon": horizon}
-        assert simulate(parse_scenario(raw), seed=0).metrics.frozen_funds_duration == frozen
+        return parse_scenario(raw)
 
+    @pytest.mark.parametrize(
+        "horizon, frozen", [(5000, 4000), (50_000, 49_000), (80_000, 79_000), (None, 86_408)]
+    )
+    def test_frozen_funds_run_to_the_horizon_that_cuts_the_run(self, horizon, frozen):
+        # the withdrawal waits out the outage in the forced queue; a cut run
+        # closes its frozen interval at the horizon, not at its last event
+        scenario = self._outage_withdrawal(horizon)
+        assert simulate(scenario, seed=0).metrics.frozen_funds_duration == frozen
+
+    @pytest.mark.parametrize("usable, uncut", [(True, 86_408), (False, 199_500)])
+    @pytest.mark.parametrize("horizon", [5000, 50_000, 80_000, None])
+    def test_censorship_window_runs_to_the_horizon_that_cuts_the_run(self, usable, uncut, horizon):
+        # the withdrawal waits in the forced queue, or is dropped until the
+        # outage ends; a cut run counts either up to the horizon, not 0 and
+        # not past it
+        scenario = self._outage_withdrawal(horizon, usable)
+        window = uncut if horizon is None else horizon - 1000
+        assert simulate(scenario, seed=0).metrics.censorship_window == window
+        reference = _AllOnHeapRun(scenario, 0)
+        reference.execute()
+        assert reference.result().metrics.censorship_window == window
 
 # -- trace freeze, stall-state equivalence and scaling -------------------------
 
@@ -1471,13 +1491,32 @@ class TestTraceLines:
         assert result.trace_lines() == [_compact(e) for e in result.events]
         # Each event holds what the field table lists for its kind (a
         # neutralized fault's start adds its note), and each kind and key
-        # count has a line format: a kind added to _emit without one fails.
+        # count has a writer in both tables: a kind added to _emit without
+        # one fails.
         for e in result.events:
             note = {"ineffective"} if e["event"] == "injection_start" else set()
             assert e.keys() - note == {"t", "i", "event", *_Run.TRACE_FIELDS[e["event"]]}
-            assert len(e) in sim_engine._LINE_FORMATS[e["event"]]
-            assert len(e) in sim_engine._PLAIN_LINE_FORMATS[e["event"]]
+            for plain_names in (False, True):
+                assert callable(sim_engine._line_formats(plain_names)[e["event"]][len(e)])
         return {e["event"] for e in result.events}
+
+    def test_every_kind_and_the_neutralized_start_have_a_writer_in_both_tables(self):
+        lengths = {kind: {len(fields) + 3} for kind, fields in _Run.TRACE_FIELDS.items()}
+        lengths["injection_start"].add(len(_Run.TRACE_FIELDS["injection_start"]) + 4)
+        for plain_names in (False, True):
+            writers = sim_engine._line_formats(plain_names)
+            assert {kind: set(by_length) for kind, by_length in writers.items()} == lengths
+            assert all(callable(w) for by_length in writers.values() for w in by_length.values())
+
+    def test_a_record_of_a_length_with_no_writer_raises_key_error(self):
+        result = simulate(load_bundled_scenario("sequencer-outage-fi-1h"), seed=0)
+        (start,) = (r for r in result.records if r[0] == "injection_start")
+        for record in (start[:-1], start + ("note", "more")):
+            for plain_names in (False, True):
+                broken = dataclasses.replace(result, records=(record,))
+                broken.__dict__["_plain_names"] = plain_names
+                with pytest.raises(KeyError):
+                    broken.trace_lines()
 
     def test_bundled_and_fault_laden_runs(self):
         for name in sorted(FROZEN_BUNDLED):
@@ -1591,6 +1630,23 @@ class TestTraceLines:
             assert data.count(b"\n") == len(result.events)
         assert data == b""
 
+    def test_write_trace_across_chunk_boundaries(self, tmp_path):
+        # write_trace writes _TRACE_CHUNK lines at a time; each record count
+        # around a chunk's edge writes what the joined lines say, for a run
+        # whose names are plain and for one that escapes them
+        chunk = sim_engine._TRACE_CHUNK
+        odd = [WorkloadAction(600 * (i % 4), "deposit", f'"{i}', 100) for i in range(40)]
+        runs = simulate(_random(100, 2_000)), simulate(Scenario("odd", RollupConfig(), actions=odd))
+        path = tmp_path / "trace.ndjson"
+        for run in runs:
+            for n in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+                records = tuple(itertools.islice(itertools.cycle(run.records), n))
+                result = dataclasses.replace(run, records=records)
+                result.write_trace(path)
+                data = path.read_bytes()
+                assert data == "".join(line + "\n" for line in result.trace_lines()).encode()
+                assert data.count(b"\n") == n
+
     def test_no_encoder_whatever_the_event_count(self, monkeypatch):
         real = json.encoder.c_make_encoder
         built = []
@@ -1619,12 +1675,15 @@ class TestTraceLines:
 
             return counted
 
-        # Every value writer of both format tables counts its calls.
-        for formats in (sim_engine._LINE_FORMATS, sim_engine._PLAIN_LINE_FORMATS):
-            for by_length in formats.values():
-                for n, (fmt, get, writers) in list(by_length.items()):
-                    counted = tuple((j, counting(write)) for j, write in writers)
-                    monkeypatch.setitem(by_length, n, (fmt, get, counted))
+        # Each line writer of both tables looks up the JSON text writers it
+        # calls, names and all, in its own namespace when it runs; each of
+        # those counts its calls.
+        for plain_names in (False, True):
+            for by_length in sim_engine._line_formats(plain_names).values():
+                for line in by_length.values():
+                    for key in sim_engine._JSON_FIELDS:
+                        write = line.__globals__["_" + key]
+                        monkeypatch.setitem(line.__globals__, "_" + key, counting(write))
         odd = Scenario("odd", RollupConfig(), actions=[WorkloadAction(0, "deposit", '"', 1)])
         simulate(odd).trace_lines()
         assert written  # the counting reaches a run that escapes its names
@@ -1634,6 +1693,21 @@ class TestTraceLines:
             lines = result.trace_lines()
             assert len(lines) == len(result.records) > actions
             assert written == [], (actions, len(written))
+
+    def test_importing_the_cli_builds_no_writer_table(self):
+        src = Path(sim_engine.__file__).parents[2]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = (
+            "import l2risk.cli\n"
+            "from l2risk.sim import engine, load_bundled_scenario, simulate\n"
+            "print(engine._line_formats.cache_info().currsize)\n"
+            "simulate(load_bundled_scenario('zk-withdrawal-baseline')).trace_lines()\n"
+            "print(engine._line_formats.cache_info().currsize)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        # none at import; the one table a run with plain names reads, once it writes
+        assert out.stdout.split() == ["0", "1"]
 
     def test_the_same_lines_without_the_c_json_module(self):
         # With _json blocked, json.encoder falls back to its pure-Python
@@ -1755,6 +1829,36 @@ class TestStallBookkeeping:
                 run = CountingRun(_day_long_fault(kind, users, actions), 0)
                 run.execute()
                 assert run.calls <= 3 * run.tests, (kind, actions, run.calls, run.tests)
+
+    def test_no_fault_lookup_while_no_fault_is_active(self):
+        class LookupCountingRun(_Run):
+            lookups = 0
+
+            def _ends(self, *effects):
+                self.lookups += 1
+                return super()._ends(*effects)
+
+            def _censor_ends(self, user):
+                self.lookups += 1
+                return super()._censor_ends(user)
+
+            def _seq_accepting(self, user):
+                self.lookups += 1
+                return super()._seq_accepting(user)
+
+        def lookups(scenario, seed=0) -> int:
+            run = LookupCountingRun(scenario, seed)
+            run.execute()
+            assert run.result() == simulate(scenario, seed)
+            return run.lookups
+
+        baseline = load_bundled_scenario("zk-withdrawal-baseline")
+        fault_free = [(_acceptance_random(), seed) for seed in range(5)]
+        fault_free += [(_random(100, 2_000), 0), (baseline, 0)]
+        assert all(not sc.injections for sc, _seed in fault_free)
+        assert [lookups(sc, seed) for sc, seed in fault_free] == [0] * len(fault_free)
+        assert lookups(_day_long_fault(InjectionKind.SEQUENCER_OUTAGE, 20, 200)) > 0
+        assert lookups(_day_long_fault(InjectionKind.BRIDGE_HALT, 20, 200)) > 0
 
 
 def _resum(run: _Run) -> int:
@@ -2017,7 +2121,7 @@ class _AllOnHeapRun(_Run):
         while self._heap:
             t, _prio, _n, kind, args = heapq.heappop(self._heap)
             if horizon is not None and t > horizon:
-                self.now = horizon
+                self._cut()
                 break
             self.now = t
             getattr(self, "_on_" + kind)(*args)
