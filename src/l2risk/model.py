@@ -667,17 +667,11 @@ class RollupConfig:
     def centralized_default(cls) -> "RollupConfig":
         """Reference deployment: one operator runs sequencing, proposing, and
         upgrades with no user fallbacks, while proving capacity includes an
-        independent prover."""
+        independent prover. Only what differs from the field defaults is
+        written."""
         return cls(
-            proof_system=ProofSystem.ZK,
-            sequencer=SequencerConfig(topology=SequencerTopology.CENTRALIZED),
-            proposer=ProposerConfig(whitelist=True, count=1),
-            forced_inclusion=ForcedInclusionConfig(enabled=False),
-            escape_hatch=EscapeHatchConfig(enabled=False),
             da=DaConfig(mode=DaMode.EXTERNAL, attestation_quorum=1, withholding_possible=True),
-            upgrade=UpgradeConfig(policy=UpgradePolicy.INSTANT),
-            prover_set=ProverSetConfig(count=2, permissionless=False),
-            state_validation_enforced=True,
+            prover_set=ProverSetConfig(count=2),
         )
 
     def has_independent_provers(self) -> bool:

@@ -15,10 +15,18 @@ The model, in brief:
   elapses. The timeout path bounds inclusion delay by timeout plus one L1
   block regardless of how long the outage lasts.
 - Every landed batch gets a state root: proposable after proposal_delay,
-  plus proof generation time on validity-proof systems. Roots finalize after
-  finalization_depth L1 blocks (validity proofs) or the challenge window
-  (fraud proofs). Withdrawals pay out from the bridge once their root is
-  final; escape-hatch exits settle directly against finalized L1 state.
+  or on validity-proof systems after prover_latency if that is longer.
+  Roots finalize after finalization_depth L1 blocks (validity proofs) or the
+  challenge window (fraud proofs), and so does an unenforced invalid root.
+  _Run reads the proof system once and keeps the finality delay.
+  Withdrawals pay out from the bridge once their root is final; escape-hatch
+  exits settle directly against finalized L1 state.
+- A withdrawal's exit entry in _Run.pending is its own transaction, its
+  stage (queued, awaiting_root, claimable) written on it; a hatch exit has
+  no transaction and gets an entry of its own. An exit stays pending until
+  it is claimed, fails or is dropped. A denial is recorded once, in
+  _Run.denied, while the denied transaction waits for forced inclusion; a
+  dropped one is never applied and counts its denial as it drops.
 - The bridge escrow must always equal the sum of L2 balances and in-flight
   amounts. _move, _hold and _release are the only writers of those two
   ledgers and keep their running total, so the identity is checked after
@@ -243,9 +251,13 @@ class SimResult:
 
 
 class _Run:
+    # CPython 3.11-3.13 keep up to 29 instance attributes inline; a 30th
+    # moves them all to a dict, and every self.<name> read in the event loop
+    # slows down. A run holds 29, so the config is read through a property.
+    cfg = property(attrgetter("sc.config"))
+
     def __init__(self, scenario: Scenario, seed: int) -> None:
         self.sc = scenario
-        self.cfg = scenario.config
         self.p = scenario.params
         self.horizon = math.inf if self.p.horizon is None else self.p.horizon
         self.seed = seed
@@ -270,20 +282,23 @@ class _Run:
         self._txid = 0
 
         self.active: dict[int, Injection] = {}
-        # what a state root waits on before it can be proposed
-        zk = self.cfg.proof_system is ProofSystem.ZK
+        # a state root's rules: what holds up its proposal, and how long
+        # after proposal it finalizes
+        self._zk = zk = self.cfg.proof_system is ProofSystem.ZK
         self._root_effects = ("proposals", "proofs") if zk else ("proposals",)
+        final_blocks = self.p.finalization_depth * self.p.l1_block_interval
+        self._final_delay = final_blocks if zk else self.cfg.challenge_window
         self.exploit_drained = False
         self.latencies: dict[str, list[int]] = defaultdict(list)
         self.censorship_window = 0
         # tx id -> submission time of each denied transaction not yet applied
         self.denied: dict[str, int] = {}
-        # exits in flight, tracked for the frozen-funds metric
+        # exits in flight, tracked for the frozen-funds metric: a withdrawal's
+        # transaction or a hatch exit's entry, each with user, submitted, stage
         self.pending: dict[str, dict] = {}
         self._frozen_accum = 0
         self._frozen_since: int | None = None
 
-        self.exit_denominator: set[str] | None = None
         self.exit_coverage: float | None = None
 
     # -- plumbing -----------------------------------------------------------
@@ -544,7 +559,6 @@ class _Run:
             "user": user,
             "amount": amount,
             "submitted": self.now,
-            "denied": False,
         }
         self._enqueue_l2(credit)
 
@@ -557,13 +571,12 @@ class _Run:
             "amount": amount,
             "to": to,
             "submitted": self.now,
-            "denied": False,
         }
         self._emit("tx_submitted", txid, action, user, amount)
         if action == "withdraw":
-            self.pending[txid] = {"user": user, "submitted": self.now, "stage": "queued"}
+            tx["stage"] = "queued"
+            self.pending[txid] = tx
         if self.active and not self._seq_accepting(user):
-            tx["denied"] = True
             self._deny(tx)
         else:
             factor = self.p.degradation_factor if self.active and self._ends("admission") else 1
@@ -573,7 +586,6 @@ class _Run:
     def _on_tx_admitted(self, tx: dict) -> None:
         if self.active and not self._seq_accepting(tx["user"]):
             # the sequencer went away between submission and admission
-            tx["denied"] = True
             self._deny(tx)
             return
         self._emit("tx_admitted", tx["id"])
@@ -691,38 +703,35 @@ class _Run:
     def _apply_tx(self, tx: dict) -> str | None:
         """Apply one included transaction; returns the id of a successfully
         included withdrawal, else None."""
-        if tx["denied"]:
-            del self.denied[tx["id"]]
+        txid, kind, user, amount = tx["id"], tx["type"], tx["user"], tx["amount"]
+        denied = self.denied
+        if denied and txid in denied:
+            del denied[txid]
             self.censorship_window = max(self.censorship_window, self.now - tx["submitted"])
-        user, amount = tx["user"], tx["amount"]
-        if tx["type"] == "credit":
-            self._release(tx["id"])
+        if kind == "credit":
+            self._release(txid)
             self._move(user, amount)
-            self._emit("credit_applied", tx["id"], user, amount)
-            return None
-        if tx["type"] == "transfer":
-            if self.l2[user] < amount:
-                self._emit("tx_failed", tx["id"], user, "insufficient funds")
-                return None
-            self._move(user, -amount)
-            self._move(tx["to"], amount)
-            self._emit("transfer_applied", tx["id"], user, tx["to"], amount)
+            self._emit("credit_applied", txid, user, amount)
             return None
         if self.l2[user] < amount:
-            self._emit("tx_failed", tx["id"], user, "insufficient funds")
-            self.pending.pop(tx["id"], None)
+            self._emit("tx_failed", txid, user, "insufficient funds")
+            self.pending.pop(txid, None)  # a transfer was never pending
             return None
         self._move(user, -amount)
-        self._hold(tx["id"], user, amount)
-        self.pending[tx["id"]]["stage"] = "awaiting_root"
-        self._emit("withdrawal_included", tx["id"], user, amount)
-        return tx["id"]
+        if kind == "transfer":
+            self._move(tx["to"], amount)
+            self._emit("transfer_applied", txid, user, tx["to"], amount)
+            return None
+        self._hold(txid, user, amount)
+        tx["stage"] = "awaiting_root"
+        self._emit("withdrawal_included", txid, user, amount)
+        return txid
 
     # -- state roots and claims -------------------------------------------------
 
     def _schedule_proposal(self, batch_time: int, wids: list[str]) -> None:
         ready = batch_time + self.p.proposal_delay
-        if self.cfg.proof_system is ProofSystem.ZK:
+        if self._zk:
             ready = max(ready, batch_time + self.p.prover_latency)
         at = next_l1_block(ready, self.p.l1_block_interval)
         self._push(at, _P_L1, "proposal_attempt", batch_time, wids)
@@ -735,22 +744,15 @@ class _Run:
             self._push(retry, _P_L1, "proposal_attempt", batch_time, wids)
             return
         self._emit("proposal", batch_time, len(wids))
-        if self.cfg.proof_system is ProofSystem.ZK:
-            final = self.now + self.p.finalization_depth * self.p.l1_block_interval
-        else:
-            final = self.now + self.cfg.challenge_window
-        self._push(final, _P_L1, "root_finalized", batch_time, wids)
+        self._push(self.now + self._final_delay, _P_L1, "root_finalized", batch_time, wids)
 
     def _on_root_finalized(self, batch_time: int, wids: list[str]) -> None:
         self._emit("root_finalized", batch_time, len(wids))
         for wid in wids:
-            if wid in self.pending:
-                self.pending[wid]["stage"] = "claimable"
-                self._push(self.now, _P_L1, "claim", wid)
+            self.pending[wid]["stage"] = "claimable"
+            self._push(self.now, _P_L1, "claim", wid)
 
     def _on_claim(self, wid: str) -> None:
-        if wid not in self.pending:
-            return
         ends = self._ends("claims", "bridge") if self.active else None
         if ends:
             self.pending[wid]["stage"] = "claimable"
@@ -805,23 +807,16 @@ class _Run:
     def _on_invalid_root_landed(self, idx: int) -> None:
         inj = self.sc.injections[idx]
         self._emit("invalid_root_landed", inj.amount)
-        optimistic = self.cfg.proof_system is ProofSystem.OPTIMISTIC
-        if self.cfg.state_validation_enforced and not optimistic:
-            self._emit("root_rejected", "validity proof required")
-            return
+        final = self.now + self._final_delay
         if self.cfg.state_validation_enforced:
-            deadline = self.now + self.cfg.challenge_window
-            challenge_at = self._first_challenge_opportunity(self.now, deadline)
+            if self._zk:
+                self._emit("root_rejected", "validity proof required")
+                return
+            challenge_at = self._first_challenge_opportunity(self.now, final)
             if challenge_at is not None:
                 self._push(challenge_at, _P_L1, "root_challenged", idx)
                 return
-            self._push(deadline, _P_L1, "invalid_root_finalized", idx)
-            return
-        # no enforced validation: nothing stands between the root and finality
-        if optimistic:
-            final = self.now + self.cfg.challenge_window
-        else:
-            final = self.now + self.p.finalization_depth * self.p.l1_block_interval
+        # unenforced, or no challenger came: nothing stops the root finalizing
         self._push(final, _P_L1, "invalid_root_finalized", idx)
 
     def _first_challenge_opportunity(self, landed: int, deadline: int) -> int | None:
@@ -864,19 +859,19 @@ class _Run:
         return holders
 
     def _on_upgrade_announce(self) -> None:
-        self.exit_denominator = self._holders()
+        holders = self._holders()
         if self.cfg.upgrade.policy is UpgradePolicy.TIMELOCKED:
             activation = self.now + self.cfg.upgrade.window
         else:
             activation = self.now
-        holders = sorted(self.exit_denominator)
-        self._emit("upgrade_announced", activation, holders)
-        self._push(activation, _P_UPGRADE, "upgrade_activated")
+        self._emit("upgrade_announced", activation, sorted(holders))
+        self._push(activation, _P_UPGRADE, "upgrade_activated", holders)
 
-    def _on_upgrade_activated(self) -> None:
-        if self.exit_denominator:
-            exited = self.exit_denominator - self._holders()
-            self.exit_coverage = len(exited) / len(self.exit_denominator)
+    def _on_upgrade_activated(self, holders: set[str]) -> None:
+        """Exit coverage: the share of the announced holders gone by activation."""
+        if holders:
+            exited = holders - self._holders()
+            self.exit_coverage = len(exited) / len(holders)
         else:
             self.exit_coverage = None
         self._emit("upgrade_activated", self.exit_coverage)

@@ -122,30 +122,34 @@ def render_schema_text(report: SchemaReport) -> str:
 # ---------------------------------------------------------------------------
 # Document loading and layout adapters
 
-Adapter = Callable[[Any], "list[dict] | None"]
+# An adapter returns a layout's project entries as (position, entry) pairs,
+# the position a list index or an object key, or None for another layout.
+# Entries that are not objects are kept, so the extract can name each one
+# it drops.
+Adapter = Callable[[Any], "list[tuple[int | str, Any]] | None"]
 
 
-def _adapt_normalized(doc: Any) -> list[dict] | None:
+def _adapt_normalized(doc: Any) -> list[tuple[int | str, Any]] | None:
     if isinstance(doc, dict) and isinstance(doc.get("projects"), list):
-        return [p for p in doc["projects"] if isinstance(p, dict)]
+        return list(enumerate(doc["projects"]))
     return None
 
 
-def _adapt_keyed(doc: Any) -> list[dict] | None:
+def _adapt_keyed(doc: Any) -> list[tuple[int | str, Any]] | None:
     """Layout with projects as an id-keyed object instead of an array."""
     if isinstance(doc, dict) and isinstance(doc.get("projects"), dict):
-        out = []
-        for key, raw in doc["projects"].items():
-            if isinstance(raw, dict):
-                out.append({"id": raw.get("id", key), **raw})
-        return out
+        return [
+            (key, {"id": raw.get("id", key), **raw} if isinstance(raw, dict) else raw)
+            for key, raw in doc["projects"].items()
+        ]
     return None
 
 
-def _adapt_wrapped(doc: Any) -> list[dict] | None:
+def _adapt_wrapped(doc: Any) -> list[tuple[int | str, Any]] | None:
     """Layout with the project array nested under a "data" envelope."""
     if isinstance(doc, dict) and isinstance(doc.get("data"), dict):
-        return _adapt_normalized(doc["data"]) or _adapt_keyed(doc["data"])
+        rows = _adapt_normalized(doc["data"])
+        return rows if rows is not None else _adapt_keyed(doc["data"])
     return None
 
 
@@ -164,7 +168,7 @@ def load_snapshot(path: str | Path, *, text: str | None = None) -> Any:
     return load_json(path, text, SnapshotParseError)
 
 
-def _project_rows(doc: Any, adapter: str) -> list[dict]:
+def _project_rows(doc: Any, adapter: str) -> list[tuple[int | str, Any]]:
     if adapter == "auto":
         names, mismatch = ADAPTERS, "no adapter recognizes this document"
     elif adapter in ADAPTERS:
@@ -285,8 +289,10 @@ def extract_projects(
 ) -> ExtractResult:
     """Turn a snapshot document into flagged project risk profiles.
 
-    Projects without a category are skipped with a warning; categories
-    outside the tracked three are excluded with a warning. Warnings are
+    Project entries that are not objects are dropped with a warning naming
+    their list index or object key. Projects without a category are skipped
+    with a warning; categories outside the tracked three are excluded with
+    a warning. Warnings are
     returned in ExtractResult.warnings, never logged. Duplicate project
     ids are a hard error. An explicit ``categories`` filter narrows the
     result further.
@@ -299,7 +305,10 @@ def extract_projects(
     flagged_rows: dict[tuple[str, str, str, str], RiskEntry] = {}
     parsed_labels: dict[str, ProjectCategory | None] = {}
 
-    for raw in _project_rows(doc, adapter):
+    for position, raw in _project_rows(doc, adapter):
+        if not isinstance(raw, dict):
+            warnings.append(f"project entry {position!r}: not an object; dropped")
+            continue
         name = str(raw.get("name") or raw.get("id") or "")
         project_id = str(raw.get("id") or _slug(name))
         raw_category = raw.get("category")

@@ -152,6 +152,27 @@ def test_ingest_snapshot_unrecognized_layout_exits_3(tmp_path, capsys):
     assert "totally" in err  # the schema survey names the unexpected keys
 
 
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ({"projects": []}, "normalized"),
+        ({"projects": {}}, "keyed"),
+        ({"data": {"projects": []}}, "wrapped"),
+        ({"data": {"projects": {}}}, "wrapped"),
+    ],
+)
+@pytest.mark.parametrize("auto", [True, False])
+def test_ingest_snapshot_empty_layout_reads_as_no_projects(tmp_path, capsys, doc, named, auto):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    adapter = "auto" if auto else named
+    argv = ["ingest-snapshot", "--snapshot", str(path), "--adapter", adapter, "--format", "json"]
+    assert main(argv) == 0
+    printed = capsys.readouterr()
+    assert json.loads(printed.out)["total_projects"] == 0
+    assert printed.err == ""
+
+
 def test_ingest_snapshot_invalid_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

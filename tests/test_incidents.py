@@ -321,6 +321,17 @@ class TestParsingEdgeCases:
         assert dist.unmapped == 1
         assert all(v is None for v in dist.shares.values())
 
+    def test_unmapped_records_are_noted_under_the_distribution_text(self):
+        text = (
+            self.HEADER
+            + "Chain A,2024-01-01,https://example.com/a,Governance drama\n"
+            + "Chain B,2024-01-02,https://example.com/b,Sequencer halt\n"
+        )
+        dist = distribution(parse_incidents("<mem>", text=text).records)
+        assert render_distribution_text(dist).splitlines()[-1] == (
+            "(excluded: 1 record(s) with labels outside the glossary)"
+        )
+
     def test_tsv_is_accepted(self):
         text = "name\tdate\tlink\tincident_type\nChain A\t2024-01-01\thttps://example.com/a\tSequencer halt\n"
         result = parse_incidents("<mem>", text=text)

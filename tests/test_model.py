@@ -14,6 +14,7 @@ from l2risk.model import (
     DaConfig,
     DaMode,
     EraField,
+    EscapeHatchConfig,
     FIELD_TABLE,
     ForcedInclusionConfig,
     HarmMetrics,
@@ -31,6 +32,7 @@ from l2risk.model import (
     RoleMatrix,
     RollupConfig,
     SequencerConfig,
+    SequencerTopology,
     Sentiment,
     SourceKind,
     Stakeholder,
@@ -297,6 +299,20 @@ class TestRollupConfigValidation:
 
     def test_default_config_has_independent_provers(self):
         assert RollupConfig.centralized_default().has_independent_provers()
+
+    def test_centralized_default_is_the_reference_deployment_spelled_out(self):
+        # every field written out, as the reference deployment was first built
+        assert RollupConfig.centralized_default() == RollupConfig(
+            proof_system=ProofSystem.ZK,
+            sequencer=SequencerConfig(topology=SequencerTopology.CENTRALIZED),
+            proposer=ProposerConfig(whitelist=True, count=1),
+            forced_inclusion=ForcedInclusionConfig(enabled=False),
+            escape_hatch=EscapeHatchConfig(enabled=False),
+            da=DaConfig(mode=DaMode.EXTERNAL, attestation_quorum=1, withholding_possible=True),
+            upgrade=UpgradeConfig(policy=UpgradePolicy.INSTANT),
+            prover_set=ProverSetConfig(count=2, permissionless=False),
+            state_validation_enforced=True,
+        )
 
     @pytest.mark.parametrize("value", [True, 0.5, 100.0])
     @pytest.mark.parametrize(

@@ -576,6 +576,20 @@ def test_render_contains_every_section(bundle):
     assert "Simulations" not in text
 
 
+def test_render_says_when_no_mitigation_is_indicated(tmp_path):
+    # no projects and no incidents: neither bucket picks a mitigation
+    snapshot, incidents = tmp_path / "empty.json", tmp_path / "empty.csv"
+    snapshot.write_text('{"projects": []}')
+    incidents.write_text("name,date,link,incident_type\n")
+    text = render_report_text(build_report(snapshot_path=snapshot, incidents_path=incidents))
+    assert text.splitlines()[-4:] == [
+        "  Immediate / operational:",
+        "  - none indicated by the incident record",
+        "  Structural / governance:",
+        "  - none indicated by the prevalence table",
+    ]
+
+
 def test_render_lists_simulations_when_present():
     scen = fixture_path("scenarios/sequencer-outage-fi-1h.json")
     b = build_report(snapshot_path=SNAPSHOT, incidents_path=INCIDENTS, scenario_paths=[scen])

@@ -1860,6 +1860,17 @@ class TestStallBookkeeping:
         assert lookups(_day_long_fault(InjectionKind.SEQUENCER_OUTAGE, 20, 200)) > 0
         assert lookups(_day_long_fault(InjectionKind.BRIDGE_HALT, 20, 200)) > 0
 
+    @pytest.mark.parametrize(
+        "name", ["instant-upgrade", "exploit-invalid-root", "sequencer-outage-fi-24h"]
+    )
+    def test_a_run_keeps_its_attributes_inline(self, name):
+        # CPython 3.11-3.13 keep up to 29 instance attributes inline; a 30th
+        # moves them to a dict and slows every attribute read of the loop
+        # (sim-ladder ops_per_s fell 3.7% at 32)
+        run = _Run(load_bundled_scenario(name), 0)
+        run.execute()
+        assert len(vars(run)) <= 29
+
 
 def _resum(run: _Run) -> int:
     """Every L2 balance and in-flight amount, summed afresh."""

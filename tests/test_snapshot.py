@@ -259,6 +259,9 @@ class TestExtract:
         assert "rows[]" in exc.value.report.path_names()
 
 
+_PROJECT = {"id": "a", "category": "zk-rollup"}
+
+
 class TestAdapters:
     def test_keyed_layout_matches_normalized(self, fixture_doc):
         keyed = {
@@ -289,6 +292,30 @@ class TestAdapters:
     def test_explicit_adapter_mismatch_raises(self, fixture_doc):
         with pytest.raises(SchemaMismatchError):
             extract_projects({"data": fixture_doc}, adapter="normalized")
+
+    @pytest.mark.parametrize(
+        "doc, named, dropped",
+        [
+            ({"projects": [7, _PROJECT, None]}, "normalized", [0, 2]),
+            ({"projects": {"x": 7, "a": _PROJECT}}, "keyed", ["x"]),
+            ({"data": {"projects": ["row", _PROJECT]}}, "wrapped", [0]),
+            ({"data": {"projects": {"a": _PROJECT, "x": []}}}, "wrapped", ["x"]),
+        ],
+    )
+    @pytest.mark.parametrize("auto", [True, False])
+    def test_a_project_entry_that_is_not_an_object_is_named_as_dropped(
+        self, doc, named, dropped, auto
+    ):
+        result = extract_projects(doc, adapter="auto" if auto else named)
+        assert [p.project_id for p in result.profiles] == ["a"]
+        assert list(result.warnings) == [
+            f"project entry {position!r}: not an object; dropped" for position in dropped
+        ]
+
+    def test_a_project_with_no_id_or_name_is_skipped(self):
+        result = extract_projects({"projects": [{"category": "zk-rollup"}, _PROJECT]})
+        assert [p.project_id for p in result.profiles] == ["a"]
+        assert result.warnings == ("project with no id or name skipped",)
 
 
 class TestPrevalence:
