@@ -278,72 +278,53 @@ def detect_problematic(
 # ---------------------------------------------------------------------------
 # Mitigation prioritization
 
-IMMEDIATE_MITIGATIONS = (
-    "strengthen-sequencer-liveness",
-    "open-proposer-and-proof-submission",
-    "public-tested-fallbacks",
-)
-STRUCTURAL_MITIGATIONS = (
-    "timelocked-upgrades-exit-windows",
-    "mandatory-l1-state-validation",
-    "reduce-external-da-reliance",
-)
+_IMMEDIATE, _STRUCTURAL = "immediate", "structural"
+_B, _D = CompressedIncidentType, RiskDimension
 
-MITIGATION_LABELS: Mapping[str, str] = MappingProxyType(
-    {
-        "strengthen-sequencer-liveness": "Strengthen sequencer liveness protections and inclusion paths",
-        "open-proposer-and-proof-submission": "Open proposer and proof submission beyond a fixed whitelist",
-        "public-tested-fallbacks": "Make emergency procedures and fallbacks public and regularly tested",
-        "timelocked-upgrades-exit-windows": "Timelock upgrades and guarantee exit windows backed by escape hatches",
-        "mandatory-l1-state-validation": "Make L1 state validation mandatory with published proof specifications",
-        "reduce-external-da-reliance": "Reduce reliance on offchain data availability for state reconstruction",
-    }
+# One row per mitigation, in canonical order: (id, bucket, label, incident
+# buckets whose lead argues for it, latent dimension whose prevalence argues
+# for it or None). Rows rather than dicts keyed by enum members, so that no
+# enum hash is fixed at import.
+MITIGATIONS: tuple[tuple[str, str, str, tuple[_B, ...], _D | None], ...] = (
+    ("strengthen-sequencer-liveness", _IMMEDIATE,
+     "Strengthen sequencer liveness protections and inclusion paths",
+     (_B.SEQUENCER_DISRUPTION, _B.CENSORSHIP_OR_FORCED_INCLUSION), None),
+    ("open-proposer-and-proof-submission", _IMMEDIATE,
+     "Open proposer and proof submission beyond a fixed whitelist",
+     (_B.SEQUENCER_DISRUPTION, _B.BRIDGE_OR_WITHDRAWAL), None),
+    ("public-tested-fallbacks", _IMMEDIATE,
+     "Make emergency procedures and fallbacks public and regularly tested",
+     tuple(_B), None),
+    ("timelocked-upgrades-exit-windows", _STRUCTURAL,
+     "Timelock upgrades and guarantee exit windows backed by escape hatches",
+     (), _D.EXIT_WINDOW),
+    ("mandatory-l1-state-validation", _STRUCTURAL,
+     "Make L1 state validation mandatory with published proof specifications",
+     (_B.EXPLOIT_OR_SECURITY,), _D.STATE_VALIDATION),
+    ("reduce-external-da-reliance", _STRUCTURAL,
+     "Reduce reliance on offchain data availability for state reconstruction",
+     (), _D.DATA_AVAILABILITY),
 )
-
-# What a dominant incident bucket argues for; each mitigation's bucket is
-# the one of the two tuples above that holds it.
-_DRIVER_TABLE: Mapping[CompressedIncidentType, tuple[str, ...]] = MappingProxyType(
-    {
-        CompressedIncidentType.SEQUENCER_DISRUPTION: IMMEDIATE_MITIGATIONS,
-        CompressedIncidentType.BRIDGE_OR_WITHDRAWAL: (
-            "open-proposer-and-proof-submission",
-            "public-tested-fallbacks",
-        ),
-        CompressedIncidentType.EXPLOIT_OR_SECURITY: (
-            "public-tested-fallbacks",
-            "mandatory-l1-state-validation",
-        ),
-        CompressedIncidentType.CENSORSHIP_OR_FORCED_INCLUSION: (
-            "strengthen-sequencer-liveness",
-            "public-tested-fallbacks",
-        ),
-    }
-)
-
-_PREVALENCE_MITIGATIONS: Mapping[RiskDimension, str] = MappingProxyType(
-    {
-        RiskDimension.EXIT_WINDOW: "timelocked-upgrades-exit-windows",
-        RiskDimension.STATE_VALIDATION: "mandatory-l1-state-validation",
-        RiskDimension.DATA_AVAILABILITY: "reduce-external-da-reliance",
-    }
-)
+IMMEDIATE_MITIGATIONS = tuple(m for m, bucket, *_ in MITIGATIONS if bucket == _IMMEDIATE)
+STRUCTURAL_MITIGATIONS = tuple(m for m, bucket, *_ in MITIGATIONS if bucket == _STRUCTURAL)
+MITIGATION_LABELS: Mapping[str, str] = MappingProxyType({m: label for m, _, label, *_ in MITIGATIONS})
 
 DEFAULT_PREVALENCE_THRESHOLD = 20.0
 
 
 @dataclass(frozen=True)
 class Prioritization:
-    """Two disjoint mitigation buckets in canonical order, with one-line
-    rationales keyed by mitigation id."""
+    """The picked mitigations' one-line rationales keyed by id, in the order
+    picked; each bucket lists its picked ids in table order."""
 
-    immediate_operational: tuple[str, ...]
-    structural_governance: tuple[str, ...]
     rationale: Mapping[str, str]
 
-    def __post_init__(self) -> None:
-        if set(self.immediate_operational) & set(self.structural_governance):
-            raise ValueError("prioritization buckets must be disjoint")
-        object.__setattr__(self, "rationale", MappingProxyType(dict(self.rationale)))
+    immediate_operational = property(
+        lambda self: tuple(m for m in IMMEDIATE_MITIGATIONS if m in self.rationale)
+    )
+    structural_governance = property(
+        lambda self: tuple(m for m in STRUCTURAL_MITIGATIONS if m in self.rationale)
+    )
 
     def to_dict(self) -> dict:
         return {
@@ -362,10 +343,10 @@ def prioritize(
     incidents concentrate and a structural-governance bucket driven by how
     widespread the latent hazards are.
 
-    Every incident bucket tied for the most incidents picks its row of
-    ``_DRIVER_TABLE``; a dominant exploit bucket thereby also argues for
-    mandatory state validation. Each latent hazard above
-    ``DEFAULT_PREVALENCE_THRESHOLD`` percent of projects picks its structural
+    Every incident bucket tied for the most incidents picks each row of
+    ``MITIGATIONS`` that lists it; a dominant exploit bucket thereby also
+    argues for mandatory state validation. Each latent hazard above
+    ``DEFAULT_PREVALENCE_THRESHOLD`` percent of projects picks its row's
     mitigation, even with zero realized incidents. Findings annotate the
     rationales but cannot change what is picked, so input order never matters.
     """
@@ -374,15 +355,14 @@ def prioritize(
         top = max(dist.counts.values())
         for driver in CompressedIncidentType:
             if dist.counts[driver] == top:
-                share = dist.shares[driver]
-                for m in _DRIVER_TABLE[driver]:
-                    rationale.setdefault(
-                        m, f"{driver.value} leads the incident distribution at {share:.1f}%"
-                    )
+                reason = f"{driver.value} leads the incident distribution at {dist.shares[driver]:.1f}%"
+                for m, _, _, drivers, _ in MITIGATIONS:
+                    if driver in drivers:
+                        rationale.setdefault(m, reason)
 
     if prevalence is not None and prevalence.total_projects > 0:
-        for dim, m in _PREVALENCE_MITIGATIONS.items():
-            share = prevalence.shares[dim]
+        for m, _, _, _, dim in MITIGATIONS:
+            share = None if dim is None else prevalence.shares[dim]
             if share is not None and share > DEFAULT_PREVALENCE_THRESHOLD:
                 reason = f"{share:.1f}% of analyzed projects carry the {dim.value} hazard"
                 rationale[m] = f"{rationale[m]}; {reason}" if m in rationale else reason
@@ -392,8 +372,4 @@ def prioritize(
         for m in rationale:
             rationale[m] += f" (deployment findings flag fields {problem_fields})"
 
-    return Prioritization(
-        immediate_operational=tuple(m for m in IMMEDIATE_MITIGATIONS if m in rationale),
-        structural_governance=tuple(m for m in STRUCTURAL_MITIGATIONS if m in rationale),
-        rationale=rationale,
-    )
+    return Prioritization(MappingProxyType(rationale))

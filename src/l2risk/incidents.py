@@ -106,10 +106,12 @@ def parse_incidents(source: str | Path, *, text: str | None = None) -> IncidentP
     with empty project names or dates not written YYYY-MM-DD are rejected
     with their line numbers; exact repeats of (project, date,
     label, source host+path) are dropped as duplicates.
-    Pass ``text`` to parse in-memory content instead of reading ``source``.
+    One leading UTF-8 byte-order mark is ignored. Pass ``text`` to parse
+    in-memory content instead of reading ``source``.
     """
     if text is None:
         text = decode_file(source, Path(source).read_bytes())
+    text = text.removeprefix("\ufeff")  # the byte-order mark of a spreadsheet export
     issues: list[RowIssue] = []
     if not text.strip():
         return IncidentParseResult((), (RowIssue(0, "empty incident table"),), 0)

@@ -19,7 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from l2risk import __version__
 from l2risk.engine import (
@@ -255,8 +255,8 @@ def build_report(
     )
 
 
-def _bullets(items: Iterable[str], labels: Mapping[str, str]) -> list[str]:
-    return [f"  - {labels.get(item, item)}" for item in items]
+def _bullets(items: Iterable[str]) -> list[str]:
+    return [f"  - {MITIGATION_LABELS[item]}" for item in items]
 
 
 def render_report_text(bundle: ReportBundle) -> str:
@@ -285,12 +285,12 @@ def render_report_text(bundle: ReportBundle) -> str:
     lines.append("Prioritized mitigations")
     lines.append("  Immediate / operational:")
     lines.extend(
-        _bullets(bundle.prioritization.immediate_operational, MITIGATION_LABELS)
+        _bullets(bundle.prioritization.immediate_operational)
         or ["  - none indicated by the incident record"]
     )
     lines.append("  Structural / governance:")
     lines.extend(
-        _bullets(bundle.prioritization.structural_governance, MITIGATION_LABELS)
+        _bullets(bundle.prioritization.structural_governance)
         or ["  - none indicated by the prevalence table"]
     )
     if bundle.simulations:

@@ -138,10 +138,7 @@ def _adapt_normalized(doc: Any) -> list[tuple[int | str, Any]] | None:
 def _adapt_keyed(doc: Any) -> list[tuple[int | str, Any]] | None:
     """Layout with projects as an id-keyed object instead of an array."""
     if isinstance(doc, dict) and isinstance(doc.get("projects"), dict):
-        return [
-            (key, {"id": raw.get("id", key), **raw} if isinstance(raw, dict) else raw)
-            for key, raw in doc["projects"].items()
-        ]
+        return list(doc["projects"].items())
     return None
 
 
@@ -273,6 +270,7 @@ def _flag_fields(
 # Extraction
 
 CONFORMING_CATEGORIES = frozenset(ProjectCategory)
+_TEXT_OR_NONE = (str, type(None))  # the types a project id or name may take
 
 
 @dataclass(frozen=True)
@@ -289,13 +287,16 @@ def extract_projects(
 ) -> ExtractResult:
     """Turn a snapshot document into flagged project risk profiles.
 
-    Project entries that are not objects are dropped with a warning naming
-    their list index or object key. Projects without a category are skipped
-    with a warning; categories outside the tracked three are excluded with
-    a warning. Warnings are
-    returned in ExtractResult.warnings, never logged. Duplicate project
-    ids are a hard error. An explicit ``categories`` filter narrows the
-    result further.
+    Project entries that are not objects, or whose id or name is present but
+    not a string, are dropped with a warning naming their list index or
+    object key. A string id or name is taken as written. An absent, null or
+    empty id falls back to the object key in a keyed layout and otherwise to
+    the name's slug; an absent, null or empty name falls back to the id.
+    Projects without a category are skipped with a warning; categories
+    outside the tracked three are excluded with a warning. Warnings are
+    returned in ExtractResult.warnings, never logged. Duplicate project ids
+    are a hard error. An explicit ``categories`` filter narrows the result
+    further.
     """
     ruleset = ruleset or FlagRuleset.default()
     wanted = frozenset(categories) if categories is not None else CONFORMING_CATEGORIES
@@ -309,8 +310,15 @@ def extract_projects(
         if not isinstance(raw, dict):
             warnings.append(f"project entry {position!r}: not an object; dropped")
             continue
-        name = str(raw.get("name") or raw.get("id") or "")
-        project_id = str(raw.get("id") or _slug(name))
+        project_id, name = raw.get("id"), raw.get("name")
+        if type(project_id) not in _TEXT_OR_NONE or type(name) not in _TEXT_OR_NONE:
+            field = "id" if type(project_id) not in _TEXT_OR_NONE else "name"
+            warnings.append(
+                f"project entry {position!r}: {field} must be a string, not {raw[field]!r}; dropped"
+            )
+            continue
+        project_id = project_id or (position if type(position) is str else _slug(name or ""))
+        name = name or project_id
         raw_category = raw.get("category")
         if not raw_category:
             warnings.append(f"project {project_id or name or '?'}: no category; skipped")
@@ -363,7 +371,7 @@ def extract_projects(
                 continue
             dims_seen.add(entry.dimension)
             entries.append(entry)
-        profiles.append(ProjectRiskProfile(project_id, name or project_id, category, tuple(entries)))
+        profiles.append(ProjectRiskProfile(project_id, name, category, tuple(entries)))
 
     return ExtractResult(tuple(profiles), tuple(warnings))
 

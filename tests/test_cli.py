@@ -265,6 +265,26 @@ def test_incident_table_after_a_blank_line_reads_as_without_it(tmp_path, capsys,
     assert payloads[0] == payloads[1]
 
 
+def test_ingest_incidents_reads_a_table_saved_with_a_byte_order_mark(tmp_path, capsys):
+    marked = tmp_path / "inc.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(INCIDENTS).read_bytes())
+    payloads = []
+    for path in (INCIDENTS, str(marked)):
+        assert main(["ingest-incidents", "--incidents", path, "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payloads.append(json.loads(captured.out))
+    assert payloads[0]["total"] == 32
+    assert payloads[0] == payloads[1]
+
+
+def test_a_json_input_with_a_byte_order_mark_is_still_refused(tmp_path, capsys):
+    marked = tmp_path / "snap.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(SNAPSHOT).read_bytes())
+    assert main(["ingest-snapshot", "--snapshot", str(marked)]) == 2
+    assert "Unexpected UTF-8 BOM" in capsys.readouterr().err
+
+
 def test_ingest_incidents_header_only_is_empty_distribution(tmp_path, capsys):
     csv = tmp_path / "empty.csv"
     csv.write_text("name,date,link,incident_type\n")

@@ -2,10 +2,16 @@ import itertools
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from l2risk.data import INCIDENTS_CSV, SNAPSHOT_JSON, fixture_path
 from l2risk.engine import (
     BASELINE_ROLES,
+    IMMEDIATE_MITIGATIONS,
+    MITIGATION_LABELS,
+    MITIGATIONS,
+    STRUCTURAL_MITIGATIONS,
     Finding,
     NARRATIVES,
     OutsideDiagramError,
@@ -34,6 +40,7 @@ from l2risk.model import (
     Stakeholder,
     UpgradeConfig,
     UpgradePolicy,
+    share_table,
 )
 from l2risk.snapshot import PrevalenceTable, aggregate_prevalence, extract_projects, load_snapshot
 
@@ -418,3 +425,148 @@ class TestPrioritize:
         result = prioritize((), None, None)
         assert result.immediate_operational == ()
         assert result.structural_governance == ()
+
+
+# The mitigation tables as they were written before ``MITIGATIONS`` held one
+# row per id: each bucket's ids, each label, what each dominant incident
+# bucket argued for, and what each latent dimension argued for.
+_B, _D = CompressedIncidentType, RiskDimension
+OLD_IMMEDIATE = (
+    "strengthen-sequencer-liveness",
+    "open-proposer-and-proof-submission",
+    "public-tested-fallbacks",
+)
+OLD_STRUCTURAL = (
+    "timelocked-upgrades-exit-windows",
+    "mandatory-l1-state-validation",
+    "reduce-external-da-reliance",
+)
+OLD_LABELS = {
+    "strengthen-sequencer-liveness": "Strengthen sequencer liveness protections and inclusion paths",
+    "open-proposer-and-proof-submission": "Open proposer and proof submission beyond a fixed whitelist",
+    "public-tested-fallbacks": "Make emergency procedures and fallbacks public and regularly tested",
+    "timelocked-upgrades-exit-windows": "Timelock upgrades and guarantee exit windows backed by escape hatches",
+    "mandatory-l1-state-validation": "Make L1 state validation mandatory with published proof specifications",
+    "reduce-external-da-reliance": "Reduce reliance on offchain data availability for state reconstruction",
+}
+OLD_DRIVER_TABLE = {
+    _B.SEQUENCER_DISRUPTION: OLD_IMMEDIATE,
+    _B.BRIDGE_OR_WITHDRAWAL: ("open-proposer-and-proof-submission", "public-tested-fallbacks"),
+    _B.EXPLOIT_OR_SECURITY: ("public-tested-fallbacks", "mandatory-l1-state-validation"),
+    _B.CENSORSHIP_OR_FORCED_INCLUSION: ("strengthen-sequencer-liveness", "public-tested-fallbacks"),
+}
+OLD_PREVALENCE_MITIGATIONS = {
+    _D.EXIT_WINDOW: "timelocked-upgrades-exit-windows",
+    _D.STATE_VALIDATION: "mandatory-l1-state-validation",
+    _D.DATA_AVAILABILITY: "reduce-external-da-reliance",
+}
+
+
+def reference_prioritize(findings, prevalence, dist):
+    """Oracle: prioritize as it was written over the old driver tables,
+    returning (immediate bucket, structural bucket, rationale dict)."""
+    rationale = {}
+    if dist is not None and dist.total > 0:
+        top = max(dist.counts.values())
+        for driver in CompressedIncidentType:
+            if dist.counts[driver] == top:
+                share = dist.shares[driver]
+                for m in OLD_DRIVER_TABLE[driver]:
+                    rationale.setdefault(
+                        m, f"{driver.value} leads the incident distribution at {share:.1f}%"
+                    )
+    if prevalence is not None and prevalence.total_projects > 0:
+        for dim, m in OLD_PREVALENCE_MITIGATIONS.items():
+            share = prevalence.shares[dim]
+            if share is not None and share > 20.0:
+                reason = f"{share:.1f}% of analyzed projects carry the {dim.value} hazard"
+                rationale[m] = f"{rationale[m]}; {reason}" if m in rationale else reason
+    problem_fields = sorted({int(f.field) for f in findings if not f.informational})
+    if problem_fields:
+        for m in rationale:
+            rationale[m] += f" (deployment findings flag fields {problem_fields})"
+    return (
+        tuple(m for m in OLD_IMMEDIATE if m in rationale),
+        tuple(m for m in OLD_STRUCTURAL if m in rationale),
+        rationale,
+    )
+
+
+def _incidents(counts):
+    total = sum(counts.values())
+    return IncidentDistribution(
+        total, counts, share_table(CompressedIncidentType, counts, total), 0, min(total, 1), None
+    )
+
+
+def _prevalence(total, flagged):
+    return PrevalenceTable(total, flagged, share_table(RiskDimension, flagged, total))
+
+
+@st.composite
+def _distributions(draw):
+    if draw(st.integers(0, 5)) == 0:
+        return None
+    # small counts, so that tied top buckets and an all-zero record are common
+    return _incidents({t: draw(st.integers(0, 3)) for t in CompressedIncidentType})
+
+
+@st.composite
+def _prevalences(draw):
+    if draw(st.integers(0, 5)) == 0:
+        return None
+    total = draw(st.sampled_from([0, 1, 5, 129, 1000]))
+    # at 1,000 projects, 199, 200 and 201 read 19.9%, 20.0% and 20.1%
+    counts = st.integers(0, total) | st.sampled_from([c for c in (199, 200, 201) if c <= total] or [0])
+    return _prevalence(total, {d: draw(counts) for d in RiskDimension})
+
+
+_FINDINGS = st.lists(st.sampled_from(sorted(NARRATIVES)), unique=True, max_size=4).map(
+    lambda keys: tuple(Finding(key, frozenset({Stakeholder.END_USER})) for key in keys)
+)
+
+
+class TestMitigationTable:
+    def test_the_bucket_views_and_labels_are_the_old_tables(self):
+        assert IMMEDIATE_MITIGATIONS == OLD_IMMEDIATE
+        assert STRUCTURAL_MITIGATIONS == OLD_STRUCTURAL
+        assert list(MITIGATION_LABELS.items()) == list(OLD_LABELS.items())
+        assert [m for m, *_ in MITIGATIONS] == [*OLD_IMMEDIATE, *OLD_STRUCTURAL]
+
+    def test_the_rows_rebuild_the_old_driver_tables(self):
+        drivers = {
+            bucket: tuple(m for m, _, _, buckets, _ in MITIGATIONS if bucket in buckets)
+            for bucket in CompressedIncidentType
+        }
+        assert list(drivers.items()) == list(OLD_DRIVER_TABLE.items())
+        dimensions = {dim: m for m, _, _, _, dim in MITIGATIONS if dim is not None}
+        assert list(dimensions.items()) == list(OLD_PREVALENCE_MITIGATIONS.items())
+
+    def test_every_row_is_picked_by_a_driver_bucket_or_a_dimension(self):
+        picked = set()
+        for bucket in CompressedIncidentType:
+            dist = _incidents({t: int(t is bucket) for t in CompressedIncidentType})
+            picked.update(prioritize((), None, dist).rationale)
+        for dim in RiskDimension:
+            prevalence = _prevalence(1, {d: int(d is dim) for d in RiskDimension})
+            picked.update(prioritize((), prevalence, None).rationale)
+        assert picked == {m for m, *_ in MITIGATIONS}
+
+    @settings(max_examples=400, deadline=None)
+    @given(findings=_FINDINGS, prevalence=_prevalences(), dist=_distributions())
+    @example(  # shares either side of the threshold, and three tied top buckets
+        findings=(),
+        prevalence=_prevalence(1000, dict(zip(RiskDimension, (201, 200, 199, 201, 201)))),
+        dist=_incidents(dict(zip(CompressedIncidentType, (2, 2, 1, 2)))),
+    )
+    @example(  # zero totals with a problem finding
+        findings=(Finding("exposed-users-without-fallback", frozenset({Stakeholder.END_USER})),),
+        prevalence=_prevalence(0, dict.fromkeys(RiskDimension, 0)),
+        dist=_incidents(dict.fromkeys(CompressedIncidentType, 0)),
+    )
+    def test_prioritize_matches_the_old_tables(self, findings, prevalence, dist):
+        immediate, structural, rationale = reference_prioritize(findings, prevalence, dist)
+        result = prioritize(findings, prevalence, dist)
+        assert result.immediate_operational == immediate
+        assert result.structural_governance == structural
+        assert list(result.rationale.items()) == list(rationale.items())

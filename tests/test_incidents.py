@@ -369,6 +369,22 @@ class TestParsingEdgeCases:
         ]
         assert alone.warnings == ["line 3: unparseable date '01/02/2024'"]
 
+    def test_a_byte_order_mark_reads_as_without_it(self, tmp_path, fixture_result):
+        bundled = fixture_path(INCIDENTS_CSV).read_bytes()
+        marked = tmp_path / "incidents.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + bundled)
+        assert parse_incidents(marked) == fixture_result
+        assert parse_incidents("<mem>", text="\ufeff" + bundled.decode("utf-8")) == fixture_result
+        # the mark shifts no line number
+        table = self.HEADER + "Chain A,01/02/2024,https://example.com/a,Sequencer halt\n"
+        marked_result = parse_incidents("<mem>", text="\ufeff" + table)
+        assert marked_result == parse_incidents("<mem>", text=table)
+        assert marked_result.warnings == ["line 2: unparseable date '01/02/2024'"]
+
+    def test_only_one_byte_order_mark_is_ignored(self):
+        with pytest.raises(IncidentFormatError, match="lacks columns: \\['name'\\]"):
+            parse_incidents("<mem>", text="\ufeff\ufeff" + self.HEADER)
+
     def test_missing_header_column_raises(self):
         with pytest.raises(IncidentFormatError):
             parse_incidents("<mem>", text="name,date,link\nA,2024-01-01,https://x.example\n")

@@ -14,7 +14,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 FLOOR = (3, 10)
-SOURCES = sorted(path for part in ("src", "tests", "demos") for path in (ROOT / part).rglob("*.py"))
+SOURCES = sorted(
+    path
+    for part, pattern in (("src", "**/*.py"), ("tests", "**/*.py"), ("demos", "**/*.py"), ("perfbench", "*.py"))
+    for path in (ROOT / part).glob(pattern)
+)
 
 
 def test_the_floor_is_the_declared_one():

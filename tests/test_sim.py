@@ -2319,3 +2319,175 @@ class TestFaultEffects:
                 assert hit.violations == clean.violations
                 pairs += 1
         assert pairs == 100
+
+
+# -- monotonicity laws of the simulated harms ----------------------------------
+# Each mitigation may move a harm one way only. Laws that hold are properties
+# over generated and fault-laden scenarios; a law that a known simulator
+# defect breaks is a strict xfail naming its ROADMAP item, so the fix that
+# mends it must remove the marker.
+
+_LAW_SEEDS = range(40)
+
+
+@st.composite
+def _small_faulted(draw) -> Scenario:
+    """2–4 users who each deposit once, then 1–8 actions and 1–3 fault
+    windows of any windowed kind, on zk or optimistic with onchain or
+    external DA."""
+    users = [f"u{i}" for i in range(draw(st.integers(2, 4)))]
+    actions = [
+        WorkloadAction(draw(st.integers(0, 600)), "deposit", u, draw(st.integers(100, 1_000)))
+        for u in users
+    ]
+    for _ in range(draw(st.integers(1, 8))):
+        user = draw(st.sampled_from(users))
+        kind = draw(st.sampled_from(("withdraw", "withdraw", "transfer", "deposit", "hatch-exit")))
+        at = draw(st.integers(0, 6 * HOUR))
+        to = draw(st.sampled_from([u for u in users if u != user])) if kind == "transfer" else None
+        amount = draw(st.integers(0 if kind == "hatch-exit" else 1, 400))
+        actions.append(WorkloadAction(at, kind, user, amount, to))
+    injections = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(_FAULT_KINDS))
+        targets = ()
+        if kind is _CENSORSHIP:
+            targets = tuple(draw(st.lists(st.sampled_from(users), unique=True, max_size=2)))
+        at, duration = draw(st.integers(0, 6 * HOUR)), draw(st.integers(1, DAY))
+        injections.append(Injection(kind, at, duration, targets))
+    zk, fi = draw(st.booleans()), draw(st.booleans())
+    config = RollupConfig(
+        proof_system=ProofSystem.ZK if zk else ProofSystem.OPTIMISTIC,
+        challenge_window=0 if zk else 2 * HOUR,
+        proposer=ProposerConfig(whitelist=draw(st.booleans())),
+        forced_inclusion=ForcedInclusionConfig(
+            enabled=fi, usable=fi, timeout=draw(st.sampled_from((1_800, 12 * HOUR)))
+        ),
+        escape_hatch=EscapeHatchConfig(enabled=draw(st.booleans())),
+        da=DaConfig(mode=draw(st.sampled_from((DaMode.ONCHAIN, DaMode.EXTERNAL)))),
+    )
+    return Scenario("law", config, actions=tuple(actions), injections=tuple(injections))
+
+
+def _reconfigured(sc: Scenario, **change) -> Scenario:
+    return dataclasses.replace(sc, config=dataclasses.replace(sc.config, **change))
+
+
+def _lengthened(sc: Scenario, index: int, extra: int) -> Scenario:
+    injections = list(sc.injections)
+    window = injections[index]
+    injections[index] = dataclasses.replace(window, duration=window.duration + extra)
+    return dataclasses.replace(sc, injections=tuple(injections))
+
+
+def _harms(sc: Scenario):
+    return simulate(sc, seed=0).metrics
+
+
+def _check_open_proposers(sc: Scenario) -> None:
+    """Law (c): opening proposer submission never raises frozen funds."""
+    opened = _reconfigured(sc, proposer=ProposerConfig(whitelist=False))
+    assert _harms(opened).frozen_funds_duration <= _harms(sc).frozen_funds_duration
+
+
+def _check_longer_window(sc: Scenario, index: int, extra: int) -> None:
+    """Law (d): lengthening one fault window never lowers censorship."""
+    longer = _lengthened(sc, index, extra)
+    assert _harms(longer).censorship_window >= _harms(sc).censorship_window
+
+
+def _check_every_window_doubled(sc: Scenario) -> None:
+    doubled = dataclasses.replace(
+        sc, injections=tuple(dataclasses.replace(j, duration=2 * j.duration) for j in sc.injections)
+    )
+    assert _harms(doubled).censorship_window >= _harms(sc).censorship_window
+
+
+def _usable_forced_inclusion(sc: Scenario) -> Scenario:
+    return _reconfigured(
+        sc, forced_inclusion=ForcedInclusionConfig(enabled=True, usable=True, timeout=12 * HOUR)
+    )
+
+
+class TestMonotonicityLaws:
+    @settings(max_examples=150, deadline=None)
+    @given(_small_faulted())
+    def test_opening_proposers_never_raises_frozen_funds(self, sc):
+        _check_open_proposers(sc)
+
+    @pytest.mark.parametrize("seed", _LAW_SEEDS)
+    def test_opening_proposers_never_raises_frozen_funds_under_many_faults(self, seed):
+        _check_open_proposers(_fault_laden(seed))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_small_faulted(), st.data())
+    def test_a_longer_fault_window_never_lowers_censorship(self, sc, data):
+        index = data.draw(st.integers(0, len(sc.injections) - 1))
+        _check_longer_window(sc, index, data.draw(st.integers(1, DAY)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_small_faulted())
+    def test_doubling_every_fault_window_never_lowers_censorship(self, sc):
+        _check_every_window_doubled(sc)
+
+    @pytest.mark.parametrize("seed", _LAW_SEEDS)
+    def test_a_longer_fault_window_never_lowers_censorship_under_many_faults(self, seed):
+        sc = _fault_laden(seed)
+        for index in range(len(sc.injections)):
+            _check_longer_window(sc, index, HOUR)
+        _check_every_window_doubled(sc)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 11: a deposit landing on a spent batch slot")
+    def test_every_landed_deposit_is_credited(self):
+        """Law (e). Two deposits at t=120: dep-1 is batched and credited at
+        120, while dep-2 lands at 120, after that instant's batch tick, and
+        is never credited."""
+        sc = Scenario(
+            "two-deposits",
+            RollupConfig(),
+            actions=(
+                WorkloadAction(120, "deposit", "a", 10),
+                WorkloadAction(120, "deposit", "b", 10),
+            ),
+        )
+        result = simulate(sc, seed=0)
+        landed = [e["id"] for e in _events(result, "deposit_landed")]
+        assert [e["id"] for e in _events(result, "credit_applied")] == landed
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 13: a dropped exit counts as no harm")
+    def test_usable_forced_inclusion_never_raises_frozen_funds(self):
+        """Law (b). On the reference deployment a 1-day sequencer outage
+        drops the withdrawal at 3,600, which reads as frozen 0; with usable
+        forced inclusion (12 h timeout) the withdrawal is queued and reads
+        frozen 43,200."""
+        sc = Scenario(
+            "dropped-exit",
+            RollupConfig.centralized_default(),
+            actions=(
+                WorkloadAction(0, "deposit", "u", 100),
+                WorkloadAction(3_600, "withdraw", "u", 50),
+            ),
+            injections=(Injection(InjectionKind.SEQUENCER_OUTAGE, 1_800, DAY),),
+        )
+        fi = _usable_forced_inclusion(sc)
+        assert _harms(fi).frozen_funds_duration <= _harms(sc).frozen_funds_duration
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 17: overlapping sequencer windows")
+    def test_usable_forced_inclusion_never_raises_censorship_over_overlapping_windows(self):
+        """Law (a). Sequencer halts at 19,087–76,672 and 53,567–122,769 and
+        a withdrawal at 48,392: the dropped withdrawal's denial counts only
+        to the end of the window active at the drop (28,280 s), though the
+        sequencer is unavailable until 122,769 (74,377 s); with usable forced
+        inclusion it reads 43,204 s."""
+        halt = InjectionKind.SEQUENCER_HALT
+        sc = Scenario(
+            "overlapping-halts",
+            RollupConfig(),
+            actions=(WorkloadAction(48_392, "withdraw", "u", 50),),
+            injections=(
+                Injection(halt, 19_087, 76_672 - 19_087),
+                Injection(halt, 53_567, 122_769 - 53_567),
+            ),
+        )
+        fi = _usable_forced_inclusion(sc)
+        assert _harms(fi).censorship_window <= _harms(sc).censorship_window

@@ -317,6 +317,56 @@ class TestAdapters:
         assert [p.project_id for p in result.profiles] == ["a"]
         assert result.warnings == ("project with no id or name skipped",)
 
+    @pytest.mark.parametrize(
+        "doc, position, field, value",
+        [
+            ({"projects": [{"id": 7, "name": "A"}]}, 0, "id", 7),
+            ({"projects": [{"id": ["a"], "name": "A"}]}, 0, "id", ["a"]),
+            ({"projects": [{"id": 0, "name": "Zero Chain"}]}, 0, "id", 0),
+            ({"projects": [{"id": "z", "name": 7}]}, 0, "name", 7),
+            ({"projects": {"k": {"id": 7, "name": "A"}}}, "k", "id", 7),
+            ({"data": {"projects": {"k": {"id": "z", "name": False}}}}, "k", "name", False),
+        ],
+    )
+    def test_a_project_id_or_name_that_is_not_a_string_is_named_as_dropped(
+        self, doc, position, field, value
+    ):
+        rows = doc.get("data", doc)["projects"]
+        for raw in rows.values() if isinstance(rows, dict) else rows:
+            raw["category"] = "zk-rollup"
+        result = extract_projects(doc)
+        assert result.profiles == ()
+        assert result.warnings == (
+            f"project entry {position!r}: {field} must be a string, not {value!r}; dropped",
+        )
+
+    def test_a_string_id_and_name_are_taken_as_written(self):
+        doc = {"projects": [{"id": " Odd Id 7 ", "name": "odd  NAME", "category": "zk-rollup"}]}
+        (profile,) = extract_projects(doc).profiles
+        assert (profile.project_id, profile.name) == (" Odd Id 7 ", "odd  NAME")
+
+    @pytest.mark.parametrize("entry", [{}, {"id": None}, {"id": ""}])
+    @pytest.mark.parametrize("wrapped", [False, True])
+    def test_a_keyed_project_with_no_id_takes_its_key(self, entry, wrapped):
+        doc = {"projects": {"k": {**entry, "name": "X", "category": "zk-rollup"}}}
+        result = extract_projects({"data": doc} if wrapped else doc)
+        assert [(p.project_id, p.name) for p in result.profiles] == [("k", "X")]
+        assert result.warnings == ()
+
+    @pytest.mark.parametrize("entry", [{}, {"id": None}, {"id": ""}])
+    def test_a_listed_project_with_no_id_takes_its_names_slug(self, entry):
+        doc = {"projects": [{**entry, "name": "Zero Chain", "category": "zk-rollup"}]}
+        result = extract_projects(doc)
+        assert [(p.project_id, p.name) for p in result.profiles] == [("zero-chain", "Zero Chain")]
+        assert result.warnings == ()
+
+    @pytest.mark.parametrize("entry", [{}, {"name": None}, {"name": ""}])
+    def test_a_project_with_no_name_takes_its_id(self, entry):
+        doc = {"projects": [{**entry, "id": "a", "category": "zk-rollup"}]}
+        result = extract_projects(doc)
+        assert [(p.project_id, p.name) for p in result.profiles] == [("a", "a")]
+        assert result.warnings == ()
+
 
 class TestPrevalence:
     def test_counts_match_sentiment_recount_oracle(self, fixture_doc, fixture_profiles):
