@@ -158,8 +158,14 @@ def parse_incidents(source: str | Path, *, text: str | None = None) -> IncidentP
             )
             continue
         url = row[col["link"]].strip()
+        try:
+            parts = urlparse(url)
+        except ValueError:  # such as an unclosed IPv6 bracket
+            issues.append(
+                RowIssue(line_no, f"unparseable link {row[col['link']]!r}", delimiter.join(row))
+            )
+            continue
         detail = row[col["incident_type"]].strip()
-        parts = urlparse(url)
         host = parts.netloc.lower()
         # Re-reported incidents collapse, but distinct source pages for the
         # same project/day/label stay separate, so the key includes host+path.

@@ -9,7 +9,7 @@ import datetime as dt
 import enum
 import functools
 import json
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 from types import MappingProxyType, UnionType
 from typing import Mapping, Sequence, get_args, get_origin, get_type_hints
@@ -203,7 +203,7 @@ def _reader(tp):
     elif is_dataclass(tp) or origin is dict:
         if origin is dict:  # a table keyed by the enum members' values
             members = {m.value: m for m in args[0]}
-            readers = dict.fromkeys(members, _reader(args[1]))
+            types = dict.fromkeys(members, args[1])
             required = ()
 
             def build(**items):
@@ -211,9 +211,13 @@ def _reader(tp):
 
         else:
             hints = get_type_hints(tp)
-            readers = {f.name: _reader(hints[f.name]) for f in fields(tp)}
+            types = {f.name: hints[f.name] for f in fields(tp)}
             required = [f.name for f in fields(tp) if f.default is f.default_factory is MISSING]
             build = tp
+        readers = {key: _reader(t) for key, t in types.items()}
+        # a value that already has its key's exact scalar type is taken as is,
+        # with no reader call: the reader would return it unchanged
+        scalars = {key: t for key, t in types.items() if t in _JSON_TYPES}
 
         def read(value):
             if type(value) is not dict:
@@ -222,10 +226,12 @@ def _reader(tp):
                 raise _Invalid(f"unknown {{}} keys: {sorted(value.keys() - readers.keys())}")
             kwargs = {}
             for key, item in value.items():
-                try:
-                    kwargs[key] = readers[key](item)
-                except _Invalid as exc:
-                    raise exc.at(f".{key}")
+                if type(item) is not scalars.get(key):
+                    try:
+                        item = readers[key](item)
+                    except _Invalid as exc:
+                        raise exc.at(f".{key}")
+                kwargs[key] = item
             for key in required:
                 if key not in kwargs:
                     raise _Invalid("{} is required").at(f".{key}")
@@ -645,13 +651,15 @@ class ProverSetConfig:
 class RollupConfig:
     """Architecture switches for one rollup deployment."""
 
+    # Each default is one shared instance: they are frozen, so no config can
+    # change another's, and a load builds none of them afresh.
     proof_system: ProofSystem = ProofSystem.ZK
-    sequencer: SequencerConfig = field(default_factory=SequencerConfig)
-    proposer: ProposerConfig = field(default_factory=ProposerConfig)
-    forced_inclusion: ForcedInclusionConfig = field(default_factory=ForcedInclusionConfig)
-    escape_hatch: EscapeHatchConfig = field(default_factory=EscapeHatchConfig)
-    da: DaConfig = field(default_factory=DaConfig)
-    upgrade: UpgradeConfig = field(default_factory=UpgradeConfig)
+    sequencer: SequencerConfig = SequencerConfig()
+    proposer: ProposerConfig = ProposerConfig()
+    forced_inclusion: ForcedInclusionConfig = ForcedInclusionConfig()
+    escape_hatch: EscapeHatchConfig = EscapeHatchConfig()
+    da: DaConfig = DaConfig()
+    upgrade: UpgradeConfig = UpgradeConfig()
     challenge_window: int = 0  # optimistic only
     prover_set: ProverSetConfig | None = None  # zk provers; optimistic challengers
     state_validation_enforced: bool = True

@@ -29,8 +29,9 @@ The model, in brief:
   dropped one is never applied and counts its denial as it drops.
 - The bridge escrow must always equal the sum of L2 balances and in-flight
   amounts. _move, _hold and _release are the only writers of those two
-  ledgers and keep their running total, so the identity is checked after
-  every event in constant time; mismatches are recorded, not raised.
+  ledgers and keep their running total, so the identity is tested after
+  every event in constant time, by comparing two ints; mismatches are
+  recorded, not raised.
   Handlers still choose every amount and move the escrow themselves, so a
   debit without its credit, or a payout that leaves the escrow untouched,
   shows at that very event. A finalized invalid state root breaks the
@@ -43,8 +44,10 @@ The model, in brief:
   offchain data hatch exits need. A fault the config routes around
   (_Run._neutralized) is noted as ineffective and never becomes active.
 - Funds count as frozen while some exit in flight is stalled by an active
-  fault. The stall test after each event returns at once when no fault is
-  active; otherwise it looks up the root, claim and sequencer effects at
+  fault. The run keeps the stall answer until an event changes what it
+  reads: the active faults, the exits in pending, or an exit's stage. Only
+  then is it worked out again, which returns at once when no fault is
+  active and otherwise looks up the root, claim and sequencer effects at
   most once each, not once per exit in flight.
 - The engine's own events wait on a heap as (time, priority, sequence,
   kind, args). Workload actions never enter it: they come in time order as
@@ -54,12 +57,13 @@ The model, in brief:
   push would have made, numbered 1..n ahead of every pushed event. The loop
   takes whichever of the two sorts first, as one heap holding all would.
 - The loop calls _on_<kind>(*args) from a per-run table of handlers,
-  each bound on first use and looked up on the instance so a subclass's
-  handler is the one that runs, then checks conservation under that kind's
-  name and updates the frozen-funds clock. With no fault active the handlers
-  make no fault lookup (_ends, _censor_ends, _seq_accepting) at all: each
-  guards its lookups with self.active. The frozen-funds update returns at
-  once too, unless a frozen interval is still open.
+  each bound by _bind on first use and looked up on the instance so a
+  subclass's handler is the one that runs. It records a violation under
+  that kind's name only when the escrow and the running total differ, and
+  updates the frozen-funds clock only while a fault is active or a frozen
+  interval is open. With no fault active the handlers make no fault lookup
+  (_ends, _censor_ends, _seq_accepting) at all: each guards its lookups
+  with self.active.
 - A run sim.horizon cuts ends at the horizon. Its open frozen interval and
   its denied transactions still unapplied count up to it, and a dropped
   transaction counts its denial up to the horizon at most.
@@ -251,13 +255,20 @@ class SimResult:
 
 
 class _Run:
-    # CPython 3.11-3.13 keep up to 29 instance attributes inline; a 30th
-    # moves them all to a dict, and every self.<name> read in the event loop
-    # slows down. A run holds 29, so the config is read through a property.
-    cfg = property(attrgetter("sc.config"))
+    # Slots keep every self.<name> read of the event loop fast however many
+    # attributes a run holds; CPython 3.11-3.13 keep at most 29 inline in a
+    # __dict__.
+    __slots__ = (
+        "sc", "cfg", "p", "horizon", "seed", "now", "_heap", "_numbers", "records",
+        "violations", "bridge_pool", "l2", "inflight", "accounted", "mempool", "forced",
+        "_batch_grid", "_txid", "active", "_zk", "_root_effects", "_final_delay",
+        "exploit_drained", "latencies", "censorship_window", "denied", "pending",
+        "_stalled", "_frozen_accum", "_frozen_since", "exit_coverage",
+    )
 
     def __init__(self, scenario: Scenario, seed: int) -> None:
         self.sc = scenario
+        self.cfg = scenario.config
         self.p = scenario.params
         self.horizon = math.inf if self.p.horizon is None else self.p.horizon
         self.seed = seed
@@ -296,6 +307,11 @@ class _Run:
         # exits in flight, tracked for the frozen-funds metric: a withdrawal's
         # transaction or a hatch exit's entry, each with user, submitted, stage
         self.pending: dict[str, dict] = {}
+        # _exit_stalled's answer, or None once an event may have changed it:
+        # set to None wherever active changes, an exit enters or leaves
+        # pending, or an exit's stage is written; a hatch exit's entry and a
+        # paid claim's exit leave the answer as it was
+        self._stalled: bool | None = None
         self._frozen_accum = 0
         self._frozen_since: int | None = None
 
@@ -383,6 +399,7 @@ class _Run:
         pop = heappop
         check_conservation = self._check_conservation
         update_frozen = self._update_frozen
+        bind = self._bind
         handlers: dict = {}
         horizon = self.horizon
         while True:
@@ -400,11 +417,12 @@ class _Run:
             try:
                 handler = handlers[kind]
             except KeyError:
-                # looked up on the instance, so a subclass's handler runs
-                handler = handlers[kind] = getattr(self, "_on_" + kind)
+                handler = handlers[kind] = bind(kind)
             handler(*args)
-            check_conservation(kind)
-            update_frozen()
+            if self.bridge_pool != self.accounted:
+                check_conservation(kind)
+            if self.active or self._frozen_since is not None:
+                update_frozen()
         if self._frozen_since is not None:
             self._frozen_accum += self.now - self._frozen_since
             self._frozen_since = None
@@ -413,6 +431,11 @@ class _Run:
             raise RuntimeError(
                 f"ledger total {self.accounted} != {resummed} summed afresh in {self.sc.name}"
             )
+
+    def _bind(self, kind: str) -> Callable:
+        """The handler of one event kind, bound once per run; looked up on
+        the instance, so a subclass's handler runs."""
+        return getattr(self, "_on_" + kind)
 
     def _cut(self) -> None:
         """End a run the horizon cuts at the horizon, not at its last event: a
@@ -491,9 +514,11 @@ class _Run:
         )
 
     def _update_frozen(self) -> None:
-        if not self.active and self._frozen_since is None:
-            return  # nothing can stall and no frozen interval is open
-        stalled = self._exit_stalled()
+        """Open or close the frozen interval by the kept stall answer,
+        working it out afresh only after an event cleared it."""
+        stalled = self._stalled
+        if stalled is None:
+            stalled = self._stalled = self._exit_stalled()
         if stalled and self._frozen_since is None:
             self._frozen_since = self.now
         elif not stalled and self._frozen_since is not None:
@@ -576,6 +601,7 @@ class _Run:
         if action == "withdraw":
             tx["stage"] = "queued"
             self.pending[txid] = tx
+            self._stalled = None
         if self.active and not self._seq_accepting(user):
             self._deny(tx)
         else:
@@ -600,6 +626,7 @@ class _Run:
         else:
             self._emit("tx_dropped", tx["id"], "sequencer unavailable")
             self.pending.pop(tx["id"], None)
+            self._stalled = None
             # counted up to the horizon, if one cuts the run first
             blocked_for = min(self._denial_end(tx["user"]), self.horizon) - tx["submitted"]
             self.censorship_window = max(self.censorship_window, blocked_for)
@@ -625,6 +652,7 @@ class _Run:
             return
         self._move(user, -amount)
         self._hold(hid, user, amount)
+        # waiting on finality stalls nothing, so the stall answer stands
         self.pending[hid] = {"user": user, "submitted": submitted, "stage": "hatch_wait"}
         self._emit("hatch_exit_included", hid, user, amount)
         done = self.now + self.p.finalization_depth * self.p.l1_block_interval
@@ -716,6 +744,7 @@ class _Run:
         if self.l2[user] < amount:
             self._emit("tx_failed", txid, user, "insufficient funds")
             self.pending.pop(txid, None)  # a transfer was never pending
+            self._stalled = None
             return None
         self._move(user, -amount)
         if kind == "transfer":
@@ -724,6 +753,7 @@ class _Run:
             return None
         self._hold(txid, user, amount)
         tx["stage"] = "awaiting_root"
+        self._stalled = None
         self._emit("withdrawal_included", txid, user, amount)
         return txid
 
@@ -751,17 +781,20 @@ class _Run:
         for wid in wids:
             self.pending[wid]["stage"] = "claimable"
             self._push(self.now, _P_L1, "claim", wid)
+        self._stalled = None
 
     def _on_claim(self, wid: str) -> None:
         ends = self._ends("claims", "bridge") if self.active else None
         if ends:
             self.pending[wid]["stage"] = "claimable"
+            self._stalled = None
             retry = max(ends)
             self._emit("claim_deferred", wid, retry)
             self._push(retry, _P_L1, "claim", wid)
             return
         user, amount = self._release(wid)
         self.bridge_pool -= amount
+        # no claims or bridge fault holds it, so its leaving stalls nothing
         p = self.pending.pop(wid)
         latency = self.now - p["submitted"]
         self.latencies[user].append(latency)
@@ -786,12 +819,14 @@ class _Run:
         reason = self._neutralized(inj.kind)
         if reason is None:
             self.active[idx] = inj
+            self._stalled = None
             self._emit("injection_start", inj.kind.value, inj.end)
         else:
             self._emit("injection_start", inj.kind.value, inj.end, reason)
 
     def _on_injection_end(self, idx: int) -> None:
         self.active.pop(idx, None)  # a neutralized fault never became active
+        self._stalled = None
         kind = self.sc.injections[idx].kind
         self._emit("injection_end", kind.value)
         if _FAULT_EFFECTS[kind] in ("sequencer", "censorship"):

@@ -231,7 +231,7 @@ class RandomWorkload:
 class Scenario:
     name: str
     config: RollupConfig
-    params: SimParams = field(default_factory=SimParams)
+    params: SimParams = SimParams()  # frozen, so one instance serves every default
     actions: tuple[WorkloadAction, ...] = ()
     random_workload: RandomWorkload | None = None
     injections: tuple[Injection, ...] = ()
@@ -270,7 +270,7 @@ class _Document:
     name: str
     config: RollupConfig
     description: str = ""
-    sim: SimParams = field(default_factory=SimParams)
+    sim: SimParams = SimParams()
     workload: _Workload = field(default_factory=_Workload)
     injections: tuple[Injection, ...] = ()
     upgrade: _Upgrade | None = None

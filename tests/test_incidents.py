@@ -305,6 +305,17 @@ class TestParsingEdgeCases:
         assert result.records == ()
         assert result.warnings == [f"line 2: unparseable date {date!r}"]
 
+    @pytest.mark.parametrize("link", ["http://[::1/x", "https://[example.com]x/a"])
+    def test_unparseable_link_rejected_with_line_number(self, link):
+        # urlparse raises on these; the row goes, the rows around it stay
+        rows = (
+            f"Chain A,2024-01-01,{link},Sequencer halt\n"
+            "Chain B,2024-01-02,https://example.com/b,Sequencer halt\n"
+        )
+        result = parse_incidents("<mem>", text=self.HEADER + rows)
+        assert [r.project for r in result.records] == ["Chain B"]
+        assert result.warnings == [f"line 2: unparseable link {link!r}"]
+
     def test_empty_project_rejected(self):
         text = self.HEADER + " ,2024-01-01,https://example.com/a,Sequencer halt\n"
         result = parse_incidents("<mem>", text=text)

@@ -42,13 +42,15 @@ def test_the_floor_refuses_newer_syntax():
 
 
 # Stdlib only, as an interpreter without the test dependencies runs it: the
-# sha256 of each bundled scenario's trace, and the content digest of the
-# report over the fixtures and every bundled scenario.
+# sha256 of each bundled scenario's trace, the content digest of the report
+# over the fixtures and every bundled scenario, and whether a simulator run
+# has a __dict__ (its attributes are all slots, so it must not).
 _PROBE = """
 import hashlib
 from l2risk.data import INCIDENTS_CSV, SNAPSHOT_JSON, fixture_path, scenario_names
 from l2risk.report import build_report
 from l2risk.sim import load_scenario, simulate
+from l2risk.sim.engine import _Run
 
 
 def probe():
@@ -62,7 +64,13 @@ def probe():
         incidents_path=fixture_path(INCIDENTS_CSV),
         scenario_paths=scenarios,
     )
-    return {"traces": traces, "digest": bundle.report["metadata"]["content_digest"]}
+    run = _Run(load_scenario(scenarios[0]), 0)
+    run.execute()
+    return {
+        "traces": traces,
+        "digest": bundle.report["metadata"]["content_digest"],
+        "run_has_dict": hasattr(run, "__dict__"),
+    }
 """
 
 
@@ -112,4 +120,5 @@ def test_other_interpreters_give_the_same_traces_and_digest(python, probed_here)
     )
     probed = json.loads(done.stdout)
     assert len(probed["traces"]) == 9
+    assert probed["run_has_dict"] is False
     assert probed == probed_here

@@ -607,6 +607,31 @@ class TestStrictReader:
         assert parse_scenario({"config": {}}).config == RollupConfig()
         assert RollupConfig() != RollupConfig.centralized_default()
 
+    def test_omitted_sim_and_sub_configs_parse_as_each_default_written_out(self):
+        written = {
+            "config": {
+                "proof_system": "zk",
+                "sequencer": {"topology": "centralized", "recovery_latency": 600},
+                "proposer": {"whitelist": True, "count": 1},
+                "forced_inclusion": {"enabled": False, "timeout": DAY, "usable": False},
+                "escape_hatch": {"enabled": False, "non_disableable": False},
+                "da": {"mode": "onchain", "attestation_quorum": 0, "withholding_possible": False},
+                "upgrade": {"policy": "instant", "window": 0},
+            },
+            "sim": {
+                "l1_block_interval": 12,
+                "finalization_depth": 64,
+                "prover_latency": 3_600,
+                "batch_interval": 120,
+                "proposal_delay": 60,
+                "admission_latency": 1,
+                "degradation_factor": 10,
+                "horizon": None,
+            },
+        }
+        omitted = parse_scenario({"config": {"proof_system": "zk"}})
+        assert omitted == parse_scenario(written)
+
     def test_null_means_absent_only_where_the_field_is_optional(self):
         sc = parse_scenario(
             {
@@ -1757,20 +1782,35 @@ def _scan_stalled(run: _Run) -> bool:
     return False
 
 
-class _CheckedRun(_Run):
-    """Holds the engine's stall answer to a full scan after every event."""
+class _AfterEachEvent(_Run):
+    """Calls _after_event(kind) after every event's handler, whichever
+    bookkeeping the loop skips for that event."""
+
+    def _bind(self, kind):
+        handler = super()._bind(kind)
+
+        def then(*args):
+            handler(*args)
+            self._after_event(kind)
+
+        return then
+
+
+class _CheckedRun(_AfterEachEvent):
+    """Updates the frozen-funds clock after every event, not only while the
+    loop would, and holds the stall answer the clock kept to a full scan."""
 
     def __init__(self, scenario, seed):
         super().__init__(scenario, seed)
         self.stalled = 0
         self.targeted_stalls = 0
 
-    def _update_frozen(self):
-        stalled = self._exit_stalled()
+    def _after_event(self, kind):
+        self._update_frozen()
+        stalled = self._stalled
         assert stalled == _scan_stalled(self), (self.now, self.records[-1:])
         self.stalled += stalled
         self.targeted_stalls += stalled and all(inj.targets for inj in self.active.values())
-        super()._update_frozen()
 
 
 def _day_long_fault(kind: InjectionKind, users: int, actions: int) -> Scenario:
@@ -1782,11 +1822,31 @@ def _day_long_fault(kind: InjectionKind, users: int, actions: int) -> Scenario:
     )
 
 
+def _stall_edge_cases() -> list[Scenario]:
+    """Runs where an exit changes stall status with no fault starting or
+    ending: a withdrawal dropped at admission, as an outage began between its
+    submission and admission, and a hatch exit whose claim comes due, and is
+    deferred, in a claims fault that began while it awaited finality."""
+    dropped = Scenario(
+        name="dropped-at-admission",
+        config=RollupConfig(),
+        actions=(WorkloadAction(100, "withdraw", "u", 5),),
+        injections=(Injection(InjectionKind.SEQUENCER_OUTAGE, at=101, duration=HOUR),),
+    )
+    deferred = Scenario(
+        name="hatch-claim-deferred",
+        config=RollupConfig(escape_hatch=EscapeHatchConfig(enabled=True)),
+        actions=(WorkloadAction(0, "deposit", "u", 50), WorkloadAction(1_000, "hatch-exit", "u")),
+        injections=(Injection(InjectionKind.WITHDRAWAL_FAILURE, at=1_500, duration=HOUR),),
+    )
+    return [dropped, deferred]
+
+
 class TestStallBookkeeping:
     def _check(self, scenario, seed=0) -> _CheckedRun:
         run = _CheckedRun(scenario, seed)
         run.execute()
-        assert run.result().events == simulate(scenario, seed).events
+        assert run.result() == simulate(scenario, seed)
         return run
 
     def test_stall_answer_matches_a_full_scan_after_every_event(self):
@@ -1795,6 +1855,7 @@ class TestStallBookkeeping:
         runs += [self._check(_acceptance_random(), seed) for seed in range(5)]
         runs.append(self._check(_day_long_fault(InjectionKind.PROPOSER_OUTAGE, 20, 200)))
         runs.append(self._check(_targeted_censorship()))
+        runs += [self._check(scenario) for scenario in _stall_edge_cases()]
         assert sum(r.stalled for r in runs) > 0
         assert sum(r.targeted_stalls for r in runs) > 0
 
@@ -1864,12 +1925,18 @@ class TestStallBookkeeping:
         "name", ["instant-upgrade", "exploit-invalid-root", "sequencer-outage-fi-24h"]
     )
     def test_a_run_keeps_its_attributes_inline(self, name):
-        # CPython 3.11-3.13 keep up to 29 instance attributes inline; a 30th
-        # moves them to a dict and slows every attribute read of the loop
-        # (sim-ladder ops_per_s fell 3.7% at 32)
-        run = _Run(load_bundled_scenario(name), 0)
+        # Every attribute the loop reads is a slot, never a __dict__ entry:
+        # CPython 3.11-3.13 keep at most 29 inline in a __dict__, and past
+        # that every read slows (sim-ladder ops_per_s fell 3.7% at 32).
+        # A subclass's instance has a __dict__, where whatever __init__ sets
+        # that is not a slot would land.
+        scenario = load_bundled_scenario(name)
+        open_run = type("OpenRun", (_Run,), {})(scenario, 0)
+        assert vars(open_run) == {}
+        assert all(hasattr(open_run, slot) for slot in _Run.__slots__)
+        run = _Run(scenario, 0)
         run.execute()
-        assert len(vars(run)) <= 29
+        assert not hasattr(run, "__dict__")
 
 
 def _resum(run: _Run) -> int:
@@ -1877,28 +1944,31 @@ def _resum(run: _Run) -> int:
     return sum(run.l2.values()) + sum(amount for _user, amount in run.inflight.values())
 
 
-class _LedgerOracleRun(_Run):
+class _LedgerOracleRun(_AfterEachEvent):
     """Holds the ledgers' running total to a full re-sum after every event."""
 
     checks = 0
 
-    def _check_conservation(self, event_kind):
-        assert self.accounted == _resum(self), (self.now, event_kind, self.records[-1:])
+    def _after_event(self, kind):
+        assert self.accounted == _resum(self), (self.now, kind, self.records[-1:])
         self.checks += 1
-        super()._check_conservation(event_kind)
 
 
-class _FullResumRun(_Run):
+class _FullResumRun(_AfterEachEvent):
     """The conservation check as a full re-sum of both ledgers after every
-    event: the reference the running-total check must agree with."""
+    event, in place of the engine's: the reference the running-total check
+    must agree with."""
 
     def _check_conservation(self, event_kind):
+        pass
+
+    def _after_event(self, kind):
         if self.exploit_drained:
             return
         accounted = _resum(self)
         if self.bridge_pool != accounted:
             self.violations.append(
-                {"t": self.now, "event": event_kind, "bridge": self.bridge_pool,
+                {"t": self.now, "event": kind, "bridge": self.bridge_pool,
                  "accounted": accounted}
             )
 
@@ -2145,12 +2215,11 @@ class _AllOnHeapRun(_Run):
             raise RuntimeError(f"ledger total {self.accounted} != {_resum(self)}")
 
 
-class _ActionsOffHeapRun(_Run):
+class _ActionsOffHeapRun(_AfterEachEvent):
     """Asserts after every event that no action waits on the heap."""
 
-    def _update_frozen(self):
+    def _after_event(self, kind):
         assert all(entry[3] != "action" for entry in self._heap), (self.now, self.records[-1:])
-        super()._update_frozen()
 
 
 def _check_streamed(scenario: Scenario, seed: int = 0) -> SimResult:

@@ -488,13 +488,24 @@ def test_custom_ruleset_file_round_trip(tmp_path):
 
 
 def extract_per_row(doc, ruleset=None):
-    """Oracle: the extract loop with flag_entry called on every risk row, as
-    it was before rows were shared within a call."""
+    """Oracle: the extract loop over a project list with flag_entry called on
+    every risk row, as it was before rows were shared within a call. An id or
+    name is a string taken as written, or absent, null or empty and filled
+    in; any other type drops the entry."""
     ruleset = ruleset or FlagRuleset.default()
-    warnings, profiles = [], []
-    for raw in doc["projects"]:
-        name = str(raw.get("name") or raw.get("id") or "")
-        project_id = str(raw.get("id") or _slug(name))
+    warnings, profiles, ids = [], [], set()
+    for index, raw in enumerate(doc["projects"]):
+        if not isinstance(raw, dict):
+            warnings.append(f"project entry {index}: not an object; dropped")
+            continue
+        bad = [key for key in ("id", "name") if not isinstance(raw.get(key, ""), (str, type(None)))]
+        if bad:
+            warnings.append(
+                f"project entry {index}: {bad[0]} must be a string, not {raw[bad[0]]!r}; dropped"
+            )
+            continue
+        project_id = raw.get("id") or _slug(raw.get("name") or "")
+        name = raw.get("name") or project_id
         raw_category = raw.get("category")
         if not raw_category:
             warnings.append(f"project {project_id or name or '?'}: no category; skipped")
@@ -508,8 +519,18 @@ def extract_per_row(doc, ruleset=None):
             continue
         if category not in CONFORMING_CATEGORIES:
             continue
+        if not project_id:
+            warnings.append("project with no id or name skipped")
+            continue
+        if project_id in ids:
+            raise DuplicateProjectError(f"duplicate project id {project_id!r}")
+        ids.add(project_id)
         entries, dims = [], set()
-        for raw_risk in raw.get("risks", []) or []:
+        risks = raw.get("risks")
+        if risks is not None and not isinstance(risks, list):
+            warnings.append(f"project {project_id}: non-list risks value dropped")
+            risks = None
+        for raw_risk in risks or []:
             if not isinstance(raw_risk, dict):
                 warnings.append(f"project {project_id}: non-object risk entry dropped")
                 continue
@@ -525,7 +546,7 @@ def extract_per_row(doc, ruleset=None):
             else:
                 dims.add(entry.dimension)
                 entries.append(entry)
-        profiles.append(ProjectRiskProfile(project_id, name or project_id, category, tuple(entries)))
+        profiles.append(ProjectRiskProfile(project_id, name, category, tuple(entries)))
     return tuple(profiles), tuple(warnings)
 
 
@@ -570,14 +591,23 @@ _CATEGORIES = [
 ]
 
 
+# Ids and names: strings, one that slugs to another's id, the empty ones that
+# fall back, and types that drop the entry.
+_IDS_AND_NAMES = ["p3", "P3", "Zero Chain", "zero-chain", "", None, 0, 7, ["a"], _ABSENT]
+
+
 @st.composite
 def _snapshot(draw):
     projects = []
     for i in range(draw(st.integers(0, 8))):
-        project = {"id": f"p{i}", "name": f"P{i}", "risks": draw(st.lists(_risk_row(), max_size=8))}
-        category = draw(st.sampled_from(_CATEGORIES))
-        if category is not _ABSENT:
-            project["category"] = category
+        if draw(st.integers(0, 9)) == 0:
+            projects.append(draw(st.sampled_from(["row", 3, None, ["p0"]])))
+            continue
+        project = {"risks": draw(st.lists(_risk_row(), max_size=8))}
+        for key, own in (("id", f"p{i}"), ("name", f"P{i}"), ("category", None)):
+            value = draw(st.sampled_from(_CATEGORIES if own is None else [own, *_IDS_AND_NAMES]))
+            if value is not _ABSENT:
+                project[key] = value
         projects.append(project)
     return {"projects": projects}
 
@@ -587,11 +617,18 @@ def test_fixture_extract_matches_per_row_oracle(fixture_doc):
     assert (result.profiles, result.warnings) == extract_per_row(fixture_doc)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(_snapshot())
 def test_generated_extract_matches_per_row_oracle(doc):
+    try:
+        expected = extract_per_row(doc)
+    except DuplicateProjectError as exc:
+        with pytest.raises(DuplicateProjectError) as raised:
+            extract_projects(doc)
+        assert str(raised.value) == str(exc)
+        return
     result = extract_projects(doc)
-    assert (result.profiles, result.warnings) == extract_per_row(doc)
+    assert (result.profiles, result.warnings) == expected
 
 
 def test_fixture_extract_flags_each_distinct_row_once(fixture_doc, monkeypatch):
