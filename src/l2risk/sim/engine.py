@@ -44,11 +44,11 @@ The model, in brief:
   offchain data hatch exits need. A fault the config routes around
   (_Run._neutralized) is noted as ineffective and never becomes active.
 - Funds count as frozen while some exit in flight is stalled by an active
-  fault. The run keeps the stall answer until an event changes what it
-  reads: the active faults, the exits in pending, or an exit's stage. Only
-  then is it worked out again, which returns at once when no fault is
-  active and otherwise looks up the root, claim and sequencer effects at
-  most once each, not once per exit in flight.
+  fault. The frozen-funds clock moves only where what the stall answer
+  reads changes: the active faults, the exits in pending, or an exit's
+  stage. There the answer is worked out afresh, which returns at once when
+  no fault is active and otherwise looks up the root, claim and sequencer
+  effects at most once each, not once per exit in flight.
 - The engine's own events wait on a heap as (time, priority, sequence,
   kind, args). Workload actions never enter it: they come in time order as
   plain (at, action, user, amount, to) tuples, an explicit list's stably
@@ -59,11 +59,10 @@ The model, in brief:
 - The loop calls _on_<kind>(*args) from a per-run table of handlers,
   each bound by _bind on first use and looked up on the instance so a
   subclass's handler is the one that runs. It records a violation under
-  that kind's name only when the escrow and the running total differ, and
-  updates the frozen-funds clock only while a fault is active or a frozen
-  interval is open. With no fault active the handlers make no fault lookup
-  (_ends, _censor_ends, _seq_accepting) at all: each guards its lookups
-  with self.active.
+  that kind's name only when the escrow and the running total differ; the
+  handlers move the frozen-funds clock themselves. With no fault active
+  the handlers make no fault lookup (_ends, _censor_ends, _seq_accepting)
+  at all: each guards its lookups with self.active.
 - A run sim.horizon cuts ends at the horizon. Its open frozen interval and
   its denied transactions still unapplied count up to it, and a dropped
   transaction counts its denial up to the horizon at most.
@@ -263,7 +262,7 @@ class _Run:
         "violations", "bridge_pool", "l2", "inflight", "accounted", "mempool", "forced",
         "_batch_grid", "_txid", "active", "_zk", "_root_effects", "_final_delay",
         "exploit_drained", "latencies", "censorship_window", "denied", "pending",
-        "_stalled", "_frozen_accum", "_frozen_since", "exit_coverage",
+        "_frozen_accum", "_frozen_since", "exit_coverage",
     )
 
     def __init__(self, scenario: Scenario, seed: int) -> None:
@@ -289,7 +288,8 @@ class _Run:
         self.mempool: list[dict] = []
         # tx id -> tx, in queueing order
         self.forced: dict[str, dict] = {}
-        self._batch_grid: set[int] = set()
+        # the last batch slot scheduled: slots move forward only, as now does
+        self._batch_grid: int | None = None
         self._txid = 0
 
         self.active: dict[int, Injection] = {}
@@ -307,11 +307,6 @@ class _Run:
         # exits in flight, tracked for the frozen-funds metric: a withdrawal's
         # transaction or a hatch exit's entry, each with user, submitted, stage
         self.pending: dict[str, dict] = {}
-        # _exit_stalled's answer, or None once an event may have changed it:
-        # set to None wherever active changes, an exit enters or leaves
-        # pending, or an exit's stage is written; a hatch exit's entry and a
-        # paid claim's exit leave the answer as it was
-        self._stalled: bool | None = None
         self._frozen_accum = 0
         self._frozen_since: int | None = None
 
@@ -398,7 +393,6 @@ class _Run:
         heap = self._heap
         pop = heappop
         check_conservation = self._check_conservation
-        update_frozen = self._update_frozen
         bind = self._bind
         handlers: dict = {}
         horizon = self.horizon
@@ -421,8 +415,6 @@ class _Run:
             handler(*args)
             if self.bridge_pool != self.accounted:
                 check_conservation(kind)
-            if self.active or self._frozen_since is not None:
-                update_frozen()
         if self._frozen_since is not None:
             self._frozen_accum += self.now - self._frozen_since
             self._frozen_since = None
@@ -514,11 +506,10 @@ class _Run:
         )
 
     def _update_frozen(self) -> None:
-        """Open or close the frozen interval by the kept stall answer,
-        working it out afresh only after an event cleared it."""
-        stalled = self._stalled
-        if stalled is None:
-            stalled = self._stalled = self._exit_stalled()
+        """Open or close the frozen interval as the stall answer reads now;
+        called wherever active changes, an exit enters or leaves pending, or
+        an exit's stage is written."""
+        stalled = self._exit_stalled()
         if stalled and self._frozen_since is None:
             self._frozen_since = self.now
         elif not stalled and self._frozen_since is not None:
@@ -601,7 +592,7 @@ class _Run:
         if action == "withdraw":
             tx["stage"] = "queued"
             self.pending[txid] = tx
-            self._stalled = None
+            self._update_frozen()
         if self.active and not self._seq_accepting(user):
             self._deny(tx)
         else:
@@ -626,7 +617,7 @@ class _Run:
         else:
             self._emit("tx_dropped", tx["id"], "sequencer unavailable")
             self.pending.pop(tx["id"], None)
-            self._stalled = None
+            self._update_frozen()
             # counted up to the horizon, if one cuts the run first
             blocked_for = min(self._denial_end(tx["user"]), self.horizon) - tx["submitted"]
             self.censorship_window = max(self.censorship_window, blocked_for)
@@ -652,7 +643,7 @@ class _Run:
             return
         self._move(user, -amount)
         self._hold(hid, user, amount)
-        # waiting on finality stalls nothing, so the stall answer stands
+        # waiting on finality stalls nothing, so the frozen clock stands
         self.pending[hid] = {"user": user, "submitted": submitted, "stage": "hatch_wait"}
         self._emit("hatch_exit_included", hid, user, amount)
         done = self.now + self.p.finalization_depth * self.p.l1_block_interval
@@ -684,8 +675,8 @@ class _Run:
     def _grid_batch(self, t: int) -> None:
         bi = self.p.batch_interval
         bt = -(-t // bi) * bi
-        if bt not in self._batch_grid:
-            self._batch_grid.add(bt)
+        if bt != self._batch_grid:
+            self._batch_grid = bt
             self._push(bt, _P_BATCH, "batch_tick")
 
     def _on_batch_tick(self) -> None:
@@ -696,17 +687,14 @@ class _Run:
     _on_recovery_batch = _on_batch_tick
 
     def _make_batch(self) -> None:
-        taken, kept = [], {}
-        for txid, tx in self.forced.items():
-            if self._censor_ends(tx["user"]):
-                kept[txid] = tx
-            else:
-                taken.append(tx)
-        txs = taken + self.mempool
-        self.forced = kept
-        self.mempool = []
+        txs = self.mempool
+        if self.forced:  # empty in every batch of a fault-free run
+            kept = {i: tx for i, tx in self.forced.items() if self._censor_ends(tx["user"])}
+            txs = [tx for i, tx in self.forced.items() if i not in kept] + txs
+            self.forced = kept
         if not txs:
             return
+        self.mempool = []
         land = next_l1_block(self.now, self.p.l1_block_interval)
         self._emit("batch_created", len(txs), land)
         self._push(land, _P_L1, "batch_landed", txs)
@@ -718,6 +706,7 @@ class _Run:
             wid = self._apply_tx(tx)
             if wid is not None:
                 wids.append(wid)
+        self._update_frozen()
         self._schedule_proposal(self.now, wids)
 
     def _on_forced_deadline(self, txid: str) -> None:
@@ -726,11 +715,13 @@ class _Run:
             return  # already included by a batch
         self._emit("forced_inclusion", txid, self.now - tx["entry"])
         wid = self._apply_tx(tx)
+        self._update_frozen()
         self._schedule_proposal(self.now, [wid] if wid is not None else [])
 
     def _apply_tx(self, tx: dict) -> str | None:
         """Apply one included transaction; returns the id of a successfully
-        included withdrawal, else None."""
+        included withdrawal, else None. The caller moves the frozen clock
+        once its whole batch is applied."""
         txid, kind, user, amount = tx["id"], tx["type"], tx["user"], tx["amount"]
         denied = self.denied
         if denied and txid in denied:
@@ -744,7 +735,6 @@ class _Run:
         if self.l2[user] < amount:
             self._emit("tx_failed", txid, user, "insufficient funds")
             self.pending.pop(txid, None)  # a transfer was never pending
-            self._stalled = None
             return None
         self._move(user, -amount)
         if kind == "transfer":
@@ -753,7 +743,6 @@ class _Run:
             return None
         self._hold(txid, user, amount)
         tx["stage"] = "awaiting_root"
-        self._stalled = None
         self._emit("withdrawal_included", txid, user, amount)
         return txid
 
@@ -781,20 +770,20 @@ class _Run:
         for wid in wids:
             self.pending[wid]["stage"] = "claimable"
             self._push(self.now, _P_L1, "claim", wid)
-        self._stalled = None
+        self._update_frozen()
 
     def _on_claim(self, wid: str) -> None:
         ends = self._ends("claims", "bridge") if self.active else None
         if ends:
             self.pending[wid]["stage"] = "claimable"
-            self._stalled = None
+            self._update_frozen()
             retry = max(ends)
             self._emit("claim_deferred", wid, retry)
             self._push(retry, _P_L1, "claim", wid)
             return
         user, amount = self._release(wid)
         self.bridge_pool -= amount
-        # no claims or bridge fault holds it, so its leaving stalls nothing
+        # no claims or bridge fault holds it, so its leaving moves no clock
         p = self.pending.pop(wid)
         latency = self.now - p["submitted"]
         self.latencies[user].append(latency)
@@ -819,14 +808,14 @@ class _Run:
         reason = self._neutralized(inj.kind)
         if reason is None:
             self.active[idx] = inj
-            self._stalled = None
+            self._update_frozen()
             self._emit("injection_start", inj.kind.value, inj.end)
         else:
             self._emit("injection_start", inj.kind.value, inj.end, reason)
 
     def _on_injection_end(self, idx: int) -> None:
         self.active.pop(idx, None)  # a neutralized fault never became active
-        self._stalled = None
+        self._update_frozen()
         kind = self.sc.injections[idx].kind
         self._emit("injection_end", kind.value)
         if _FAULT_EFFECTS[kind] in ("sequencer", "censorship"):

@@ -13,6 +13,7 @@ import sys
 from collections import defaultdict
 from functools import reduce
 from pathlib import Path
+from types import ModuleType
 
 import jsonschema
 import pytest
@@ -1782,9 +1783,9 @@ def _scan_stalled(run: _Run) -> bool:
     return False
 
 
-class _AfterEachEvent(_Run):
-    """Calls _after_event(kind) after every event's handler, whichever
-    bookkeeping the loop skips for that event."""
+class _AfterEachEvent:
+    """Mixed in ahead of a _Run class: calls _after_event(kind) after every
+    event's handler, whichever bookkeeping the loop skips for that event."""
 
     def _bind(self, kind):
         handler = super()._bind(kind)
@@ -1796,21 +1797,23 @@ class _AfterEachEvent(_Run):
         return then
 
 
-class _CheckedRun(_AfterEachEvent):
-    """Updates the frozen-funds clock after every event, not only while the
-    loop would, and holds the stall answer the clock kept to a full scan."""
+class _StallOracle(_AfterEachEvent):
+    """Mixed in ahead of a _Run class: after every event, holds whether the
+    frozen interval is open to a full scan. It never moves the clock itself,
+    so a handler that changes what the scan reads and leaves the clock where
+    it was fails at that event."""
 
-    def __init__(self, scenario, seed):
-        super().__init__(scenario, seed)
-        self.stalled = 0
-        self.targeted_stalls = 0
+    stalled = targeted_stalls = 0
 
     def _after_event(self, kind):
-        self._update_frozen()
-        stalled = self._stalled
+        stalled = self._frozen_since is not None
         assert stalled == _scan_stalled(self), (self.now, self.records[-1:])
         self.stalled += stalled
         self.targeted_stalls += stalled and all(inj.targets for inj in self.active.values())
+
+
+class _CheckedRun(_StallOracle, _Run):
+    """The engine's own run under the stall oracle."""
 
 
 def _day_long_fault(kind: InjectionKind, users: int, actions: int) -> Scenario:
@@ -1842,6 +1845,41 @@ def _stall_edge_cases() -> list[Scenario]:
     return [dropped, deferred]
 
 
+def _stall_oracle_runs() -> list[tuple[Scenario, int]]:
+    """The (scenario, seed) runs the stall oracle watches."""
+    runs = [(load_bundled_scenario(n), 0) for n in sorted(BUNDLED_EXPECTATIONS)]
+    runs += [(_fault_laden(seed), 0) for seed in range(40)]
+    runs += [(_acceptance_random(), seed) for seed in range(5)]
+    runs.append((_day_long_fault(InjectionKind.PROPOSER_OUTAGE, 20, 200), 0))
+    runs.append((_targeted_censorship(), 0))
+    runs += [(scenario, 0) for scenario in _stall_edge_cases()]
+    return runs
+
+
+def _engine_copy(without: int | None = None) -> ModuleType:
+    """A copy of the engine module built from its source; with without, the
+    without-th self._update_frozen() call of _Run is made a pass."""
+    name = f"{sim_engine.__name__}_copy"
+    lines = Path(sim_engine.__file__).read_text().splitlines(keepends=True)
+    if without is not None:
+        calls = [i for i, line in enumerate(lines) if line.strip() == "self._update_frozen()"]
+        at = calls[without]
+        lines[at] = lines[at].replace("self._update_frozen()", "pass")
+    module = ModuleType(name)
+    sys.modules[name] = module  # dataclass reads the module of SimResult
+    try:
+        exec(compile("".join(lines), name, "exec"), module.__dict__)
+    finally:
+        del sys.modules[name]
+    return module
+
+
+# Where _Run moves the frozen-funds clock: _do_submit, _deny's drop,
+# _on_batch_landed, _on_forced_deadline, _on_root_finalized, _on_claim's
+# deferral, _on_injection_start and _on_injection_end.
+CLOCK_MOVES = 8
+
+
 class TestStallBookkeeping:
     def _check(self, scenario, seed=0) -> _CheckedRun:
         run = _CheckedRun(scenario, seed)
@@ -1850,14 +1888,30 @@ class TestStallBookkeeping:
         return run
 
     def test_stall_answer_matches_a_full_scan_after_every_event(self):
-        runs = [self._check(load_bundled_scenario(n)) for n in sorted(BUNDLED_EXPECTATIONS)]
-        runs += [self._check(_fault_laden(seed)) for seed in range(40)]
-        runs += [self._check(_acceptance_random(), seed) for seed in range(5)]
-        runs.append(self._check(_day_long_fault(InjectionKind.PROPOSER_OUTAGE, 20, 200)))
-        runs.append(self._check(_targeted_censorship()))
-        runs += [self._check(scenario) for scenario in _stall_edge_cases()]
+        runs = [self._check(scenario, seed) for scenario, seed in _stall_oracle_runs()]
         assert sum(r.stalled for r in runs) > 0
         assert sum(r.targeted_stalls for r in runs) > 0
+
+    def test_every_clock_move_is_needed(self):
+        # Each copy of the engine that lacks one clock move must fail the
+        # oracle on some run, and the unchanged copy fail none; the copies
+        # run in this process.
+        source = Path(sim_engine.__file__).read_text()
+        assert source.count("self._update_frozen()") == CLOCK_MOVES
+        runs = _stall_oracle_runs()
+
+        def oracle_fails(engine: ModuleType) -> bool:
+            checked = type("Checked", (_StallOracle, engine._Run), {})
+            for scenario, seed in runs:
+                try:
+                    checked(scenario, seed).execute()
+                except AssertionError:
+                    return True
+            return False
+
+        assert not oracle_fails(_engine_copy())
+        survivors = [site for site in range(CLOCK_MOVES) if not oracle_fails(_engine_copy(site))]
+        assert survivors == []
 
     def test_predicate_calls_per_event_do_not_grow_with_the_workload(self):
         class CountingRun(_Run):
@@ -1939,12 +1993,40 @@ class TestStallBookkeeping:
         assert not hasattr(run, "__dict__")
 
 
+class _TickRecordingRun(_Run):
+    """Records the slot of each batch_tick it schedules."""
+
+    def __init__(self, scenario, seed):
+        super().__init__(scenario, seed)
+        self.ticks = []
+
+    def _push(self, t, prio, kind, *args):
+        if kind == "batch_tick":
+            self.ticks.append(t)
+        super()._push(t, prio, kind, *args)
+
+
+class TestBatchGrid:
+    def test_each_slot_is_scheduled_once(self):
+        # An empty batch writes no event, so a second tick at one slot
+        # would change no trace; only the pushes show it.
+        runs = [(_random(100, 2_000), 0)]
+        runs += [(_fault_laden(seed), 0) for seed in range(40)]
+        runs += [(load_bundled_scenario(n), 0) for n in sorted(BUNDLED_EXPECTATIONS)]
+        for scenario, seed in runs:
+            run = _TickRecordingRun(scenario, seed)
+            run.execute()
+            assert run.result() == simulate(scenario, seed)
+            assert run.ticks, scenario.name
+            assert run.ticks == sorted(set(run.ticks)), scenario.name
+
+
 def _resum(run: _Run) -> int:
     """Every L2 balance and in-flight amount, summed afresh."""
     return sum(run.l2.values()) + sum(amount for _user, amount in run.inflight.values())
 
 
-class _LedgerOracleRun(_AfterEachEvent):
+class _LedgerOracleRun(_AfterEachEvent, _Run):
     """Holds the ledgers' running total to a full re-sum after every event."""
 
     checks = 0
@@ -1954,7 +2036,7 @@ class _LedgerOracleRun(_AfterEachEvent):
         self.checks += 1
 
 
-class _FullResumRun(_AfterEachEvent):
+class _FullResumRun(_AfterEachEvent, _Run):
     """The conservation check as a full re-sum of both ledgers after every
     event, in place of the engine's: the reference the running-total check
     must agree with."""
@@ -2215,7 +2297,7 @@ class _AllOnHeapRun(_Run):
             raise RuntimeError(f"ledger total {self.accounted} != {_resum(self)}")
 
 
-class _ActionsOffHeapRun(_AfterEachEvent):
+class _ActionsOffHeapRun(_AfterEachEvent, _Run):
     """Asserts after every event that no action waits on the heap."""
 
     def _after_event(self, kind):
