@@ -21,12 +21,14 @@ The model, in brief:
   _Run reads the proof system once and keeps the finality delay.
   Withdrawals pay out from the bridge once their root is final; escape-hatch
   exits settle directly against finalized L1 state.
-- A withdrawal's exit entry in _Run.pending is its own transaction, its
-  stage (queued, awaiting_root, claimable) written on it; a hatch exit has
-  no transaction and gets an entry of its own. An exit stays pending until
-  it is claimed, fails or is dropped. A denial is recorded once, in
-  _Run.denied, while the denied transaction waits for forced inclusion; a
-  dropped one is never applied and counts its denial as it drops.
+- _Run.pending keeps one table per stage of an exit in flight (queued,
+  awaiting_root, claimable), mapping its id to a withdrawal's transaction
+  or a hatch exit's entry. An exit moves from table to table and rides its
+  own proposal, root and claim events; a hatch exit enters claimable only
+  if its claim is deferred. An exit stays pending until it is claimed,
+  fails or is dropped. A denial is recorded once, in _Run.denied, while
+  the denied transaction waits for forced inclusion; a dropped one is
+  never applied and counts its denial as it drops.
 - The bridge escrow must always equal the sum of L2 balances and in-flight
   amounts. _move, _hold and _release are the only writers of those two
   ledgers and keep their running total, so the identity is tested after
@@ -44,11 +46,11 @@ The model, in brief:
   offchain data hatch exits need. A fault the config routes around
   (_Run._neutralized) is noted as ineffective and never becomes active.
 - Funds count as frozen while some exit in flight is stalled by an active
-  fault. The frozen-funds clock moves only where what the stall answer
-  reads changes: the active faults, the exits in pending, or an exit's
-  stage. There the answer is worked out afresh, which returns at once when
-  no fault is active and otherwise looks up the root, claim and sequencer
-  effects at most once each, not once per exit in flight.
+  fault. The frozen-funds clock moves only where the active faults or the
+  exits in a stage's table change. There the answer is worked out afresh:
+  at once when no fault is active, else by asking which tables are empty,
+  with the root, claim and sequencer effects looked up at most once each;
+  only the censorship check reads single exits, the queued ones.
 - The engine's own events wait on a heap as (time, priority, sequence,
   kind, args). Workload actions never enter it: they come in time order as
   plain (at, action, user, amount, to) tuples, an explicit list's stably
@@ -304,9 +306,9 @@ class _Run:
         self.censorship_window = 0
         # tx id -> submission time of each denied transaction not yet applied
         self.denied: dict[str, int] = {}
-        # exits in flight, tracked for the frozen-funds metric: a withdrawal's
-        # transaction or a hatch exit's entry, each with user, submitted, stage
-        self.pending: dict[str, dict] = {}
+        # exits in flight, tracked for the frozen-funds metric: stage -> id ->
+        # a withdrawal's transaction or a deferred hatch exit's entry
+        self.pending: dict[str, dict] = {"queued": {}, "awaiting_root": {}, "claimable": {}}
         self._frozen_accum = 0
         self._frozen_since: int | None = None
 
@@ -438,7 +440,7 @@ class _Run:
 
     def result(self) -> SimResult:
         metrics = HarmMetrics(
-            withdrawal_latency={u: tuple(v) for u, v in self.latencies.items()},
+            withdrawal_latency=self.latencies,
             frozen_funds_duration=self._frozen_accum,
             censorship_window=self.censorship_window,
             exit_coverage_before_upgrade=self.exit_coverage,
@@ -489,26 +491,25 @@ class _Run:
         root no one may propose or prove, or a claim the bridge refuses.
 
         With no fault active nothing can stall, so the answer is immediate.
-        Otherwise one pass collects the stages present, and the root, claim
-        and sequencer effects are each looked up at most once, however many
-        exits are in flight; only censorship is checked per queued user."""
+        Otherwise it asks whether each stage's table is empty and looks up
+        the root, claim and sequencer effects at most once each; only the
+        censorship check reads single exits, the queued ones, by user."""
         if not self.active:
             return False
-        pending = self.pending.values()
-        stages = {p["stage"] for p in pending}
-        if "awaiting_root" in stages and self._ends(*self._root_effects):
+        pending = self.pending
+        if pending["awaiting_root"] and self._ends(*self._root_effects):
             return True
-        if "claimable" in stages and self._ends("claims", "bridge"):
+        if pending["claimable"] and self._ends("claims", "bridge"):
             return True
-        return "queued" in stages and (
+        return bool(pending["queued"]) and (
             bool(self._ends("sequencer"))
-            or any(self._censor_ends(p["user"]) for p in pending if p["stage"] == "queued")
+            or any(self._censor_ends(tx["user"]) for tx in pending["queued"].values())
         )
 
     def _update_frozen(self) -> None:
         """Open or close the frozen interval as the stall answer reads now;
-        called wherever active changes, an exit enters or leaves pending, or
-        an exit's stage is written."""
+        called wherever active changes or an exit enters, leaves or moves
+        between the tables of pending."""
         stalled = self._exit_stalled()
         if stalled and self._frozen_since is None:
             self._frozen_since = self.now
@@ -590,8 +591,7 @@ class _Run:
         }
         self._emit("tx_submitted", txid, action, user, amount)
         if action == "withdraw":
-            tx["stage"] = "queued"
-            self.pending[txid] = tx
+            self.pending["queued"][txid] = tx
             self._update_frozen()
         if self.active and not self._seq_accepting(user):
             self._deny(tx)
@@ -616,7 +616,7 @@ class _Run:
             self._emit("tx_queued_forced", tx["id"], deadline)
         else:
             self._emit("tx_dropped", tx["id"], "sequencer unavailable")
-            self.pending.pop(tx["id"], None)
+            self.pending["queued"].pop(tx["id"], None)
             self._update_frozen()
             # counted up to the horizon, if one cuts the run first
             blocked_for = min(self._denial_end(tx["user"]), self.horizon) - tx["submitted"]
@@ -643,11 +643,10 @@ class _Run:
             return
         self._move(user, -amount)
         self._hold(hid, user, amount)
-        # waiting on finality stalls nothing, so the frozen clock stands
-        self.pending[hid] = {"user": user, "submitted": submitted, "stage": "hatch_wait"}
         self._emit("hatch_exit_included", hid, user, amount)
+        # waiting on finality stalls nothing, so the exit enters no table yet
         done = self.now + self.p.finalization_depth * self.p.l1_block_interval
-        self._push(done, _P_L1, "claim", hid)
+        self._push(done, _P_L1, "claim", {"id": hid, "user": user, "submitted": submitted})
 
     # -- sequencing and batches ------------------------------------------------
 
@@ -701,27 +700,23 @@ class _Run:
 
     def _on_batch_landed(self, txs: list[dict]) -> None:
         self._emit("batch_landed", len(txs))
-        wids = []
-        for tx in txs:
-            wid = self._apply_tx(tx)
-            if wid is not None:
-                wids.append(wid)
+        withdrawals = [tx for tx in txs if self._apply_tx(tx)]
         self._update_frozen()
-        self._schedule_proposal(self.now, wids)
+        self._schedule_proposal(self.now, withdrawals)
 
     def _on_forced_deadline(self, txid: str) -> None:
         tx = self.forced.pop(txid, None)
         if tx is None:
             return  # already included by a batch
         self._emit("forced_inclusion", txid, self.now - tx["entry"])
-        wid = self._apply_tx(tx)
+        withdrawals = [tx] if self._apply_tx(tx) else []
         self._update_frozen()
-        self._schedule_proposal(self.now, [wid] if wid is not None else [])
+        self._schedule_proposal(self.now, withdrawals)
 
-    def _apply_tx(self, tx: dict) -> str | None:
-        """Apply one included transaction; returns the id of a successfully
-        included withdrawal, else None. The caller moves the frozen clock
-        once its whole batch is applied."""
+    def _apply_tx(self, tx: dict) -> bool:
+        """Apply one included transaction; returns whether it included a
+        withdrawal, which moves from the queued table to awaiting_root. The
+        caller moves the frozen clock once its whole batch is applied."""
         txid, kind, user, amount = tx["id"], tx["type"], tx["user"], tx["amount"]
         denied = self.denied
         if denied and txid in denied:
@@ -731,63 +726,65 @@ class _Run:
             self._release(txid)
             self._move(user, amount)
             self._emit("credit_applied", txid, user, amount)
-            return None
+            return False
         if self.l2[user] < amount:
             self._emit("tx_failed", txid, user, "insufficient funds")
-            self.pending.pop(txid, None)  # a transfer was never pending
-            return None
+            self.pending["queued"].pop(txid, None)  # a transfer was never pending
+            return False
         self._move(user, -amount)
         if kind == "transfer":
             self._move(tx["to"], amount)
             self._emit("transfer_applied", txid, user, tx["to"], amount)
-            return None
+            return False
         self._hold(txid, user, amount)
-        tx["stage"] = "awaiting_root"
+        self.pending["awaiting_root"][txid] = self.pending["queued"].pop(txid)
         self._emit("withdrawal_included", txid, user, amount)
-        return txid
+        return True
 
     # -- state roots and claims -------------------------------------------------
 
-    def _schedule_proposal(self, batch_time: int, wids: list[str]) -> None:
+    def _schedule_proposal(self, batch_time: int, withdrawals: list[dict]) -> None:
         ready = batch_time + self.p.proposal_delay
         if self._zk:
             ready = max(ready, batch_time + self.p.prover_latency)
         at = next_l1_block(ready, self.p.l1_block_interval)
-        self._push(at, _P_L1, "proposal_attempt", batch_time, wids)
+        self._push(at, _P_L1, "proposal_attempt", batch_time, withdrawals)
 
-    def _on_proposal_attempt(self, batch_time: int, wids: list[str]) -> None:
+    def _on_proposal_attempt(self, batch_time: int, withdrawals: list[dict]) -> None:
         blocked_until = self._ends(*self._root_effects) if self.active else None
         if blocked_until:
             retry = next_l1_block(max(blocked_until), self.p.l1_block_interval)
             self._emit("proposal_blocked", batch_time, retry)
-            self._push(retry, _P_L1, "proposal_attempt", batch_time, wids)
+            self._push(retry, _P_L1, "proposal_attempt", batch_time, withdrawals)
             return
-        self._emit("proposal", batch_time, len(wids))
-        self._push(self.now + self._final_delay, _P_L1, "root_finalized", batch_time, wids)
+        self._emit("proposal", batch_time, len(withdrawals))
+        self._push(self.now + self._final_delay, _P_L1, "root_finalized", batch_time, withdrawals)
 
-    def _on_root_finalized(self, batch_time: int, wids: list[str]) -> None:
-        self._emit("root_finalized", batch_time, len(wids))
-        for wid in wids:
-            self.pending[wid]["stage"] = "claimable"
-            self._push(self.now, _P_L1, "claim", wid)
+    def _on_root_finalized(self, batch_time: int, withdrawals: list[dict]) -> None:
+        self._emit("root_finalized", batch_time, len(withdrawals))
+        for tx in withdrawals:
+            self.pending["claimable"][tx["id"]] = self.pending["awaiting_root"].pop(tx["id"])
+            self._push(self.now, _P_L1, "claim", tx)
         self._update_frozen()
 
-    def _on_claim(self, wid: str) -> None:
+    def _on_claim(self, exit_: dict) -> None:
+        """Pay out an exit, or defer it as claimable while claims or the bridge are held."""
+        xid = exit_["id"]
         ends = self._ends("claims", "bridge") if self.active else None
         if ends:
-            self.pending[wid]["stage"] = "claimable"
+            self.pending["claimable"][xid] = exit_
             self._update_frozen()
             retry = max(ends)
-            self._emit("claim_deferred", wid, retry)
-            self._push(retry, _P_L1, "claim", wid)
+            self._emit("claim_deferred", xid, retry)
+            self._push(retry, _P_L1, "claim", exit_)
             return
-        user, amount = self._release(wid)
+        user, amount = self._release(xid)
         self.bridge_pool -= amount
         # no claims or bridge fault holds it, so its leaving moves no clock
-        p = self.pending.pop(wid)
-        latency = self.now - p["submitted"]
+        self.pending["claimable"].pop(xid, None)  # a hatch exit never deferred is in none
+        latency = self.now - exit_["submitted"]
         self.latencies[user].append(latency)
-        self._emit("withdrawal_claimed", wid, user, amount, latency)
+        self._emit("withdrawal_claimed", xid, user, amount, latency)
 
     # -- fault windows, exploits, upgrades ----------------------------------------
 

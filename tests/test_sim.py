@@ -1767,20 +1767,70 @@ print(sum(r.trace_lines() == [dumps(e) for e in r.events] for r in runs))
 """
 
 
-def _scan_stalled(run: _Run) -> bool:
-    """The stall test as a plain scan of every exit in flight, evaluating the
-    fault predicates per exit: the reference the engine's answer must match
-    after every event."""
+class _ExitsFromRecords:
+    """The exits in flight, built from the records emitted so far and never
+    from the engine's tables, as ROADMAP item 10's replay reads the trace:
+    tx_submitted (withdraw) queues an exit and tx_dropped or tx_failed takes
+    it out; withdrawal_included moves it to awaiting_root, its t the batch
+    time; root_finalized moves its withdrawals count of exits with that
+    batch time, oldest inclusion first, to claimable; hatch_exit_included
+    starts a hatch exit that stalls nothing; claim_deferred makes an exit
+    claimable and withdrawal_claimed takes it out."""
+
+    def __init__(self):
+        self.read = 0
+        self.queued = {}  # id -> user
+        self.awaiting_root = {}  # id -> batch time, in inclusion order
+        self.claimable = set()
+        self.hatch_waits = set()
+
+    def replay(self, records):
+        for kind, t, _i, *values in records[self.read :]:
+            if kind == "tx_submitted" and values[1] == "withdraw":
+                self.queued[values[0]] = values[2]
+            elif kind in ("tx_dropped", "tx_failed"):
+                self.queued.pop(values[0], None)
+            elif kind == "withdrawal_included":
+                del self.queued[values[0]]
+                self.awaiting_root[values[0]] = t
+            elif kind == "root_finalized":
+                batch_time, withdrawals = values
+                final = [x for x, bt in self.awaiting_root.items() if bt == batch_time]
+                assert len(final) >= withdrawals, (t, kind, values)
+                for xid in final[:withdrawals]:
+                    del self.awaiting_root[xid]
+                    self.claimable.add(xid)
+            elif kind == "hatch_exit_included":
+                self.hatch_waits.add(values[0])
+            elif kind == "claim_deferred":
+                self.hatch_waits.discard(values[0])
+                self.claimable.add(values[0])
+            elif kind == "withdrawal_claimed":
+                if values[0] in self.hatch_waits:
+                    self.hatch_waits.remove(values[0])
+                else:
+                    self.claimable.remove(values[0])
+        self.read = len(records)
+
+    def tables(self) -> dict[str, set[str]]:
+        """The ids in each of the engine's stage tables, as replayed."""
+        return {
+            "queued": set(self.queued),
+            "awaiting_root": set(self.awaiting_root),
+            "claimable": self.claimable,
+        }
+
+
+def _scan_stalled(run: _Run, exits: _ExitsFromRecords) -> bool:
+    """The stall test as a plain scan of every exit the records show in
+    flight, evaluating the engine's fault predicates per exit: the reference
+    the engine's answer must match after every event."""
     zk = run.cfg.proof_system is ProofSystem.ZK
-    for p in run.pending.values():
-        stage = p["stage"]
-        if stage == "queued" and not run._seq_accepting(p["user"]):
-            return True
-        if stage == "awaiting_root" and (run._ends("proposals") or (zk and run._ends("proofs"))):
-            return True
-        if stage == "claimable" and run._ends("claims", "bridge"):
-            return True
-    return False
+    if any(not run._seq_accepting(user) for user in exits.queued.values()):
+        return True
+    if any(run._ends("proposals") or (zk and run._ends("proofs")) for _xid in exits.awaiting_root):
+        return True
+    return any(run._ends("claims", "bridge") for _xid in exits.claimable)
 
 
 class _AfterEachEvent:
@@ -1799,15 +1849,24 @@ class _AfterEachEvent:
 
 class _StallOracle(_AfterEachEvent):
     """Mixed in ahead of a _Run class: after every event, holds whether the
-    frozen interval is open to a full scan. It never moves the clock itself,
-    so a handler that changes what the scan reads and leaves the clock where
-    it was fails at that event."""
+    frozen interval is open to a full scan of the exits the records show in
+    flight, and the engine's stage tables to those exits. It never moves the
+    clock itself, so a handler that changes what the scan reads and leaves
+    the clock where it was fails at that event, and so does an exit put in
+    the wrong table."""
 
     stalled = targeted_stalls = 0
 
+    def __init__(self, scenario, seed):
+        super().__init__(scenario, seed)
+        self.exits = _ExitsFromRecords()
+
     def _after_event(self, kind):
+        self.exits.replay(self.records)
+        tables = {stage: set(table) for stage, table in self.pending.items()}
+        assert tables == self.exits.tables(), (self.now, self.records[-1:])
         stalled = self._frozen_since is not None
-        assert stalled == _scan_stalled(self), (self.now, self.records[-1:])
+        assert stalled == _scan_stalled(self, self.exits), (self.now, self.records[-1:])
         self.stalled += stalled
         self.targeted_stalls += stalled and all(inj.targets for inj in self.active.values())
 
@@ -1829,7 +1888,8 @@ def _stall_edge_cases() -> list[Scenario]:
     """Runs where an exit changes stall status with no fault starting or
     ending: a withdrawal dropped at admission, as an outage began between its
     submission and admission, and a hatch exit whose claim comes due, and is
-    deferred, in a claims fault that began while it awaited finality."""
+    deferred, in a claims fault that began while it awaited finality; then
+    that hatch exit deferred twice, across two back-to-back claims faults."""
     dropped = Scenario(
         name="dropped-at-admission",
         config=RollupConfig(),
@@ -1842,7 +1902,15 @@ def _stall_edge_cases() -> list[Scenario]:
         actions=(WorkloadAction(0, "deposit", "u", 50), WorkloadAction(1_000, "hatch-exit", "u")),
         injections=(Injection(InjectionKind.WITHDRAWAL_FAILURE, at=1_500, duration=HOUR),),
     )
-    return [dropped, deferred]
+    twice = dataclasses.replace(
+        deferred,
+        name="hatch-claim-deferred-twice",
+        injections=(
+            *deferred.injections,
+            Injection(InjectionKind.WITHDRAWAL_FAILURE, at=1_500 + HOUR, duration=HOUR),
+        ),
+    )
+    return [dropped, deferred, twice]
 
 
 def _stall_oracle_runs() -> list[tuple[Scenario, int]]:
@@ -1912,6 +1980,41 @@ class TestStallBookkeeping:
         assert not oracle_fails(_engine_copy())
         survivors = [site for site in range(CLOCK_MOVES) if not oracle_fails(_engine_copy(site))]
         assert survivors == []
+
+    def test_a_hatch_claim_deferred_twice_is_frozen_while_either_window_holds(self):
+        # The hatch exit is included at 1,008 and its claim comes due 64 L1
+        # blocks later, at 1,776, in the first claims fault (1,500-5,100):
+        # frozen from 1,776. At 5,100 the first fault ends before the second
+        # starts, so the interval closes and opens again, and the claim is
+        # deferred once more, to 8,700, when it pays: 3,324 + 3,600 s frozen.
+        (twice,) = [s for s in _stall_edge_cases() if s.name == "hatch-claim-deferred-twice"]
+        result = self._check(twice).result()
+        deferred = [(e["t"], e["retry_at"]) for e in _events(result, "claim_deferred")]
+        assert deferred == [(1_776, 5_100), (5_100, 8_700)]
+        claimed = _events(result, "withdrawal_claimed")
+        assert [(e["t"], e["latency"]) for e in claimed] == [(8_700, 7_700)]
+        assert result.metrics.frozen_funds_duration == (5_100 - 1_776) + (8_700 - 5_100) == 6_924
+
+    def test_no_exit_awaiting_a_root_or_a_claim_is_read(self):
+        class ScanCountingRun(_Run):
+            def __init__(self, scenario, seed):
+                super().__init__(scenario, seed)
+                self.pending["awaiting_root"] = _ScannedFlights()
+                self.pending["claimable"] = _ScannedFlights()
+
+        # A proposer outage holds every exit awaiting a root, a withdrawal
+        # failure every claimable one; the stall test only asks whether
+        # those tables are empty, whatever the size.
+        for kind in (InjectionKind.PROPOSER_OUTAGE, InjectionKind.WITHDRAWAL_FAILURE):
+            for users, actions in ((20, 200), (200, 2_000)):
+                scenario = _day_long_fault(kind, users, actions)
+                run = ScanCountingRun(scenario, 0)
+                run.execute()
+                scans = [run.pending[stage].scans for stage in ("awaiting_root", "claimable")]
+                assert scans == [0, 0], scenario.name
+                result = run.result()
+                assert result.metrics.frozen_funds_duration > 0, scenario.name
+                assert result.events == simulate(scenario, 0).events
 
     def test_predicate_calls_per_event_do_not_grow_with_the_workload(self):
         class CountingRun(_Run):
@@ -2069,19 +2172,19 @@ class _TransferSkipsCredit(_Mutant):
     """A transfer that debits the sender and credits no one."""
 
     def _apply_tx(self, tx):
-        wid = super()._apply_tx(tx)
-        if tx["type"] == "transfer" and self.records[-1][0] == "transfer_applied":
+        included = super()._apply_tx(tx)
+        if not included and self.records[-1][0] == "transfer_applied":
             self._move(tx["to"], -tx["amount"])
             self._mutated()
-        return wid
+        return included
 
 
 class _ClaimKeepsPool(_Mutant):
     """A claim that pays out without drawing on the bridge escrow."""
 
-    def _on_claim(self, wid):
+    def _on_claim(self, exit_):
         pool = self.bridge_pool
-        super()._on_claim(wid)
+        super()._on_claim(exit_)
         if self.bridge_pool != pool:
             self.bridge_pool = pool
             self._mutated()
@@ -2091,11 +2194,11 @@ class _WithdrawalSkipsDebit(_Mutant):
     """A withdrawal included without debiting the user's L2 balance."""
 
     def _apply_tx(self, tx):
-        wid = super()._apply_tx(tx)
-        if wid is not None:
+        included = super()._apply_tx(tx)
+        if included:
             self._move(tx["user"], tx["amount"])
             self._mutated()
-        return wid
+        return included
 
 
 class _ScanCounting:
@@ -2218,8 +2321,8 @@ class _RecoveryMintsOne(_Mutant, _Run):
 class _ClaimMintsOne(_Mutant, _Run):
     """A claim that adds a unit to the escrow from nowhere."""
 
-    def _on_claim(self, wid):
-        super()._on_claim(wid)
+    def _on_claim(self, exit_):
+        super()._on_claim(exit_)
         self.bridge_pool += 1
         self._mutated()
 
@@ -2554,6 +2657,27 @@ def _check_every_window_doubled(sc: Scenario) -> None:
     assert _harms(doubled).censorship_window >= _harms(sc).censorship_window
 
 
+def _sequencer_windows_overlap(sc: Scenario) -> bool:
+    """Whether two windows that hold up sequencer access (a sequencer or a
+    censorship effect) overlap or touch, where item 17's overlap defect
+    counts a dropped transaction's denial short."""
+    access = ("sequencer", "censorship")
+    windows = sorted((j.at, j.end) for j in sc.injections if _FAULT_EFFECTS[j.kind] in access)
+    return any(later[0] <= earlier[1] for earlier, later in zip(windows, windows[1:]))
+
+
+def _check_forced_inclusion_censorship(sc: Scenario) -> None:
+    """Law (a), with one L1 block of slack: usable forced inclusion never
+    raises censorship by more. A queued transaction counts until it is
+    included, at the next L1 block after recovery at the latest, while a
+    dropped one counts until the window ends."""
+    fi = sc.config.forced_inclusion
+    unusable = _reconfigured(sc, forced_inclusion=dataclasses.replace(fi, usable=False))
+    usable = _reconfigured(sc, forced_inclusion=dataclasses.replace(fi, enabled=True, usable=True))
+    slack = sc.params.l1_block_interval
+    assert _harms(usable).censorship_window <= _harms(unusable).censorship_window + slack
+
+
 def _usable_forced_inclusion(sc: Scenario) -> Scenario:
     return _reconfigured(
         sc, forced_inclusion=ForcedInclusionConfig(enabled=True, usable=True, timeout=12 * HOUR)
@@ -2587,6 +2711,11 @@ class TestMonotonicityLaws:
         for index in range(len(sc.injections)):
             _check_longer_window(sc, index, HOUR)
         _check_every_window_doubled(sc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_small_faulted().filter(lambda sc: not _sequencer_windows_overlap(sc)))
+    def test_usable_forced_inclusion_raises_censorship_by_at_most_one_block(self, sc):
+        _check_forced_inclusion_censorship(sc)
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 11: a deposit landing on a spent batch slot")
     def test_every_landed_deposit_is_credited(self):
