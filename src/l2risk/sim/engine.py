@@ -10,10 +10,10 @@ The model, in brief:
   a submission either enters the forced-inclusion queue, when that mechanism
   is usable, or is dropped.
 - A forced-queue entry is included at the earlier of two moments: the
-  sequencer's next batch (the queue is drained first, immediately on
-  recovery) or direct L1 inclusion once the forced-inclusion timeout
-  elapses. The timeout path bounds inclusion delay by timeout plus one L1
-  block regardless of how long the outage lasts.
+  recovery batch a sequencer or censorship fault's end pushes (the only batch
+  that reads the queue, as only such an end lets a user back in) or direct
+  L1 inclusion after the forced-inclusion timeout, which bounds inclusion
+  delay by timeout plus one L1 block however long the outage lasts.
 - Every landed batch gets a state root: proposable after proposal_delay,
   or on validity-proof systems after prover_latency if that is longer.
   Roots finalize after finalization_depth L1 blocks (validity proofs) or the
@@ -49,8 +49,8 @@ The model, in brief:
   fault. The frozen-funds clock moves only where the active faults or the
   exits in a stage's table change. There the answer is worked out afresh:
   at once when no fault is active, else by asking which tables are empty,
-  with the root, claim and sequencer effects looked up at most once each;
-  only the censorship check reads single exits, the queued ones.
+  with the root and claim effects looked up at most once each; only the
+  access check reads single exits, the queued ones.
 - The engine's own events wait on a heap as (time, priority, sequence,
   kind, args). Workload actions never enter it: they come in time order as
   plain (at, action, user, amount, to) tuples, an explicit list's stably
@@ -63,8 +63,8 @@ The model, in brief:
   subclass's handler is the one that runs. It records a violation under
   that kind's name only when the escrow and the running total differ; the
   handlers move the frozen-funds clock themselves. With no fault active
-  the handlers make no fault lookup (_ends, _censor_ends, _seq_accepting)
-  at all: each guards its lookups with self.active.
+  the handlers make no fault lookup (_ends, _access_ends) at all: each
+  guards its lookups with self.active.
 - A run sim.horizon cuts ends at the horizon. Its open frozen interval and
   its denied transactions still unapplied count up to it, and a dropped
   transaction counts its denial up to the horizon at most.
@@ -143,9 +143,10 @@ _FAULT_EFFECTS = {
 _HATCH_BLOCKED = {"bridge": "bridge unavailable", "data": "data unavailable"}
 
 # Same-instant ordering: fault windows close before anything else runs, L1
-# landings precede sequencer work, user actions come late, and upgrade
-# bookkeeping runs last so it sees the settled state of that second.
-_P_END, _P_START, _P_L1, _P_ADMIT, _P_BATCH, _P_ACTION, _P_UPGRADE = range(7)
+# landings precede sequencer work, a recovery batch precedes the grid tick
+# (so the entries it frees share a batch with the mempool), user actions come
+# late, and upgrade bookkeeping runs last to see the settled second.
+_P_END, _P_START, _P_L1, _P_ADMIT, _P_RECOVER, _P_BATCH, _P_ACTION, _P_UPGRADE = range(8)
 # What the loop holds once the workload is spent: above every event's key.
 _NO_ACTION = (math.inf,)
 
@@ -461,15 +462,14 @@ class _Run:
         """End times of the active faults that hold up any of these effects."""
         return [inj.end for inj in self.active.values() if _FAULT_EFFECTS[inj.kind] in effects]
 
-    def _censor_ends(self, user: str) -> list[int]:
+    def _access_ends(self, user: str) -> list[int]:
+        """End times of the active faults that shut this user out of the sequencer."""
         return [
             inj.end
             for inj in self.active.values()
-            if _FAULT_EFFECTS[inj.kind] == "censorship" and (not inj.targets or user in inj.targets)
+            if (effect := _FAULT_EFFECTS[inj.kind]) == "sequencer"
+            or (effect == "censorship" and (not inj.targets or user in inj.targets))
         ]
-
-    def _seq_accepting(self, user: str) -> bool:
-        return not self._ends("sequencer") and not self._censor_ends(user)
 
     def _hatch_blocked(self) -> str | None:
         """Why a hatch exit is refused: the first blocking fault in start order."""
@@ -479,21 +479,17 @@ class _Run:
                 return reason
         return None
 
-    def _denial_end(self, user: str) -> int:
-        """When the user could next reach the sequencer, given active faults."""
-        return max(self.now, *self._ends("sequencer"), *self._censor_ends(user))
-
     # -- metric bookkeeping --------------------------------------------------
 
     def _exit_stalled(self) -> bool:
         """Whether an active fault holds up some exit in flight: a queued
-        withdrawal the sequencer will not take, a withdrawal waiting on a
-        root no one may propose or prove, or a claim the bridge refuses.
+        withdrawal whose user is shut out, a withdrawal waiting on a root
+        no one may propose or prove, or a claim the bridge refuses.
 
         With no fault active nothing can stall, so the answer is immediate.
         Otherwise it asks whether each stage's table is empty and looks up
-        the root, claim and sequencer effects at most once each; only the
-        censorship check reads single exits, the queued ones, by user."""
+        the root and claim effects at most once each; only the access check
+        reads single exits, the queued ones, up to the first shut out."""
         if not self.active:
             return False
         pending = self.pending
@@ -501,10 +497,10 @@ class _Run:
             return True
         if pending["claimable"] and self._ends("claims", "bridge"):
             return True
-        return bool(pending["queued"]) and (
-            bool(self._ends("sequencer"))
-            or any(self._censor_ends(tx["user"]) for tx in pending["queued"].values())
-        )
+        for tx in pending["queued"].values():
+            if self._access_ends(tx["user"]):
+                return True
+        return False
 
     def _update_frozen(self) -> None:
         """Open or close the frozen interval as the stall answer reads now;
@@ -593,7 +589,7 @@ class _Run:
         if action == "withdraw":
             self.pending["queued"][txid] = tx
             self._update_frozen()
-        if self.active and not self._seq_accepting(user):
+        if self.active and self._access_ends(user):
             self._deny(tx)
         else:
             factor = self.p.degradation_factor if self.active and self._ends("admission") else 1
@@ -601,7 +597,7 @@ class _Run:
             self._push(admit, _P_ADMIT, "tx_admitted", tx)
 
     def _on_tx_admitted(self, tx: dict) -> None:
-        if self.active and not self._seq_accepting(tx["user"]):
+        if self.active and self._access_ends(tx["user"]):
             # the sequencer went away between submission and admission
             self._deny(tx)
             return
@@ -619,7 +615,8 @@ class _Run:
             self.pending["queued"].pop(tx["id"], None)
             self._update_frozen()
             # counted up to the horizon, if one cuts the run first
-            blocked_for = min(self._denial_end(tx["user"]), self.horizon) - tx["submitted"]
+            ends = self._access_ends(tx["user"])
+            blocked_for = min(max(self.now, *ends), self.horizon) - tx["submitted"]
             self.censorship_window = max(self.censorship_window, blocked_for)
 
     def _do_hatch(self, user: str, amount: int) -> None:
@@ -652,7 +649,7 @@ class _Run:
 
     def _enqueue_l2(self, tx: dict) -> None:
         """Route a system transaction (deposit credit) toward L2 inclusion."""
-        if not self.active or self._seq_accepting(tx["user"]):
+        if not self.active or not self._access_ends(tx["user"]):
             self.mempool.append(tx)
             self._grid_batch(self.now)
         elif self.cfg.forced_inclusion.usable:
@@ -681,16 +678,18 @@ class _Run:
     def _on_batch_tick(self) -> None:
         if self.active and self._ends("sequencer"):
             return
-        self._make_batch()
+        self._make_batch(self.mempool)
 
-    _on_recovery_batch = _on_batch_tick
+    def _on_recovery_batch(self) -> None:
+        """Batch the forced entries of users let back in, then the mempool."""
+        if self.active and self._ends("sequencer"):
+            return
+        kept = {i: tx for i, tx in self.forced.items() if self._access_ends(tx["user"])}
+        freed = [tx for i, tx in self.forced.items() if i not in kept]
+        self.forced = kept
+        self._make_batch(freed + self.mempool)
 
-    def _make_batch(self) -> None:
-        txs = self.mempool
-        if self.forced:  # empty in every batch of a fault-free run
-            kept = {i: tx for i, tx in self.forced.items() if self._censor_ends(tx["user"])}
-            txs = [tx for i, tx in self.forced.items() if i not in kept] + txs
-            self.forced = kept
+    def _make_batch(self, txs: list[dict]) -> None:
         if not txs:
             return
         self.mempool = []
@@ -817,7 +816,7 @@ class _Run:
         self._emit("injection_end", kind.value)
         if _FAULT_EFFECTS[kind] in ("sequencer", "censorship"):
             if (self.mempool or self.forced) and not self._ends("sequencer"):
-                self._push(self.now, _P_BATCH, "recovery_batch")
+                self._push(self.now, _P_RECOVER, "recovery_batch")
 
     def _on_exploit(self, idx: int) -> None:
         inj = self.sc.injections[idx]

@@ -56,6 +56,7 @@ from l2risk.sim import engine as sim_engine
 from l2risk.sim.engine import (
     _FAULT_EFFECTS,
     _P_ACTION,
+    _P_BATCH,
     _P_END,
     _P_START,
     _P_UPGRADE,
@@ -1826,7 +1827,7 @@ def _scan_stalled(run: _Run, exits: _ExitsFromRecords) -> bool:
     flight, evaluating the engine's fault predicates per exit: the reference
     the engine's answer must match after every event."""
     zk = run.cfg.proof_system is ProofSystem.ZK
-    if any(not run._seq_accepting(user) for user in exits.queued.values()):
+    if any(run._access_ends(user) for user in exits.queued.values()):
         return True
     if any(run._ends("proposals") or (zk and run._ends("proofs")) for _xid in exits.awaiting_root):
         return True
@@ -2056,13 +2057,9 @@ class TestStallBookkeeping:
                 self.lookups += 1
                 return super()._ends(*effects)
 
-            def _censor_ends(self, user):
+            def _access_ends(self, user):
                 self.lookups += 1
-                return super()._censor_ends(user)
-
-            def _seq_accepting(self, user):
-                self.lookups += 1
-                return super()._seq_accepting(user)
+                return super()._access_ends(user)
 
         def lookups(scenario, seed=0) -> int:
             run = LookupCountingRun(scenario, seed)
@@ -2122,6 +2119,175 @@ class TestBatchGrid:
             assert run.result() == simulate(scenario, seed)
             assert run.ticks, scenario.name
             assert run.ticks == sorted(set(run.ticks)), scenario.name
+
+
+# -- the forced queue, read only where access comes back -------------------------
+
+
+class _RescanningRun(_Run):
+    """The batching the engine replaced: every batch, on the grid or on
+    recovery, partitions the whole forced queue against the censorship
+    faults, and a recovery batch runs at the grid tick's priority. The
+    reference the engine's batches must match."""
+
+    def _push(self, t, prio, kind, *args):
+        super()._push(t, _P_BATCH if kind == "recovery_batch" else prio, kind, *args)
+
+    def _on_batch_tick(self):
+        if self.active and self._ends("sequencer"):
+            return
+        censorships = [i for i in self.active.values() if _FAULT_EFFECTS[i.kind] == "censorship"]
+        kept = {
+            xid: tx
+            for xid, tx in self.forced.items()
+            if any(not i.targets or tx["user"] in i.targets for i in censorships)
+        }
+        freed = [tx for xid, tx in self.forced.items() if xid not in kept]
+        self.forced = kept
+        self._make_batch(freed + self.mempool)
+
+    _on_recovery_batch = _on_batch_tick
+
+
+_ACCESS_KINDS = tuple(k for k in _FAULT_KINDS if _FAULT_EFFECTS[k] in ("sequencer", "censorship"))
+# Instants and lengths that often fall on the 120 s batch or 12 s L1 grid.
+_GRID_SPANS = st.one_of(
+    st.integers(1, 60).map(lambda k: 120 * k),
+    st.integers(1, 600).map(lambda k: 12 * k),
+    st.integers(1, 2 * HOUR),
+)
+
+
+@st.composite
+def _access_faulted(draw) -> Scenario:
+    """2–3 users who each deposit once, 1–3 sequencer or censorship windows
+    whose starts and lengths often fall on the grids, and 1–12 actions, many
+    in the two minutes before a window ends: so that a window's end,
+    another's start and a batch tick of a waiting mempool share a second."""
+    users = [f"u{i}" for i in range(draw(st.integers(2, 3)))]
+    injections = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.one_of(st.just(_CENSORSHIP), st.sampled_from(_ACCESS_KINDS)))
+        targets = ()
+        if kind is _CENSORSHIP:
+            targets = tuple(draw(st.lists(st.sampled_from(users), unique=True, max_size=2)))
+        at = draw(st.one_of(st.just(0), _GRID_SPANS))
+        injections.append(Injection(kind, at, draw(_GRID_SPANS), targets))
+    ends = [j.end for j in injections]
+    before_an_end = st.sampled_from(ends).flatmap(lambda end: st.integers(max(0, end - 119), end))
+    actions = [
+        WorkloadAction(draw(st.integers(0, 600)), "deposit", u, draw(st.integers(100, 1_000)))
+        for u in users
+    ]
+    for _ in range(draw(st.integers(1, 12))):
+        at = draw(st.one_of(st.integers(0, 2 * HOUR), before_an_end))
+        user = draw(st.sampled_from(users))
+        kind = draw(st.sampled_from(("withdraw", "transfer", "deposit")))
+        to = draw(st.sampled_from([u for u in users if u != user])) if kind == "transfer" else None
+        actions.append(WorkloadAction(at, kind, user, draw(st.integers(1, 400)), to))
+    fi = draw(st.booleans())
+    timeout = draw(st.sampled_from((600, 1_800, 12 * HOUR)))
+    config = RollupConfig(
+        forced_inclusion=ForcedInclusionConfig(enabled=fi, usable=fi, timeout=timeout)
+    )
+    return Scenario("access", config, actions=tuple(actions), injections=tuple(injections))
+
+
+def _recovery_beside_a_tick() -> Scenario:
+    """A censorship of a ends at 720, a batch-grid second, while a's
+    withdrawal waits in the forced queue and b's, admitted at 651, waits in
+    the mempool for the tick at 720: one batch must take both together."""
+    return Scenario(
+        "recovery-beside-a-tick",
+        RollupConfig(
+            forced_inclusion=ForcedInclusionConfig(enabled=True, usable=True, timeout=12 * HOUR)
+        ),
+        actions=(
+            WorkloadAction(0, "deposit", "a", 100),
+            WorkloadAction(0, "deposit", "b", 100),
+            WorkloadAction(300, "withdraw", "a", 10),
+            WorkloadAction(650, "withdraw", "b", 10),
+        ),
+        injections=(Injection(_CENSORSHIP, 120, 600, ("a",)),),
+    )
+
+
+def _day_long_censorship(users: int, actions: int) -> Scenario:
+    """A day-long censorship of the even-numbered users of a random
+    workload, with usable forced inclusion (24 h timeout)."""
+    targets = tuple(f"user-{i}" for i in range(0, users, 2))
+    return Scenario(
+        name=f"censorship-{actions}",
+        config=dataclasses.replace(
+            RollupConfig.centralized_default(),
+            forced_inclusion=ForcedInclusionConfig(enabled=True, usable=True, timeout=DAY),
+        ),
+        random_workload=RandomWorkload(users=users, actions=actions),
+        injections=(Injection(_CENSORSHIP, at=0, duration=DAY, targets=targets),),
+    )
+
+
+class TestForcedQueue:
+    def _check(self, scenario, seed=0) -> SimResult:
+        reference = _RescanningRun(scenario, seed)
+        reference.execute()
+        result = simulate(scenario, seed)
+        assert reference.result() == result
+        return result
+
+    def test_batches_match_a_rescan_of_the_forced_queue_at_every_batch(self):
+        results = [self._check(_targeted_censorship())]
+        results += [self._check(_usable_forced_inclusion(_fault_laden(s))) for s in range(40)]
+        forced = [r for r in results if any(rec[0] == "tx_queued_forced" for rec in r.records)]
+        assert len(forced) >= 10
+
+    @settings(max_examples=300, deadline=None)
+    @given(_access_faulted())
+    @example(_recovery_beside_a_tick())
+    def test_batches_match_a_rescan_when_windows_and_ticks_share_a_second(self, sc):
+        self._check(sc)
+
+    def test_no_grid_tick_reads_a_forced_entry(self):
+        class AccessCountingRun(_Run):
+            """Counts the access lookups made inside each batch handler."""
+
+            lookups = None
+
+            def __init__(self, scenario, seed):
+                super().__init__(scenario, seed)
+                self.tick_lookups = 0
+                # (lookups, forced entries queued) per recovery batch
+                self.recoveries = []
+
+            def _access_ends(self, user):
+                if self.lookups is not None:
+                    self.lookups += 1
+                return super()._access_ends(user)
+
+            def _on_batch_tick(self):
+                self.lookups = 0
+                super()._on_batch_tick()
+                self.tick_lookups += self.lookups
+                self.lookups = None
+
+            def _on_recovery_batch(self):
+                queued, self.lookups = len(self.forced), 0
+                super()._on_recovery_batch()
+                self.recoveries.append((self.lookups, queued))
+                self.lookups = None
+
+        # Entries join the forced queue only while their user is shut out,
+        # and only a sequencer or censorship end lets a user back in; so a
+        # grid tick batches the mempool alone, however long the queue.
+        for users, actions in ((20, 200), (200, 2_000)):
+            scenario = _day_long_censorship(users, actions)
+            run = AccessCountingRun(scenario, 0)
+            run.execute()
+            assert run.tick_lookups == 0, scenario.name
+            assert run.recoveries, scenario.name
+            assert all(lookups <= queued for lookups, queued in run.recoveries), scenario.name
+            assert sum(queued for _lookups, queued in run.recoveries) > 0, scenario.name
+            assert run.result().events == simulate(scenario, 0).events
 
 
 def _resum(run: _Run) -> int:
@@ -2330,8 +2496,8 @@ class _ClaimMintsOne(_Mutant, _Run):
 class _BatchMintsOne(_Mutant, _Run):
     """Every batch, on the grid or on recovery, adds a unit to the escrow."""
 
-    def _make_batch(self):
-        super()._make_batch()
+    def _make_batch(self, txs):
+        super()._make_batch(txs)
         self.bridge_pool += 1
         self._mutated()
 
@@ -2352,7 +2518,7 @@ class TestDispatch:
         assert first["bridge"] == first["accounted"] + 1
 
     def test_a_shared_handler_is_named_by_the_kind_it_ran_as(self):
-        # batch_tick and recovery_batch run the same code; the violation at
+        # batch_tick and recovery_batch share _make_batch; the violation at
         # each mint must still name its own kind.
         run = _BatchMintsOne(load_bundled_scenario("sequencer-outage-fi-24h"), 0)
         run.execute()
@@ -2771,3 +2937,25 @@ class TestMonotonicityLaws:
         )
         fi = _usable_forced_inclusion(sc)
         assert _harms(fi).censorship_window <= _harms(sc).censorship_window
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 23: an admitted exit counts as stalled")
+    def test_a_fault_that_delays_no_exit_freezes_nothing(self):
+        """u withdraws at 125 and is admitted at 126; a censorship of u
+        starts at 130 and holds for an hour. The next batch includes the
+        withdrawal at 240 and it is claimed with latency 4,483, as without
+        the fault, yet frozen reads 110 s: the stall test counts a censored
+        user's queued exit as stalled even once the sequencer admitted it."""
+        clean = Scenario(
+            "admitted-exit",
+            RollupConfig(),
+            actions=(WorkloadAction(0, "deposit", "u", 50), WorkloadAction(125, "withdraw", "u", 5)),
+        )
+        censored = dataclasses.replace(
+            clean, injections=(Injection(_CENSORSHIP, 130, HOUR, ("u",)),)
+        )
+        assert _harms(clean).frozen_funds_duration == 0
+        for sc in (censored, _usable_forced_inclusion(censored)):
+            result = simulate(sc, seed=0)
+            assert [e["t"] for e in _events(result, "withdrawal_included")] == [240]
+            assert result.metrics.withdrawal_latency == _harms(clean).withdrawal_latency
+            assert result.metrics.frozen_funds_duration == 0
