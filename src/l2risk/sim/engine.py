@@ -28,7 +28,9 @@ The model, in brief:
   if its claim is deferred. An exit stays pending until it is claimed,
   fails or is dropped. A denial is recorded once, in _Run.denied, while
   the denied transaction waits for forced inclusion; a dropped one is
-  never applied and counts its denial as it drops.
+  never applied and counts its denial as it drops, until the first instant
+  no window shuts its user out: the user's overlapping windows, the ones
+  not yet begun too, run on as one.
 - The bridge escrow must always equal the sum of L2 balances and in-flight
   amounts. _move, _hold and _release are the only writers of those two
   ledgers and keep their running total, so the identity is tested after
@@ -43,14 +45,17 @@ The model, in brief:
 - Each windowed fault holds up one thing while active, per the
   _FAULT_EFFECTS table: sequencer access, censored users' access, admission
   speed, root proposals, validity proofs, claims, the whole bridge, or the
-  offchain data hatch exits need. A fault the config routes around
-  (_Run._neutralized) is noted as ineffective and never becomes active.
+  offchain data hatch exits need. _Run resolves each window once, as the
+  run starts; one the config routes around (_neutralized) is only noted.
 - Funds count as frozen while some exit in flight is stalled by an active
-  fault. The frozen-funds clock moves only where the active faults or the
-  exits in a stage's table change. There the answer is worked out afresh:
-  at once when no fault is active, else by asking which tables are empty,
-  with the root and claim effects looked up at most once each; only the
-  access check reads single exits, the queued ones.
+  fault. A queued withdrawal the sequencer has admitted waits in the
+  mempool for a batch, so only a sequencer fault holds it, not a
+  censorship. The frozen-funds clock moves only where the active faults or
+  the exits in a stage's table change. There the answer is worked out
+  afresh: at once when no fault is active, else by asking which tables are
+  empty, with the sequencer, root and claim effects looked up at most once
+  each; only the access check reads single exits, the queued ones not yet
+  admitted.
 - The engine's own events wait on a heap as (time, priority, sequence,
   kind, args). Workload actions never enter it: they come in time order as
   plain (at, action, user, amount, to) tuples, an explicit list's stably
@@ -115,7 +120,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from l2risk.model import DaMode, HarmMetrics, ProofSystem, UpgradePolicy
-from l2risk.sim.scenario import Injection, InjectionKind, RandomWorkload, Scenario, WorkloadAction
+from l2risk.sim.scenario import InjectionKind, RandomWorkload, Scenario, WorkloadAction
 
 
 def next_l1_block(t: int, interval: int = 12) -> int:
@@ -141,6 +146,7 @@ _FAULT_EFFECTS = {
     InjectionKind.DA_WITHHOLDING: "data",
 }
 _HATCH_BLOCKED = {"bridge": "bridge unavailable", "data": "data unavailable"}
+_ACCESS = ("sequencer", "censorship")  # the effects that shut a user out
 
 # Same-instant ordering: fault windows close before anything else runs, L1
 # landings precede sequencer work, a recovery batch precedes the grid tick
@@ -166,6 +172,16 @@ _NAME_FIELDS = frozenset({"user", "to"})
 # The trace lines write_trace joins and writes at a time, so it never holds
 # the whole trace as one string and its encoded copy.
 _TRACE_CHUNK = 4096
+
+
+def _first_clear(windows: list[tuple], t: int, grid: int) -> int:
+    """The first instant at or after t on this grid that no window holds; the
+    windows, (start, end, ...) holding [start, end), come sorted by start."""
+    t = next_l1_block(t, grid)
+    for start, end, *_ in windows:
+        if start <= t < end:
+            t = next_l1_block(end, grid)
+    return t
 
 
 def _line_format(
@@ -263,7 +279,7 @@ class _Run:
     __slots__ = (
         "sc", "cfg", "p", "horizon", "seed", "now", "_heap", "_numbers", "records",
         "violations", "bridge_pool", "l2", "inflight", "accounted", "mempool", "forced",
-        "_batch_grid", "_txid", "active", "_zk", "_root_effects", "_final_delay",
+        "_batch_grid", "_txid", "_windows", "active", "_zk", "_root_effects", "_final_delay",
         "exploit_drained", "latencies", "censorship_window", "denied", "pending",
         "_frozen_accum", "_frozen_since", "exit_coverage",
     )
@@ -295,7 +311,15 @@ class _Run:
         self._batch_grid: int | None = None
         self._txid = 0
 
-        self.active: dict[int, Injection] = {}
+        # injection index -> (start, end, effect, users shut out or None for
+        # all), in start order; a fault the config routes around has its note
+        self._windows: dict[int, tuple | str] = {
+            idx: self._neutralized(inj.kind)
+            or (inj.at, inj.end, _FAULT_EFFECTS[inj.kind], frozenset(inj.targets) or None)
+            for idx, inj in sorted(enumerate(scenario.injections), key=lambda pair: pair[1].at)
+            if inj.kind in _FAULT_EFFECTS
+        }
+        self.active: dict[int, tuple] = {}
         # a state root's rules: what holds up its proposal, and how long
         # after proposal it finalizes
         self._zk = zk = self.cfg.proof_system is ProofSystem.ZK
@@ -460,21 +484,20 @@ class _Run:
 
     def _ends(self, *effects: str) -> list[int]:
         """End times of the active faults that hold up any of these effects."""
-        return [inj.end for inj in self.active.values() if _FAULT_EFFECTS[inj.kind] in effects]
+        return [end for _start, end, effect, _users in self.active.values() if effect in effects]
 
     def _access_ends(self, user: str) -> list[int]:
         """End times of the active faults that shut this user out of the sequencer."""
         return [
-            inj.end
-            for inj in self.active.values()
-            if (effect := _FAULT_EFFECTS[inj.kind]) == "sequencer"
-            or (effect == "censorship" and (not inj.targets or user in inj.targets))
+            end
+            for _start, end, effect, users in self.active.values()
+            if effect in _ACCESS and (users is None or user in users)
         ]
 
     def _hatch_blocked(self) -> str | None:
         """Why a hatch exit is refused: the first blocking fault in start order."""
-        for inj in self.active.values():
-            reason = _HATCH_BLOCKED.get(_FAULT_EFFECTS[inj.kind])
+        for window in self.active.values():
+            reason = _HATCH_BLOCKED.get(window[2])
             if reason is not None:
                 return reason
         return None
@@ -483,13 +506,15 @@ class _Run:
 
     def _exit_stalled(self) -> bool:
         """Whether an active fault holds up some exit in flight: a queued
-        withdrawal whose user is shut out, a withdrawal waiting on a root
-        no one may propose or prove, or a claim the bridge refuses.
+        withdrawal the sequencer is down for or, if not yet admitted, whose
+        user is shut out; a withdrawal waiting on a root no one may propose
+        or prove; or a claim the bridge refuses.
 
         With no fault active nothing can stall, so the answer is immediate.
         Otherwise it asks whether each stage's table is empty and looks up
-        the root and claim effects at most once each; only the access check
-        reads single exits, the queued ones, up to the first shut out."""
+        the sequencer, root and claim effects at most once each; only the
+        access check reads single exits, the queued ones not yet admitted,
+        up to the first shut out."""
         if not self.active:
             return False
         pending = self.pending
@@ -497,8 +522,11 @@ class _Run:
             return True
         if pending["claimable"] and self._ends("claims", "bridge"):
             return True
-        for tx in pending["queued"].values():
-            if self._access_ends(tx["user"]):
+        queued = pending["queued"]
+        if queued and self._ends("sequencer"):
+            return True
+        for tx in queued.values():
+            if "admitted" not in tx and self._access_ends(tx["user"]):
                 return True
         return False
 
@@ -602,6 +630,8 @@ class _Run:
             self._deny(tx)
             return
         self._emit("tx_admitted", tx["id"])
+        # admitted only while its user is let in, so no stall answer changes
+        tx["admitted"] = True
         self.mempool.append(tx)
         self._grid_batch(self.now)
 
@@ -614,9 +644,15 @@ class _Run:
             self._emit("tx_dropped", tx["id"], "sequencer unavailable")
             self.pending["queued"].pop(tx["id"], None)
             self._update_frozen()
-            # counted up to the horizon, if one cuts the run first
-            ends = self._access_ends(tx["user"])
-            blocked_for = min(max(self.now, *ends), self.horizon) - tx["submitted"]
+            # counted until no window shuts the user out, overlapping windows
+            # chained, or up to the horizon, if one cuts the run first
+            user = tx["user"]
+            chain = [
+                w
+                for w in self._windows.values()
+                if type(w) is tuple and w[2] in _ACCESS and (w[3] is None or user in w[3])
+            ]
+            blocked_for = min(_first_clear(chain, self.now, 1), self.horizon) - tx["submitted"]
             self.censorship_window = max(self.censorship_window, blocked_for)
 
     def _do_hatch(self, user: str, amount: int) -> None:
@@ -801,21 +837,20 @@ class _Run:
 
     def _on_injection_start(self, idx: int) -> None:
         inj = self.sc.injections[idx]
-        reason = self._neutralized(inj.kind)
-        if reason is None:
-            self.active[idx] = inj
+        window = self._windows[idx]
+        if type(window) is tuple:
+            self.active[idx] = window
             self._update_frozen()
             self._emit("injection_start", inj.kind.value, inj.end)
         else:
-            self._emit("injection_start", inj.kind.value, inj.end, reason)
+            self._emit("injection_start", inj.kind.value, inj.end, window)
 
     def _on_injection_end(self, idx: int) -> None:
-        self.active.pop(idx, None)  # a neutralized fault never became active
+        window = self.active.pop(idx, None)  # a neutralized fault never became active
         self._update_frozen()
-        kind = self.sc.injections[idx].kind
-        self._emit("injection_end", kind.value)
-        if _FAULT_EFFECTS[kind] in ("sequencer", "censorship"):
-            if (self.mempool or self.forced) and not self._ends("sequencer"):
+        self._emit("injection_end", self.sc.injections[idx].kind.value)
+        if window and window[2] in _ACCESS and (self.mempool or self.forced):
+            if not self._ends("sequencer"):
                 self._push(self.now, _P_RECOVER, "recovery_batch")
 
     def _on_exploit(self, idx: int) -> None:
@@ -832,33 +867,14 @@ class _Run:
             if self._zk:
                 self._emit("root_rejected", "validity proof required")
                 return
-            challenge_at = self._first_challenge_opportunity(self.now, final)
-            if challenge_at is not None:
+            # the first L1 block after landing that no prover outage holds
+            proofs = [w for w in self._windows.values() if type(w) is tuple and w[2] == "proofs"]
+            challenge_at = _first_clear(proofs, self.now + 1, self.p.l1_block_interval)
+            if challenge_at < final:
                 self._push(challenge_at, _P_L1, "root_challenged", idx)
                 return
         # unenforced, or no challenger came: nothing stops the root finalizing
         self._push(final, _P_L1, "invalid_root_finalized", idx)
-
-    def _first_challenge_opportunity(self, landed: int, deadline: int) -> int | None:
-        """Earliest aligned instant in (landed, deadline) at which someone can
-        submit a fraud proof, or None if whitelisted challengers are offline
-        for the whole window."""
-        interval = self.p.l1_block_interval
-        candidate = landed + interval
-        windows = sorted(
-            (inj.at, inj.end)
-            for inj in self.sc.injections
-            if _FAULT_EFFECTS.get(inj.kind) == "proofs" and self._neutralized(inj.kind) is None
-        )
-        while True:
-            moved = candidate
-            for start, end in windows:
-                if start <= moved < end:
-                    moved = end
-            moved = next_l1_block(moved, interval)
-            if moved == candidate:
-                return candidate if candidate < deadline else None
-            candidate = moved
 
     def _on_root_challenged(self, idx: int) -> None:
         inj = self.sc.injections[idx]

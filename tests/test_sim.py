@@ -61,6 +61,7 @@ from l2risk.sim.engine import (
     _P_START,
     _P_UPGRADE,
     SimResult,
+    _first_clear,
     _Run,
 )
 
@@ -968,6 +969,92 @@ class TestExploitAdjudication:
         assert result.metrics.funds_conserved
 
 
+def _challenge_by_fixed_point(windows, landed: int, deadline: int, interval: int) -> int | None:
+    """The challenge search the engine replaced, kept as its reference: from
+    the first L1 block after landing, move past every window that holds the
+    candidate and align up, until a pass moves nothing; that instant if it
+    comes before the deadline, else None."""
+    candidate = landed + interval
+    windows = sorted(windows)
+    while True:
+        moved = candidate
+        for start, end in windows:
+            if start <= moved < end:
+                moved = end
+        moved = next_l1_block(moved, interval)
+        if moved == candidate:
+            return candidate if candidate < deadline else None
+        candidate = moved
+
+
+@st.composite
+def _challenge_search(draw) -> tuple[int, int, int, list[tuple[int, int]]]:
+    """An L1 block interval, a landing on its grid, a later deadline, and
+    0–5 windows, given unsorted, each starting near the landing or near an
+    earlier window's start or end: so they overlap, nest or touch, with
+    ends on and off the grid."""
+    interval = draw(st.sampled_from((1, 12, 60)))
+    landed = interval * draw(st.integers(0, 50))
+    lengths = st.one_of(st.integers(1, 3 * interval), st.integers(1, 20).map(interval.__mul__))
+    windows = []
+    for _ in range(draw(st.integers(0, 5))):
+        anchor = draw(st.sampled_from([landed, *(edge for w in windows for edge in w)]))
+        start = max(0, anchor + draw(st.integers(-2 * interval, 2 * interval)))
+        length = draw(lengths)
+        windows.append((start, start + length))
+    deadline = landed + draw(st.integers(1, 60 * interval))
+    return interval, landed, deadline, windows
+
+
+class TestChallengeSearch:
+    @settings(max_examples=500, deadline=None)
+    @given(_challenge_search())
+    def test_one_pass_equals_the_fixed_point(self, search):
+        interval, landed, deadline, windows = search
+        clear = _first_clear(sorted(windows, key=lambda w: w[0]), landed + 1, interval)
+        expected = _challenge_by_fixed_point(windows, landed, deadline, interval)
+        assert (clear if clear < deadline else None) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(_challenge_search(), st.data())
+    def test_the_engine_challenges_where_the_fixed_point_does(self, search, data):
+        # Each window is a prover outage, which holds whitelisted challengers
+        # offline unless provers are permissionless, or a proposer outage or
+        # sequencer halt, which never holds a challenge; a proposer outage is
+        # neutralized when proposers are open.
+        interval, landed, deadline, windows = search
+        kinds = st.sampled_from(
+            (InjectionKind.PROVER_OUTAGE,) * 2
+            + (InjectionKind.PROPOSER_OUTAGE, InjectionKind.SEQUENCER_HALT)
+        )
+        injections = [Injection(data.draw(kinds), at, end - at) for at, end in windows]
+        permissionless = data.draw(st.booleans())
+        config = RollupConfig(
+            proof_system=ProofSystem.OPTIMISTIC,
+            challenge_window=deadline - landed,
+            prover_set=ProverSetConfig(permissionless=permissionless),
+            proposer=ProposerConfig(whitelist=data.draw(st.booleans())),
+            state_validation_enforced=True,
+        )
+        exploit = Injection(InjectionKind.EXPLOIT_USER_RISK, at=landed, amount=10)
+        sc = Scenario(
+            "challenge",
+            config,
+            injections=(*injections, exploit),
+            params=SimParams(l1_block_interval=interval),
+        )
+        outages = [(j.at, j.end) for j in injections if j.kind is InjectionKind.PROVER_OUTAGE]
+        proofs = [] if permissionless else outages
+        expected = _challenge_by_fixed_point(proofs, landed, deadline, interval)
+        result = simulate(sc, seed=0)
+        challenged = [e["t"] for e in _events(result, "root_challenged")]
+        finalized = [e["t"] for e in _events(result, "invalid_root_finalized")]
+        if expected is None:
+            assert (challenged, finalized) == ([], [deadline])
+        else:
+            assert (challenged, finalized) == ([expected], [])
+
+
 class TestConservation:
     def test_random_workloads_never_leak(self):
         cfg = RollupConfig(proof_system=ProofSystem.ZK, da=DaConfig(mode=DaMode.ONCHAIN))
@@ -1771,16 +1858,18 @@ print(sum(r.trace_lines() == [dumps(e) for e in r.events] for r in runs))
 class _ExitsFromRecords:
     """The exits in flight, built from the records emitted so far and never
     from the engine's tables, as ROADMAP item 10's replay reads the trace:
-    tx_submitted (withdraw) queues an exit and tx_dropped or tx_failed takes
-    it out; withdrawal_included moves it to awaiting_root, its t the batch
-    time; root_finalized moves its withdrawals count of exits with that
-    batch time, oldest inclusion first, to claimable; hatch_exit_included
-    starts a hatch exit that stalls nothing; claim_deferred makes an exit
-    claimable and withdrawal_claimed takes it out."""
+    tx_submitted (withdraw) queues an exit, tx_admitted marks it admitted,
+    and tx_dropped or tx_failed takes it out; withdrawal_included moves it
+    to awaiting_root, its t the batch time; root_finalized moves its
+    withdrawals count of exits with that batch time, oldest inclusion
+    first, to claimable; hatch_exit_included starts a hatch exit that
+    stalls nothing; claim_deferred makes an exit claimable and
+    withdrawal_claimed takes it out."""
 
     def __init__(self):
         self.read = 0
         self.queued = {}  # id -> user
+        self.admitted = set()  # the queued ids the sequencer admitted
         self.awaiting_root = {}  # id -> batch time, in inclusion order
         self.claimable = set()
         self.hatch_waits = set()
@@ -1789,10 +1878,14 @@ class _ExitsFromRecords:
         for kind, t, _i, *values in records[self.read :]:
             if kind == "tx_submitted" and values[1] == "withdraw":
                 self.queued[values[0]] = values[2]
+            elif kind == "tx_admitted" and values[0] in self.queued:
+                self.admitted.add(values[0])
             elif kind in ("tx_dropped", "tx_failed"):
                 self.queued.pop(values[0], None)
+                self.admitted.discard(values[0])
             elif kind == "withdrawal_included":
                 del self.queued[values[0]]
+                self.admitted.discard(values[0])
                 self.awaiting_root[values[0]] = t
             elif kind == "root_finalized":
                 batch_time, withdrawals = values
@@ -1825,10 +1918,12 @@ class _ExitsFromRecords:
 def _scan_stalled(run: _Run, exits: _ExitsFromRecords) -> bool:
     """The stall test as a plain scan of every exit the records show in
     flight, evaluating the engine's fault predicates per exit: the reference
-    the engine's answer must match after every event."""
+    the engine's answer must match after every event. An admitted exit waits
+    only on a sequencer fault, one not yet admitted on its user's access."""
     zk = run.cfg.proof_system is ProofSystem.ZK
-    if any(run._access_ends(user) for user in exits.queued.values()):
-        return True
+    for xid, user in exits.queued.items():
+        if run._ends("sequencer") if xid in exits.admitted else run._access_ends(user):
+            return True
     if any(run._ends("proposals") or (zk and run._ends("proofs")) for _xid in exits.awaiting_root):
         return True
     return any(run._ends("claims", "bridge") for _xid in exits.claimable)
@@ -1869,7 +1964,8 @@ class _StallOracle(_AfterEachEvent):
         stalled = self._frozen_since is not None
         assert stalled == _scan_stalled(self, self.exits), (self.now, self.records[-1:])
         self.stalled += stalled
-        self.targeted_stalls += stalled and all(inj.targets for inj in self.active.values())
+        injections = self.sc.injections
+        self.targeted_stalls += stalled and all(injections[idx].targets for idx in self.active)
 
 
 class _CheckedRun(_StallOracle, _Run):
@@ -1890,7 +1986,9 @@ def _stall_edge_cases() -> list[Scenario]:
     ending: a withdrawal dropped at admission, as an outage began between its
     submission and admission, and a hatch exit whose claim comes due, and is
     deferred, in a claims fault that began while it awaited finality; then
-    that hatch exit deferred twice, across two back-to-back claims faults."""
+    that hatch exit deferred twice, across two back-to-back claims faults;
+    and a withdrawal admitted just before a censorship of its user began,
+    which the next batch includes all the same."""
     dropped = Scenario(
         name="dropped-at-admission",
         config=RollupConfig(),
@@ -1911,7 +2009,18 @@ def _stall_edge_cases() -> list[Scenario]:
             Injection(InjectionKind.WITHDRAWAL_FAILURE, at=1_500 + HOUR, duration=HOUR),
         ),
     )
-    return [dropped, deferred, twice]
+    return [dropped, deferred, twice, _admitted_then_censored()]
+
+
+def _admitted_then_censored() -> Scenario:
+    """u withdraws at 125 and is admitted at 126; a censorship of u starts
+    at 130 and holds for an hour."""
+    return Scenario(
+        "admitted-then-censored",
+        RollupConfig(),
+        actions=(WorkloadAction(0, "deposit", "u", 50), WorkloadAction(125, "withdraw", "u", 5)),
+        injections=(Injection(_CENSORSHIP, 130, HOUR, ("u",)),),
+    )
 
 
 def _stall_oracle_runs() -> list[tuple[Scenario, int]]:
@@ -1945,7 +2054,8 @@ def _engine_copy(without: int | None = None) -> ModuleType:
 
 # Where _Run moves the frozen-funds clock: _do_submit, _deny's drop,
 # _on_batch_landed, _on_forced_deadline, _on_root_finalized, _on_claim's
-# deferral, _on_injection_start and _on_injection_end.
+# deferral, _on_injection_start and _on_injection_end. Admitting a withdrawal
+# moves none: the sequencer admits it only while its user is let in.
 CLOCK_MOVES = 8
 
 
@@ -2136,7 +2246,8 @@ class _RescanningRun(_Run):
     def _on_batch_tick(self):
         if self.active and self._ends("sequencer"):
             return
-        censorships = [i for i in self.active.values() if _FAULT_EFFECTS[i.kind] == "censorship"]
+        active = [self.sc.injections[idx] for idx in self.active]
+        censorships = [i for i in active if _FAULT_EFFECTS[i.kind] == "censorship"]
         kept = {
             xid: tx
             for xid, tx in self.forced.items()
@@ -2713,9 +2824,59 @@ def _without(events, *drop):
     return kept
 
 
+def _readme_fault_table() -> dict[str, str]:
+    """The kinds the README's fault table lists, each mapped to its row's
+    "neutralized by" cell; a kind listed twice fails."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    head = "| kind | holds up while active | neutralized by |"
+    rows = text.split(head, 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    table = {}
+    for row in rows:
+        _, kinds, _holds, switch, _ = row.split("|")
+        for kind in re.findall(r"`([a-z0-9-]+)`", kinds):
+            assert kind not in table, kind
+            table[kind] = switch.strip()
+    return table
+
+
 class TestFaultEffects:
     def test_every_windowed_kind_has_an_effect(self):
         assert set(_FAULT_EFFECTS) == set(InjectionKind) - {InjectionKind.EXPLOIT_USER_RISK}
+
+    def test_the_readme_fault_table_lists_each_kind_and_its_neutralizing_switch(self):
+        # Every switch that can route around a fault turned on: the kinds
+        # _neutralized notes are the ones the README names a switch for.
+        table = _readme_fault_table()
+        windowed = {kind.value for kind in _FAULT_EFFECTS}
+        assert set(table) == windowed | {InjectionKind.EXPLOIT_USER_RISK.value}
+        config = RollupConfig(
+            da=DaConfig(mode=DaMode.ONCHAIN),
+            proposer=ProposerConfig(whitelist=False),
+            prover_set=ProverSetConfig(permissionless=True),
+        )
+        run = _Run(Scenario("switches", config, actions=()), 0)
+        neutralized = {kind.value for kind in _FAULT_EFFECTS if run._neutralized(kind)}
+        assert {kind for kind, switch in table.items() if switch} == neutralized
+        assert len(neutralized) == 3
+
+    def test_each_fault_window_is_resolved_once_per_run(self):
+        class ResolvingRun(_Run):
+            resolved = 0
+
+            def _neutralized(self, kind):
+                self.resolved += 1
+                return super()._neutralized(kind)
+
+        # An invalid root on the optimistic seeds searches for a challenge
+        # across the prover outages, and resolves none again.
+        exploit = Injection(InjectionKind.EXPLOIT_USER_RISK, at=HOUR, amount=10)
+        for seed in range(40):
+            base = _fault_laden(seed)
+            sc = dataclasses.replace(base, injections=(*base.injections, exploit))
+            run = ResolvingRun(sc, 0)
+            run.execute()
+            assert run.resolved == len(base.injections), seed
+            assert run.result() == simulate(sc, 0)
 
     def test_a_neutralized_fault_changes_nothing(self):
         pairs = 0
@@ -2823,20 +2984,12 @@ def _check_every_window_doubled(sc: Scenario) -> None:
     assert _harms(doubled).censorship_window >= _harms(sc).censorship_window
 
 
-def _sequencer_windows_overlap(sc: Scenario) -> bool:
-    """Whether two windows that hold up sequencer access (a sequencer or a
-    censorship effect) overlap or touch, where item 17's overlap defect
-    counts a dropped transaction's denial short."""
-    access = ("sequencer", "censorship")
-    windows = sorted((j.at, j.end) for j in sc.injections if _FAULT_EFFECTS[j.kind] in access)
-    return any(later[0] <= earlier[1] for earlier, later in zip(windows, windows[1:]))
-
-
 def _check_forced_inclusion_censorship(sc: Scenario) -> None:
     """Law (a), with one L1 block of slack: usable forced inclusion never
     raises censorship by more. A queued transaction counts until it is
     included, at the next L1 block after recovery at the latest, while a
-    dropped one counts until the window ends."""
+    dropped one counts until no window, overlapping ones chained, shuts its
+    user out."""
     fi = sc.config.forced_inclusion
     unusable = _reconfigured(sc, forced_inclusion=dataclasses.replace(fi, usable=False))
     usable = _reconfigured(sc, forced_inclusion=dataclasses.replace(fi, enabled=True, usable=True))
@@ -2879,7 +3032,7 @@ class TestMonotonicityLaws:
         _check_every_window_doubled(sc)
 
     @settings(max_examples=150, deadline=None)
-    @given(_small_faulted().filter(lambda sc: not _sequencer_windows_overlap(sc)))
+    @given(_small_faulted())
     def test_usable_forced_inclusion_raises_censorship_by_at_most_one_block(self, sc):
         _check_forced_inclusion_censorship(sc)
 
@@ -2918,12 +3071,11 @@ class TestMonotonicityLaws:
         fi = _usable_forced_inclusion(sc)
         assert _harms(fi).frozen_funds_duration <= _harms(sc).frozen_funds_duration
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 17: overlapping sequencer windows")
     def test_usable_forced_inclusion_never_raises_censorship_over_overlapping_windows(self):
         """Law (a). Sequencer halts at 19,087–76,672 and 53,567–122,769 and
-        a withdrawal at 48,392: the dropped withdrawal's denial counts only
-        to the end of the window active at the drop (28,280 s), though the
-        sequencer is unavailable until 122,769 (74,377 s); with usable forced
+        a withdrawal at 48,392: the dropped withdrawal's denial counts until
+        the sequencer is back, at 122,769 (74,377 s), not only to the end of
+        the window active at the drop (28,280 s); with usable forced
         inclusion it reads 43,204 s."""
         halt = InjectionKind.SEQUENCER_HALT
         sc = Scenario(
@@ -2935,24 +3087,16 @@ class TestMonotonicityLaws:
                 Injection(halt, 53_567, 122_769 - 53_567),
             ),
         )
+        assert _harms(sc).censorship_window == 122_769 - 48_392
         fi = _usable_forced_inclusion(sc)
         assert _harms(fi).censorship_window <= _harms(sc).censorship_window
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 23: an admitted exit counts as stalled")
     def test_a_fault_that_delays_no_exit_freezes_nothing(self):
-        """u withdraws at 125 and is admitted at 126; a censorship of u
-        starts at 130 and holds for an hour. The next batch includes the
-        withdrawal at 240 and it is claimed with latency 4,483, as without
-        the fault, yet frozen reads 110 s: the stall test counts a censored
-        user's queued exit as stalled even once the sequencer admitted it."""
-        clean = Scenario(
-            "admitted-exit",
-            RollupConfig(),
-            actions=(WorkloadAction(0, "deposit", "u", 50), WorkloadAction(125, "withdraw", "u", 5)),
-        )
-        censored = dataclasses.replace(
-            clean, injections=(Injection(_CENSORSHIP, 130, HOUR, ("u",)),)
-        )
+        """The next batch includes the withdrawal admitted before its user's
+        censorship, at 240, and it is claimed with latency 4,483, as without
+        the fault: nothing is frozen, as the sequencer already admitted it."""
+        censored = _admitted_then_censored()
+        clean = dataclasses.replace(censored, injections=())
         assert _harms(clean).frozen_funds_duration == 0
         for sc in (censored, _usable_forced_inclusion(censored)):
             result = simulate(sc, seed=0)
