@@ -22,15 +22,17 @@ The model, in brief:
   Withdrawals pay out from the bridge once their root is final; escape-hatch
   exits settle directly against finalized L1 state.
 - _Run.pending keeps one table per stage of an exit in flight (queued,
-  awaiting_root, claimable), mapping its id to a withdrawal's transaction
-  or a hatch exit's entry. An exit moves from table to table and rides its
-  own proposal, root and claim events; a hatch exit enters claimable only
-  if its claim is deferred. An exit stays pending until it is claimed,
-  fails or is dropped. A denial is recorded once, in _Run.denied, while
-  the denied transaction waits for forced inclusion; a dropped one is
-  never applied and counts its denial as it drops, until the first instant
-  no window shuts its user out: the user's overlapping windows, the ones
-  not yet begun too, run on as one.
+  admitted, awaiting_root, claimable), mapping its id to a withdrawal's
+  transaction or a hatch exit's entry. An exit moves from table to table
+  and rides its own proposal, root and claim events; one in a batch on its
+  way to L1 is in no table, and a hatch exit enters claimable only if its
+  claim is deferred. An exit stays pending until it is claimed, fails or
+  is dropped.
+- Each denial is counted once, as it happens (_deny): a forced-queued
+  transaction until it is included, a dropped one until _let_in_at, the
+  first instant no window shuts its user out, the user's overlapping
+  windows, the ones not yet begun too, run on as one. That instant also
+  tells whether a recovery batch or the deadline includes a forced entry.
 - The bridge escrow must always equal the sum of L2 balances and in-flight
   amounts. _move, _hold and _release are the only writers of those two
   ledgers and keep their running total, so the identity is tested after
@@ -48,14 +50,14 @@ The model, in brief:
   offchain data hatch exits need. _Run resolves each window once, as the
   run starts; one the config routes around (_neutralized) is only noted.
 - Funds count as frozen while some exit in flight is stalled by an active
-  fault. A queued withdrawal the sequencer has admitted waits in the
-  mempool for a batch, so only a sequencer fault holds it, not a
-  censorship. The frozen-funds clock moves only where the active faults or
-  the exits in a stage's table change. There the answer is worked out
-  afresh: at once when no fault is active, else by asking which tables are
-  empty, with the sequencer, root and claim effects looked up at most once
-  each; only the access check reads single exits, the queued ones not yet
-  admitted.
+  fault. An admitted withdrawal waits in the mempool for a batch, so only a
+  sequencer fault holds it, not a censorship; once batched, nothing holds
+  it until it lands. The frozen-funds clock moves only where the active
+  faults or the exits in a stage's table change. There the answer is
+  worked out afresh: at once when no fault is active, else by asking which
+  tables are empty, with the sequencer, root and claim effects looked up
+  at most once each; only the access check reads single exits, the queued
+  ones.
 - The engine's own events wait on a heap as (time, priority, sequence,
   kind, args). Workload actions never enter it: they come in time order as
   plain (at, action, user, amount, to) tuples, an explicit list's stably
@@ -70,9 +72,8 @@ The model, in brief:
   handlers move the frozen-funds clock themselves. With no fault active
   the handlers make no fault lookup (_ends, _access_ends) at all: each
   guards its lookups with self.active.
-- A run sim.horizon cuts ends at the horizon. Its open frozen interval and
-  its denied transactions still unapplied count up to it, and a dropped
-  transaction counts its denial up to the horizon at most.
+- A run sim.horizon cuts ends at the horizon: its open frozen interval
+  counts up to it, and no denial counts past it.
 
 An invalid state root injected by an attacker finalizes only when state
 validation is not enforced, or on a fraud-proof system whose whitelisted
@@ -280,7 +281,7 @@ class _Run:
         "sc", "cfg", "p", "horizon", "seed", "now", "_heap", "_numbers", "records",
         "violations", "bridge_pool", "l2", "inflight", "accounted", "mempool", "forced",
         "_batch_grid", "_txid", "_windows", "active", "_zk", "_root_effects", "_final_delay",
-        "exploit_drained", "latencies", "censorship_window", "denied", "pending",
+        "exploit_drained", "latencies", "censorship_window", "pending",
         "_frozen_accum", "_frozen_since", "exit_coverage",
     )
 
@@ -329,11 +330,11 @@ class _Run:
         self.exploit_drained = False
         self.latencies: dict[str, list[int]] = defaultdict(list)
         self.censorship_window = 0
-        # tx id -> submission time of each denied transaction not yet applied
-        self.denied: dict[str, int] = {}
         # exits in flight, tracked for the frozen-funds metric: stage -> id ->
         # a withdrawal's transaction or a deferred hatch exit's entry
-        self.pending: dict[str, dict] = {"queued": {}, "awaiting_root": {}, "claimable": {}}
+        self.pending: dict[str, dict] = {
+            "queued": {}, "admitted": {}, "awaiting_root": {}, "claimable": {}
+        }
         self._frozen_accum = 0
         self._frozen_since: int | None = None
 
@@ -432,7 +433,7 @@ class _Run:
             else:
                 break
             if t > horizon:
-                self._cut()
+                self.now = horizon
                 break
             self.now = t
             try:
@@ -455,13 +456,6 @@ class _Run:
         """The handler of one event kind, bound once per run; looked up on
         the instance, so a subclass's handler runs."""
         return getattr(self, "_on_" + kind)
-
-    def _cut(self) -> None:
-        """End a run the horizon cuts at the horizon, not at its last event: a
-        denied transaction still unapplied has waited until then."""
-        self.now = self.horizon
-        for submitted in self.denied.values():
-            self.censorship_window = max(self.censorship_window, self.horizon - submitted)
 
     def result(self) -> SimResult:
         metrics = HarmMetrics(
@@ -506,15 +500,15 @@ class _Run:
 
     def _exit_stalled(self) -> bool:
         """Whether an active fault holds up some exit in flight: a queued
-        withdrawal the sequencer is down for or, if not yet admitted, whose
-        user is shut out; a withdrawal waiting on a root no one may propose
-        or prove; or a claim the bridge refuses.
+        withdrawal whose user is shut out; an admitted one, in the mempool,
+        the sequencer is down for; a withdrawal waiting on a root no one may
+        propose or prove; or a claim the bridge refuses.
 
         With no fault active nothing can stall, so the answer is immediate.
         Otherwise it asks whether each stage's table is empty and looks up
         the sequencer, root and claim effects at most once each; only the
-        access check reads single exits, the queued ones not yet admitted,
-        up to the first shut out."""
+        access check reads single exits, the queued ones, up to the first
+        shut out."""
         if not self.active:
             return False
         pending = self.pending
@@ -522,11 +516,11 @@ class _Run:
             return True
         if pending["claimable"] and self._ends("claims", "bridge"):
             return True
-        queued = pending["queued"]
-        if queued and self._ends("sequencer"):
+        # a sequencer fault holds every admitted exit and shuts every user out
+        if (pending["admitted"] or pending["queued"]) and self._ends("sequencer"):
             return True
-        for tx in queued.values():
-            if "admitted" not in tx and self._access_ends(tx["user"]):
+        for tx in pending["queued"].values():
+            if self._access_ends(tx["user"]):
                 return True
         return False
 
@@ -631,29 +625,34 @@ class _Run:
             return
         self._emit("tx_admitted", tx["id"])
         # admitted only while its user is let in, so no stall answer changes
-        tx["admitted"] = True
+        if tx["type"] == "withdraw":
+            self.pending["admitted"][tx["id"]] = self.pending["queued"].pop(tx["id"])
         self.mempool.append(tx)
         self._grid_batch(self.now)
 
     def _deny(self, tx: dict) -> None:
+        """Queue or drop a transaction whose user is shut out, and count its
+        denial at once, up to the horizon if one cuts the run first."""
         if self.cfg.forced_inclusion.usable:
-            deadline = self._queue_forced(tx)
-            self.denied[tx["id"]] = tx["submitted"]
+            deadline, included = self._queue_forced(tx)
             self._emit("tx_queued_forced", tx["id"], deadline)
         else:
             self._emit("tx_dropped", tx["id"], "sequencer unavailable")
             self.pending["queued"].pop(tx["id"], None)
             self._update_frozen()
-            # counted until no window shuts the user out, overlapping windows
-            # chained, or up to the horizon, if one cuts the run first
-            user = tx["user"]
-            chain = [
-                w
-                for w in self._windows.values()
-                if type(w) is tuple and w[2] in _ACCESS and (w[3] is None or user in w[3])
-            ]
-            blocked_for = min(_first_clear(chain, self.now, 1), self.horizon) - tx["submitted"]
-            self.censorship_window = max(self.censorship_window, blocked_for)
+            included = self._let_in_at(tx["user"])
+        blocked_for = min(included, self.horizon) - tx["submitted"]
+        self.censorship_window = max(self.censorship_window, blocked_for)
+
+    def _let_in_at(self, user: str) -> int:
+        """The first instant from now that no window shuts this user out: the
+        user's overlapping windows, the ones not yet begun too, run on as one."""
+        chain = [
+            w
+            for w in self._windows.values()
+            if type(w) is tuple and w[2] in _ACCESS and (w[3] is None or user in w[3])
+        ]
+        return _first_clear(chain, self.now, 1)
 
     def _do_hatch(self, user: str, amount: int) -> None:
         if not self.cfg.escape_hatch.enabled:
@@ -694,15 +693,20 @@ class _Run:
             # parked until the sequencer recovers; drained by the recovery batch
             self.mempool.append(tx)
 
-    def _queue_forced(self, tx: dict) -> int:
-        """Put a transaction on the forced queue; returns its L1 deadline."""
+    def _queue_forced(self, tx: dict) -> tuple[int, int]:
+        """Put a transaction on the forced queue; returns its L1 deadline and
+        when it is included: by the recovery batch of the instant its user is
+        let back in, if before the deadline, else at the deadline, which runs
+        before the recovery batch of its instant."""
         tx["entry"] = self.now
         self.forced[tx["id"]] = tx
-        deadline = next_l1_block(
-            self.now + self.cfg.forced_inclusion.timeout, self.p.l1_block_interval
-        )
+        interval = self.p.l1_block_interval
+        deadline = next_l1_block(self.now + self.cfg.forced_inclusion.timeout, interval)
+        let_in = self._let_in_at(tx["user"])
+        if let_in < deadline:
+            return deadline, next_l1_block(let_in, interval)
         self._push(deadline, _P_L1, "forced_deadline", tx["id"])
-        return deadline
+        return deadline, deadline
 
     def _grid_batch(self, t: int) -> None:
         bi = self.p.batch_interval
@@ -723,12 +727,16 @@ class _Run:
         kept = {i: tx for i, tx in self.forced.items() if self._access_ends(tx["user"])}
         freed = [tx for i, tx in self.forced.items() if i not in kept]
         self.forced = kept
+        queued = self.pending["queued"]
+        for tx in freed:
+            queued.pop(tx["id"], None)  # a credit was never pending
         self._make_batch(freed + self.mempool)
 
     def _make_batch(self, txs: list[dict]) -> None:
         if not txs:
             return
         self.mempool = []
+        self.pending["admitted"].clear()  # in the mempool, so in this batch
         land = next_l1_block(self.now, self.p.l1_block_interval)
         self._emit("batch_created", len(txs), land)
         self._push(land, _P_L1, "batch_landed", txs)
@@ -740,9 +748,8 @@ class _Run:
         self._schedule_proposal(self.now, withdrawals)
 
     def _on_forced_deadline(self, txid: str) -> None:
-        tx = self.forced.pop(txid, None)
-        if tx is None:
-            return  # already included by a batch
+        tx = self.forced.pop(txid)
+        self.pending["queued"].pop(txid, None)  # a credit was never pending
         self._emit("forced_inclusion", txid, self.now - tx["entry"])
         withdrawals = [tx] if self._apply_tx(tx) else []
         self._update_frozen()
@@ -750,13 +757,9 @@ class _Run:
 
     def _apply_tx(self, tx: dict) -> bool:
         """Apply one included transaction; returns whether it included a
-        withdrawal, which moves from the queued table to awaiting_root. The
-        caller moves the frozen clock once its whole batch is applied."""
+        withdrawal, which enters awaiting_root. The caller moves the frozen
+        clock once its whole batch is applied."""
         txid, kind, user, amount = tx["id"], tx["type"], tx["user"], tx["amount"]
-        denied = self.denied
-        if denied and txid in denied:
-            del denied[txid]
-            self.censorship_window = max(self.censorship_window, self.now - tx["submitted"])
         if kind == "credit":
             self._release(txid)
             self._move(user, amount)
@@ -764,7 +767,6 @@ class _Run:
             return False
         if self.l2[user] < amount:
             self._emit("tx_failed", txid, user, "insufficient funds")
-            self.pending["queued"].pop(txid, None)  # a transfer was never pending
             return False
         self._move(user, -amount)
         if kind == "transfer":
@@ -772,7 +774,7 @@ class _Run:
             self._emit("transfer_applied", txid, user, tx["to"], amount)
             return False
         self._hold(txid, user, amount)
-        self.pending["awaiting_root"][txid] = self.pending["queued"].pop(txid)
+        self.pending["awaiting_root"][txid] = tx
         self._emit("withdrawal_included", txid, user, amount)
         return True
 

@@ -4,6 +4,7 @@ import hashlib
 import heapq
 import itertools
 import json
+import math
 import operator
 import os
 import random
@@ -58,6 +59,7 @@ from l2risk.sim.engine import (
     _P_ACTION,
     _P_BATCH,
     _P_END,
+    _P_L1,
     _P_START,
     _P_UPGRADE,
     SimResult,
@@ -1858,34 +1860,46 @@ print(sum(r.trace_lines() == [dumps(e) for e in r.events] for r in runs))
 class _ExitsFromRecords:
     """The exits in flight, built from the records emitted so far and never
     from the engine's tables, as ROADMAP item 10's replay reads the trace:
-    tx_submitted (withdraw) queues an exit, tx_admitted marks it admitted,
-    and tx_dropped or tx_failed takes it out; withdrawal_included moves it
-    to awaiting_root, its t the batch time; root_finalized moves its
-    withdrawals count of exits with that batch time, oldest inclusion
-    first, to claimable; hatch_exit_included starts a hatch exit that
-    stalls nothing; claim_deferred makes an exit claimable and
-    withdrawal_claimed takes it out."""
+    tx_submitted (withdraw) queues an exit, tx_admitted moves it to
+    admitted, and tx_dropped takes it out; batch_created takes out the
+    admitted exits, which ride that batch, and the forced-queued ones whose
+    user access_ends lets in, which the batch frees; forced_inclusion takes
+    its exit out; withdrawal_included puts it in awaiting_root, its t the
+    batch time; root_finalized moves its withdrawals count of exits with
+    that batch time, oldest inclusion first, to claimable;
+    hatch_exit_included starts a hatch exit that stalls nothing;
+    claim_deferred makes an exit claimable and withdrawal_claimed takes it
+    out. Each replay reads the records of one event, so access_ends reads
+    the faults active at it."""
 
     def __init__(self):
         self.read = 0
         self.queued = {}  # id -> user
-        self.admitted = set()  # the queued ids the sequencer admitted
+        self.forced = set()  # the queued ids on the forced queue
+        self.admitted = set()
         self.awaiting_root = {}  # id -> batch time, in inclusion order
         self.claimable = set()
         self.hatch_waits = set()
 
-    def replay(self, records):
+    def replay(self, records, access_ends):
         for kind, t, _i, *values in records[self.read :]:
             if kind == "tx_submitted" and values[1] == "withdraw":
                 self.queued[values[0]] = values[2]
             elif kind == "tx_admitted" and values[0] in self.queued:
-                self.admitted.add(values[0])
-            elif kind in ("tx_dropped", "tx_failed"):
-                self.queued.pop(values[0], None)
-                self.admitted.discard(values[0])
-            elif kind == "withdrawal_included":
                 del self.queued[values[0]]
-                self.admitted.discard(values[0])
+                self.admitted.add(values[0])
+            elif kind == "tx_queued_forced" and values[0] in self.queued:
+                self.forced.add(values[0])
+            elif kind in ("tx_dropped", "forced_inclusion"):
+                self.queued.pop(values[0], None)
+                self.forced.discard(values[0])
+            elif kind == "batch_created":
+                self.admitted.clear()
+                for xid in [x for x in self.forced if not access_ends(self.queued[x])]:
+                    del self.queued[xid]
+                    self.forced.remove(xid)
+            elif kind == "withdrawal_included":
+                assert values[0] not in self.queued and values[0] not in self.admitted
                 self.awaiting_root[values[0]] = t
             elif kind == "root_finalized":
                 batch_time, withdrawals = values
@@ -1910,6 +1924,7 @@ class _ExitsFromRecords:
         """The ids in each of the engine's stage tables, as replayed."""
         return {
             "queued": set(self.queued),
+            "admitted": self.admitted,
             "awaiting_root": set(self.awaiting_root),
             "claimable": self.claimable,
         }
@@ -1919,11 +1934,13 @@ def _scan_stalled(run: _Run, exits: _ExitsFromRecords) -> bool:
     """The stall test as a plain scan of every exit the records show in
     flight, evaluating the engine's fault predicates per exit: the reference
     the engine's answer must match after every event. An admitted exit waits
-    only on a sequencer fault, one not yet admitted on its user's access."""
+    only on a sequencer fault, one not yet admitted on its user's access,
+    and one in a batch already created on nothing."""
     zk = run.cfg.proof_system is ProofSystem.ZK
-    for xid, user in exits.queued.items():
-        if run._ends("sequencer") if xid in exits.admitted else run._access_ends(user):
-            return True
+    if any(run._access_ends(user) for user in exits.queued.values()):
+        return True
+    if any(run._ends("sequencer") for _xid in exits.admitted):
+        return True
     if any(run._ends("proposals") or (zk and run._ends("proofs")) for _xid in exits.awaiting_root):
         return True
     return any(run._ends("claims", "bridge") for _xid in exits.claimable)
@@ -1958,7 +1975,7 @@ class _StallOracle(_AfterEachEvent):
         self.exits = _ExitsFromRecords()
 
     def _after_event(self, kind):
-        self.exits.replay(self.records)
+        self.exits.replay(self.records, self._access_ends)
         tables = {stage: set(table) for stage, table in self.pending.items()}
         assert tables == self.exits.tables(), (self.now, self.records[-1:])
         stalled = self._frozen_since is not None
@@ -1987,8 +2004,10 @@ def _stall_edge_cases() -> list[Scenario]:
     submission and admission, and a hatch exit whose claim comes due, and is
     deferred, in a claims fault that began while it awaited finality; then
     that hatch exit deferred twice, across two back-to-back claims faults;
-    and a withdrawal admitted just before a censorship of its user began,
-    which the next batch includes all the same."""
+    a withdrawal admitted just before a censorship of its user began,
+    which the next batch includes all the same; and an admitted, then a
+    forced-queued, withdrawal riding a recovery batch that lands during the
+    next sequencer halt."""
     dropped = Scenario(
         name="dropped-at-admission",
         config=RollupConfig(),
@@ -2009,7 +2028,7 @@ def _stall_edge_cases() -> list[Scenario]:
             Injection(InjectionKind.WITHDRAWAL_FAILURE, at=1_500 + HOUR, duration=HOUR),
         ),
     )
-    return [dropped, deferred, twice, _admitted_then_censored()]
+    return [dropped, deferred, twice, _admitted_then_censored(), *_riding_a_batch()]
 
 
 def _admitted_then_censored() -> Scenario:
@@ -2021,6 +2040,30 @@ def _admitted_then_censored() -> Scenario:
         actions=(WorkloadAction(0, "deposit", "u", 50), WorkloadAction(125, "withdraw", "u", 5)),
         injections=(Injection(_CENSORSHIP, 130, HOUR, ("u",)),),
     )
+
+
+def _riding_a_batch() -> tuple[Scenario, Scenario]:
+    """u deposits 50 at 0; the sequencer halts 105-1,000 and 1,003-2,000.
+    In the first run u withdraws at 100 and is admitted at 101; in the
+    second a censorship of u holds 105-1,000 in place of the first halt,
+    and u's withdrawal at 110 waits in the forced queue (12 h timeout).
+    Either way the recovery batch of 1,000 carries it and lands at 1,008."""
+    halt = InjectionKind.SEQUENCER_HALT
+    admitted = Scenario(
+        "admitted-riding-a-batch",
+        RollupConfig(),
+        actions=(WorkloadAction(0, "deposit", "u", 50), WorkloadAction(100, "withdraw", "u", 5)),
+        injections=(Injection(halt, 105, 1_000 - 105), Injection(halt, 1_003, 2_000 - 1_003)),
+    )
+    forced = _usable_forced_inclusion(
+        dataclasses.replace(
+            admitted,
+            name="forced-riding-a-batch",
+            actions=(admitted.actions[0], WorkloadAction(110, "withdraw", "u", 5)),
+            injections=(Injection(_CENSORSHIP, 105, 1_000 - 105, ("u",)), admitted.injections[1]),
+        )
+    )
+    return admitted, forced
 
 
 def _stall_oracle_runs() -> list[tuple[Scenario, int]]:
@@ -2055,7 +2098,10 @@ def _engine_copy(without: int | None = None) -> ModuleType:
 # Where _Run moves the frozen-funds clock: _do_submit, _deny's drop,
 # _on_batch_landed, _on_forced_deadline, _on_root_finalized, _on_claim's
 # deferral, _on_injection_start and _on_injection_end. Admitting a withdrawal
-# moves none: the sequencer admits it only while its user is let in.
+# moves none: the sequencer admits it only while its user is let in. Nor
+# does making a batch, which takes the admitted exits and the forced ones
+# it frees out of their tables: a batch is made only while the sequencer
+# is up, and frees only the entries of users let back in.
 CLOCK_MOVES = 8
 
 
@@ -2105,6 +2151,18 @@ class TestStallBookkeeping:
         claimed = _events(result, "withdrawal_claimed")
         assert [(e["t"], e["latency"]) for e in claimed] == [(8_700, 7_700)]
         assert result.metrics.frozen_funds_duration == (5_100 - 1_776) + (8_700 - 5_100) == 6_924
+
+    def test_an_exit_riding_a_created_batch_is_held_by_nothing(self):
+        # Frozen while the withdrawal waits for the sequencer (105-1,000) or
+        # its user's access (110-1,000); the batch made at 1,000 lands at
+        # 1,008 whatever starts at 1,003, so 1,003-1,008 is not frozen.
+        admitted, forced = _riding_a_batch()
+        for scenario, frozen in ((admitted, 895), (forced, 890)):
+            result = self._check(scenario).result()
+            created = [(e["t"], e["size"], e["lands_at"]) for e in _events(result, "batch_created")]
+            assert created[-1] == (1_000, 1, 1_008), scenario.name
+            assert [e["t"] for e in _events(result, "withdrawal_included")] == [1_008]
+            assert result.metrics.frozen_funds_duration == frozen, scenario.name
 
     def test_no_exit_awaiting_a_root_or_a_claim_is_read(self):
         class ScanCountingRun(_Run):
@@ -2255,6 +2313,8 @@ class _RescanningRun(_Run):
         }
         freed = [tx for xid, tx in self.forced.items() if xid not in kept]
         self.forced = kept
+        for tx in freed:
+            self.pending["queued"].pop(tx["id"], None)
         self._make_batch(freed + self.mempool)
 
     _on_recovery_batch = _on_batch_tick
@@ -2399,6 +2459,178 @@ class TestForcedQueue:
             assert all(lookups <= queued for lookups, queued in run.recoveries), scenario.name
             assert sum(queued for _lookups, queued in run.recoveries) > 0, scenario.name
             assert run.result().events == simulate(scenario, 0).events
+
+
+# -- each denial counted when it happens -----------------------------------------
+
+
+class _DeniedAtApplyRun(_Run):
+    """The denial count the engine replaced: each forced-queued transaction
+    is recorded in a table and counted when it is applied, or when the
+    horizon cuts the run, and every forced entry gets a deadline event,
+    which finds nothing to include if a recovery batch took the entry
+    first. A drop counts as it happens, as in the engine. The reference
+    the engine's count at denial must match."""
+
+    def __init__(self, scenario, seed):
+        super().__init__(scenario, seed)
+        self.denied = {}  # tx id -> submission time, until applied
+        self.deadlines = 0  # forced_deadline events run
+
+    def _queue_forced(self, tx):
+        tx["entry"] = self.now
+        self.forced[tx["id"]] = tx
+        timeout = self.cfg.forced_inclusion.timeout
+        deadline = next_l1_block(self.now + timeout, self.p.l1_block_interval)
+        self._push(deadline, _P_L1, "forced_deadline", tx["id"])
+        return deadline, None
+
+    def _deny(self, tx):
+        if not self.cfg.forced_inclusion.usable:
+            super()._deny(tx)
+            return
+        deadline, _included = self._queue_forced(tx)
+        self.denied[tx["id"]] = tx["submitted"]
+        self._emit("tx_queued_forced", tx["id"], deadline)
+
+    def _on_forced_deadline(self, txid):
+        self.deadlines += 1
+        if txid in self.forced:
+            super()._on_forced_deadline(txid)
+
+    def _apply_tx(self, tx):
+        submitted = self.denied.pop(tx["id"], None)
+        if submitted is not None:
+            self.censorship_window = max(self.censorship_window, self.now - submitted)
+        return super()._apply_tx(tx)
+
+    def execute(self):
+        super().execute()
+        # still unapplied, so the horizon cut the run
+        for submitted in self.denied.values():
+            self.censorship_window = max(self.censorship_window, self.horizon - submitted)
+
+
+class _DeadlineCountingRun(_Run):
+    deadlines = 0
+
+    def _on_forced_deadline(self, txid):
+        self.deadlines += 1
+        super()._on_forced_deadline(txid)
+
+
+def _with_horizon(sc: Scenario, horizon: int | None) -> Scenario:
+    return dataclasses.replace(sc, params=dataclasses.replace(sc.params, horizon=horizon))
+
+
+def _deadline_tie() -> Scenario:
+    """A censorship of u holds 100-816; u deposits 50 at 0 and withdraws 5
+    at 205, with a 600 s forced-inclusion timeout: the deadline, the L1
+    block at or after 805, is 816, the instant u is let back in."""
+    return Scenario(
+        "deadline-at-let-in",
+        RollupConfig(
+            forced_inclusion=ForcedInclusionConfig(enabled=True, usable=True, timeout=600)
+        ),
+        actions=(WorkloadAction(0, "deposit", "u", 50), WorkloadAction(205, "withdraw", "u", 5)),
+        injections=(Injection(_CENSORSHIP, 100, 816 - 100, ("u",)),),
+    )
+
+
+def _censorship_from_trace(scenario: Scenario, lines: list[str]) -> int:
+    """censorship_window replayed from trace lines alone, plus the scenario's
+    censorship targets and horizon, which the trace does not carry. A
+    forced-queued transaction counts from its tx_submitted until the first
+    line that applies or fails the same id, or until the horizon; a dropped
+    one until the first instant clear of its user's access windows, each
+    from an injection_start line's until, one marked ineffective skipped.
+    Censorship starts are written in start order, list order within a
+    second, so they pair with the scenario's censorships sorted so."""
+    horizon = math.inf if scenario.params.horizon is None else scenario.params.horizon
+    censorships = [j for j in scenario.injections if j.kind is _CENSORSHIP]
+    targets = iter(j.targets for j in sorted(censorships, key=lambda j: j.at))
+    windows = []  # (start, end, users shut out, () for everyone), in start order
+    submitted, users, dropped = {}, {}, {}
+    ends = {}  # tx id -> when its denial ends
+    for event in map(json.loads, lines):
+        kind, t = event["event"], event["t"]
+        if kind == "injection_start":
+            shut_out = next(targets) if event["kind"] == _CENSORSHIP.value else ()
+            if InjectionKind(event["kind"]) in _ACCESS_KINDS and "ineffective" not in event:
+                windows.append((t, event["until"], shut_out))
+        elif kind == "tx_submitted":
+            submitted[event["id"]], users[event["id"]] = t, event["user"]
+        elif kind == "tx_queued_forced":
+            ends[event["id"]] = horizon
+        elif kind == "tx_dropped":
+            dropped[event["id"]] = t
+        elif kind in ("withdrawal_included", "transfer_applied", "tx_failed"):
+            if event["id"] in ends:
+                ends[event["id"]] = min(ends[event["id"]], t)
+    for txid, until in dropped.items():
+        for start, end, shut_out in windows:
+            if start <= until < end and (not shut_out or users[txid] in shut_out):
+                until = end
+        ends[txid] = min(until, horizon)
+    assert math.inf not in ends.values()
+    return max((end - submitted[txid] for txid, end in ends.items()), default=0)
+
+
+class TestDenials:
+    @staticmethod
+    def _check(scenario, seed=0) -> SimResult:
+        reference = _DeniedAtApplyRun(scenario, seed)
+        reference.execute()
+        result = simulate(scenario, seed)
+        assert reference.result() == result
+        assert _censorship_from_trace(scenario, result.trace_lines()) == (
+            result.metrics.censorship_window
+        )
+        return result
+
+    @settings(max_examples=300, deadline=None)
+    @given(_access_faulted(), st.none() | st.integers(1, 3 * HOUR))
+    @example(_deadline_tie(), None)
+    @example(_recovery_beside_a_tick(), 700)
+    def test_counted_at_denial_as_when_applied_or_cut(self, sc, horizon):
+        self._check(_with_horizon(sc, horizon))
+
+    def test_a_deadline_at_the_let_in_instant_includes_its_entry(self):
+        # The deadline runs before that instant's recovery batch, which
+        # finds the forced queue empty.
+        result = self._check(_deadline_tie())
+        assert [(e["t"], e["delay"]) for e in _events(result, "forced_inclusion")] == [(816, 611)]
+        assert [e["t"] for e in _events(result, "withdrawal_included")] == [816]
+        assert result.metrics.censorship_window == 816 - 205 == 611
+
+    def test_each_deadline_event_includes_its_entry(self):
+        runs = [_targeted_censorship()]
+        runs += [_usable_forced_inclusion(_fault_laden(seed)) for seed in _LAW_SEEDS]
+        pushed = included = 0
+        for scenario in runs:
+            run = _DeadlineCountingRun(scenario, 0)
+            run.execute()
+            reference = _DeniedAtApplyRun(scenario, 0)
+            reference.execute()
+            result = run.result()
+            assert result == reference.result()
+            forced = len(_events(result, "forced_inclusion"))
+            assert run.deadlines == forced, scenario.name
+            pushed += reference.deadlines
+            included += forced
+        # the count at apply pushed a deadline for every entry
+        assert pushed > included > 0
+
+    def test_bundled_fault_laden_and_random_runs_replay_their_censorship(self):
+        runs = [(load_bundled_scenario(n), 0) for n in sorted(BUNDLED_EXPECTATIONS)]
+        for seed in _LAW_SEEDS:
+            sc = _fault_laden(seed)
+            fi = sc.config.forced_inclusion
+            flipped = dataclasses.replace(fi, enabled=not fi.usable, usable=not fi.usable)
+            runs += [(sc, 0), (_reconfigured(sc, forced_inclusion=flipped), 0)]
+        runs += [(_acceptance_random(), seed) for seed in RANDOM_SEEDS]
+        windows = [self._check(sc, seed).metrics.censorship_window for sc, seed in runs]
+        assert sum(w > 0 for w in windows) >= 20
 
 
 def _resum(run: _Run) -> int:
@@ -2664,7 +2896,7 @@ class _AllOnHeapRun(_Run):
         while self._heap:
             t, _prio, _n, kind, args = heapq.heappop(self._heap)
             if horizon is not None and t > horizon:
-                self._cut()
+                self.now = horizon
                 break
             self.now = t
             getattr(self, "_on_" + kind)(*args)
@@ -2997,6 +3229,19 @@ def _check_forced_inclusion_censorship(sc: Scenario) -> None:
     assert _harms(usable).censorship_window <= _harms(unusable).censorship_window + slack
 
 
+# Forced-inclusion timeouts, shortest first, for law (g).
+_TIMEOUTS = (60, 600, 30 * 60, HOUR, 12 * HOUR, 2 * DAY)
+
+
+def _check_shorter_timeout(sc: Scenario) -> None:
+    """Law (g): with usable forced inclusion, a shorter timeout never raises
+    censorship. A queued transaction counts until the earlier of its
+    deadline and the recovery batch that follows its user's let-back-in."""
+    configs = [ForcedInclusionConfig(enabled=True, usable=True, timeout=t) for t in _TIMEOUTS]
+    windows = [_harms(_reconfigured(sc, forced_inclusion=fi)).censorship_window for fi in configs]
+    assert windows == sorted(windows)
+
+
 def _usable_forced_inclusion(sc: Scenario) -> Scenario:
     return _reconfigured(
         sc, forced_inclusion=ForcedInclusionConfig(enabled=True, usable=True, timeout=12 * HOUR)
@@ -3035,6 +3280,17 @@ class TestMonotonicityLaws:
     @given(_small_faulted())
     def test_usable_forced_inclusion_raises_censorship_by_at_most_one_block(self, sc):
         _check_forced_inclusion_censorship(sc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_access_faulted())
+    def test_a_shorter_forced_inclusion_timeout_never_raises_censorship(self, sc):
+        _check_shorter_timeout(sc)
+
+    @pytest.mark.parametrize("seed", _LAW_SEEDS)
+    def test_a_shorter_forced_inclusion_timeout_never_raises_censorship_under_many_faults(
+        self, seed
+    ):
+        _check_shorter_timeout(_fault_laden(seed))
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 11: a deposit landing on a spent batch slot")
     def test_every_landed_deposit_is_credited(self):
