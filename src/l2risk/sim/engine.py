@@ -13,7 +13,9 @@ The model, in brief:
   recovery batch a sequencer or censorship fault's end pushes (the only batch
   that reads the queue, as only such an end lets a user back in) or direct
   L1 inclusion after the forced-inclusion timeout, which bounds inclusion
-  delay by timeout plus one L1 block however long the outage lasts.
+  delay by timeout plus one L1 block however long the outage lasts. A
+  deposit credit for a user shut out joins the queue too, with no deadline
+  when forced inclusion is unusable.
 - Every landed batch gets a state root: proposable after proposal_delay,
   or on validity-proof systems after prover_latency if that is longer.
   Roots finalize after finalization_depth L1 blocks (validity proofs) or the
@@ -23,11 +25,11 @@ The model, in brief:
   exits settle directly against finalized L1 state.
 - _Run.pending keeps one table per stage of an exit in flight (queued,
   admitted, awaiting_root, claimable), mapping its id to a withdrawal's
-  transaction or a hatch exit's entry. An exit moves from table to table
-  and rides its own proposal, root and claim events; one in a batch on its
-  way to L1 is in no table, and a hatch exit enters claimable only if its
-  claim is deferred. An exit stays pending until it is claimed, fails or
-  is dropped.
+  transaction or a hatch exit's entry, which carries since, when it entered
+  its table. An exit moves from table to table (_restage) and rides its own
+  proposal, root and claim events; one in a batch on its way to L1 is in no
+  table, nor is one whose claim is due, and an exit enters claimable only
+  at its claim's first deferral.
 - Each denial is counted once, as it happens (_deny): a forced-queued
   transaction until it is included, a dropped one until _let_in_at, the
   first instant no window shuts its user out, the user's overlapping
@@ -49,15 +51,13 @@ The model, in brief:
   speed, root proposals, validity proofs, claims, the whole bridge, or the
   offchain data hatch exits need. _Run resolves each window once, as the
   run starts; one the config routes around (_neutralized) is only noted.
-- Funds count as frozen while some exit in flight is stalled by an active
-  fault. An admitted withdrawal waits in the mempool for a batch, so only a
-  sequencer fault holds it, not a censorship; once batched, nothing holds
-  it until it lands. The frozen-funds clock moves only where the active
-  faults or the exits in a stage's table change. There the answer is
-  worked out afresh: at once when no fault is active, else by asking which
-  tables are empty, with the sequencer, root and claim effects looked up
-  at most once each; only the access check reads single exits, the queued
-  ones.
+- Funds count as frozen while some exit sits in a stage an active fault
+  holds (_holding): queued while its user is shut out, admitted while the
+  sequencer is down (it waits in the mempool, so a censorship does not hold
+  it), awaiting a root no one may propose or prove, or claimable while
+  claims or the bridge are held. Each stay is clipped to those windows
+  once, as it ends; frozen_funds_duration is the length of the union of
+  the held parts.
 - The engine's own events wait on a heap as (time, priority, sequence,
   kind, args). Workload actions never enter it: they come in time order as
   plain (at, action, user, amount, to) tuples, an explicit list's stably
@@ -68,12 +68,11 @@ The model, in brief:
 - The loop calls _on_<kind>(*args) from a per-run table of handlers,
   each bound by _bind on first use and looked up on the instance so a
   subclass's handler is the one that runs. It records a violation under
-  that kind's name only when the escrow and the running total differ; the
-  handlers move the frozen-funds clock themselves. With no fault active
-  the handlers make no fault lookup (_ends, _access_ends) at all: each
-  guards its lookups with self.active.
-- A run sim.horizon cuts ends at the horizon: its open frozen interval
-  counts up to it, and no denial counts past it.
+  that kind's name only when the escrow and the running total differ.
+  With no fault active the handlers make no fault lookup (_ends,
+  _access_ends) at all: each guards its lookups with self.active.
+- A run sim.horizon cuts ends at the horizon: its open stays count up to
+  it, and no denial counts past it.
 
 An invalid state root injected by an attacker finalizes only when state
 validation is not enforced, or on a fraud-proof system whose whitelisted
@@ -281,8 +280,8 @@ class _Run:
         "sc", "cfg", "p", "horizon", "seed", "now", "_heap", "_numbers", "records",
         "violations", "bridge_pool", "l2", "inflight", "accounted", "mempool", "forced",
         "_batch_grid", "_txid", "_windows", "active", "_zk", "_root_effects", "_final_delay",
-        "exploit_drained", "latencies", "censorship_window", "pending",
-        "_frozen_accum", "_frozen_since", "exit_coverage",
+        "exploit_drained", "latencies", "censorship_window", "pending", "_holding", "_held",
+        "exit_coverage",
     )
 
     def __init__(self, scenario: Scenario, seed: int) -> None:
@@ -331,12 +330,22 @@ class _Run:
         self.latencies: dict[str, list[int]] = defaultdict(list)
         self.censorship_window = 0
         # exits in flight, tracked for the frozen-funds metric: stage -> id ->
-        # a withdrawal's transaction or a deferred hatch exit's entry
+        # a withdrawal's transaction or a deferred claim's exit, each with
+        # since, when it entered that table
         self.pending: dict[str, dict] = {
             "queued": {}, "admitted": {}, "awaiting_root": {}, "claimable": {}
         }
-        self._frozen_accum = 0
-        self._frozen_since: int | None = None
+        # stage -> (start, end, users held or None for all) of each window
+        # that holds an exit in that stage while active
+        holds = {"queued": _ACCESS, "admitted": ("sequencer",), "claimable": ("claims", "bridge")}
+        holds["awaiting_root"] = self._root_effects
+        windows = [w for w in self._windows.values() if type(w) is tuple]
+        self._holding = {
+            stage: [(s, e, users) for s, e, effect, users in windows if effect in effects]
+            for stage, effects in holds.items()
+        }
+        # (start, end) of each part of an ended stay that a window held
+        self._held: list[tuple[int, int]] = []
 
         self.exit_coverage: float | None = None
 
@@ -443,9 +452,6 @@ class _Run:
             handler(*args)
             if self.bridge_pool != self.accounted:
                 check_conservation(kind)
-        if self._frozen_since is not None:
-            self._frozen_accum += self.now - self._frozen_since
-            self._frozen_since = None
         resummed = sum(self.l2.values()) + sum(a for _u, a in self.inflight.values())
         if resummed != self.accounted:
             raise RuntimeError(
@@ -460,7 +466,7 @@ class _Run:
     def result(self) -> SimResult:
         metrics = HarmMetrics(
             withdrawal_latency=self.latencies,
-            frozen_funds_duration=self._frozen_accum,
+            frozen_funds_duration=self._frozen(),
             censorship_window=self.censorship_window,
             exit_coverage_before_upgrade=self.exit_coverage,
             funds_conserved=not self.exploit_drained and not self.violations,
@@ -498,42 +504,38 @@ class _Run:
 
     # -- metric bookkeeping --------------------------------------------------
 
-    def _exit_stalled(self) -> bool:
-        """Whether an active fault holds up some exit in flight: a queued
-        withdrawal whose user is shut out; an admitted one, in the mempool,
-        the sequencer is down for; a withdrawal waiting on a root no one may
-        propose or prove; or a claim the bridge refuses.
+    def _restage(self, stage: str, xid: str, to: str | None = None) -> None:
+        """Take an exit out of a stage's table, keeping the held parts of its
+        stay there, and put it in the to stage's table, if any, from now."""
+        exit_ = self.pending[stage].pop(xid)
+        self._keep_held(stage, exit_, self._held)
+        if to is not None:
+            exit_["since"] = self.now
+            self.pending[to][xid] = exit_
 
-        With no fault active nothing can stall, so the answer is immediate.
-        Otherwise it asks whether each stage's table is empty and looks up
-        the sequencer, root and claim effects at most once each; only the
-        access check reads single exits, the queued ones, up to the first
-        shut out."""
-        if not self.active:
-            return False
-        pending = self.pending
-        if pending["awaiting_root"] and self._ends(*self._root_effects):
-            return True
-        if pending["claimable"] and self._ends("claims", "bridge"):
-            return True
-        # a sequencer fault holds every admitted exit and shuts every user out
-        if (pending["admitted"] or pending["queued"]) and self._ends("sequencer"):
-            return True
-        for tx in pending["queued"].values():
-            if self._access_ends(tx["user"]):
-                return True
-        return False
+    def _keep_held(self, stage: str, exit_: dict, held: list) -> None:
+        """Append to held each part of the exit's stay in a stage, from its
+        since to now, that a window holding that stage covers."""
+        since, now, user = exit_["since"], self.now, exit_["user"]
+        for start, end, users in self._holding[stage]:
+            if users is None or user in users:
+                lo, hi = max(start, since), min(end, now)
+                if lo < hi:
+                    held.append((lo, hi))
 
-    def _update_frozen(self) -> None:
-        """Open or close the frozen interval as the stall answer reads now;
-        called wherever active changes or an exit enters, leaves or moves
-        between the tables of pending."""
-        stalled = self._exit_stalled()
-        if stalled and self._frozen_since is None:
-            self._frozen_since = self.now
-        elif not stalled and self._frozen_since is not None:
-            self._frozen_accum += self.now - self._frozen_since
-            self._frozen_since = None
+    def _frozen(self) -> int:
+        """frozen_funds_duration: the length of the union of the held parts,
+        a stay still open counting up to now."""
+        held = self._held[:]
+        for stage, table in self.pending.items():
+            for exit_ in table.values():
+                self._keep_held(stage, exit_, held)
+        frozen = reach = 0
+        for start, end in sorted(held):
+            if end > reach:
+                frozen += end - max(start, reach)
+                reach = end
+        return frozen
 
     def _check_conservation(self, event_kind: str) -> None:
         if self.exploit_drained or self.bridge_pool == self.accounted:
@@ -609,8 +611,8 @@ class _Run:
         }
         self._emit("tx_submitted", txid, action, user, amount)
         if action == "withdraw":
+            tx["since"] = self.now
             self.pending["queued"][txid] = tx
-            self._update_frozen()
         if self.active and self._access_ends(user):
             self._deny(tx)
         else:
@@ -624,9 +626,8 @@ class _Run:
             self._deny(tx)
             return
         self._emit("tx_admitted", tx["id"])
-        # admitted only while its user is let in, so no stall answer changes
         if tx["type"] == "withdraw":
-            self.pending["admitted"][tx["id"]] = self.pending["queued"].pop(tx["id"])
+            self._restage("queued", tx["id"], "admitted")
         self.mempool.append(tx)
         self._grid_batch(self.now)
 
@@ -638,8 +639,8 @@ class _Run:
             self._emit("tx_queued_forced", tx["id"], deadline)
         else:
             self._emit("tx_dropped", tx["id"], "sequencer unavailable")
-            self.pending["queued"].pop(tx["id"], None)
-            self._update_frozen()
+            if tx["type"] == "withdraw":
+                self._restage("queued", tx["id"])
             included = self._let_in_at(tx["user"])
         blocked_for = min(included, self.horizon) - tx["submitted"]
         self.censorship_window = max(self.censorship_window, blocked_for)
@@ -690,8 +691,8 @@ class _Run:
         elif self.cfg.forced_inclusion.usable:
             self._queue_forced(tx)
         else:
-            # parked until the sequencer recovers; drained by the recovery batch
-            self.mempool.append(tx)
+            # no deadline: it waits for the recovery batch that lets its user in
+            self.forced[tx["id"]] = tx
 
     def _queue_forced(self, tx: dict) -> tuple[int, int]:
         """Put a transaction on the forced queue; returns its L1 deadline and
@@ -727,16 +728,17 @@ class _Run:
         kept = {i: tx for i, tx in self.forced.items() if self._access_ends(tx["user"])}
         freed = [tx for i, tx in self.forced.items() if i not in kept]
         self.forced = kept
-        queued = self.pending["queued"]
         for tx in freed:
-            queued.pop(tx["id"], None)  # a credit was never pending
+            if tx["type"] == "withdraw":
+                self._restage("queued", tx["id"])
         self._make_batch(freed + self.mempool)
 
     def _make_batch(self, txs: list[dict]) -> None:
         if not txs:
             return
         self.mempool = []
-        self.pending["admitted"].clear()  # in the mempool, so in this batch
+        for xid in [*self.pending["admitted"]]:  # in the mempool, so in this batch
+            self._restage("admitted", xid)
         land = next_l1_block(self.now, self.p.l1_block_interval)
         self._emit("batch_created", len(txs), land)
         self._push(land, _P_L1, "batch_landed", txs)
@@ -744,21 +746,19 @@ class _Run:
     def _on_batch_landed(self, txs: list[dict]) -> None:
         self._emit("batch_landed", len(txs))
         withdrawals = [tx for tx in txs if self._apply_tx(tx)]
-        self._update_frozen()
         self._schedule_proposal(self.now, withdrawals)
 
     def _on_forced_deadline(self, txid: str) -> None:
         tx = self.forced.pop(txid)
-        self.pending["queued"].pop(txid, None)  # a credit was never pending
+        if tx["type"] == "withdraw":
+            self._restage("queued", txid)
         self._emit("forced_inclusion", txid, self.now - tx["entry"])
         withdrawals = [tx] if self._apply_tx(tx) else []
-        self._update_frozen()
         self._schedule_proposal(self.now, withdrawals)
 
     def _apply_tx(self, tx: dict) -> bool:
         """Apply one included transaction; returns whether it included a
-        withdrawal, which enters awaiting_root. The caller moves the frozen
-        clock once its whole batch is applied."""
+        withdrawal, which enters awaiting_root."""
         txid, kind, user, amount = tx["id"], tx["type"], tx["user"], tx["amount"]
         if kind == "credit":
             self._release(txid)
@@ -774,6 +774,7 @@ class _Run:
             self._emit("transfer_applied", txid, user, tx["to"], amount)
             return False
         self._hold(txid, user, amount)
+        tx["since"] = self.now
         self.pending["awaiting_root"][txid] = tx
         self._emit("withdrawal_included", txid, user, amount)
         return True
@@ -800,25 +801,27 @@ class _Run:
     def _on_root_finalized(self, batch_time: int, withdrawals: list[dict]) -> None:
         self._emit("root_finalized", batch_time, len(withdrawals))
         for tx in withdrawals:
-            self.pending["claimable"][tx["id"]] = self.pending["awaiting_root"].pop(tx["id"])
+            self._restage("awaiting_root", tx["id"])
             self._push(self.now, _P_L1, "claim", tx)
-        self._update_frozen()
 
     def _on_claim(self, exit_: dict) -> None:
-        """Pay out an exit, or defer it as claimable while claims or the bridge are held."""
+        """Pay out an exit, or defer it, claimable from its first deferral,
+        while claims or the bridge are held."""
         xid = exit_["id"]
+        claimable = self.pending["claimable"]
         ends = self._ends("claims", "bridge") if self.active else None
         if ends:
-            self.pending["claimable"][xid] = exit_
-            self._update_frozen()
+            if xid not in claimable:
+                exit_["since"] = self.now
+                claimable[xid] = exit_
             retry = max(ends)
             self._emit("claim_deferred", xid, retry)
             self._push(retry, _P_L1, "claim", exit_)
             return
         user, amount = self._release(xid)
         self.bridge_pool -= amount
-        # no claims or bridge fault holds it, so its leaving moves no clock
-        self.pending["claimable"].pop(xid, None)  # a hatch exit never deferred is in none
+        if xid in claimable:
+            self._restage("claimable", xid)
         latency = self.now - exit_["submitted"]
         self.latencies[user].append(latency)
         self._emit("withdrawal_claimed", xid, user, amount, latency)
@@ -842,14 +845,12 @@ class _Run:
         window = self._windows[idx]
         if type(window) is tuple:
             self.active[idx] = window
-            self._update_frozen()
             self._emit("injection_start", inj.kind.value, inj.end)
         else:
             self._emit("injection_start", inj.kind.value, inj.end, window)
 
     def _on_injection_end(self, idx: int) -> None:
         window = self.active.pop(idx, None)  # a neutralized fault never became active
-        self._update_frozen()
         self._emit("injection_end", self.sc.injections[idx].kind.value)
         if window and window[2] in _ACCESS and (self.mempool or self.forced):
             if not self._ends("sequencer"):

@@ -1293,7 +1293,7 @@ class TestUpgrades:
     )
     def test_frozen_funds_run_to_the_horizon_that_cuts_the_run(self, horizon, frozen):
         # the withdrawal waits out the outage in the forced queue; a cut run
-        # closes its frozen interval at the horizon, not at its last event
+        # counts its open stay up to the horizon, not to its last event
         scenario = self._outage_withdrawal(horizon)
         assert simulate(scenario, seed=0).metrics.frozen_funds_duration == frozen
 
@@ -1397,9 +1397,9 @@ FROZEN_FAULT_LADEN = {
     5: "38d17ec168c351be97f410c46d1f9073e01bcbb292e60a920829377aff93f03d",
     6: "29d2ebc4c4ade693bcfa15ae20ce1ef0c2f5c72903e76fe7396ebf312492fb5d",
     7: "0b925d0204663f9bfee7b78d42cf7a8dc8f4e7c43bdaecf6f3a271c1387f454e",
-    8: "192231433e4f2f5911dc7eb80d8c8fb917672f3019bd282c1e2acae7a9c0b088",
+    8: "803885141a08d53aa85e30513a4f841663d2f865f46a4691843e121c6f5bbe7c",
     9: "c8f5d7e338db41918e48d9e016f7d7688b7b62b9d607dd6842841f59d5050486",
-    10: "81562d6918104ad649883f29bf6c9f4faba3f7b0b9d6daee0d4762a4ee332c39",
+    10: "2609115e0bdbd156b1a1510d7a12ec6ab4042fdc8cc1d6a8478c95606191163d",
     11: "b0e9564e1d5a065758fc6f1c80e97e9c3b4307266322a499c98fba5f471ee3f0",
 }
 # sha256 over the 50 per-seed digests of RandomWorkload() on the centralized
@@ -1865,12 +1865,10 @@ class _ExitsFromRecords:
     admitted exits, which ride that batch, and the forced-queued ones whose
     user access_ends lets in, which the batch frees; forced_inclusion takes
     its exit out; withdrawal_included puts it in awaiting_root, its t the
-    batch time; root_finalized moves its withdrawals count of exits with
-    that batch time, oldest inclusion first, to claimable;
-    hatch_exit_included starts a hatch exit that stalls nothing;
-    claim_deferred makes an exit claimable and withdrawal_claimed takes it
-    out. Each replay reads the records of one event, so access_ends reads
-    the faults active at it."""
+    batch time; root_finalized takes out its withdrawals count of exits
+    with that batch time, oldest inclusion first; claim_deferred makes any
+    exit claimable and withdrawal_claimed takes it out. Each replay reads
+    the records of one event, so access_ends reads the faults active at it."""
 
     def __init__(self):
         self.read = 0
@@ -1879,7 +1877,6 @@ class _ExitsFromRecords:
         self.admitted = set()
         self.awaiting_root = {}  # id -> batch time, in inclusion order
         self.claimable = set()
-        self.hatch_waits = set()
 
     def replay(self, records, access_ends):
         for kind, t, _i, *values in records[self.read :]:
@@ -1907,17 +1904,10 @@ class _ExitsFromRecords:
                 assert len(final) >= withdrawals, (t, kind, values)
                 for xid in final[:withdrawals]:
                     del self.awaiting_root[xid]
-                    self.claimable.add(xid)
-            elif kind == "hatch_exit_included":
-                self.hatch_waits.add(values[0])
             elif kind == "claim_deferred":
-                self.hatch_waits.discard(values[0])
                 self.claimable.add(values[0])
             elif kind == "withdrawal_claimed":
-                if values[0] in self.hatch_waits:
-                    self.hatch_waits.remove(values[0])
-                else:
-                    self.claimable.remove(values[0])
+                self.claimable.discard(values[0])
         self.read = len(records)
 
     def tables(self) -> dict[str, set[str]]:
@@ -1961,28 +1951,38 @@ class _AfterEachEvent:
 
 
 class _StallOracle(_AfterEachEvent):
-    """Mixed in ahead of a _Run class: after every event, holds whether the
-    frozen interval is open to a full scan of the exits the records show in
-    flight, and the engine's stage tables to those exits. It never moves the
-    clock itself, so a handler that changes what the scan reads and leaves
-    the clock where it was fails at that event, and so does an exit put in
-    the wrong table."""
+    """Mixed in ahead of a _Run class: after every event, holds the engine's
+    stage tables to the exits the records show in flight, and runs a
+    reference clock that adds the time since the last event whenever a full
+    scan of those exits found one stalled after it. The engine's frozen
+    funds must equal that clock when the result is read. So an exit left in
+    or put in the wrong table fails at that event, and a held part the
+    engine keeps wrongly fails at the run's end."""
 
     stalled = targeted_stalls = 0
 
     def __init__(self, scenario, seed):
         super().__init__(scenario, seed)
         self.exits = _ExitsFromRecords()
+        self.clock = self.last = 0
+        self.was_stalled = False
 
     def _after_event(self, kind):
         self.exits.replay(self.records, self._access_ends)
         tables = {stage: set(table) for stage, table in self.pending.items()}
         assert tables == self.exits.tables(), (self.now, self.records[-1:])
-        stalled = self._frozen_since is not None
-        assert stalled == _scan_stalled(self, self.exits), (self.now, self.records[-1:])
+        self.clock += self.now - self.last if self.was_stalled else 0
+        self.last = self.now
+        stalled = self.was_stalled = _scan_stalled(self, self.exits)
         self.stalled += stalled
         injections = self.sc.injections
         self.targeted_stalls += stalled and all(injections[idx].targets for idx in self.active)
+
+    def _frozen(self):
+        frozen = super()._frozen()
+        clock = self.clock + (self.now - self.last if self.was_stalled else 0)
+        assert frozen == clock, (self.sc.name, frozen, clock)
+        return frozen
 
 
 class _CheckedRun(_StallOracle, _Run):
@@ -2070,6 +2070,8 @@ def _stall_oracle_runs() -> list[tuple[Scenario, int]]:
     """The (scenario, seed) runs the stall oracle watches."""
     runs = [(load_bundled_scenario(n), 0) for n in sorted(BUNDLED_EXPECTATIONS)]
     runs += [(_fault_laden(seed), 0) for seed in range(40)]
+    # cut while exits are held, so their stays are still open
+    runs += [(_with_horizon(_fault_laden(seed), 3 * HOUR), 0) for seed in range(10)]
     runs += [(_acceptance_random(), seed) for seed in range(5)]
     runs.append((_day_long_fault(InjectionKind.PROPOSER_OUTAGE, 20, 200), 0))
     runs.append((_targeted_censorship(), 0))
@@ -2077,15 +2079,15 @@ def _stall_oracle_runs() -> list[tuple[Scenario, int]]:
     return runs
 
 
-def _engine_copy(without: int | None = None) -> ModuleType:
-    """A copy of the engine module built from its source; with without, the
-    without-th self._update_frozen() call of _Run is made a pass."""
+def _engine_copy(method: str | None = None, k: int = 0) -> ModuleType:
+    """A copy of the engine module built from its source; with method, the
+    k-th line that is a call of self.<method>(...) is made a pass."""
     name = f"{sim_engine.__name__}_copy"
     lines = Path(sim_engine.__file__).read_text().splitlines(keepends=True)
-    if without is not None:
-        calls = [i for i, line in enumerate(lines) if line.strip() == "self._update_frozen()"]
-        at = calls[without]
-        lines[at] = lines[at].replace("self._update_frozen()", "pass")
+    if method is not None:
+        calls = [i for i, line in enumerate(lines) if line.lstrip().startswith(f"self.{method}(")]
+        line = lines[calls[k]]
+        lines[calls[k]] = line[: len(line) - len(line.lstrip())] + "pass\n"
     module = ModuleType(name)
     sys.modules[name] = module  # dataclass reads the module of SimResult
     try:
@@ -2095,14 +2097,12 @@ def _engine_copy(without: int | None = None) -> ModuleType:
     return module
 
 
-# Where _Run moves the frozen-funds clock: _do_submit, _deny's drop,
-# _on_batch_landed, _on_forced_deadline, _on_root_finalized, _on_claim's
-# deferral, _on_injection_start and _on_injection_end. Admitting a withdrawal
-# moves none: the sequencer admits it only while its user is let in. Nor
-# does making a batch, which takes the admitted exits and the forced ones
-# it frees out of their tables: a batch is made only while the sequencer
-# is up, and frees only the entries of users let back in.
-CLOCK_MOVES = 8
+# Where _Run restages an exit: _on_tx_admitted, _deny's drop, the forced
+# entries _on_recovery_batch frees, the admitted ones _make_batch takes,
+# _on_forced_deadline, _on_root_finalized and the payment of a deferred
+# claim. An exit enters its first table, and awaiting_root or claimable,
+# from no table, so those entries are plain writes.
+RESTAGES = 7
 
 
 class TestStallBookkeeping:
@@ -2112,30 +2112,33 @@ class TestStallBookkeeping:
         assert run.result() == simulate(scenario, seed)
         return run
 
-    def test_stall_answer_matches_a_full_scan_after_every_event(self):
+    def test_frozen_funds_match_a_clock_run_on_a_full_scan_after_every_event(self):
         runs = [self._check(scenario, seed) for scenario, seed in _stall_oracle_runs()]
         assert sum(r.stalled for r in runs) > 0
         assert sum(r.targeted_stalls for r in runs) > 0
 
-    def test_every_clock_move_is_needed(self):
-        # Each copy of the engine that lacks one clock move must fail the
-        # oracle on some run, and the unchanged copy fail none; the copies
-        # run in this process.
+    def test_every_restage_is_needed(self):
+        # Each copy of the engine that lacks one restage must fail the
+        # oracle or the table check on some run, and the unchanged copy
+        # fail none; the copies run in this process.
         source = Path(sim_engine.__file__).read_text()
-        assert source.count("self._update_frozen()") == CLOCK_MOVES
+        assert source.count("self._restage(") == RESTAGES
         runs = _stall_oracle_runs()
 
         def oracle_fails(engine: ModuleType) -> bool:
             checked = type("Checked", (_StallOracle, engine._Run), {})
             for scenario, seed in runs:
                 try:
-                    checked(scenario, seed).execute()
+                    run = checked(scenario, seed)
+                    run.execute()
+                    run.result()
                 except AssertionError:
                     return True
             return False
 
         assert not oracle_fails(_engine_copy())
-        survivors = [site for site in range(CLOCK_MOVES) if not oracle_fails(_engine_copy(site))]
+        sites = range(RESTAGES)
+        survivors = [k for k in sites if not oracle_fails(_engine_copy("_restage", k))]
         assert survivors == []
 
     def test_a_hatch_claim_deferred_twice_is_frozen_while_either_window_holds(self):
@@ -2172,50 +2175,66 @@ class TestStallBookkeeping:
                 self.pending["claimable"] = _ScannedFlights()
 
         # A proposer outage holds every exit awaiting a root, a withdrawal
-        # failure every claimable one; the stall test only asks whether
-        # those tables are empty, whatever the size.
+        # failure every claimable one; each exit's stay is kept as it ends,
+        # so no event walks those tables, whatever the size. Reading the
+        # result walks each once, for the stays still open.
         for kind in (InjectionKind.PROPOSER_OUTAGE, InjectionKind.WITHDRAWAL_FAILURE):
             for users, actions in ((20, 200), (200, 2_000)):
                 scenario = _day_long_fault(kind, users, actions)
                 run = ScanCountingRun(scenario, 0)
                 run.execute()
-                scans = [run.pending[stage].scans for stage in ("awaiting_root", "claimable")]
-                assert scans == [0, 0], scenario.name
+                tables = [run.pending[stage] for stage in ("awaiting_root", "claimable")]
+                assert [table.scans for table in tables] == [0, 0], scenario.name
                 result = run.result()
+                assert all(table.scans <= 1 for table in tables), scenario.name
                 assert result.metrics.frozen_funds_duration > 0, scenario.name
                 assert result.events == simulate(scenario, 0).events
 
-    def test_predicate_calls_per_event_do_not_grow_with_the_workload(self):
+    def test_restages_and_held_parts_do_not_grow_with_the_workload(self):
+        class Entries(dict):
+            """Counts the exits put in one stage's table."""
+
+            entries = 0
+
+            def __setitem__(self, key, value):
+                self.entries += 1
+                super().__setitem__(key, value)
+
         class CountingRun(_Run):
-            """Counts the fault-effect lookups made by the stall test."""
+            """Counts the restages out of each stage and bounds the held
+            parts each one keeps by the windows holding that stage."""
 
-            calls = tests = 0
-            inside = False
+            def __init__(self, scenario, seed):
+                super().__init__(scenario, seed)
+                self.pending = {stage: Entries() for stage in self.pending}
+                self.restages = dict.fromkeys(self.pending, 0)
 
-            def _exit_stalled(self):
-                self.tests += 1
-                self.inside = True
-                try:
-                    return super()._exit_stalled()
-                finally:
-                    self.inside = False
+            def _restage(self, stage, xid, to=None):
+                self.restages[stage] += 1
+                kept = len(self._held)
+                super()._restage(stage, xid, to)
+                assert len(self._held) - kept <= len(self._holding[stage]), (stage, xid)
 
-            def _ends(self, *effects):
-                self.calls += self.inside
-                return super()._ends(*effects)
-
-        # A proposer outage stalls the exits waiting on a root; a slow
-        # sequencer stalls none of the exits in flight. Either way the root,
-        # claim and sequencer effects are each looked up at most once per
-        # stall test.
-        for kind in (
-            InjectionKind.PROPOSER_OUTAGE,
-            InjectionKind.SEQUENCER_PERFORMANCE_DEGRADATION,
-        ):
+        # Each fault holds a different stage: a censorship the queued exits,
+        # a sequencer outage the queued and admitted ones, a proposer outage
+        # those awaiting a root, a withdrawal failure the claimable ones; a
+        # slow sequencer holds none. Whatever the size, an exit leaves each
+        # stage it enters at most once, and each leaving keeps at most one
+        # part per window holding that stage.
+        kinds = [_CENSORSHIP, InjectionKind.SEQUENCER_OUTAGE, InjectionKind.PROPOSER_OUTAGE]
+        kinds += [InjectionKind.WITHDRAWAL_FAILURE, InjectionKind.SEQUENCER_PERFORMANCE_DEGRADATION]
+        held = 0
+        for kind in kinds:
             for users, actions in ((20, 200), (200, 2_000)):
-                run = CountingRun(_day_long_fault(kind, users, actions), 0)
+                scenario = _day_long_fault(kind, users, actions)
+                run = CountingRun(scenario, 0)
                 run.execute()
-                assert run.calls <= 3 * run.tests, (kind, actions, run.calls, run.tests)
+                for stage, table in run.pending.items():
+                    assert run.restages[stage] <= table.entries, (kind, actions, stage)
+                assert sum(run.restages.values()) > 0, (kind, actions)
+                held += len(run._held)
+                assert run.result() == simulate(scenario, 0)
+        assert held > 0
 
     def test_no_fault_lookup_while_no_fault_is_active(self):
         class LookupCountingRun(_Run):
@@ -2314,7 +2333,8 @@ class _RescanningRun(_Run):
         freed = [tx for xid, tx in self.forced.items() if xid not in kept]
         self.forced = kept
         for tx in freed:
-            self.pending["queued"].pop(tx["id"], None)
+            if tx["type"] == "withdraw":
+                self._restage("queued", tx["id"])
         self._make_batch(freed + self.mempool)
 
     _on_recovery_batch = _on_batch_tick
@@ -2460,6 +2480,25 @@ class TestForcedQueue:
             assert sum(queued for _lookups, queued in run.recoveries) > 0, scenario.name
             assert run.result().events == simulate(scenario, 0).events
 
+    def test_a_censored_users_credit_waits_for_the_batch_that_lets_them_in(self):
+        # A censorship of u 100-3,700, forced inclusion unusable: u's deposit
+        # lands at 204, and its credit waits for the recovery batch of
+        # 3,700, which lands at 3,708. v's transfer to u at 300 makes a grid
+        # batch at 360 that must not carry u's credit with it.
+        deposit = WorkloadAction(200, "deposit", "u", 50)
+        transfer = WorkloadAction(300, "transfer", "v", 5, "u")
+        for actions in ((deposit,), (deposit, transfer)):
+            scenario = Scenario(
+                "credit-while-censored",
+                RollupConfig(),
+                actions=actions,
+                injections=(Injection(_CENSORSHIP, 100, 3_600, ("u",)),),
+            )
+            result = simulate(scenario, 0)
+            credited = [(e["t"], e["id"]) for e in _events(result, "credit_applied")]
+            assert credited == [(3_708, "dep-1")], actions
+        assert [e["t"] for e in _events(result, "batch_created")] == [360, 3_700]
+
 
 # -- each denial counted when it happens -----------------------------------------
 
@@ -2574,6 +2613,100 @@ def _censorship_from_trace(scenario: Scenario, lines: list[str]) -> int:
         ends[txid] = min(until, horizon)
     assert math.inf not in ends.values()
     return max((end - submitted[txid] for txid, end in ends.items()), default=0)
+
+
+def _frozen_from_trace(scenario: Scenario, lines: list[str]) -> int:
+    """frozen_funds_duration replayed from trace lines alone, plus the
+    scenario's censorship targets, proof system and horizon, which the trace
+    does not carry. Each injection_start line not marked ineffective opens a
+    window up to its until, a censorship's targets found by its kind, t and
+    until. A withdrawal is queued from tx_submitted, admitted from
+    tx_admitted, and leaves the queue at tx_dropped or forced_inclusion, or
+    at a batch_created once admitted, or forced-queued with its user shut
+    out by no window at that t; it awaits a root from withdrawal_included to
+    root_finalized, which takes its withdrawals count of exits with that
+    batch time, oldest first; any exit is claimable from its first
+    claim_deferred to withdrawal_claimed. A stay still open runs to the
+    horizon. The result is the length of the union of each stay clipped to
+    the windows holding its stage."""
+    horizon = math.inf if scenario.params.horizon is None else scenario.params.horizon
+    targets = defaultdict(list)  # (start, end) -> each censorship's targets, in list order
+    for j in scenario.injections:
+        if j.kind is _CENSORSHIP:
+            targets[j.at, j.end].append(j.targets)
+    zk = scenario.config.proof_system is ProofSystem.ZK
+    holds = {
+        "queued": ("sequencer", "censorship"),
+        "admitted": ("sequencer",),
+        "awaiting_root": ("proposals", "proofs") if zk else ("proposals",),
+        "claimable": ("claims", "bridge"),
+    }
+    events = [json.loads(line) for line in lines]
+    windows = []  # (start, end, effect, users held, () for everyone)
+    for event in events:
+        if event["event"] == "injection_start" and "ineffective" not in event:
+            kind, t, end = InjectionKind(event["kind"]), event["t"], event["until"]
+            users = targets[t, end].pop(0) if kind is _CENSORSHIP else ()
+            windows.append((t, end, _FAULT_EFFECTS[kind], users))
+
+    def shut_out(user, t):
+        return any(
+            start <= t < end and effect in holds["queued"] and (not users or user in users)
+            for start, end, effect, users in windows
+        )
+
+    stays = {stage: {} for stage in holds}  # stage -> id -> (since, user)
+    held = []
+
+    def leave(stage, xid, t):
+        since, user = stays[stage].pop(xid)
+        for start, end, effect, users in windows:
+            if effect in holds[stage] and (not users or user in users):
+                if max(start, since) < min(end, t):
+                    held.append((max(start, since), min(end, t)))
+
+    owners, forced = {}, set()  # exit id -> its user; the forced-queued ids
+    for event in events:
+        kind, t, xid = event["event"], event["t"], event.get("id")
+        queued = xid in stays["queued"]
+        if kind == "tx_submitted" and event["type"] == "withdraw":
+            owners[xid] = event["user"]
+            stays["queued"][xid] = (t, event["user"])
+        elif kind == "tx_admitted" and queued:
+            leave("queued", xid, t)
+            stays["admitted"][xid] = (t, owners[xid])
+        elif kind == "tx_queued_forced" and queued:
+            forced.add(xid)
+        elif kind in ("tx_dropped", "forced_inclusion") and queued:
+            leave("queued", xid, t)
+            forced.discard(xid)
+        elif kind == "batch_created":
+            for x in [*stays["admitted"]]:
+                leave("admitted", x, t)
+            for x in [x for x in forced if not shut_out(owners[x], t)]:
+                leave("queued", x, t)
+                forced.remove(x)
+        elif kind == "withdrawal_included":
+            stays["awaiting_root"][xid] = (t, event["user"])
+        elif kind == "root_finalized":
+            final = [x for x, (bt, _u) in stays["awaiting_root"].items() if bt == event["batch_time"]]
+            for x in final[: event["withdrawals"]]:
+                leave("awaiting_root", x, t)
+        elif kind == "hatch_exit_included":
+            owners[xid] = event["user"]
+        elif kind == "claim_deferred" and xid not in stays["claimable"]:
+            stays["claimable"][xid] = (t, owners[xid])
+        elif kind == "withdrawal_claimed" and xid in stays["claimable"]:
+            leave("claimable", xid, t)
+    for stage, table in stays.items():
+        for x in [*table]:
+            leave(stage, x, horizon)
+    frozen = reach = 0
+    for start, end in sorted(held):
+        if end > reach:
+            frozen += end - max(start, reach)
+            reach = end
+    return frozen
 
 
 class TestDenials:
@@ -2901,10 +3034,6 @@ class _AllOnHeapRun(_Run):
             self.now = t
             getattr(self, "_on_" + kind)(*args)
             self._check_conservation(kind)
-            self._update_frozen()
-        if self._frozen_since is not None:
-            self._frozen_accum += self.now - self._frozen_since
-            self._frozen_since = None
         if _resum(self) != self.accounted:
             raise RuntimeError(f"ledger total {self.accounted} != {_resum(self)}")
 
@@ -3246,6 +3375,32 @@ def _usable_forced_inclusion(sc: Scenario) -> Scenario:
     return _reconfigured(
         sc, forced_inclusion=ForcedInclusionConfig(enabled=True, usable=True, timeout=12 * HOUR)
     )
+
+
+class TestFrozenReplay:
+    @staticmethod
+    def _check(scenario, seed=0) -> int:
+        result = simulate(scenario, seed)
+        frozen = result.metrics.frozen_funds_duration
+        assert _frozen_from_trace(scenario, result.trace_lines()) == frozen, scenario.name
+        return frozen
+
+    def test_bundled_fault_laden_and_random_runs_replay_their_frozen_funds(self):
+        runs = [(load_bundled_scenario(n), 0) for n in sorted(BUNDLED_EXPECTATIONS)]
+        for seed in _LAW_SEEDS:
+            sc = _fault_laden(seed)
+            fi = sc.config.forced_inclusion
+            flipped = dataclasses.replace(fi, enabled=not fi.usable, usable=not fi.usable)
+            for variant in (sc, _reconfigured(sc, forced_inclusion=flipped)):
+                runs += [(variant, 0), (_with_horizon(variant, 3 * HOUR), 0)]
+        runs += [(_acceptance_random(), seed) for seed in RANDOM_SEEDS]
+        frozen = [self._check(sc, seed) for sc, seed in runs]
+        assert sum(f > 0 for f in frozen) >= 100
+
+    @settings(max_examples=300, deadline=None)
+    @given(_small_faulted(), st.none() | st.integers(1, 3 * HOUR))
+    def test_small_faulted_runs_replay_their_frozen_funds(self, sc, horizon):
+        self._check(_with_horizon(sc, horizon))
 
 
 class TestMonotonicityLaws:
