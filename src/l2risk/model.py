@@ -153,31 +153,38 @@ _JSON_TYPES = {int: "an integer", bool: "a boolean", str: "a string"}
 
 
 @functools.cache
-def _field_types(cls) -> tuple:
-    """(name, exact types, exact item type or None, words) per field of
-    dataclass ``cls``, each typed X, ``X | None`` or ``tuple[X, ...]``."""
-    table = []
+def _type_check(cls):
+    """The type check of dataclass ``cls``, compiled once: straight-line code
+    that reads each field, typed X, ``X | None`` or ``tuple[X, ...]``, and
+    raises ``error`` unless it holds exactly that type."""
+    aliases, lines = {}, ["def check(obj, error):"]
     for name, tp in get_type_hints(cls).items():
         x, *rest = get_args(tp) or (tp,)
         words = _JSON_TYPES.get(x) or ("an " if x.__name__[0] in "AEIOU" else "a ") + x.__name__
+        exact = aliases.setdefault(x, f"_t{len(aliases)}")
+        lines.append(f"    v = obj.{name}")
         if get_origin(tp) is tuple:
-            table.append((name, (tuple,), x, words))
+            lines += [
+                "    if type(v) is not tuple:",
+                f"        raise error(f'{name} must be a tuple, not {{v!r}}')",
+                "    for i, w in enumerate(v):",
+                f"        if type(w) is not {exact}:",
+                f"            raise error(f'{name}[{{i}}] must be {words}, not {{w!r}}')",
+            ]
         else:
-            table.append((name, (x, *rest), None, f"{words} or None" if rest else words))
-    return tuple(table)
+            assert rest in ([], [type(None)]), tp
+            test = f"v is not None and type(v) is not {exact}" if rest else f"type(v) is not {exact}"
+            words += " or None" if rest else ""
+            lines += [f"    if {test}:", f"        raise error(f'{name} must be {words}, not {{v!r}}')"]
+    namespace = {alias: x for x, alias in aliases.items()}
+    exec("\n".join(lines), namespace)
+    return namespace["check"]
 
 
 def check_types(obj, error: type[ValueError] = ValueError) -> None:
     """Raise ``error`` unless each field of dataclass ``obj`` holds exactly its declared
     type; a bool is not an int, which the trace would write with %d as 1."""
-    for name, types, item, words in _field_types(type(obj)):
-        value = getattr(obj, name)
-        if type(value) not in types:
-            raise error(f"{name} must be {'a tuple' if item else words}, not {value!r}")
-        if item is not None:
-            for i, v in enumerate(value):
-                if type(v) is not item:
-                    raise error(f"{name}[{i}] must be {words}, not {v!r}")
+    _type_check(type(obj))(obj, error)
 
 
 @functools.cache

@@ -23,13 +23,15 @@ The model, in brief:
   _Run reads the proof system once and keeps the finality delay.
   Withdrawals pay out from the bridge once their root is final; escape-hatch
   exits settle directly against finalized L1 state.
-- _Run.pending keeps one table per stage of an exit in flight (queued,
-  admitted, awaiting_root, claimable), mapping its id to a withdrawal's
-  transaction or a hatch exit's entry, which carries since, when it entered
-  its table. An exit moves from table to table (_restage) and rides its own
-  proposal, root and claim events; one in a batch on its way to L1 is in no
-  table, nor is one whose claim is due, and an exit enters claimable only
-  at its claim's first deferral.
+- _Run.pending keeps a table for each stage of an exit in flight (queued,
+  admitted, awaiting_root, claimable) that some fault window of the run
+  holds (_holding), mapping its id to a withdrawal's transaction or a hatch
+  exit's entry, which carries since, when it entered its table. No part of
+  a stay in a stage no window holds is frozen, so that stage has no entries,
+  and a fault-free run writes no table. An exit moves from stage to stage
+  (_restage) and rides its own proposal, root and claim events; one in a
+  batch on its way to L1 is in no table, nor is one whose claim is due, and
+  an exit enters claimable only at its claim's first deferral.
 - Each denial is counted once, as it happens (_deny): a forced-queued
   transaction until it is included, a dropped one until _let_in_at, the
   first instant no window shuts its user out, the user's overlapping
@@ -73,6 +75,11 @@ The model, in brief:
   _access_ends) at all: each guards its lookups with self.active.
 - A run sim.horizon cuts ends at the horizon: its open stays count up to
   it, and no denial counts past it.
+- simulate executes a run with the cyclic garbage collector paused and
+  restores the collector's previous state after, also when a handler
+  raises. A run makes no reference cycles, so each of its objects goes when
+  its last reference does: the pause frees nothing later than the collector
+  would have, and spares its passes over records that cannot be garbage.
 
 An invalid state root injected by an attacker finalizes only when state
 validation is not enforced, or on a fraud-proof system whose whitelisted
@@ -108,6 +115,7 @@ involved, so the bytes do not depend on CPython's _json accelerator.
 
 from __future__ import annotations
 
+import gc
 import math
 from collections import defaultdict
 from collections.abc import Callable
@@ -331,7 +339,7 @@ class _Run:
         self.censorship_window = 0
         # exits in flight, tracked for the frozen-funds metric: stage -> id ->
         # a withdrawal's transaction or a deferred claim's exit, each with
-        # since, when it entered that table
+        # since, when it entered that table; only a held stage's has entries
         self.pending: dict[str, dict] = {
             "queued": {}, "admitted": {}, "awaiting_root": {}, "claimable": {}
         }
@@ -504,14 +512,17 @@ class _Run:
 
     # -- metric bookkeeping --------------------------------------------------
 
-    def _restage(self, stage: str, xid: str, to: str | None = None) -> None:
-        """Take an exit out of a stage's table, keeping the held parts of its
-        stay there, and put it in the to stage's table, if any, from now."""
-        exit_ = self.pending[stage].pop(xid)
-        self._keep_held(stage, exit_, self._held)
-        if to is not None:
+    def _restage(self, stage: str, exit_: dict, to: str | None = None) -> None:
+        """Move an exit out of a stage and into the to stage, if any, from
+        now. Only a held stage has a table: out of one, the exit is taken
+        from it and the held parts of its stay there are kept; into one, it
+        is entered."""
+        holding = self._holding
+        if holding[stage]:
+            self._keep_held(stage, self.pending[stage].pop(exit_["id"]), self._held)
+        if to is not None and holding[to]:
             exit_["since"] = self.now
-            self.pending[to][xid] = exit_
+            self.pending[to][exit_["id"]] = exit_
 
     def _keep_held(self, stage: str, exit_: dict, held: list) -> None:
         """Append to held each part of the exit's stay in a stage, from its
@@ -610,7 +621,7 @@ class _Run:
             "submitted": self.now,
         }
         self._emit("tx_submitted", txid, action, user, amount)
-        if action == "withdraw":
+        if action == "withdraw" and self._holding["queued"]:
             tx["since"] = self.now
             self.pending["queued"][txid] = tx
         if self.active and self._access_ends(user):
@@ -627,7 +638,7 @@ class _Run:
             return
         self._emit("tx_admitted", tx["id"])
         if tx["type"] == "withdraw":
-            self._restage("queued", tx["id"], "admitted")
+            self._restage("queued", tx, "admitted")
         self.mempool.append(tx)
         self._grid_batch(self.now)
 
@@ -640,7 +651,7 @@ class _Run:
         else:
             self._emit("tx_dropped", tx["id"], "sequencer unavailable")
             if tx["type"] == "withdraw":
-                self._restage("queued", tx["id"])
+                self._restage("queued", tx)
             included = self._let_in_at(tx["user"])
         blocked_for = min(included, self.horizon) - tx["submitted"]
         self.censorship_window = max(self.censorship_window, blocked_for)
@@ -730,15 +741,15 @@ class _Run:
         self.forced = kept
         for tx in freed:
             if tx["type"] == "withdraw":
-                self._restage("queued", tx["id"])
+                self._restage("queued", tx)
         self._make_batch(freed + self.mempool)
 
     def _make_batch(self, txs: list[dict]) -> None:
         if not txs:
             return
         self.mempool = []
-        for xid in [*self.pending["admitted"]]:  # in the mempool, so in this batch
-            self._restage("admitted", xid)
+        for exit_ in [*self.pending["admitted"].values()]:  # in the mempool, so in this batch
+            self._restage("admitted", exit_)
         land = next_l1_block(self.now, self.p.l1_block_interval)
         self._emit("batch_created", len(txs), land)
         self._push(land, _P_L1, "batch_landed", txs)
@@ -751,14 +762,14 @@ class _Run:
     def _on_forced_deadline(self, txid: str) -> None:
         tx = self.forced.pop(txid)
         if tx["type"] == "withdraw":
-            self._restage("queued", txid)
+            self._restage("queued", tx)
         self._emit("forced_inclusion", txid, self.now - tx["entry"])
         withdrawals = [tx] if self._apply_tx(tx) else []
         self._schedule_proposal(self.now, withdrawals)
 
     def _apply_tx(self, tx: dict) -> bool:
         """Apply one included transaction; returns whether it included a
-        withdrawal, which enters awaiting_root."""
+        withdrawal, which awaits its root from now."""
         txid, kind, user, amount = tx["id"], tx["type"], tx["user"], tx["amount"]
         if kind == "credit":
             self._release(txid)
@@ -774,8 +785,9 @@ class _Run:
             self._emit("transfer_applied", txid, user, tx["to"], amount)
             return False
         self._hold(txid, user, amount)
-        tx["since"] = self.now
-        self.pending["awaiting_root"][txid] = tx
+        if self._holding["awaiting_root"]:
+            tx["since"] = self.now
+            self.pending["awaiting_root"][txid] = tx
         self._emit("withdrawal_included", txid, user, amount)
         return True
 
@@ -801,7 +813,7 @@ class _Run:
     def _on_root_finalized(self, batch_time: int, withdrawals: list[dict]) -> None:
         self._emit("root_finalized", batch_time, len(withdrawals))
         for tx in withdrawals:
-            self._restage("awaiting_root", tx["id"])
+            self._restage("awaiting_root", tx)
             self._push(self.now, _P_L1, "claim", tx)
 
     def _on_claim(self, exit_: dict) -> None:
@@ -821,7 +833,7 @@ class _Run:
         user, amount = self._release(xid)
         self.bridge_pool -= amount
         if xid in claimable:
-            self._restage("claimable", xid)
+            self._restage("claimable", exit_)
         latency = self.now - exit_["submitted"]
         self.latencies[user].append(latency)
         self._emit("withdrawal_claimed", xid, user, amount, latency)
@@ -944,5 +956,11 @@ def simulate(scenario: Scenario, seed: int = 0) -> SimResult:
     if type(seed) is not int:  # the metrics write it as JSON, where true is not 1
         raise ValueError(f"seed must be an integer, not {seed!r}")
     run = _Run(scenario, seed)
-    run.execute()
+    collecting = gc.isenabled()
+    gc.disable()  # a run makes no reference cycles, so the collector finds nothing
+    try:
+        run.execute()
+    finally:
+        if collecting:
+            gc.enable()
     return run.result()

@@ -297,9 +297,11 @@ def parse_scenario(raw: object, *, name: str = "scenario") -> Scenario:
 
 
 def read_scenario(path: str | Path) -> bytes:
-    """A scenario file's bytes; a file that cannot be read is a ScenarioError."""
+    """A scenario file's bytes, read from the path as given; a file that
+    cannot be read is a ScenarioError."""
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as file:
+            return file.read()
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}") from exc
 

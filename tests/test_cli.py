@@ -552,7 +552,16 @@ def test_simulate_invalid_scenario_exits_4(tmp_path, capsys):
     assert "unknown scenario keys" in capsys.readouterr().err
 
 
-_REPORT = ["report", "--snapshot", SNAPSHOT, "--incidents", INCIDENTS]
+@pytest.mark.parametrize("name", ["missing.json", "."])
+def test_simulate_unreadable_scenario_exits_4(tmp_path, capsys, name):
+    path = tmp_path / name
+    with pytest.raises(OSError) as unreadable:
+        path.read_bytes()
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 4
+    assert f"cannot read scenario: {unreadable.value}" in capsys.readouterr().err
+
+
+_REPORT =["report", "--snapshot", SNAPSHOT, "--incidents", INCIDENTS]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import hashlib
 import heapq
 import itertools
@@ -1951,8 +1952,9 @@ class _AfterEachEvent:
 
 
 class _StallOracle(_AfterEachEvent):
-    """Mixed in ahead of a _Run class: after every event, holds the engine's
-    stage tables to the exits the records show in flight, and runs a
+    """Mixed in ahead of a _Run class: after every event, holds each of the
+    engine's stage tables to the exits the records show in flight in that
+    stage if some window holds it, and to none if none does, and runs a
     reference clock that adds the time since the last event whenever a full
     scan of those exits found one stalled after it. The engine's frozen
     funds must equal that clock when the result is read. So an exit left in
@@ -1970,7 +1972,8 @@ class _StallOracle(_AfterEachEvent):
     def _after_event(self, kind):
         self.exits.replay(self.records, self._access_ends)
         tables = {stage: set(table) for stage, table in self.pending.items()}
-        assert tables == self.exits.tables(), (self.now, self.records[-1:])
+        held = {s: ids if self._holding[s] else set() for s, ids in self.exits.tables().items()}
+        assert tables == held, (self.now, self.records[-1:])
         self.clock += self.now - self.last if self.was_stalled else 0
         self.last = self.now
         stalled = self.was_stalled = _scan_stalled(self, self.exits)
@@ -2191,36 +2194,22 @@ class TestStallBookkeeping:
                 assert result.events == simulate(scenario, 0).events
 
     def test_restages_and_held_parts_do_not_grow_with_the_workload(self):
-        class Entries(dict):
-            """Counts the exits put in one stage's table."""
+        class CountingRun(_TableWritingRun):
+            """Bounds the held parts each restage keeps by the windows
+            holding that stage."""
 
-            entries = 0
-
-            def __setitem__(self, key, value):
-                self.entries += 1
-                super().__setitem__(key, value)
-
-        class CountingRun(_Run):
-            """Counts the restages out of each stage and bounds the held
-            parts each one keeps by the windows holding that stage."""
-
-            def __init__(self, scenario, seed):
-                super().__init__(scenario, seed)
-                self.pending = {stage: Entries() for stage in self.pending}
-                self.restages = dict.fromkeys(self.pending, 0)
-
-            def _restage(self, stage, xid, to=None):
-                self.restages[stage] += 1
+            def _restage(self, stage, exit_, to=None):
                 kept = len(self._held)
-                super()._restage(stage, xid, to)
-                assert len(self._held) - kept <= len(self._holding[stage]), (stage, xid)
+                super()._restage(stage, exit_, to)
+                assert len(self._held) - kept <= len(self._holding[stage]), (stage, exit_["id"])
 
         # Each fault holds a different stage: a censorship the queued exits,
         # a sequencer outage the queued and admitted ones, a proposer outage
         # those awaiting a root, a withdrawal failure the claimable ones; a
         # slow sequencer holds none. Whatever the size, an exit leaves each
         # stage it enters at most once, and each leaving keeps at most one
-        # part per window holding that stage.
+        # part per window holding that stage. A stage no window holds gets
+        # no entries, and an exit leaving it keeps nothing.
         kinds = [_CENSORSHIP, InjectionKind.SEQUENCER_OUTAGE, InjectionKind.PROPOSER_OUTAGE]
         kinds += [InjectionKind.WITHDRAWAL_FAILURE, InjectionKind.SEQUENCER_PERFORMANCE_DEGRADATION]
         held = 0
@@ -2230,11 +2219,42 @@ class TestStallBookkeeping:
                 run = CountingRun(scenario, 0)
                 run.execute()
                 for stage, table in run.pending.items():
-                    assert run.restages[stage] <= table.entries, (kind, actions, stage)
+                    if run._holding[stage]:
+                        assert run.restages[stage] <= table.entries, (kind, actions, stage)
+                    else:
+                        assert table.entries == 0, (kind, actions, stage)
                 assert sum(run.restages.values()) > 0, (kind, actions)
                 held += len(run._held)
                 assert run.result() == simulate(scenario, 0)
         assert held > 0
+
+    def test_only_a_stage_some_window_holds_has_a_table(self):
+        # With no window holding a stage, an exit's stay there is frozen for
+        # none of it: that stage's table stays empty, and nothing is clipped
+        # to windows. A day-long proposer outage holds only the exits
+        # awaiting a root; a targeted censorship only the queued ones.
+        fault_free = _random(100, 2_000)
+        outage = _day_long_fault(InjectionKind.PROPOSER_OUTAGE, 20, 200)
+        for scenario, written in (
+            (fault_free, set()),
+            (outage, {"awaiting_root"}),
+            (_targeted_censorship(), {"queued"}),
+        ):
+            run = _TableWritingRun(scenario, 0)
+            run.execute()
+            assert run.result() == simulate(scenario, 0)
+            entered = {stage for stage, table in run.pending.items() if table.entries}
+            assert entered == written, scenario.name
+            assert {s for s, windows in run._holding.items() if windows} == written, scenario.name
+            assert bool(run.kept) == bool(written), scenario.name
+            assert sum(run.restages.values()) > 0, scenario.name
+
+    def test_restaging_an_exit_missing_from_a_held_stage_raises(self):
+        run = _Run(_targeted_censorship(), 0)
+        stranger = {"id": "wd-0", "user": "carol", "since": 0}
+        run._restage("admitted", stranger)  # no window holds it: nothing to take out
+        with pytest.raises(KeyError):
+            run._restage("queued", stranger)
 
     def test_no_fault_lookup_while_no_fault_is_active(self):
         class LookupCountingRun(_Run):
@@ -2278,6 +2298,36 @@ class TestStallBookkeeping:
         run = _Run(scenario, 0)
         run.execute()
         assert not hasattr(run, "__dict__")
+
+
+class _Entries(dict):
+    """Counts the exits put in one stage's table."""
+
+    entries = 0
+
+    def __setitem__(self, key, value):
+        self.entries += 1
+        super().__setitem__(key, value)
+
+
+class _TableWritingRun(_Run):
+    """Counts the exits entered in each stage's table, the restages out of
+    each stage and the stays clipped to the windows holding their stage."""
+
+    kept = 0
+
+    def __init__(self, scenario, seed):
+        super().__init__(scenario, seed)
+        self.pending = {stage: _Entries() for stage in self.pending}
+        self.restages = dict.fromkeys(self.pending, 0)
+
+    def _restage(self, stage, exit_, to=None):
+        self.restages[stage] += 1
+        super()._restage(stage, exit_, to)
+
+    def _keep_held(self, stage, exit_, held):
+        self.kept += 1
+        super()._keep_held(stage, exit_, held)
 
 
 class _TickRecordingRun(_Run):
@@ -2334,7 +2384,7 @@ class _RescanningRun(_Run):
         self.forced = kept
         for tx in freed:
             if tx["type"] == "withdraw":
-                self._restage("queued", tx["id"])
+                self._restage("queued", tx)
         self._make_batch(freed + self.mempool)
 
     _on_recovery_batch = _on_batch_tick
@@ -3004,6 +3054,40 @@ class TestDispatch:
                 minted.append((v["t"], v["event"]))
             gap = v["bridge"] - v["accounted"]
         assert minted == [(0, "batch_tick"), (18_000, "recovery_batch")]
+
+
+# -- the collector paused per run ------------------------------------------------
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_simulate_leaves_the_collector_as_it_found_it(self, collecting, monkeypatch):
+        def boom(run):
+            assert not gc.isenabled()  # paused while the run executes
+            raise RuntimeError("handler failed")
+
+        was = gc.isenabled()
+        try:
+            gc.enable() if collecting else gc.disable()
+            simulate(_random(5, 20), seed=0)
+            assert gc.isenabled() is collecting
+            monkeypatch.setattr(_Run, "_on_batch_tick", boom)
+            with pytest.raises(RuntimeError, match="handler failed"):
+                simulate(_random(5, 20), seed=0)
+            assert gc.isenabled() is collecting
+        finally:
+            gc.enable() if was else gc.disable()
+
+    def test_a_run_leaves_nothing_for_the_collector(self):
+        # The pause frees nothing later than the collector would have: each
+        # run's objects go by reference counting, none in a cycle.
+        scenarios = [load_bundled_scenario(n) for n in sorted(BUNDLED_EXPECTATIONS)]
+        scenarios += [_fault_laden(seed) for seed in range(40)]
+        scenarios.append(_random(100, 2_000))
+        gc.collect()
+        for scenario in scenarios:
+            simulate(scenario, seed=0)
+            assert gc.collect() == 0, scenario.name
 
 
 # -- the workload beside the heap ------------------------------------------------
