@@ -47,7 +47,7 @@ from l2risk.snapshot import (
 
 def _write(text: str, out: str | Path | None) -> None:
     """Write ``text`` to the file ``out``, ending in a newline, or print it."""
-    if out:
+    if out is not None:
         Path(out).write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
     else:
         print(text)
@@ -64,7 +64,7 @@ def _output(args: argparse.Namespace, warnings, payload, render) -> int:
 
 def _cmd_ingest_snapshot(args: argparse.Namespace) -> int:
     doc = load_snapshot(args.snapshot)
-    ruleset = FlagRuleset.from_file(args.ruleset) if args.ruleset else None
+    ruleset = FlagRuleset.from_file(args.ruleset) if args.ruleset is not None else None
     result = extract_projects(doc, ruleset=ruleset, adapter=args.adapter)
     table = aggregate_prevalence(result.profiles)
     payload = table.to_dict(result.warnings)
@@ -111,17 +111,25 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return _output(args, warnings, report, lambda: render_report_text(bundle))
 
 
+def _path(text: str) -> str:
+    """The value of --ruleset or --out: an empty one is refused, not read as
+    the flag left out or as the working directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
+    return text
+
+
 # Flags that several subcommands share, as (flag, add_argument keywords).
 _ADAPTER = ("--adapter", {"choices": ["auto", *sorted(ADAPTERS)], "default": "auto"})
 _FORMAT = ("--format", {"choices": ["text", "json"], "default": "text"})
-_OUT = ("--out", {"help": "write output here instead of stdout"})
+_OUT = ("--out", {"type": _path, "help": "write output here instead of stdout"})
 
 # The one place a subcommand or a flag is declared: name -> (help, handler,
 # flags), in the order --help lists them.
 _COMMANDS = {
     "ingest-snapshot": ("derive the hazard prevalence table", _cmd_ingest_snapshot, (
         ("--snapshot", {"required": True, "help": "risk snapshot JSON"}),
-        ("--ruleset", {"help": "flagging ruleset JSON (default: bundled rules)"}),
+        ("--ruleset", {"type": _path, "help": "flagging ruleset JSON (default: bundled rules)"}),
         _ADAPTER, _FORMAT, _OUT,
     )),
     "ingest-incidents": ("classify an incident table", _cmd_ingest_incidents, (
@@ -136,12 +144,14 @@ _COMMANDS = {
     "simulate": ("run one scenario deterministically", _cmd_simulate, (
         ("--scenario", {"required": True, "help": "scenario JSON"}),
         ("--seed", {"type": int, "default": 0, "help": "workload seed (default 0)"}),
-        ("--out", {"default": ".", "help": "directory for trace.ndjson and metrics.json"}),
+        ("--out", {
+            "default": ".", "type": _path, "help": "directory for trace.ndjson and metrics.json"
+        }),
     )),
     "report": ("assemble the full reproducible report", _cmd_report, (
         ("--snapshot", {"required": True}),
         ("--incidents", {"required": True}),
-        ("--ruleset", {}),
+        ("--ruleset", {"type": _path}),
         ("--scenario", {"action": "append", "help": "scenario JSON; repeatable"}),
         _ADAPTER,
         ("--seed", {"type": int, "default": 0}),

@@ -193,7 +193,7 @@ def build_report(
     incidents_path = Path(incidents_path)
 
     ruleset = None
-    if ruleset_path:
+    if ruleset_path is not None:
         ruleset_input, text = _input(ruleset_path, Path(ruleset_path).read_bytes())
         ruleset = FlagRuleset.from_file(ruleset_path, text=text)
     snapshot_input, text = _input(snapshot_path, snapshot_path.read_bytes())
@@ -221,7 +221,7 @@ def build_report(
         simulations.append(simulate(load_scenario(sp, text=text), seed=seed))
 
     inputs: dict = {"snapshot": snapshot_input, "incidents": incidents_input}
-    if ruleset_path:
+    if ruleset_path is not None:
         inputs["ruleset"] = ruleset_input
     if scenario_paths:
         inputs["scenarios"] = scenario_inputs

@@ -29,9 +29,11 @@ The model, in brief:
   exit's entry, which carries since, when it entered its table. No part of
   a stay in a stage no window holds is frozen, so that stage has no entries,
   and a fault-free run writes no table. An exit moves from stage to stage
-  (_restage) and rides its own proposal, root and claim events; one in a
-  batch on its way to L1 is in no table, nor is one whose claim is due, and
-  an exit enters claimable only at its claim's first deferral.
+  (_restage), called only out of or into a stage some window holds, so a
+  fault-free run makes no call, and rides its own proposal, root and claim
+  events; one in a batch on its way to L1 is in no table, nor is one whose
+  claim is due, and an exit enters claimable only at its claim's first
+  deferral.
 - Each denial is counted once, as it happens (_deny): a forced-queued
   transaction until it is included, a dropped one until _let_in_at, the
   first instant no window shuts its user out, the user's overlapping
@@ -89,8 +91,10 @@ Runs are deterministic: with the same scenario and seed the event trace is
 byte-identical.
 
 Each event is recorded as one tuple, (kind, t, i, *values), its values in
-the order _Run.TRACE_FIELDS, next to _emit, lists the fields of its kind; a
-neutralized fault's start holds one value more, its ineffective note.
+the order _Run.TRACE_FIELDS lists the fields of its kind; a neutralized
+fault's start holds one value more, its ineffective note. Each handler
+appends its own (kind, t, i, *values) to _Run.records, i being the number of
+records before it.
 SimResult keeps these records. Its events view, one {"t", "i", "event",
 **fields} dict per record, is built only when a caller reads it; the trace,
 the summary and the CLI never do.
@@ -364,9 +368,10 @@ class _Run:
         violation records."""
         heappush(self._heap, (t, prio, next(self._numbers), kind, args))
 
-    # The payload of every event _emit records, in record order after its
-    # kind, t and i: the one list of what a trace line holds. _line_format
-    # writes each field as _JSON_FIELDS and _TOKEN_FIELDS say.
+    # The payload of every event, in record order after its kind, t and i,
+    # as each handler appends its own (kind, t, i, *values): the one list of
+    # what a trace line holds. _line_format writes each field as _JSON_FIELDS
+    # and _TOKEN_FIELDS say.
     TRACE_FIELDS = {
         "action_rejected": ("action", "user", "reason"),
         "deposit_submitted": ("id", "user", "amount"),
@@ -401,11 +406,6 @@ class _Run:
         "upgrade_announced": ("activation", "holders"),
         "upgrade_activated": ("exit_coverage",),
     }
-
-    def _emit(self, kind: str, *values) -> None:
-        """Record one event as (kind, t, i, *values), values in TRACE_FIELDS order."""
-        records = self.records
-        records.append((kind, self.now, len(records)) + values)
 
     def _new_id(self, prefix: str) -> str:
         self._txid += 1
@@ -589,18 +589,21 @@ class _Run:
             self._do_submit(action, user, amount, to)
 
     def _do_deposit(self, user: str, amount: int) -> None:
+        records = self.records
         if self.active and self._ends("bridge"):
-            self._emit("action_rejected", "deposit", user, "bridge unavailable")
+            reason = "bridge unavailable"
+            records.append(("action_rejected", self.now, len(records), "deposit", user, reason))
             return
         pid = self._new_id("dep")
-        self._emit("deposit_submitted", pid, user, amount)
+        records.append(("deposit_submitted", self.now, len(records), pid, user, amount))
         land = next_l1_block(self.now, self.p.l1_block_interval)
         self._push(land, _P_L1, "deposit_landed", pid, user, amount)
 
     def _on_deposit_landed(self, pid: str, user: str, amount: int) -> None:
         self.bridge_pool += amount
         self._hold(pid, user, amount)
-        self._emit("deposit_landed", pid, user, amount)
+        records = self.records
+        records.append(("deposit_landed", self.now, len(records), pid, user, amount))
         credit = {
             "id": pid,
             "type": "credit",
@@ -620,7 +623,8 @@ class _Run:
             "to": to,
             "submitted": self.now,
         }
-        self._emit("tx_submitted", txid, action, user, amount)
+        records = self.records
+        records.append(("tx_submitted", self.now, len(records), txid, action, user, amount))
         if action == "withdraw" and self._holding["queued"]:
             tx["since"] = self.now
             self.pending["queued"][txid] = tx
@@ -636,8 +640,10 @@ class _Run:
             # the sequencer went away between submission and admission
             self._deny(tx)
             return
-        self._emit("tx_admitted", tx["id"])
-        if tx["type"] == "withdraw":
+        records = self.records
+        records.append(("tx_admitted", self.now, len(records), tx["id"]))
+        holding = self._holding
+        if tx["type"] == "withdraw" and (holding["queued"] or holding["admitted"]):
             self._restage("queued", tx, "admitted")
         self.mempool.append(tx)
         self._grid_batch(self.now)
@@ -645,11 +651,13 @@ class _Run:
     def _deny(self, tx: dict) -> None:
         """Queue or drop a transaction whose user is shut out, and count its
         denial at once, up to the horizon if one cuts the run first."""
+        records = self.records
         if self.cfg.forced_inclusion.usable:
             deadline, included = self._queue_forced(tx)
-            self._emit("tx_queued_forced", tx["id"], deadline)
+            records.append(("tx_queued_forced", self.now, len(records), tx["id"], deadline))
         else:
-            self._emit("tx_dropped", tx["id"], "sequencer unavailable")
+            reason = "sequencer unavailable"
+            records.append(("tx_dropped", self.now, len(records), tx["id"], reason))
             if tx["type"] == "withdraw":
                 self._restage("queued", tx)
             included = self._let_in_at(tx["user"])
@@ -667,27 +675,27 @@ class _Run:
         return _first_clear(chain, self.now, 1)
 
     def _do_hatch(self, user: str, amount: int) -> None:
-        if not self.cfg.escape_hatch.enabled:
-            self._emit("action_rejected", "hatch-exit", user, "escape hatch disabled")
-            return
-        reason = self._hatch_blocked()
+        records = self.records
+        enabled = self.cfg.escape_hatch.enabled
+        reason = self._hatch_blocked() if enabled else "escape hatch disabled"
         if reason is not None:
-            self._emit("action_rejected", "hatch-exit", user, reason)
+            records.append(("action_rejected", self.now, len(records), "hatch-exit", user, reason))
             return
         hid = self._new_id("hx")
-        self._emit("hatch_exit_submitted", hid, user)
+        records.append(("hatch_exit_submitted", self.now, len(records), hid, user))
         land = next_l1_block(self.now, self.p.l1_block_interval)
         self._push(land, _P_L1, "hatch_included", hid, user, amount, self.now)
 
     def _on_hatch_included(self, hid: str, user: str, requested: int, submitted: int) -> None:
         balance = self.l2[user]
         amount = balance if requested == 0 else min(requested, balance)
+        records = self.records
         if amount <= 0:
-            self._emit("tx_failed", hid, user, "nothing to exit")
+            records.append(("tx_failed", self.now, len(records), hid, user, "nothing to exit"))
             return
         self._move(user, -amount)
         self._hold(hid, user, amount)
-        self._emit("hatch_exit_included", hid, user, amount)
+        records.append(("hatch_exit_included", self.now, len(records), hid, user, amount))
         # waiting on finality stalls nothing, so the exit enters no table yet
         done = self.now + self.p.finalization_depth * self.p.l1_block_interval
         self._push(done, _P_L1, "claim", {"id": hid, "user": user, "submitted": submitted})
@@ -751,11 +759,13 @@ class _Run:
         for exit_ in [*self.pending["admitted"].values()]:  # in the mempool, so in this batch
             self._restage("admitted", exit_)
         land = next_l1_block(self.now, self.p.l1_block_interval)
-        self._emit("batch_created", len(txs), land)
+        records = self.records
+        records.append(("batch_created", self.now, len(records), len(txs), land))
         self._push(land, _P_L1, "batch_landed", txs)
 
     def _on_batch_landed(self, txs: list[dict]) -> None:
-        self._emit("batch_landed", len(txs))
+        records = self.records
+        records.append(("batch_landed", self.now, len(records), len(txs)))
         withdrawals = [tx for tx in txs if self._apply_tx(tx)]
         self._schedule_proposal(self.now, withdrawals)
 
@@ -763,7 +773,8 @@ class _Run:
         tx = self.forced.pop(txid)
         if tx["type"] == "withdraw":
             self._restage("queued", tx)
-        self._emit("forced_inclusion", txid, self.now - tx["entry"])
+        records = self.records
+        records.append(("forced_inclusion", self.now, len(records), txid, self.now - tx["entry"]))
         withdrawals = [tx] if self._apply_tx(tx) else []
         self._schedule_proposal(self.now, withdrawals)
 
@@ -771,24 +782,26 @@ class _Run:
         """Apply one included transaction; returns whether it included a
         withdrawal, which awaits its root from now."""
         txid, kind, user, amount = tx["id"], tx["type"], tx["user"], tx["amount"]
+        records = self.records
         if kind == "credit":
             self._release(txid)
             self._move(user, amount)
-            self._emit("credit_applied", txid, user, amount)
+            records.append(("credit_applied", self.now, len(records), txid, user, amount))
             return False
         if self.l2[user] < amount:
-            self._emit("tx_failed", txid, user, "insufficient funds")
+            records.append(("tx_failed", self.now, len(records), txid, user, "insufficient funds"))
             return False
         self._move(user, -amount)
         if kind == "transfer":
-            self._move(tx["to"], amount)
-            self._emit("transfer_applied", txid, user, tx["to"], amount)
+            to = tx["to"]
+            self._move(to, amount)
+            records.append(("transfer_applied", self.now, len(records), txid, user, to, amount))
             return False
         self._hold(txid, user, amount)
         if self._holding["awaiting_root"]:
             tx["since"] = self.now
             self.pending["awaiting_root"][txid] = tx
-        self._emit("withdrawal_included", txid, user, amount)
+        records.append(("withdrawal_included", self.now, len(records), txid, user, amount))
         return True
 
     # -- state roots and claims -------------------------------------------------
@@ -801,25 +814,30 @@ class _Run:
         self._push(at, _P_L1, "proposal_attempt", batch_time, withdrawals)
 
     def _on_proposal_attempt(self, batch_time: int, withdrawals: list[dict]) -> None:
+        records = self.records
         blocked_until = self._ends(*self._root_effects) if self.active else None
         if blocked_until:
             retry = next_l1_block(max(blocked_until), self.p.l1_block_interval)
-            self._emit("proposal_blocked", batch_time, retry)
+            records.append(("proposal_blocked", self.now, len(records), batch_time, retry))
             self._push(retry, _P_L1, "proposal_attempt", batch_time, withdrawals)
             return
-        self._emit("proposal", batch_time, len(withdrawals))
+        records.append(("proposal", self.now, len(records), batch_time, len(withdrawals)))
         self._push(self.now + self._final_delay, _P_L1, "root_finalized", batch_time, withdrawals)
 
     def _on_root_finalized(self, batch_time: int, withdrawals: list[dict]) -> None:
-        self._emit("root_finalized", batch_time, len(withdrawals))
+        records = self.records
+        records.append(("root_finalized", self.now, len(records), batch_time, len(withdrawals)))
+        held = self._holding["awaiting_root"]
         for tx in withdrawals:
-            self._restage("awaiting_root", tx)
+            if held:
+                self._restage("awaiting_root", tx)
             self._push(self.now, _P_L1, "claim", tx)
 
     def _on_claim(self, exit_: dict) -> None:
         """Pay out an exit, or defer it, claimable from its first deferral,
         while claims or the bridge are held."""
         xid = exit_["id"]
+        records = self.records
         claimable = self.pending["claimable"]
         ends = self._ends("claims", "bridge") if self.active else None
         if ends:
@@ -827,7 +845,7 @@ class _Run:
                 exit_["since"] = self.now
                 claimable[xid] = exit_
             retry = max(ends)
-            self._emit("claim_deferred", xid, retry)
+            records.append(("claim_deferred", self.now, len(records), xid, retry))
             self._push(retry, _P_L1, "claim", exit_)
             return
         user, amount = self._release(xid)
@@ -836,7 +854,7 @@ class _Run:
             self._restage("claimable", exit_)
         latency = self.now - exit_["submitted"]
         self.latencies[user].append(latency)
-        self._emit("withdrawal_claimed", xid, user, amount, latency)
+        records.append(("withdrawal_claimed", self.now, len(records), xid, user, amount, latency))
 
     # -- fault windows, exploits, upgrades ----------------------------------------
 
@@ -855,32 +873,38 @@ class _Run:
     def _on_injection_start(self, idx: int) -> None:
         inj = self.sc.injections[idx]
         window = self._windows[idx]
+        records = self.records
+        record = ("injection_start", self.now, len(records), inj.kind.value, inj.end)
         if type(window) is tuple:
             self.active[idx] = window
-            self._emit("injection_start", inj.kind.value, inj.end)
+            records.append(record)
         else:
-            self._emit("injection_start", inj.kind.value, inj.end, window)
+            records.append((*record, window))
 
     def _on_injection_end(self, idx: int) -> None:
         window = self.active.pop(idx, None)  # a neutralized fault never became active
-        self._emit("injection_end", self.sc.injections[idx].kind.value)
+        kind = self.sc.injections[idx].kind.value
+        records = self.records
+        records.append(("injection_end", self.now, len(records), kind))
         if window and window[2] in _ACCESS and (self.mempool or self.forced):
             if not self._ends("sequencer"):
                 self._push(self.now, _P_RECOVER, "recovery_batch")
 
     def _on_exploit(self, idx: int) -> None:
         inj = self.sc.injections[idx]
-        self._emit("exploit_attempted", inj.amount)
+        records = self.records
+        records.append(("exploit_attempted", self.now, len(records), inj.amount))
         land = next_l1_block(self.now, self.p.l1_block_interval)
         self._push(land, _P_L1, "invalid_root_landed", idx)
 
     def _on_invalid_root_landed(self, idx: int) -> None:
         inj = self.sc.injections[idx]
-        self._emit("invalid_root_landed", inj.amount)
+        records = self.records
+        records.append(("invalid_root_landed", self.now, len(records), inj.amount))
         final = self.now + self._final_delay
         if self.cfg.state_validation_enforced:
             if self._zk:
-                self._emit("root_rejected", "validity proof required")
+                records.append(("root_rejected", self.now, len(records), "validity proof required"))
                 return
             # the first L1 block after landing that no prover outage holds
             proofs = [w for w in self._windows.values() if type(w) is tuple and w[2] == "proofs"]
@@ -893,15 +917,17 @@ class _Run:
 
     def _on_root_challenged(self, idx: int) -> None:
         inj = self.sc.injections[idx]
-        self._emit("root_challenged", inj.amount)
+        records = self.records
+        records.append(("root_challenged", self.now, len(records), inj.amount))
 
     def _on_invalid_root_finalized(self, idx: int) -> None:
         inj = self.sc.injections[idx]
         drained = min(inj.amount, self.bridge_pool)
         self.bridge_pool -= drained
         self.exploit_drained = True
-        self._emit("invalid_root_finalized", inj.amount)
-        self._emit("exploit_drain", drained, self.bridge_pool)
+        records = self.records
+        records.append(("invalid_root_finalized", self.now, len(records), inj.amount))
+        records.append(("exploit_drain", self.now, len(records), drained, self.bridge_pool))
 
     def _holders(self) -> set[str]:
         """Users with funds on L2 or in flight."""
@@ -915,7 +941,8 @@ class _Run:
             activation = self.now + self.cfg.upgrade.window
         else:
             activation = self.now
-        self._emit("upgrade_announced", activation, sorted(holders))
+        records = self.records
+        records.append(("upgrade_announced", self.now, len(records), activation, sorted(holders)))
         self._push(activation, _P_UPGRADE, "upgrade_activated", holders)
 
     def _on_upgrade_activated(self, holders: set[str]) -> None:
@@ -925,7 +952,8 @@ class _Run:
             self.exit_coverage = len(exited) / len(holders)
         else:
             self.exit_coverage = None
-        self._emit("upgrade_activated", self.exit_coverage)
+        records = self.records
+        records.append(("upgrade_activated", self.now, len(records), self.exit_coverage))
 
 
 # The events view's keys, and the line writers' fields: zip stops at the

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -70,6 +71,28 @@ def test_cli_and_simulator_import_only_the_standard_library():
     assert "l2risk.sim.engine" in loaded
     packages = {name.partition(".")[0] for name in loaded}
     assert packages - sys.stdlib_module_names == {"l2risk"}
+
+
+def test_simulate_and_report_run_clean_in_dev_mode(tmp_path):
+    # -X dev shows what a normal run hides, such as a file left unclosed
+    # (ResourceWarning) or a deprecation, and -W error makes each one fatal.
+    src = Path(sys.modules["l2risk"].__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    scenario = str(fixture_path("scenarios/sequencer-outage-fi-1h.json"))
+    commands = [
+        ["simulate", "--scenario", scenario, "--out", str(tmp_path / "run")],
+        ["report", "--snapshot", SNAPSHOT, "--incidents", INCIDENTS, "--format", "json",
+         "--out", str(tmp_path / "report.json")],
+    ]
+    for argv in commands:
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "l2risk.cli", *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, (argv[0], done.stderr)
+        assert "Warning" not in done.stderr and "Traceback" not in done.stderr, argv[0]
+    assert (tmp_path / "run" / "trace.ndjson").stat().st_size > 0
+    assert json.loads((tmp_path / "report.json").read_text())
 
 
 # -- ingest-snapshot -----------------------------------------------------------
@@ -818,9 +841,25 @@ usage: l2risk [-h] [--version]
               ...
 """
 
+_SNAPSHOT_USAGE = """\
+usage: l2risk ingest-snapshot [-h] --snapshot SNAPSHOT [--ruleset RULESET]
+                              [--adapter {auto,keyed,normalized,wrapped}]
+                              [--format {text,json}] [--out OUT]
+"""
+
+_REPORT_USAGE = """\
+usage: l2risk report [-h] --snapshot SNAPSHOT --incidents INCIDENTS
+                     [--ruleset RULESET] [--scenario SCENARIO]
+                     [--adapter {auto,keyed,normalized,wrapped}] [--seed SEED]
+                     [--format {text,json}] [--out OUT]
+"""
+
 # (exit code, stdout, stderr) of calls that argparse ends, at 80 columns, as
-# CPython 3.11 words them. The parser gives only the subcommand argv names
-# its flags, yet every usage line above lists all five subcommands.
+# CPython 3.11 words them; each key is split as a shell would, so '' is an
+# empty argument. The parser gives only the subcommand argv names its flags,
+# yet every usage line above lists all five subcommands. An empty --ruleset
+# or --out is refused, not read as the flag left out or as the working
+# directory.
 _EARLY_EXITS = {
     "report --snapshot a --incidents b extra": (
         2, "", _USAGE + "l2risk: error: unrecognized arguments: extra\n",
@@ -829,16 +868,38 @@ _EARLY_EXITS = {
         "l2risk: error: argument command: invalid choice: 'bogus' (choose from "
         "'ingest-snapshot', 'ingest-incidents', 'cross-validate', 'simulate', 'report')\n"
     )),
-    "report": (2, "", """\
-usage: l2risk report [-h] --snapshot SNAPSHOT --incidents INCIDENTS
-                     [--ruleset RULESET] [--scenario SCENARIO]
-                     [--adapter {auto,keyed,normalized,wrapped}] [--seed SEED]
-                     [--format {text,json}] [--out OUT]
-l2risk report: error: the following arguments are required: --snapshot, --incidents
-"""),
+    "report": (2, "", _REPORT_USAGE + (
+        "l2risk report: error: the following arguments are required: --snapshot, --incidents\n"
+    )),
     "simulate --scenario x --bogus": (
         2, "", _USAGE + "l2risk: error: unrecognized arguments: --bogus\n",
     ),
+    "ingest-snapshot --snapshot a --ruleset ''": (2, "", _SNAPSHOT_USAGE + (
+        "l2risk ingest-snapshot: error: argument --ruleset: empty path\n"
+    )),
+    "report --snapshot a --incidents b --ruleset ''": (2, "", _REPORT_USAGE + (
+        "l2risk report: error: argument --ruleset: empty path\n"
+    )),
+    "ingest-snapshot --snapshot a --out ''": (2, "", _SNAPSHOT_USAGE + (
+        "l2risk ingest-snapshot: error: argument --out: empty path\n"
+    )),
+    "ingest-incidents --incidents a --out ''": (2, "", """\
+usage: l2risk ingest-incidents [-h] --incidents INCIDENTS
+                               [--format {text,json}] [--out OUT]
+l2risk ingest-incidents: error: argument --out: empty path
+"""),
+    "cross-validate --prevalence a --distribution b --out ''": (2, "", """\
+usage: l2risk cross-validate [-h] --prevalence PREVALENCE --distribution
+                             DISTRIBUTION [--format {text,json}] [--out OUT]
+l2risk cross-validate: error: argument --out: empty path
+"""),
+    "report --snapshot a --incidents b --out ''": (2, "", _REPORT_USAGE + (
+        "l2risk report: error: argument --out: empty path\n"
+    )),
+    "simulate --scenario a --out ''": (2, "", """\
+usage: l2risk simulate [-h] --scenario SCENARIO [--seed SEED] [--out OUT]
+l2risk simulate: error: argument --out: empty path
+"""),
     "--version": (0, "l2risk 0.1.0\n", ""),
     "-h report": (0, _HELP[None], ""),
 }
@@ -848,7 +909,7 @@ l2risk report: error: the following arguments are required: --snapshot, --incide
 def test_early_exit_output_is_pinned(monkeypatch, capsys, argv):
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
-        main(argv.split())
+        main(shlex.split(argv))
     out, err = capsys.readouterr()
     out = out.replace("\noptional arguments:\n", "\noptions:\n")
     assert (exc.value.code, out, err) == _EARLY_EXITS[argv]

@@ -1600,6 +1600,19 @@ def _upgrade_edge_cases() -> list[Scenario]:
     return [empty, third]
 
 
+def _invalid_root_variants() -> list[Scenario]:
+    """Criterion 4e's two variants of exploit-invalid-root: with state
+    validation off the root finalizes and drains the bridge; on a validity
+    proof system it is rejected as it lands."""
+    raw = json.loads(fixture_path("scenarios/exploit-invalid-root.json").read_text())
+    unenforced = copy.deepcopy(raw)
+    unenforced["config"]["state_validation_enforced"] = False
+    zk = copy.deepcopy(raw)
+    zk["config"]["proof_system"] = "zk"
+    del zk["config"]["challenge_window"]
+    return [parse_scenario(unenforced, name="unenforced"), parse_scenario(zk, name="zk")]
+
+
 class TestTraceLines:
     """trace_lines() writes each event exactly as json.dumps with sorted keys
     and compact separators does, with no JSON encoder."""
@@ -1608,8 +1621,8 @@ class TestTraceLines:
         assert result.trace_lines() == [_compact(e) for e in result.events]
         # Each event holds what the field table lists for its kind (a
         # neutralized fault's start adds its note), and each kind and key
-        # count has a writer in both tables: a kind added to _emit without
-        # one fails.
+        # count has a writer in both tables: a kind a handler appends
+        # without one fails.
         for e in result.events:
             note = {"ineffective"} if e["event"] == "injection_start" else set()
             assert e.keys() - note == {"t", "i", "event", *_Run.TRACE_FIELDS[e["event"]]}
@@ -1645,7 +1658,9 @@ class TestTraceLines:
         runs = [simulate(load_bundled_scenario(name), seed=0) for name in sorted(FROZEN_BUNDLED)]
         runs += [simulate(_fault_laden(seed), seed=0) for seed in sorted(FROZEN_FAULT_LADEN)]
         runs += [simulate(_acceptance_random(), seed=seed) for seed in RANDOM_SEEDS[:8]]
+        runs += [simulate(scenario, seed=0) for scenario in _invalid_root_variants()]
         notes = 0
+        kinds = set()
         for result in runs:
             # (kind, t, i, *values): one value per field, and a neutralized
             # fault's start one more, its ineffective note
@@ -1654,8 +1669,11 @@ class TestTraceLines:
                 assert extra == 0 or (record[0] == "injection_start" and extra == 1), record
                 assert record[2] == i
                 notes += extra
+                kinds.add(record[0])
             assert [json.loads(line) for line in result.trace_lines()] == list(result.events)
         assert notes > 0
+        # each handler builds its own record, so every kind's shape is checked
+        assert kinds == set(_Run.TRACE_FIELDS)
 
     @settings(max_examples=60, deadline=None)
     @given(_odd_user_scenarios())
@@ -2209,7 +2227,9 @@ class TestStallBookkeeping:
         # slow sequencer holds none. Whatever the size, an exit leaves each
         # stage it enters at most once, and each leaving keeps at most one
         # part per window holding that stage. A stage no window holds gets
-        # no entries, and an exit leaving it keeps nothing.
+        # no entries, and an exit leaving it keeps nothing. A run restages
+        # an exit only if some window of the run holds a stage: the slow
+        # sequencer's runs restage nothing.
         kinds = [_CENSORSHIP, InjectionKind.SEQUENCER_OUTAGE, InjectionKind.PROPOSER_OUTAGE]
         kinds += [InjectionKind.WITHDRAWAL_FAILURE, InjectionKind.SEQUENCER_PERFORMANCE_DEGRADATION]
         held = 0
@@ -2223,7 +2243,8 @@ class TestStallBookkeeping:
                         assert run.restages[stage] <= table.entries, (kind, actions, stage)
                     else:
                         assert table.entries == 0, (kind, actions, stage)
-                assert sum(run.restages.values()) > 0, (kind, actions)
+                restaged = sum(run.restages.values()) > 0
+                assert restaged == any(run._holding.values()), (kind, actions)
                 held += len(run._held)
                 assert run.result() == simulate(scenario, 0)
         assert held > 0
@@ -2231,7 +2252,8 @@ class TestStallBookkeeping:
     def test_only_a_stage_some_window_holds_has_a_table(self):
         # With no window holding a stage, an exit's stay there is frozen for
         # none of it: that stage's table stays empty, and nothing is clipped
-        # to windows. A day-long proposer outage holds only the exits
+        # to windows, and no exit is restaged: the fault-free run makes no
+        # _restage call. A day-long proposer outage holds only the exits
         # awaiting a root; a targeted censorship only the queued ones.
         fault_free = _random(100, 2_000)
         outage = _day_long_fault(InjectionKind.PROPOSER_OUTAGE, 20, 200)
@@ -2247,7 +2269,7 @@ class TestStallBookkeeping:
             assert entered == written, scenario.name
             assert {s for s, windows in run._holding.items() if windows} == written, scenario.name
             assert bool(run.kept) == bool(written), scenario.name
-            assert sum(run.restages.values()) > 0, scenario.name
+            assert (sum(run.restages.values()) > 0) == bool(written), scenario.name
 
     def test_restaging_an_exit_missing_from_a_held_stage_raises(self):
         run = _Run(_targeted_censorship(), 0)
@@ -2580,7 +2602,8 @@ class _DeniedAtApplyRun(_Run):
             return
         deadline, _included = self._queue_forced(tx)
         self.denied[tx["id"]] = tx["submitted"]
-        self._emit("tx_queued_forced", tx["id"], deadline)
+        records = self.records
+        records.append(("tx_queued_forced", self.now, len(records), tx["id"], deadline))
 
     def _on_forced_deadline(self, txid):
         self.deadlines += 1
