@@ -112,8 +112,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _path(text: str) -> str:
-    """The value of --ruleset or --out: an empty one is refused, not read as
-    the flag left out or as the working directory."""
+    """The value of a path flag, every flag but --seed that has no choices:
+    an empty one is refused, not read as the flag left out or as the working
+    directory."""
     if not text:
         raise argparse.ArgumentTypeError("empty path")
     return text
@@ -128,31 +129,33 @@ _OUT = ("--out", {"type": _path, "help": "write output here instead of stdout"})
 # flags), in the order --help lists them.
 _COMMANDS = {
     "ingest-snapshot": ("derive the hazard prevalence table", _cmd_ingest_snapshot, (
-        ("--snapshot", {"required": True, "help": "risk snapshot JSON"}),
+        ("--snapshot", {"required": True, "type": _path, "help": "risk snapshot JSON"}),
         ("--ruleset", {"type": _path, "help": "flagging ruleset JSON (default: bundled rules)"}),
         _ADAPTER, _FORMAT, _OUT,
     )),
     "ingest-incidents": ("classify an incident table", _cmd_ingest_incidents, (
-        ("--incidents", {"required": True, "help": "incident CSV/TSV"}),
+        ("--incidents", {"required": True, "type": _path, "help": "incident CSV/TSV"}),
         _FORMAT, _OUT,
     )),
     "cross-validate": ("line prevalence up against the incident record", _cmd_cross_validate, (
-        ("--prevalence", {"required": True, "help": "ingest-snapshot JSON output"}),
-        ("--distribution", {"required": True, "help": "ingest-incidents JSON output"}),
+        ("--prevalence", {"required": True, "type": _path, "help": "ingest-snapshot JSON output"}),
+        ("--distribution", {
+            "required": True, "type": _path, "help": "ingest-incidents JSON output"
+        }),
         _FORMAT, _OUT,
     )),
     "simulate": ("run one scenario deterministically", _cmd_simulate, (
-        ("--scenario", {"required": True, "help": "scenario JSON"}),
+        ("--scenario", {"required": True, "type": _path, "help": "scenario JSON"}),
         ("--seed", {"type": int, "default": 0, "help": "workload seed (default 0)"}),
         ("--out", {
             "default": ".", "type": _path, "help": "directory for trace.ndjson and metrics.json"
         }),
     )),
     "report": ("assemble the full reproducible report", _cmd_report, (
-        ("--snapshot", {"required": True}),
-        ("--incidents", {"required": True}),
+        ("--snapshot", {"required": True, "type": _path}),
+        ("--incidents", {"required": True, "type": _path}),
         ("--ruleset", {"type": _path}),
-        ("--scenario", {"action": "append", "help": "scenario JSON; repeatable"}),
+        ("--scenario", {"action": "append", "type": _path, "help": "scenario JSON; repeatable"}),
         _ADAPTER,
         ("--seed", {"type": int, "default": 0}),
         _FORMAT, _OUT,

@@ -119,10 +119,6 @@ def assign_field(risk_exposed: bool, beneficiary: bool, decision_maker: bool) ->
     return FIELD_TABLE[flags]
 
 
-def field_of(assignment: RoleAssignment, threshold: RoleFlag | None = None) -> EraField:
-    return assign_field(*assignment.binarized(role_threshold(threshold)))
-
-
 def populated_fields(
     matrix: RoleMatrix, threshold: RoleFlag | None = None
 ) -> Mapping[EraField, frozenset[Stakeholder]]:

@@ -8,7 +8,7 @@ import csv
 import datetime as dt
 import io
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -65,11 +65,6 @@ def classify_incident(detail: str) -> IncidentClass | None:
             if fragment in text:
                 return cls
     return None
-
-
-def compress(glossary_class: IncidentClass) -> CompressedIncidentType:
-    """Fold a glossary class into its four-way reporting bucket."""
-    return COMPRESSION_MAP[glossary_class]
 
 
 @dataclass(frozen=True)
@@ -201,14 +196,14 @@ def distinct_projects(records: Iterable[IncidentRecord]) -> int:
 class IncidentDistribution:
     """Counts and shares of classified incidents per compressed bucket.
 
-    Shares are None (undefined) when there are no classified records; counts
-    always sum to total. Unmapped records are excluded from the tally and
-    surfaced separately.
+    Built from the counts alone: total is their sum, and shares are worked
+    out from them, None (undefined) when there are no classified records.
+    Unmapped records are excluded from the tally and surfaced separately.
     """
 
-    total: int
+    total: int = field(init=False)
     counts: Mapping[CompressedIncidentType, int]
-    shares: Mapping[CompressedIncidentType, float | None]
+    shares: Mapping[CompressedIncidentType, float | None] = field(init=False)
     unmapped: int
     distinct_project_count: int
     date_span: tuple[dt.date, dt.date] | None
@@ -218,17 +213,16 @@ class IncidentDistribution:
             CompressedIncidentType,
             "counts",
             self.counts,
-            self.shares,
             unmapped=self.unmapped,
             distinct_projects=self.distinct_project_count,
         )
-        if sum(self.counts.values()) != self.total:
-            raise ValueError("bucket counts must sum to total")
         if self.date_span is not None and self.date_span[0] > self.date_span[1]:
             raise ValueError("date_span must not end before it starts")
-        check_shares(CompressedIncidentType, self.counts, self.shares, self.total)
-        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
-        object.__setattr__(self, "shares", MappingProxyType(dict(self.shares)))
+        counts = MappingProxyType(dict(self.counts))
+        total = sum(counts.values())
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "shares", share_table(CompressedIncidentType, counts, total))
 
     def to_dict(self, warnings: Iterable[str]) -> dict:
         """The artifact ``ingest-incidents --format json`` writes and the report
@@ -245,6 +239,8 @@ class IncidentDistribution:
 
     @classmethod
     def from_dict(cls, raw: object) -> "IncidentDistribution":
+        """The distribution an artifact's counts make; refused unless the
+        document's total and shares are the distribution's."""
         doc = read_json(_DistributionArtifact, raw, "distribution")
         if doc.date_span is not None and len(doc.date_span) != 2:
             raise ValueError("date_span must be null or a pair of dates")
@@ -254,9 +250,11 @@ class IncidentDistribution:
                 dates.append(iso_date(text))
             except ValueError as exc:
                 raise ValueError(f"date_span[{i}]: {exc}") from None
-        return cls(
-            doc.total, doc.counts, doc.shares, doc.unmapped, doc.distinct_projects, tuple(dates) or None
-        )
+        dist = cls(doc.counts, doc.unmapped, doc.distinct_projects, tuple(dates) or None)
+        if doc.total != dist.total:
+            raise ValueError("bucket counts must sum to total")
+        check_shares(dist.counts, dist.total, dist.shares, doc.shares)
+        return dist
 
 
 @dataclass(eq=False, repr=False)
@@ -277,14 +275,10 @@ def distribution(records: Iterable[IncidentRecord]) -> IncidentDistribution:
     counts = {t: 0 for t in CompressedIncidentType}
     for r in classified:
         counts[COMPRESSION_MAP[r.glossary_class]] += 1
-    total = len(classified)
-    shares = share_table(CompressedIncidentType, counts, total)
     dates = sorted(r.date_utc for r in records)
     return IncidentDistribution(
-        total=total,
         counts=counts,
-        shares=shares,
-        unmapped=len(records) - total,
+        unmapped=len(records) - len(classified),
         distinct_project_count=distinct_projects(records),
         date_span=(dates[0], dates[-1]) if dates else None,
     )

@@ -86,34 +86,37 @@ def aligned_table(headers: Sequence[str], rows: Sequence[Sequence[str]], left: i
     return "\n".join(lines)
 
 
-def check_tally(members, key: str, counts: Mapping, shares: Mapping, **scalars: int) -> None:
-    """Raise ValueError unless ``counts`` (named ``key``) and ``shares`` hold one
-    value per member, no count or ``scalars`` value is negative and each share is None or 0-100."""
-    for name, table in ((key, counts), ("shares", shares)):
-        missing = [m.value for m in members if m not in table]
-        if missing:
-            raise ValueError(f"{name} is missing {missing}")
+def check_tally(members, key: str, counts: Mapping, **scalars: int) -> None:
+    """Raise ValueError unless ``counts`` (named ``key``) holds one value per
+    member and no count or ``scalars`` value is negative."""
+    missing = [m.value for m in members if m not in counts]
+    if missing:
+        raise ValueError(f"{key} is missing {missing}")
     scalars.update({f"{key}.{m.value}": count for m, count in counts.items()})
     for name, count in scalars.items():
         if count < 0:
             raise ValueError(f"{name} must not be negative")
-    for m, share in shares.items():
+
+
+def share_table(members, counts: Mapping, total: int) -> MappingProxyType:
+    """Each member's ``percentage`` of ``total``; all None (undefined) when it is 0."""
+    return MappingProxyType({m: percentage(counts[m], total) if total else None for m in members})
+
+
+def check_shares(counts: Mapping, total: int, shares: Mapping, claimed: Mapping) -> None:
+    """Raise ValueError unless a document's ``claimed`` shares are ``shares``,
+    the table's worked out from ``counts`` of ``total``: one per member, each
+    None or 0-100, and each the same."""
+    missing = [m.value for m in shares if m not in claimed]
+    if missing:
+        raise ValueError(f"shares is missing {missing}")
+    for m, share in claimed.items():
         if share is not None and not 0 <= share <= 100:
             raise ValueError(f"shares.{m.value} must be between 0 and 100")
-
-
-def share_table(members, counts: Mapping, total: int) -> dict:
-    """Each member's ``percentage`` of ``total``; all None (undefined) when it is 0."""
-    return {m: percentage(counts[m], total) if total else None for m in members}
-
-
-def check_shares(members, counts: Mapping, shares: Mapping, total: int) -> None:
-    """Raise ValueError unless ``shares`` is ``share_table(members, counts, total)``;
-    run after the checks on counts and totals."""
-    for m, expected in share_table(members, counts, total).items():
-        if shares[m] != expected:
+    for m, expected in shares.items():
+        if claimed[m] != expected:
             raise ValueError(
-                f"shares.{m.value} must be {expected} for {counts[m]} of {total}, not {shares[m]}"
+                f"shares.{m.value} must be {expected} for {counts[m]} of {total}, not {claimed[m]}"
             )
 
 

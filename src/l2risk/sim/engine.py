@@ -67,8 +67,10 @@ The model, in brief:
   plain (at, action, user, amount, to) tuples, an explicit list's stably
   sorted by time, a random workload's drawn one at a time with no
   WorkloadAction built, and the next waits beside the heap as the entry its
-  push would have made, numbered 1..n ahead of every pushed event. The loop
-  takes whichever of the two sorts first, as one heap holding all would.
+  push would have made, numbered 1..n. Pushed events are numbered on their
+  own, from 1 in push order: none has an action's priority, so time and
+  priority settle which of the two sorts first, and the loop takes it, as
+  one heap holding all would.
 - The loop calls _on_<kind>(*args) from a per-run table of handlers,
   each bound by _bind on first use and looked up on the instance so a
   subclass's handler is the one that runs. It records a violation under
@@ -304,7 +306,8 @@ class _Run:
         self.seed = seed
         self.now = 0
         self._heap: list = []
-        # numbers pushed events in push order, after any workload actions
+        # numbers pushed events in push order; an action's number never meets
+        # one, as no event is pushed at _P_ACTION
         self._numbers = count(1)
         self.records: list[tuple] = []
         self.violations: list[dict] = []
@@ -415,12 +418,10 @@ class _Run:
         sc = self.sc
         if sc.random_workload is not None:
             actions = sc.random_workload.stream(self.seed)
-            self._numbers = count(sc.random_workload.actions + 1)
         else:
             # stable: same-instant actions keep their list order
             fields = attrgetter("at", "action", "user", "amount", "to")
             actions = map(fields, sorted(sc.actions, key=attrgetter("at")))
-            self._numbers = count(len(sc.actions) + 1)
         for idx, inj in enumerate(sc.injections):
             if inj.kind is InjectionKind.EXPLOIT_USER_RISK:
                 self._push(inj.at, _P_START, "exploit", idx)
@@ -432,7 +433,8 @@ class _Run:
 
         # The next action waits beside the heap as the entry its push would
         # have made, numbered 1..n in time order; the loop takes whichever
-        # of it and the heap's top has the lower (t, priority, number).
+        # of it and the heap's top has the lower (t, priority), which no
+        # number settles: no event is pushed at _P_ACTION.
         queued = ((d[0], _P_ACTION, k, "action", d[1:]) for k, d in enumerate(actions, 1))
         following = next(queued, _NO_ACTION)
         heap = self._heap
@@ -666,12 +668,10 @@ class _Run:
 
     def _let_in_at(self, user: str) -> int:
         """The first instant from now that no window shuts this user out: the
-        user's overlapping windows, the ones not yet begun too, run on as one."""
-        chain = [
-            w
-            for w in self._windows.values()
-            if type(w) is tuple and w[2] in _ACCESS and (w[3] is None or user in w[3])
-        ]
+        user's overlapping windows, the ones not yet begun too, run on as one.
+        Those that shut users out are the ones holding the queued stage, in
+        start order."""
+        chain = [w for w in self._holding["queued"] if w[2] is None or user in w[2]]
         return _first_clear(chain, self.now, 1)
 
     def _do_hatch(self, user: str, amount: int) -> None:

@@ -13,7 +13,7 @@ entry among every project that carries that row.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping
@@ -69,9 +69,6 @@ class SchemaReport:
     and up to three truncated sample values each."""
 
     paths: tuple[SchemaPath, ...]
-
-    def path_names(self) -> list[str]:
-        return [p.path for p in self.paths]
 
 
 _MAX_SAMPLES = 3
@@ -410,24 +407,23 @@ DIMENSION_LABELS: Mapping[RiskDimension, str] = MappingProxyType(
 class PrevalenceTable:
     """How many analyzed projects carry each flagged hazard.
 
-    Shares are None (undefined) when no projects were analyzed, which is
-    deliberately distinct from a measured 0.0.
+    Built from the counts alone: shares are worked out from them, and are
+    None (undefined) when no projects were analyzed, which is deliberately
+    distinct from a measured 0.0.
     """
 
     total_projects: int
     flagged: Mapping[RiskDimension, int]
-    shares: Mapping[RiskDimension, float | None]
+    shares: Mapping[RiskDimension, float | None] = field(init=False)
 
     def __post_init__(self) -> None:
-        check_tally(
-            RiskDimension, "flagged", self.flagged, self.shares, total_projects=self.total_projects
-        )
+        check_tally(RiskDimension, "flagged", self.flagged, total_projects=self.total_projects)
         for dim, count in self.flagged.items():
             if count > self.total_projects:
                 raise ValueError(f"flag count out of range for {dim.value}")
-        check_shares(RiskDimension, self.flagged, self.shares, self.total_projects)
-        object.__setattr__(self, "flagged", MappingProxyType(dict(self.flagged)))
-        object.__setattr__(self, "shares", MappingProxyType(dict(self.shares)))
+        flagged = MappingProxyType(dict(self.flagged))
+        object.__setattr__(self, "flagged", flagged)
+        object.__setattr__(self, "shares", share_table(RiskDimension, flagged, self.total_projects))
 
     def to_dict(self, warnings: Iterable[str]) -> dict:
         """The artifact ``ingest-snapshot --format json`` writes and the report
@@ -441,8 +437,12 @@ class PrevalenceTable:
 
     @classmethod
     def from_dict(cls, raw: object) -> "PrevalenceTable":
+        """The table an artifact's counts make; refused unless the document's
+        shares are the table's."""
         doc = read_json(_PrevalenceArtifact, raw, "prevalence")
-        return cls(doc.total_projects, doc.flagged, doc.shares)
+        table = cls(doc.total_projects, doc.flagged)
+        check_shares(table.flagged, table.total_projects, table.shares, doc.shares)
+        return table
 
 
 @dataclass(eq=False, repr=False)
@@ -462,8 +462,7 @@ def aggregate_prevalence(profiles: Iterable[ProjectRiskProfile]) -> PrevalenceTa
         for e in p.risks:
             if e.flagged:
                 flagged[e.dimension] += 1
-    shares = share_table(RiskDimension, flagged, total)
-    return PrevalenceTable(total_projects=total, flagged=flagged, shares=shares)
+    return PrevalenceTable(total_projects=total, flagged=flagged)
 
 
 def render_prevalence_text(table: PrevalenceTable) -> str:

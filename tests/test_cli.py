@@ -847,6 +847,20 @@ usage: l2risk ingest-snapshot [-h] --snapshot SNAPSHOT [--ruleset RULESET]
                               [--format {text,json}] [--out OUT]
 """
 
+_INCIDENTS_USAGE = """\
+usage: l2risk ingest-incidents [-h] --incidents INCIDENTS
+                               [--format {text,json}] [--out OUT]
+"""
+
+_CROSS_VALIDATE_USAGE = """\
+usage: l2risk cross-validate [-h] --prevalence PREVALENCE --distribution
+                             DISTRIBUTION [--format {text,json}] [--out OUT]
+"""
+
+_SIMULATE_USAGE = """\
+usage: l2risk simulate [-h] --scenario SCENARIO [--seed SEED] [--out OUT]
+"""
+
 _REPORT_USAGE = """\
 usage: l2risk report [-h] --snapshot SNAPSHOT --incidents INCIDENTS
                      [--ruleset RULESET] [--scenario SCENARIO]
@@ -883,23 +897,43 @@ _EARLY_EXITS = {
     "ingest-snapshot --snapshot a --out ''": (2, "", _SNAPSHOT_USAGE + (
         "l2risk ingest-snapshot: error: argument --out: empty path\n"
     )),
-    "ingest-incidents --incidents a --out ''": (2, "", """\
-usage: l2risk ingest-incidents [-h] --incidents INCIDENTS
-                               [--format {text,json}] [--out OUT]
-l2risk ingest-incidents: error: argument --out: empty path
-"""),
-    "cross-validate --prevalence a --distribution b --out ''": (2, "", """\
-usage: l2risk cross-validate [-h] --prevalence PREVALENCE --distribution
-                             DISTRIBUTION [--format {text,json}] [--out OUT]
-l2risk cross-validate: error: argument --out: empty path
-"""),
+    "ingest-incidents --incidents a --out ''": (2, "", _INCIDENTS_USAGE + (
+        "l2risk ingest-incidents: error: argument --out: empty path\n"
+    )),
+    "cross-validate --prevalence a --distribution b --out ''": (2, "", _CROSS_VALIDATE_USAGE + (
+        "l2risk cross-validate: error: argument --out: empty path\n"
+    )),
     "report --snapshot a --incidents b --out ''": (2, "", _REPORT_USAGE + (
         "l2risk report: error: argument --out: empty path\n"
     )),
-    "simulate --scenario a --out ''": (2, "", """\
-usage: l2risk simulate [-h] --scenario SCENARIO [--seed SEED] [--out OUT]
-l2risk simulate: error: argument --out: empty path
-"""),
+    "simulate --scenario a --out ''": (2, "", _SIMULATE_USAGE + (
+        "l2risk simulate: error: argument --out: empty path\n"
+    )),
+    # an empty input path is refused too, not read as the working directory
+    "ingest-snapshot --snapshot ''": (2, "", _SNAPSHOT_USAGE + (
+        "l2risk ingest-snapshot: error: argument --snapshot: empty path\n"
+    )),
+    "ingest-incidents --incidents ''": (2, "", _INCIDENTS_USAGE + (
+        "l2risk ingest-incidents: error: argument --incidents: empty path\n"
+    )),
+    "cross-validate --prevalence '' --distribution b": (2, "", _CROSS_VALIDATE_USAGE + (
+        "l2risk cross-validate: error: argument --prevalence: empty path\n"
+    )),
+    "cross-validate --prevalence a --distribution ''": (2, "", _CROSS_VALIDATE_USAGE + (
+        "l2risk cross-validate: error: argument --distribution: empty path\n"
+    )),
+    "simulate --scenario ''": (2, "", _SIMULATE_USAGE + (
+        "l2risk simulate: error: argument --scenario: empty path\n"
+    )),
+    "report --snapshot '' --incidents b": (2, "", _REPORT_USAGE + (
+        "l2risk report: error: argument --snapshot: empty path\n"
+    )),
+    "report --snapshot a --incidents ''": (2, "", _REPORT_USAGE + (
+        "l2risk report: error: argument --incidents: empty path\n"
+    )),
+    "report --snapshot a --incidents b --scenario ''": (2, "", _REPORT_USAGE + (
+        "l2risk report: error: argument --scenario: empty path\n"
+    )),
     "--version": (0, "l2risk 0.1.0\n", ""),
     "-h report": (0, _HELP[None], ""),
 }
@@ -913,6 +947,15 @@ def test_early_exit_output_is_pinned(monkeypatch, capsys, argv):
     out, err = capsys.readouterr()
     out = out.replace("\noptional arguments:\n", "\noptions:\n")
     assert (exc.value.code, out, err) == _EARLY_EXITS[argv]
+
+
+def test_every_path_flag_refuses_an_empty_path():
+    # each flag that names a file or directory: all but those with choices
+    # and --seed, which is a number
+    for name, (_help, _handler, flags) in l2risk.cli._COMMANDS.items():
+        for flag, keywords in flags:
+            if "choices" not in keywords and flag != "--seed":
+                assert keywords.get("type") is l2risk.cli._path, (name, flag)
 
 
 # -- README --------------------------------------------------------------------

@@ -19,7 +19,6 @@ from l2risk.engine import (
     assign_field,
     classify_roles,
     detect_problematic,
-    field_of,
     populated_fields,
     prioritize,
     role_threshold,
@@ -40,7 +39,6 @@ from l2risk.model import (
     Stakeholder,
     UpgradeConfig,
     UpgradePolicy,
-    share_table,
 )
 from l2risk.snapshot import PrevalenceTable, aggregate_prevalence, extract_projects, load_snapshot
 
@@ -167,9 +165,11 @@ class TestAssignField:
         with pytest.raises(OutsideDiagramError):
             assign_field(False, False, False)
 
-    def test_field_of_uses_default_threshold(self):
-        assert field_of(RoleAssignment(I, Y, Y)) is EraField.BENEFIT_AND_DECISION
-        assert field_of(RoleAssignment(Y, L, N)) is EraField.EXPOSURE_ONLY
+    def test_assigned_field_uses_default_threshold(self):
+        threshold = role_threshold()
+        benefit_and_decision = RoleAssignment(I, Y, Y).binarized(threshold)
+        assert assign_field(*benefit_and_decision) is EraField.BENEFIT_AND_DECISION
+        assert assign_field(*RoleAssignment(Y, L, N).binarized(threshold)) is EraField.EXPOSURE_ONLY
 
 
 class TestThresholdEnv:
@@ -362,11 +362,8 @@ class TestPrioritize:
         )
 
     def test_exploit_only_incidents_with_quiet_prevalence(self, default_findings_nostrict):
-        quiet = PrevalenceTable(
-            total_projects=10,
-            flagged={d: 1 for d in RiskDimension},
-            shares={d: 10.0 for d in RiskDimension},
-        )
+        quiet = PrevalenceTable(total_projects=10, flagged={d: 1 for d in RiskDimension})
+        assert dict(quiet.shares) == {d: 10.0 for d in RiskDimension}
         text = "name,date,link,incident_type\n" + "".join(
             f"Chain {i},2024-02-0{i + 1},https://example.com/{i},Exploit or security issue with user risk\n"
             for i in range(3)
@@ -391,7 +388,8 @@ class TestPrioritize:
             RiskDimension.PROPOSER_FAILURE: 90.0,
             RiskDimension.SEQUENCER_FAILURE: 90.0,
         }
-        prevalence = PrevalenceTable(1000, {d: int(s * 10) for d, s in shares.items()}, shares)
+        prevalence = PrevalenceTable(1000, {d: int(s * 10) for d, s in shares.items()})
+        assert dict(prevalence.shares) == shares
         result = prioritize((), prevalence, dist)
         assert set(result.immediate_operational).isdisjoint(result.structural_governance)
         # exactly DEFAULT_PREVALENCE_THRESHOLD (20.0) is not above it
@@ -407,8 +405,7 @@ class TestPrioritize:
             CompressedIncidentType.EXPLOIT_OR_SECURITY: 2,
             CompressedIncidentType.CENSORSHIP_OR_FORCED_INCLUSION: 0,
         }
-        shares = {t: 100 * c / 5 for t, c in counts.items()}
-        result = prioritize((), None, IncidentDistribution(5, counts, shares, 0, 0, None))
+        result = prioritize((), None, IncidentDistribution(counts, 0, 0, None))
         assert result.immediate_operational == (
             "open-proposer-and-proof-submission",
             "public-tested-fallbacks",
@@ -493,14 +490,7 @@ def reference_prioritize(findings, prevalence, dist):
 
 
 def _incidents(counts):
-    total = sum(counts.values())
-    return IncidentDistribution(
-        total, counts, share_table(CompressedIncidentType, counts, total), 0, min(total, 1), None
-    )
-
-
-def _prevalence(total, flagged):
-    return PrevalenceTable(total, flagged, share_table(RiskDimension, flagged, total))
+    return IncidentDistribution(counts, 0, min(sum(counts.values()), 1), None)
 
 
 @st.composite
@@ -518,7 +508,7 @@ def _prevalences(draw):
     total = draw(st.sampled_from([0, 1, 5, 129, 1000]))
     # at 1,000 projects, 199, 200 and 201 read 19.9%, 20.0% and 20.1%
     counts = st.integers(0, total) | st.sampled_from([c for c in (199, 200, 201) if c <= total] or [0])
-    return _prevalence(total, {d: draw(counts) for d in RiskDimension})
+    return PrevalenceTable(total, {d: draw(counts) for d in RiskDimension})
 
 
 _FINDINGS = st.lists(st.sampled_from(sorted(NARRATIVES)), unique=True, max_size=4).map(
@@ -548,7 +538,7 @@ class TestMitigationTable:
             dist = _incidents({t: int(t is bucket) for t in CompressedIncidentType})
             picked.update(prioritize((), None, dist).rationale)
         for dim in RiskDimension:
-            prevalence = _prevalence(1, {d: int(d is dim) for d in RiskDimension})
+            prevalence = PrevalenceTable(1, {d: int(d is dim) for d in RiskDimension})
             picked.update(prioritize((), prevalence, None).rationale)
         assert picked == {m for m, *_ in MITIGATIONS}
 
@@ -556,12 +546,12 @@ class TestMitigationTable:
     @given(findings=_FINDINGS, prevalence=_prevalences(), dist=_distributions())
     @example(  # shares either side of the threshold, and three tied top buckets
         findings=(),
-        prevalence=_prevalence(1000, dict(zip(RiskDimension, (201, 200, 199, 201, 201)))),
+        prevalence=PrevalenceTable(1000, dict(zip(RiskDimension, (201, 200, 199, 201, 201)))),
         dist=_incidents(dict(zip(CompressedIncidentType, (2, 2, 1, 2)))),
     )
     @example(  # zero totals with a problem finding
         findings=(Finding("exposed-users-without-fallback", frozenset({Stakeholder.END_USER})),),
-        prevalence=_prevalence(0, dict.fromkeys(RiskDimension, 0)),
+        prevalence=PrevalenceTable(0, dict.fromkeys(RiskDimension, 0)),
         dist=_incidents(dict.fromkeys(CompressedIncidentType, 0)),
     )
     def test_prioritize_matches_the_old_tables(self, findings, prevalence, dist):

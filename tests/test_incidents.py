@@ -13,7 +13,6 @@ from l2risk.incidents import (
     IncidentDistribution,
     IncidentFormatError,
     classify_incident,
-    compress,
     distribution,
     parse_incidents,
     render_distribution_text,
@@ -163,7 +162,7 @@ class TestCompression:
             IncidentClass.SEQUENCER_HALT,
             IncidentClass.SEQUENCER_PERFORMANCE_DEGRADATION,
         ):
-            assert compress(cls) is CompressedIncidentType.SEQUENCER_DISRUPTION
+            assert COMPRESSION_MAP[cls] is CompressedIncidentType.SEQUENCER_DISRUPTION
 
     def test_bridge_family_folds_together(self):
         for cls in (
@@ -173,7 +172,7 @@ class TestCompression:
             IncidentClass.BRIDGE_PAUSE_RISK,
             IncidentClass.L2_DOWNTIME,
         ):
-            assert compress(cls) is CompressedIncidentType.BRIDGE_OR_WITHDRAWAL
+            assert COMPRESSION_MAP[cls] is CompressedIncidentType.BRIDGE_OR_WITHDRAWAL
 
 
 # The glossary as two literal tables, kept as the reference the taxonomy rows
@@ -406,12 +405,17 @@ class TestParsingEdgeCases:
         assert result.issues and "empty" in result.issues[0].reason
 
     def test_shares_must_be_the_counts_percentages(self):
-        counts = {t: 0 for t in CompressedIncidentType}
-        counts[CompressedIncidentType.SEQUENCER_DISRUPTION] = 1
+        def artifact(counts, shares):
+            total = sum(counts.values())
+            return {"total": total, "counts": counts, "shares": shares, "unmapped": 0,
+                    "distinct_projects": min(total, 1), "date_span": None}
+
+        counts = {t.value: 0 for t in CompressedIncidentType}
+        counts[CompressedIncidentType.SEQUENCER_DISRUPTION.value] = 1
         with pytest.raises(ValueError, match="must be 100.0 for 1 of 1, not None"):
-            IncidentDistribution(1, counts, dict.fromkeys(counts), 0, 1, None)
+            IncidentDistribution.from_dict(artifact(counts, dict.fromkeys(counts)))
         with pytest.raises(ValueError, match="must be None for 0 of 0, not 0.0"):
-            IncidentDistribution(0, dict.fromkeys(counts, 0), dict.fromkeys(counts, 0.0), 0, 0, None)
+            IncidentDistribution.from_dict(artifact(dict.fromkeys(counts, 0), dict.fromkeys(counts, 0.0)))
 
     def test_empty_distribution_total_zero(self):
         dist = distribution(())

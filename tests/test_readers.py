@@ -9,7 +9,7 @@ from functools import reduce
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from l2risk.data import RULESET_JSON, fixture_path
@@ -265,3 +265,37 @@ class TestSchemaAndReaderAgree:
         raw = json.loads(fixture_path(RULESET_JSON).read_text())
         _RULESET_SCHEMA.validate(raw)
         assert _reads(_read_ruleset, raw)
+
+
+# Tables built from drawn counts, totals of 0 included, and the artifacts
+# they write: each artifact, as written and as read back from JSON text,
+# reads as the table that wrote it.
+@st.composite
+def _prevalence_tables(draw):
+    total = draw(st.integers(0, 20))
+    return PrevalenceTable(total, {d: draw(st.integers(0, total)) for d in RiskDimension})
+
+
+@st.composite
+def _distribution_tables(draw):
+    counts = {b: draw(st.integers(0, 3)) for b in CompressedIncidentType}
+    span = draw(st.none() | st.lists(st.dates(), min_size=2, max_size=2).map(lambda d: tuple(sorted(d))))
+    return IncidentDistribution(counts, draw(_COUNT), draw(_COUNT), span)
+
+
+class TestArtifactsReadBack:
+    @settings(max_examples=200, deadline=None)
+    @given(_prevalence_tables(), _STRINGS)
+    @example(PrevalenceTable(0, dict.fromkeys(RiskDimension, 0)), [])
+    def test_prevalence(self, table, warnings):
+        written = table.to_dict(warnings)
+        assert PrevalenceTable.from_dict(written) == table
+        assert PrevalenceTable.from_dict(json.loads(json.dumps(written))) == table
+
+    @settings(max_examples=200, deadline=None)
+    @given(_distribution_tables(), _STRINGS)
+    @example(IncidentDistribution(dict.fromkeys(CompressedIncidentType, 0), 0, 0, None), [])
+    def test_distribution(self, dist, warnings):
+        written = dist.to_dict(warnings)
+        assert IncidentDistribution.from_dict(written) == dist
+        assert IncidentDistribution.from_dict(json.loads(json.dumps(written))) == dist

@@ -31,7 +31,7 @@ from l2risk.engine import (
     Severity,
 )
 from l2risk.incidents import IncidentDistribution, distribution, parse_incidents
-from l2risk.model import CompressedIncidentType, RiskDimension, Stakeholder, share_table
+from l2risk.model import CompressedIncidentType, RiskDimension, Stakeholder
 from l2risk.report import (
     _NOTES,
     _pct,
@@ -115,11 +115,8 @@ def _evidence(draw):
     positive shares (0.0, 0.1, 24.8, 100.0 of 1,000 projects)."""
     total = draw(st.sampled_from([0, 1000]))
     flagged = {d: draw(st.sampled_from([0, 1, 248, 1000])) if total else 0 for d in RiskDimension}
-    prevalence = PrevalenceTable(total, flagged, share_table(RiskDimension, flagged, total))
     counts = {t: draw(st.sampled_from([0, 0, 1, 3])) for t in CompressedIncidentType}
-    total = sum(counts.values())
-    ishares = share_table(CompressedIncidentType, counts, total)
-    return prevalence, IncidentDistribution(total, counts, ishares, 0, 0, None)
+    return PrevalenceTable(total, flagged), IncidentDistribution(counts, 0, 0, None)
 
 
 @settings(max_examples=300, deadline=None)
@@ -157,7 +154,7 @@ def test_validation_da_note_fires_on_either_share(sv, da, fires):
     if total:
         flagged[RiskDimension.STATE_VALIDATION] = round(sv * 10)
         flagged[RiskDimension.DATA_AVAILABILITY] = round(da * 10)
-    prevalence = PrevalenceTable(total, flagged, share_table(RiskDimension, flagged, total))
+    prevalence = PrevalenceTable(total, flagged)
     assert prevalence.shares[RiskDimension.STATE_VALIDATION] == sv
     assert prevalence.shares[RiskDimension.DATA_AVAILABILITY] == da
     texts = {n.key: n.text for n in cross_validate(prevalence, distribution([]))}

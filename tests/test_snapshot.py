@@ -86,7 +86,7 @@ class TestExploreSchema:
 
     def test_paths_sorted_lexicographically(self, fixture_doc):
         report = explore_schema(fixture_doc)
-        names = report.path_names()
+        names = [p.path for p in report.paths]
         assert names == sorted(names)
         assert "projects[].risks[].name" in names
         assert "projects[].category" in names
@@ -256,7 +256,7 @@ class TestExtract:
     def test_unrecognized_layout_raises_with_schema_report(self):
         with pytest.raises(SchemaMismatchError) as exc:
             extract_projects({"rows": [1, 2, 3]})
-        assert "rows[]" in exc.value.report.path_names()
+        assert "rows[]" in [p.path for p in exc.value.report.paths]
 
 
 _PROJECT = {"id": "a", "category": "zk-rollup"}
