@@ -102,13 +102,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     # build_report is looked up here at each call, so a wrapper set on
     # l2risk.cli.build_report is the one that runs
-    bundle = build_report(
+    report = build_report(
         snapshot_path=args.snapshot, incidents_path=args.incidents, ruleset_path=args.ruleset,
         scenario_paths=args.scenario or (), adapter=args.adapter, seed=args.seed,
     )
-    report = bundle.report
     warnings = report["prevalence"]["warnings"] + report["incidents"]["warnings"]
-    return _output(args, warnings, report, lambda: render_report_text(bundle))
+    return _output(args, warnings, report, lambda: render_report_text(report))
 
 
 def _path(text: str) -> str:

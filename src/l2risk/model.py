@@ -88,10 +88,13 @@ def aligned_table(headers: Sequence[str], rows: Sequence[Sequence[str]], left: i
 
 def check_tally(members, key: str, counts: Mapping, **scalars: int) -> None:
     """Raise ValueError unless ``counts`` (named ``key``) holds one value per
-    member and no count or ``scalars`` value is negative."""
+    member, no other key, and no count or ``scalars`` value is negative."""
     missing = [m.value for m in members if m not in counts]
     if missing:
         raise ValueError(f"{key} is missing {missing}")
+    extra = [k for k in counts if not isinstance(k, members)]
+    if extra:
+        raise ValueError(f"{key} has keys that are not {members.__name__} members: {extra}")
     scalars.update({f"{key}.{m.value}": count for m, count in counts.items()})
     for name, count in scalars.items():
         if count < 0:

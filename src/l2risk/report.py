@@ -17,6 +17,7 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -24,8 +25,6 @@ from typing import Iterable, Sequence
 from l2risk import __version__
 from l2risk.engine import (
     MITIGATION_LABELS,
-    Finding,
-    Prioritization,
     classify_roles,
     detect_problematic,
     prioritize,
@@ -44,7 +43,7 @@ from l2risk.model import (
     RollupConfig,
     decode_file,
 )
-from l2risk.sim import ScenarioError, SimResult, load_scenario, read_scenario, simulate
+from l2risk.sim import ScenarioError, load_scenario, read_scenario, simulate
 from l2risk.snapshot import (
     FlagRuleset,
     PrevalenceTable,
@@ -143,19 +142,6 @@ def cross_validate(
     return tuple(notes)
 
 
-@dataclass(frozen=True)
-class ReportBundle:
-    """A fully assembled report plus the typed pieces it was built from."""
-
-    report: dict
-    prevalence: PrevalenceTable
-    distribution: IncidentDistribution
-    notes: tuple[CrossNote, ...]
-    findings: tuple[Finding, ...]
-    prioritization: Prioritization
-    simulations: tuple[SimResult, ...]
-
-
 def _input(path: str | Path, data: bytes, error: type[ValueError] = ValueError) -> tuple[dict, str]:
     """An input's metadata entry and its text, both from the one read; bytes
     that are not UTF-8 raise ``error`` naming the file."""
@@ -183,12 +169,14 @@ def build_report(
     adapter: str = "auto",
     seed: int = 0,
     generated_at: str | None = None,
-) -> ReportBundle:
-    """Run the whole pipeline over the given inputs and assemble a report.
-    Each input file is read once; its recorded sha256 covers the bytes
-    that were parsed."""
+) -> dict:
+    """Run the whole pipeline over the given inputs and return the report
+    document. Each input file is read once; its recorded sha256 covers the
+    bytes that were parsed."""
     if type(seed) is not int:  # the report writes it as JSON, where true is not 1
         raise ValueError(f"seed must be an integer, not {seed!r}")
+    if isinstance(scenario_paths, (str, bytes, os.PathLike)):
+        raise ValueError(f"scenario_paths must be a sequence of paths, not {scenario_paths!r}")
     snapshot_path = Path(snapshot_path)
     incidents_path = Path(incidents_path)
 
@@ -244,63 +232,52 @@ def build_report(
         "simulations": [s.summary() for s in simulations],
     }
     report["metadata"]["content_digest"] = content_digest(report)
-    return ReportBundle(
-        report=report,
-        prevalence=prevalence,
-        distribution=dist,
-        notes=notes,
-        findings=findings,
-        prioritization=priorities,
-        simulations=tuple(simulations),
-    )
+    return report
 
 
 def _bullets(items: Iterable[str]) -> list[str]:
     return [f"  - {MITIGATION_LABELS[item]}" for item in items]
 
 
-def render_report_text(bundle: ReportBundle) -> str:
-    """Human-readable rendering of an assembled report."""
-    meta = bundle.report["metadata"]
+def render_report_text(report: dict) -> str:
+    """Human-readable rendering of a report document, as built or as read
+    back from its JSON; all it shows but the generation time is digested."""
+    meta, priorities = report["metadata"], report["prioritization"]
     lines = [
         f"Rollup risk report (tool {meta['tool_version']})",
         f"Generated: {meta['generated_at']}   strict roles: {meta['strict_roles']}",
         f"Content digest: {meta['content_digest']}",
         "",
-        render_prevalence_text(bundle.prevalence),
+        render_prevalence_text(PrevalenceTable.from_dict(report["prevalence"])),
         "",
-        render_distribution_text(bundle.distribution),
+        render_distribution_text(IncidentDistribution.from_dict(report["incidents"])),
         "",
         "Cross-validation",
+        *(f"  [{note['key']}] {note['text']}" for note in report["cross_validation"]),
+        "",
+        "Findings (reference deployment)",
     ]
-    for note in bundle.notes:
-        lines.append(f"  [{note.key}] {note.text}")
-    lines.append("")
-    lines.append("Findings (reference deployment)")
-    for f in bundle.findings:
-        marker = "note" if f.informational else "PROBLEM"
-        who = ", ".join(sorted(s.value for s in f.stakeholders))
-        lines.append(f"  [{marker}] field {int(f.field)} ({who}): {f.narrative}")
-    lines.append("")
-    lines.append("Prioritized mitigations")
-    lines.append("  Immediate / operational:")
+    for f in report["findings"]:
+        marker = "note" if f["informational"] else "PROBLEM"
+        who = ", ".join(f["stakeholders"])
+        lines.append(f"  [{marker}] field {f['field']} ({who}): {f['narrative']}")
+    lines += ["", "Prioritized mitigations", "  Immediate / operational:"]
     lines.extend(
-        _bullets(bundle.prioritization.immediate_operational)
+        _bullets(priorities["immediate_operational"])
         or ["  - none indicated by the incident record"]
     )
     lines.append("  Structural / governance:")
     lines.extend(
-        _bullets(bundle.prioritization.structural_governance)
+        _bullets(priorities["structural_governance"])
         or ["  - none indicated by the prevalence table"]
     )
-    if bundle.simulations:
-        lines.append("")
-        lines.append("Simulations")
-        for s in bundle.simulations:
-            m = s.metrics
+    if report["simulations"]:
+        lines += ["", "Simulations"]
+        for s in report["simulations"]:
+            m = s["metrics"]
             lines.append(
-                f"  {s.scenario}: censorship {m.censorship_window}s, frozen "
-                f"{m.frozen_funds_duration}s, conserved {m.funds_conserved}, "
-                f"exit coverage {m.exit_coverage_before_upgrade}"
+                f"  {s['scenario']}: censorship {m['censorship_window']}s, frozen "
+                f"{m['frozen_funds_duration']}s, conserved {m['funds_conserved']}, "
+                f"exit coverage {m['exit_coverage_before_upgrade']}"
             )
     return "\n".join(lines)

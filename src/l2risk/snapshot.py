@@ -223,14 +223,27 @@ class _RulesetFile:
     version: int = 1
 
 
+# The fields flag_entry reads from a risk row, each with its absent-or-null value.
+_RISK_DEFAULTS = (("name", ""), ("value", ""), ("sentiment", "unknown"), ("description", ""))
+
+
 def _risk_fields(raw: Mapping[str, Any]) -> tuple[str, str, str, str]:
-    """The (name, value, sentiment, description) strings that flag_entry reads."""
-    return (
-        str(raw.get("name", "")),
-        str(raw.get("value", "")),
-        str(raw.get("sentiment", "unknown")),
-        str(raw.get("description", "")),
+    """The (name, value, sentiment, description) strings that flag_entry reads:
+    each as written, or its default when absent or null. A field of any other
+    type raises ValueError naming the first such field."""
+    fields = name, value, sentiment, description = (
+        raw.get("name"), raw.get("value"), raw.get("sentiment"), raw.get("description")
     )
+    if type(name) is type(value) is type(sentiment) is type(description) is str:
+        return fields
+    read = []
+    for (key, default), text in zip(_RISK_DEFAULTS, fields):
+        if text is None:
+            text = default
+        elif type(text) is not str:
+            raise ValueError(f"risk {key} must be a string, not {text!r}")
+        read.append(text)
+    return tuple(read)
 
 
 def flag_entry(raw: Mapping[str, Any], ruleset: FlagRuleset) -> RiskEntry:
@@ -239,7 +252,8 @@ def flag_entry(raw: Mapping[str, Any], ruleset: FlagRuleset) -> RiskEntry:
     Records naming a dimension outside the tracked five are preserved with
     dimension=None and flagged=False; they never join a profile, and
     extract_projects warns about them once per row. Flagging is a pure
-    function of (dimension, value, sentiment, description) given the ruleset.
+    function of (dimension, value, sentiment, description) given the ruleset;
+    each is a string, or absent or null for its default, else a ValueError.
     """
     return _flag_fields(*_risk_fields(raw), ruleset)
 
@@ -288,7 +302,8 @@ def extract_projects(
     not a string, are dropped with a warning naming their list index or
     object key. A string id or name is taken as written. An absent, null or
     empty id falls back to the object key in a keyed layout and otherwise to
-    the name's slug; an absent, null or empty name falls back to the id.
+    the name's slug; an absent, null or empty name falls back to the id. A
+    risk row with a field flag_entry refuses is dropped with a warning.
     Projects without a category are skipped with a warning; categories
     outside the tracked three are excluded with a warning. Warnings are
     returned in ExtractResult.warnings, never logged. Duplicate project ids
@@ -352,7 +367,11 @@ def extract_projects(
             if not isinstance(raw_risk, dict):
                 warnings.append(f"project {project_id}: non-object risk entry dropped")
                 continue
-            key = _risk_fields(raw_risk)
+            try:
+                key = _risk_fields(raw_risk)
+            except ValueError as exc:
+                warnings.append(f"project {project_id}: {exc}; dropped")
+                continue
             entry = flagged_rows.get(key)
             if entry is None:
                 entry = flagged_rows[key] = _flag_fields(*key, ruleset)

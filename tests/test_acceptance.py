@@ -307,7 +307,7 @@ def test_criterion_5_report_prioritization_and_reproducibility():
         incidents_path=INCIDENTS,
         generated_at="2026-01-01T00:00:00+00:00",
     )
-    priorities = first.report["prioritization"]
+    priorities = first["prioritization"]
     assert "strengthen-sequencer-liveness" in priorities["immediate_operational"]
     structural = priorities["structural_governance"]
     assert "timelocked-upgrades-exit-windows" in structural  # exit-window hazard
@@ -320,6 +320,6 @@ def test_criterion_5_report_prioritization_and_reproducibility():
         generated_at="2026-12-31T23:59:59+00:00",
     )
     assert (
-        first.report["metadata"]["content_digest"]
-        == second.report["metadata"]["content_digest"]
+        first["metadata"]["content_digest"]
+        == second["metadata"]["content_digest"]
     )

@@ -1,8 +1,9 @@
 """The benchmark's tracer wraps l2risk functions by name (the REPORT_TARGETS
-and SIM_TARGETS tables of perfbench/tracing.py). A function renamed or moved
-in src/ would leave its span empty and its per-layer metric at zero; these
-tests fail instead. They read the tables from the file's source and import
-only l2risk."""
+and SIM_TARGETS tables of perfbench/tracing.py), and its scripts import
+l2risk modules and names. A function renamed or moved in src/ would leave
+its span empty and its per-layer metric at zero, or fail every benchmark op
+at import; these tests fail instead. They read the tables and the imports
+from the files' source and import only l2risk."""
 
 import ast
 import importlib
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 TABLES = ("REPORT_TARGETS", "SIM_TARGETS")
 
 
@@ -62,3 +64,32 @@ def test_each_target_exists_and_is_callable(owner, attr, span):
     # the owner's own, not inherited
     assert attr in vars(namespace), f"{owner}.{attr} is gone; span {span} would read 0"
     assert callable(getattr(namespace, attr))
+
+
+def _l2risk_imports() -> list[tuple[str, str, str | None]]:
+    """Each (script, module, name) the benchmark's scripts import from
+    l2risk: name None for ``import l2risk.X``."""
+    found = []
+    for script in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(script.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found += [(script.name, a.name, None) for a in node.names if a.name.startswith("l2risk")]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("l2risk"):
+                found += [(script.name, node.module, a.name) for a in node.names]
+    return found
+
+
+_IMPORTS = _l2risk_imports()
+
+
+def test_benchmark_imports_are_read():
+    assert ("worker.py", "l2risk.report", "render_report_text") in _IMPORTS
+
+
+@pytest.mark.parametrize(
+    "script, module, name", _IMPORTS, ids=[f"{s}:{m}" + (f".{n}" if n else "") for s, m, n in _IMPORTS]
+)
+def test_each_benchmark_import_exists(script, module, name):
+    imported = importlib.import_module(module)
+    if name is not None:
+        assert hasattr(imported, name), f"{script} imports {name} from {module}, which has none"

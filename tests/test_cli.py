@@ -143,14 +143,14 @@ def test_report_prints_incident_warnings_once_after_the_snapshot_warnings(tmp_pa
     table.write_text(Path(INCIDENTS).read_text(encoding="utf-8") + "Foochain,2024-01-01\n")
     assert main(["report", "--snapshot", SNAPSHOT, "--incidents", str(table)]) == 0
     printed = capsys.readouterr()
-    bundle = build_report(snapshot_path=SNAPSHOT, incidents_path=table)
-    assert bundle.report["incidents"]["warnings"] == ["line 34: too few fields"]
+    report = build_report(snapshot_path=SNAPSHOT, incidents_path=table)
+    assert report["incidents"]["warnings"] == ["line 34: too few fields"]
     assert printed.err.splitlines() == [
-        *bundle.report["prevalence"]["warnings"],
+        *report["prevalence"]["warnings"],
         "line 34: too few fields",
     ]
     # stdout is the report alone; only its "Generated:" timestamp may differ
-    out, expected = printed.out.splitlines(), render_report_text(bundle).splitlines()
+    out, expected = printed.out.splitlines(), render_report_text(report).splitlines()
     assert out[:1] + out[2:] == expected[:1] + expected[2:]
 
 
@@ -559,12 +559,11 @@ def test_simulate_and_report_count_records_without_the_events_view(
     with pytest.raises(AssertionError, match="the events view was built"):
         results[0].events
 
-    bundle = build_report(
+    report = build_report(
         snapshot_path=SNAPSHOT, incidents_path=INCIDENTS, scenario_paths=scenarios
     )
-    render_report_text(bundle)
-    counts = [s["event_count"] for s in bundle.report["simulations"]]
-    assert counts == [len(r.records) for r in bundle.simulations]
+    render_report_text(report)
+    counts = [s["event_count"] for s in report["simulations"]]
     assert counts == [len(r.records) for r in results]
 
 

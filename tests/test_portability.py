@@ -59,7 +59,7 @@ def probe():
     for path in scenarios:
         lines = simulate(load_scenario(path)).trace_lines()
         traces[path.name] = hashlib.sha256("".join(l + "\\n" for l in lines).encode()).hexdigest()
-    bundle = build_report(
+    report = build_report(
         snapshot_path=fixture_path(SNAPSHOT_JSON),
         incidents_path=fixture_path(INCIDENTS_CSV),
         scenario_paths=scenarios,
@@ -68,7 +68,7 @@ def probe():
     run.execute()
     return {
         "traces": traces,
-        "digest": bundle.report["metadata"]["content_digest"],
+        "digest": report["metadata"]["content_digest"],
         "run_has_dict": hasattr(run, "__dict__"),
     }
 """

@@ -5,6 +5,7 @@ except for the rules the reader alone enforces."""
 import copy
 import json
 import operator
+import re
 from functools import reduce
 
 import jsonschema
@@ -299,3 +300,35 @@ class TestArtifactsReadBack:
         written = dist.to_dict(warnings)
         assert IncidentDistribution.from_dict(written) == dist
         assert IncidentDistribution.from_dict(json.loads(json.dumps(written))) == dist
+
+
+# A table built in Python takes no key outside its members, foreign enum
+# member or string, whatever its count; the JSON readers refuse an unknown
+# key first, as before, under the document's own name for the table.
+_FOREIGN = [
+    (PrevalenceTable, RiskDimension, "flagged", CompressedIncidentType.EXPLOIT_OR_SECURITY),
+    (PrevalenceTable, RiskDimension, "flagged", "exit-window"),
+    (IncidentDistribution, CompressedIncidentType, "counts", RiskDimension.EXIT_WINDOW),
+    (IncidentDistribution, CompressedIncidentType, "counts", "exploit-or-security"),
+]
+
+
+def _build(cls, counts):
+    return cls(3, counts) if cls is PrevalenceTable else cls(counts, 0, 0, None)
+
+
+@pytest.mark.parametrize(
+    "cls, members, key, foreign",
+    _FOREIGN,
+    ids=[f"{c.__name__}-{type(f).__name__}" for c, _m, _k, f in _FOREIGN],
+)
+def test_tables_refuse_keys_outside_their_members(cls, members, key, foreign):
+    counts = {**dict.fromkeys(members, 1), foreign: 1}
+    message = f"{key} has keys that are not {members.__name__} members: [{foreign!r}]"
+    with pytest.raises(ValueError) as exc:
+        _build(cls, counts)
+    assert str(exc.value) == message
+    written = _build(cls, dict.fromkeys(members, 1)).to_dict(())
+    written[key]["Exit Window"] = 1
+    with pytest.raises(ValueError, match=re.escape(f"unknown {key} keys: ['Exit Window']")):
+        cls.from_dict(written)

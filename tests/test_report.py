@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from referencing import Registry
 from referencing.jsonschema import DRAFT202012
 
+from l2risk.cli import main
 from l2risk.data import RULESET_JSON, fixture_path, scenario_names
 from l2risk.engine import (
     IMMEDIATE_MITIGATIONS,
@@ -58,7 +59,7 @@ def dist():
 
 
 @pytest.fixture(scope="module")
-def bundle():
+def report():
     return build_report(snapshot_path=SNAPSHOT, incidents_path=INCIDENTS)
 
 
@@ -174,8 +175,8 @@ def test_build_report_refuses_a_seed_that_is_not_an_int(seed):
         build_report(snapshot_path=SNAPSHOT, incidents_path=INCIDENTS, seed=seed)
 
 
-def test_report_validates_against_schema(bundle):
-    jsonschema.validate(bundle.report, load_schema("report"))
+def test_report_validates_against_schema(report):
+    jsonschema.validate(report, load_schema("report"))
 
 
 _DROP = object()
@@ -189,8 +190,8 @@ _DROP = object()
         ("incidents", "counts", "sequencer-disruption", _DROP),
     ],
 )
-def test_report_schema_takes_only_canonical_table_members(bundle, block, table, key, value):
-    report = copy.deepcopy(bundle.report)
+def test_report_schema_takes_only_canonical_table_members(report, block, table, key, value):
+    report = copy.deepcopy(report)
     if value is _DROP:
         del report[block][table][key]
     else:
@@ -240,14 +241,14 @@ def full_report():
         incidents_path=INCIDENTS,
         ruleset_path=fixture_path(RULESET_JSON),
         scenario_paths=[fixture_path(f"scenarios/{name}") for name in scenario_names()],
-    ).report
+    )
 
 
 def test_real_reports_satisfy_the_schema(full_report, tmp_path):
     _REPORT_SCHEMA.validate(full_report)
     empty = tmp_path / "empty.csv"
     empty.write_text("name,date,link,incident_type\n", encoding="utf-8")
-    report = build_report(snapshot_path=SNAPSHOT, incidents_path=empty).report
+    report = build_report(snapshot_path=SNAPSHOT, incidents_path=empty)
     assert report["incidents"]["date_span"] is None
     _REPORT_SCHEMA.validate(report)
 
@@ -322,7 +323,7 @@ def test_schema_files_resolve_by_name_as_the_bundle_does(full_report, tmp_path):
     )
     empty = tmp_path / "empty.csv"
     empty.write_text("name,date,link,incident_type\n", encoding="utf-8")
-    reports = [full_report, build_report(snapshot_path=SNAPSHOT, incidents_path=empty).report]
+    reports = [full_report, build_report(snapshot_path=SNAPSHOT, incidents_path=empty)]
     for validator in (_REPORT_SCHEMA, on_disk):
         for report in reports:
             validator.validate(report)
@@ -330,8 +331,8 @@ def test_schema_files_resolve_by_name_as_the_bundle_does(full_report, tmp_path):
             assert not validator.is_valid(_mutated(full_report, path, value)), path
 
 
-def test_report_metadata_inputs_carry_real_digests(bundle):
-    inputs = bundle.report["metadata"]["inputs"]
+def test_report_metadata_inputs_carry_real_digests(report):
+    inputs = report["metadata"]["inputs"]
     for name, path in (("snapshot", SNAPSHOT), ("incidents", INCIDENTS)):
         expected = hashlib.sha256(path.read_bytes()).hexdigest()
         assert inputs[name]["sha256"] == expected
@@ -340,8 +341,7 @@ def test_report_metadata_inputs_carry_real_digests(bundle):
     assert "scenarios" not in inputs
 
 
-def test_report_sections_present(bundle):
-    report = bundle.report
+def test_report_sections_present(report):
     assert report["prevalence"]["total_projects"] == 129
     assert report["incidents"]["total"] == 32
     assert [n["key"] for n in report["cross_validation"]] == [
@@ -361,10 +361,10 @@ def test_report_simulations_included(tmp_path):
     b = build_report(
         snapshot_path=SNAPSHOT, incidents_path=INCIDENTS, scenario_paths=[scen]
     )
-    assert [s["scenario"] for s in b.report["simulations"]] == ["zk-withdrawal-baseline"]
-    assert b.report["simulations"][0]["metrics"]["funds_conserved"] is True
-    assert b.report["metadata"]["inputs"]["scenarios"][0]["path"] == str(scen)
-    jsonschema.validate(b.report, load_schema("report"))
+    assert [s["scenario"] for s in b["simulations"]] == ["zk-withdrawal-baseline"]
+    assert b["simulations"][0]["metrics"]["funds_conserved"] is True
+    assert b["metadata"]["inputs"]["scenarios"][0]["path"] == str(scen)
+    jsonschema.validate(b, load_schema("report"))
 
 
 # -- reproducibility -----------------------------------------------------------
@@ -377,14 +377,14 @@ def test_digest_ignores_generation_timestamp():
     b = build_report(
         snapshot_path=SNAPSHOT, incidents_path=INCIDENTS, generated_at="2026-06-30T12:34:56+00:00"
     )
-    da = a.report["metadata"]["content_digest"]
-    db = b.report["metadata"]["content_digest"]
+    da = a["metadata"]["content_digest"]
+    db = b["metadata"]["content_digest"]
     assert da == db
-    assert a.report["metadata"]["generated_at"] != b.report["metadata"]["generated_at"]
+    assert a["metadata"]["generated_at"] != b["metadata"]["generated_at"]
 
 
-def test_recorded_digest_matches_recomputation(bundle):
-    assert bundle.report["metadata"]["content_digest"] == content_digest(bundle.report)
+def test_recorded_digest_matches_recomputation(report):
+    assert report["metadata"]["content_digest"] == content_digest(report)
 
 
 def _digest_via_json_round_trip(report):
@@ -410,47 +410,47 @@ def _keys(node):
 def test_digest_matches_json_round_trip_definition():
     scenarios = sorted(fixture_path("scenarios").glob("*.json"))
     built = build_report(snapshot_path=SNAPSHOT, incidents_path=INCIDENTS, scenario_paths=scenarios)
-    read_back = json.loads(json.dumps(built.report))
+    read_back = json.loads(json.dumps(built))
     # the two definitions agree only while every key is already a string
-    assert all(isinstance(k, str) for k in _keys(built.report))
-    for report in (built.report, read_back):
+    assert all(isinstance(k, str) for k in _keys(built))
+    for report in (built, read_back):
         before = json.dumps(report, sort_keys=True)
         assert content_digest(report) == _digest_via_json_round_trip(report)
         assert json.dumps(report, sort_keys=True) == before  # the input is not modified
-    assert content_digest(built.report) == built.report["metadata"]["content_digest"]
+    assert content_digest(built) == built["metadata"]["content_digest"]
 
 
-def test_digest_changes_when_inputs_change(bundle, tmp_path):
+def test_digest_changes_when_inputs_change(report, tmp_path):
     # drop one incident row; the distribution, and therefore the digest, must move
     lines = INCIDENTS.read_text(encoding="utf-8").splitlines()
     trimmed = tmp_path / "incidents.csv"
     trimmed.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
     other = build_report(snapshot_path=SNAPSHOT, incidents_path=trimmed)
-    assert other.report["incidents"]["total"] == 31
+    assert other["incidents"]["total"] == 31
     assert (
-        other.report["metadata"]["content_digest"]
-        != bundle.report["metadata"]["content_digest"]
+        other["metadata"]["content_digest"]
+        != report["metadata"]["content_digest"]
     )
 
 
-def test_digest_tracks_seed(bundle):
+def test_digest_tracks_seed(report):
     other = build_report(snapshot_path=SNAPSHOT, incidents_path=INCIDENTS, seed=99)
     assert (
-        other.report["metadata"]["content_digest"]
-        != bundle.report["metadata"]["content_digest"]
+        other["metadata"]["content_digest"]
+        != report["metadata"]["content_digest"]
     )
 
 
 def test_strict_roles_flag_follows_environment(monkeypatch):
     monkeypatch.setenv("ERA_STRICT_ROLES", "1")
     strict = build_report(snapshot_path=SNAPSHOT, incidents_path=INCIDENTS)
-    assert strict.report["metadata"]["strict_roles"] is True
+    assert strict["metadata"]["strict_roles"] is True
     monkeypatch.delenv("ERA_STRICT_ROLES")
     lax = build_report(snapshot_path=SNAPSHOT, incidents_path=INCIDENTS)
-    assert lax.report["metadata"]["strict_roles"] is False
+    assert lax["metadata"]["strict_roles"] is False
     assert (
-        strict.report["metadata"]["content_digest"]
-        != lax.report["metadata"]["content_digest"]
+        strict["metadata"]["content_digest"]
+        != lax["metadata"]["content_digest"]
     )
 
 
@@ -533,8 +533,7 @@ def test_build_report_reads_each_input_once(monkeypatch):
 
     monkeypatch.setattr(io, "open", counting_open)
     monkeypatch.setattr(builtins, "open", counting_open)
-    bundle = _full_report()
-    inputs = bundle.report["metadata"]["inputs"]
+    inputs = _full_report()["metadata"]["inputs"]
     paths = [inputs["snapshot"]["path"], inputs["incidents"]["path"], inputs["ruleset"]["path"]]
     paths += [s["path"] for s in inputs["scenarios"]]
     assert len(paths) == 12
@@ -557,10 +556,10 @@ def test_build_report_never_calls_enum_hash(monkeypatch):
 # -- rendering -----------------------------------------------------------------
 
 
-def test_render_contains_every_section(bundle):
-    text = render_report_text(bundle)
+def test_render_contains_every_section(report):
+    text = render_report_text(report)
     assert text.startswith("Rollup risk report")
-    assert "Content digest: " + bundle.report["metadata"]["content_digest"] in text
+    assert "Content digest: " + report["metadata"]["content_digest"] in text
     assert "Cross-validation" in text
     assert "Findings (reference deployment)" in text
     assert "[PROBLEM] field 2" in text
@@ -593,3 +592,33 @@ def test_render_lists_simulations_when_present():
     text = render_report_text(b)
     assert "Simulations" in text
     assert "sequencer-outage-fi-1h: censorship 3600s, frozen 3600s, conserved True" in text
+
+
+@pytest.mark.parametrize("with_scenarios", [False, True], ids=["fixtures", "bundled-scenarios"])
+def test_saved_report_renders_as_the_text_format(with_scenarios, capsys):
+    # the text view is drawn from the document alone, so a report read back
+    # from --format json renders as --format text prints it
+    argv = ["report", "--snapshot", str(SNAPSHOT), "--incidents", str(INCIDENTS)]
+    if with_scenarios:
+        for path in sorted(fixture_path("scenarios").glob("*.json")):
+            argv += ["--scenario", str(path)]
+    printed = {}
+    for fmt in ("json", "text"):
+        assert main([*argv, "--format", fmt]) == 0
+        printed[fmt] = capsys.readouterr().out.splitlines()
+    rendered = render_report_text(json.loads("\n".join(printed["json"]))).splitlines()
+    text = printed["text"]
+    assert rendered[1].startswith("Generated: ") and text[1].startswith("Generated: ")
+    assert rendered[:1] + rendered[2:] == text[:1] + text[2:]
+    assert ("Simulations" in text) is with_scenarios
+
+
+@pytest.mark.parametrize("path", ["a.json", b"a.json", Path("a.json")], ids=["str", "bytes", "Path"])
+def test_build_report_refuses_a_single_scenario_path(path, monkeypatch):
+    def no_reads(*args, **kwargs):
+        raise AssertionError("a file was read")
+
+    monkeypatch.setattr(Path, "read_bytes", no_reads)
+    message = f"scenario_paths must be a sequence of paths, not {path!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_report(snapshot_path=SNAPSHOT, incidents_path=INCIDENTS, scenario_paths=path)

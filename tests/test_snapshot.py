@@ -169,6 +169,26 @@ class TestFlagEntry:
         result = extract_projects({"projects": [{"id": "a", "category": "Other", "risks": [row]}]})
         assert result.warnings == ("project a: untracked risk name 'State derivation' dropped",)
 
+    def test_absent_or_null_fields_read_as_their_defaults(self):
+        nulls = {"name": "Exit window", "value": None, "sentiment": None, "description": None}
+        entry = flag_entry(nulls, self.RULESET)
+        assert (entry.value, entry.sentiment, entry.description) == ("", Sentiment.UNKNOWN, "")
+        assert entry == flag_entry({"name": "Exit window"}, self.RULESET)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("name", 5), ("value", 7), ("value", True), ("sentiment", ["bad"]),
+         ("description", ["there is no window for users to exit"])],
+    )
+    def test_field_that_is_not_a_string_is_refused(self, field, value):
+        # a value is never printed into a string a rule key could match
+        row = {"name": "Exit window", "value": "None", "sentiment": "good", field: value}
+        with pytest.raises(ValueError, match=re.escape(f"risk {field} must be a string, not {value!r}")):
+            flag_entry(row, self.RULESET)
+        result = extract_projects({"projects": [{"id": "a", "category": "Other", "risks": [row]}]})
+        assert result.profiles[0].risks == ()
+        assert result.warnings == (f"project a: risk {field} must be a string, not {value!r}; dropped",)
+
     @given(
         st.sampled_from(["Exit window", "EXIT WINDOW", " exit  window "]),
         st.sampled_from(["None", " NONE  ", "none"]),
@@ -487,11 +507,16 @@ def test_custom_ruleset_file_round_trip(tmp_path):
 # -- flagging each distinct row once -------------------------------------------
 
 
+_RISK_KEYS = ("name", "value", "sentiment", "description")
+
+
 def extract_per_row(doc, ruleset=None):
     """Oracle: the extract loop over a project list with flag_entry called on
     every risk row, as it was before rows were shared within a call. An id or
     name is a string taken as written, or absent, null or empty and filled
-    in; any other type drops the entry."""
+    in; any other type drops the entry. A risk row's name, value, sentiment
+    and description are each a string or absent or null; any other type
+    drops the row."""
     ruleset = ruleset or FlagRuleset.default()
     warnings, profiles, ids = [], [], set()
     for index, raw in enumerate(doc["projects"]):
@@ -533,6 +558,13 @@ def extract_per_row(doc, ruleset=None):
         for raw_risk in risks or []:
             if not isinstance(raw_risk, dict):
                 warnings.append(f"project {project_id}: non-object risk entry dropped")
+                continue
+            bad = [key for key in _RISK_KEYS if not isinstance(raw_risk.get(key), (str, type(None)))]
+            if bad:
+                warnings.append(
+                    f"project {project_id}: risk {bad[0]} must be a string, "
+                    f"not {raw_risk[bad[0]]!r}; dropped"
+                )
                 continue
             entry = flag_entry(raw_risk, ruleset)
             if entry.dimension is None:
